@@ -489,7 +489,7 @@ def check_interlacing(max_n: int = 10) -> CriterionResult:
         cases.append(
             CaseResult(
                 f"Q({n},{k}) edges in I({n},{k})",
-                f"all {q.edge_count} edges present" if not missing else f"missing {missing[:3]}",
+                f"all {q.edge_count()} edges present" if not missing else f"missing {missing[:3]}",
                 not missing,
             )
         )

@@ -8,6 +8,7 @@ are no tolerances to tune.
 
 from __future__ import annotations
 
+from wellspread import build_q
 from wellspread.verify import (
     check_certificates,
     check_chromatic_law,
@@ -68,3 +69,10 @@ def test_criterion_09_circular_deletion():
 
 def test_criterion_10_interlacing():
     _gate(check_interlacing(max_n=10))
+
+
+def test_criterion_10_detail_counts_edges():
+    details = {c.label: c.detail for c in check_interlacing(max_n=7).cases}
+    for n, k in [(5, 2), (7, 2), (7, 3)]:
+        want = f"all {build_q(n, k).edge_count()} edges present"
+        assert details[f"Q({n},{k}) edges in I({n},{k})"] == want

@@ -83,6 +83,14 @@ def test_invariants_selected_and_full(capsys):
     assert doc["chiC"] == "13/5"
 
 
+def test_invariants_chi_of_a_long_odd_cycle(capsys):
+    # circular(1001,500) is a 1001-cycle; its coloring search runs ~V deep
+    code, out, _ = run(capsys, "invariants", "--family", "circular", "--n", "1001",
+                       "--k", "500", "--chi")
+    assert code == 0
+    assert json.loads(out)["chi"] == 3
+
+
 def test_criticality_vertex_sweep(capsys):
     code, out, _ = run(capsys, "criticality", "--family", "q", "--n", "7", "--k", "2")
     assert code == 0

@@ -1,4 +1,5 @@
-"""Exact chromatic numbers: DSATUR search, class branching, cross-checks."""
+"""Exact chromatic numbers: DSATUR search, class branching, the portfolio
+that runs them in turn, cross-checks."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ from conftest import complete, cycle, mk
 
 from wellspread import (
     ResourceCap,
+    build_circular,
     build_interlacing,
     build_kneser,
     build_q,
@@ -18,6 +20,8 @@ from wellspread import (
     find_proper_coloring,
     is_t_colorable,
 )
+from wellspread import coloring
+from wellspread.coloring import DEFAULT_NODE_BUDGET, _class_colorable
 
 
 def test_chromatic_basics():
@@ -27,6 +31,8 @@ def test_chromatic_basics():
     assert chromatic_number(cycle(6)) == 2
     assert chromatic_number(complete(7)) == 7
     assert chromatic_number(build_kneser(5, 2)) == 3
+    # a 1001-cycle: DSATUR colors it without backtracking, ~V levels deep
+    assert chromatic_number(build_circular(1001, 500)) == 3
 
 
 def test_coloring_witness_is_proper():
@@ -66,8 +72,9 @@ def test_class_branching_agrees_with_dsatur_on_random_graphs():
         ]
         g = mk(n, edges)
         for t in range(1, 6):
-            assert is_t_colorable(g, t) == (find_proper_coloring(g, t) is not None), (
-                trial, n, t)
+            by_classes = _class_colorable(g, t, DEFAULT_NODE_BUDGET, 0)
+            assert by_classes == (find_proper_coloring(g, t) is not None), (trial, n, t)
+            assert is_t_colorable(g, t) == by_classes, (trial, n, t)
 
 
 def test_schrijver_chromatic_formula_small():
@@ -90,3 +97,23 @@ def test_node_budget_trips():
     g = build_kneser(8, 3)
     with pytest.raises(ResourceCap):
         chromatic_number(g, node_budget=5)
+    # the probe's nodes count against the budget: when the probe spends all
+    # of it, class branching gets none
+    sg = build_schrijver(9, 3)
+    with pytest.raises(ResourceCap):
+        is_t_colorable(sg, 4, node_budget=sg.vertex_count + coloring._PROBE_NODES)
+
+
+def test_class_branching_decides_when_probe_runs_out(monkeypatch):
+    sg = build_schrijver(9, 3)  # chi = 5
+    with pytest.raises(ResourceCap):
+        find_proper_coloring(sg, 4, sg.vertex_count + coloring._PROBE_NODES)
+    calls = []
+
+    def recording(g, t, node_budget, nodes):
+        calls.append((t, nodes))
+        return _class_colorable(g, t, node_budget, nodes)
+
+    monkeypatch.setattr(coloring, "_class_colorable", recording)
+    assert not is_t_colorable(sg, 4)
+    assert calls == [(4, sg.vertex_count + coloring._PROBE_NODES)]
