@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .cyclic import CyclicSubset, canonical_well_spread, critical_params
+from .cyclic import CriticalParams, CyclicSubset, canonical_well_spread, critical_params
 from .errors import InvalidParams, NotAnEdge, NotCoprime, NotCycleEdge
 from .fractional import FractionalColoring, verify_fractional_coloring
 from .graphs import (
@@ -43,15 +43,21 @@ def _require_coprime(n: int, k: int, strict: bool) -> None:
 def star_positions(n: int, k: int) -> tuple[int, ...]:
     """Rotation offsets whose set contains residue 0: a maximum independent set."""
     _require_coprime(n, k, strict=False)
-    canon = canonical_well_spread(n, k)
+    return _star(canonical_well_spread(n, k))
+
+
+def _star(canon: CyclicSubset) -> tuple[int, ...]:
+    n = canon.modulus
     return tuple(sorted((-c) % n for c in canon))
 
 
 def _light_window_start(n: int, length: int, heavy: int, members: frozenset[int]) -> int:
     """Start of the unique length-window holding heavy-1 members (others hold heavy)."""
     light = None
+    c = sum(1 for d in range(length) if d % n in members)
     for s in range(n):
-        c = sum(1 for d in range(length) if (s + d) % n in members)
+        if s:  # slide the window one step: drop s-1, take in s+length-1
+            c += ((s + length - 1) % n in members) - (s - 1 in members)
         if c == heavy - 1:
             if light is not None:
                 raise AssertionError(f"two deficient windows at {light} and {s}")
@@ -63,8 +69,8 @@ def _light_window_start(n: int, length: int, heavy: int, members: frozenset[int]
     return light
 
 
-def _checked_coloring(n: int, k: int, fc: FractionalColoring) -> FractionalColoring:
-    bad = verify_fractional_coloring(build_q(n, k), fc)
+def _checked_coloring(q: LabeledGraph, fc: FractionalColoring) -> FractionalColoring:
+    bad = verify_fractional_coloring(q, fc)
     if bad:
         raise AssertionError(f"constructed coloring invalid: {bad[:3]}")
     return fc
@@ -79,8 +85,9 @@ def vertex_deleted_coloring(n: int, k: int, deleted: int) -> FractionalColoring:
     _require_coprime(n, k, strict=False)
     if not (0 <= deleted < n):
         raise InvalidParams(f"vertex {deleted} out of range 0..{n - 1}")
+    q = build_q(n, k)
     cp = critical_params(n, k)
-    a1 = star_positions(n, k)
+    a1 = _star(q.labels[0])
     s0 = _light_window_start(n, cp.a, cp.b, frozenset(a1))
     delta = (deleted - s0) % n
     # The rotations hit `deleted` exactly b-1 times; strip it so each set
@@ -92,17 +99,25 @@ def vertex_deleted_coloring(n: int, k: int, deleted: int) -> FractionalColoring:
     fc = FractionalColoring(sets, (Fraction(1, cp.b),) * cp.a, excluded_vertex=deleted)
     if fc.value != Fraction(cp.a, cp.b):
         raise AssertionError(f"total weight {fc.value} != {cp.a}/{cp.b}")
-    return _checked_coloring(n, k, fc)
+    return _checked_coloring(q, fc)
 
 
-def _cycle_edge_base(n: int, k: int, edge: tuple[int, int]) -> int:
-    """p such that edge == {p, p+1 mod n}; rejects non-edges and chords."""
+def _check_edge_endpoints(n: int, edge: tuple[int, int]) -> None:
     u, v = edge
     if not (0 <= u < n and 0 <= v < n) or u == v:
         raise InvalidParams(f"bad edge endpoints {{{u},{v}}} for {n} positions")
-    canon = canonical_well_spread(n, k)
+
+
+def _cycle_edge_base(q: LabeledGraph, edge: tuple[int, int]) -> int:
+    """p such that edge == {p, p+1 mod n}; rejects non-edges and chords.
+
+    q is the coprime rotation graph and the endpoints are already in range;
+    u, v are adjacent exactly when rotations (v - u) apart are disjoint.
+    """
+    n = q.vertex_count
+    u, v = edge
     t = (v - u) % n
-    if set(canon.elements) & set(canon.rotate(t).elements):
+    if not q.has_edge(u, v):
         raise NotAnEdge(f"offset {t} rotations share a residue: {{{u},{v}}} is no edge")
     if t == 1:
         return u
@@ -115,9 +130,11 @@ def edge_deleted_coloring(n: int, k: int, edge: tuple[int, int]) -> FractionalCo
     """Star rotations plus one extra position, covering all of the graph minus
     one consecutive-rotation edge with total weight a/b."""
     _require_coprime(n, k, strict=False)
-    p = _cycle_edge_base(n, k, edge)
+    _check_edge_endpoints(n, edge)
+    q = build_q(n, k)
+    p = _cycle_edge_base(q, edge)
     cp = critical_params(n, k)
-    a1 = star_positions(n, k)
+    a1 = _star(q.labels[0])
     members = frozenset(a1)
     s0 = _light_window_start(n, cp.a, cp.b, members)
     # the deficient window start is the unique position entering the star a
@@ -136,39 +153,39 @@ def edge_deleted_coloring(n: int, k: int, edge: tuple[int, int]) -> FractionalCo
     )
     if fc.value != Fraction(cp.a, cp.b):
         raise AssertionError(f"total weight {fc.value} != {cp.a}/{cp.b}")
-    return _checked_coloring(n, k, fc)
+    return _checked_coloring(q, fc)
 
 
-def _window_labels(n: int, k: int, anchor: int) -> list[tuple[int, CyclicSubset]]:
+def _window_labels(q: LabeledGraph, cp: CriticalParams,
+                   anchor: int) -> list[tuple[int, CyclicSubset]]:
     """Positions anchor, anchor-1, ..., anchor-a+1 with their reduced labels.
 
     Reading each position's set through the shifted deficient window of the
     anchor's own set yields b residues inside a window of length a; re-based
     to Z_a these are exactly the rotation labels of the critical graph.
     """
-    cp = critical_params(n, k)
-    canon = canonical_well_spread(n, k)
-    anchor_set = frozenset(canon.rotate(anchor).elements)
+    n = q.vertex_count
+    anchor_set = frozenset(q.labels[anchor].elements)
     light = _light_window_start(n, cp.a, cp.b, anchor_set)
     beta = (light + 1) % n
     offset_of = {(beta + d) % n: d for d in range(cp.a)}
     out = []
     for i in range(cp.a):
         xi = (anchor - i) % n
-        w = CyclicSubset(cp.a, (offset_of[r] for r in canon.rotate(xi) if r in offset_of))
+        w = CyclicSubset(cp.a, (offset_of[r] for r in q.labels[xi] if r in offset_of))
         if len(w) != cp.b:
             raise AssertionError(f"window at {xi} caught {len(w)} residues, wanted {cp.b}")
         out.append((xi, w))
     return out
 
 
-def _anchored_copy(n: int, k: int, anchor: int):
+def _anchored_copy(q: LabeledGraph, anchor: int):
     """The critical graph plus the (position, target-id) pairs of its copy."""
-    cp = critical_params(n, k)
+    cp = critical_params(q.family.n, q.family.k)
     qab = build_q(cp.a, cp.b)
     index = {lab: i for i, lab in enumerate(qab.labels)}
     pairs = []
-    for xi, w in _window_labels(n, k, anchor):
+    for xi, w in _window_labels(q, cp, anchor):
         t = index.get(w)
         if t is None:
             raise AssertionError(f"window label {w} is not a rotation on ({cp.a},{cp.b})")
@@ -189,8 +206,8 @@ def find_subgraph_qab(n: int, k: int) -> VertexMap:
     """Embed the critical rotation graph induced on a window of consecutive
     positions starting at position 0."""
     _require_coprime(n, k, strict=True)
-    _, qab, pairs = _anchored_copy(n, k, 0)
     qnk = build_q(n, k)
+    _, qab, pairs = _anchored_copy(qnk, 0)
     mapping = {t: xi for xi, t in pairs}
     return _checked_map(VertexMap(qab, qnk, mapping, MapKind.EMBEDDING))
 
@@ -201,8 +218,8 @@ def vertex_deleted_retraction(n: int, k: int, deleted: int) -> VertexMap:
     _require_coprime(n, k, strict=True)
     if not (0 <= deleted < n):
         raise InvalidParams(f"vertex {deleted} out of range 0..{n - 1}")
-    cp, qab, pairs = _anchored_copy(n, k, (deleted - 1) % n)
     qnk = build_q(n, k)
+    cp, qab, pairs = _anchored_copy(qnk, (deleted - 1) % n)
     targets = [t for _, t in pairs]
     mapping = {}
     for i in range(n - 1):
@@ -219,9 +236,10 @@ def edge_deleted_retraction(n: int, k: int, edge: tuple[int, int]) -> VertexMap:
     """Fold the graph minus one consecutive-rotation edge onto the embedded
     critical copy anchored at the edge's lower endpoint."""
     _require_coprime(n, k, strict=True)
-    p = _cycle_edge_base(n, k, edge)
-    cp, qab, pairs = _anchored_copy(n, k, p)
+    _check_edge_endpoints(n, edge)
     qnk = build_q(n, k)
+    p = _cycle_edge_base(qnk, edge)
+    cp, qab, pairs = _anchored_copy(qnk, p)
     targets = [t for _, t in pairs]
     mapping = {}
     for i in range(n):

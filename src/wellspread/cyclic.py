@@ -84,28 +84,35 @@ def is_r_separated(s: CyclicSubset, r: int) -> bool:
 
 
 def is_well_spread(s: CyclicSubset) -> bool:
-    """Equal-length arcs (lengths 1..n-1) contain counts of s differing by at most 1."""
+    """Equal-length arcs (lengths 1..n-1) contain counts of s differing by at most 1.
+
+    The n arcs of one length L hold L*k members in all, so their counts
+    differ by at most 1 exactly when each is base or base+1, with
+    base = floor(L*k/n).  All n arcs of a length are tracked at once: `high`
+    marks the starts whose arc holds base+1, and lengthening every arc by one
+    residue adds the member mask rotated by L-1.  That is O(n) big-int
+    operations.
+    """
     n = s.modulus
     k = len(s)
     if k == 0 or k == n:
         return True
-    member = [0] * n
+    full = (1 << n) - 1
+    member = 0
     for x in s.elements:
-        member[x] = 1
-    # prefix over doubled cycle for O(1) window counts
-    pref = [0] * (2 * n + 1)
-    for i in range(2 * n):
-        pref[i + 1] = pref[i] + member[i % n]
+        member |= 1 << x
+    base, high = 0, 0  # every arc of the previous length holds base or base+1
     for length in range(1, n):
-        lo = hi = pref[length] - pref[0]
-        for start in range(1, n):
-            c = pref[start + length] - pref[start]
-            if c < lo:
-                lo = c
-            elif c > hi:
-                hi = c
-            if hi - lo > 1:
-                return False
+        j = length - 1
+        entering = ((member >> j) | (member << (n - j))) & full  # start s gains s+j
+        if length * k // n == base:
+            if high & entering:
+                return False  # some arc reaches base+2
+            high |= entering
+        else:
+            if full & ~(high | entering):
+                return False  # some arc stays at base
+            base, high = base + 1, high & entering
     return True
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .cyclic import CyclicSubset
 from .errors import ResourceCap
@@ -52,27 +53,31 @@ def verify_fractional_coloring(g: LabeledGraph, fc: FractionalColoring) -> list[
         excl_e = (min(a, b), max(a, b))
     if len(fc.sets) != len(fc.weights):
         return ["sets/weights length mismatch"]
-    cover = [_ZERO] * V
+    # coverage in integers over the common denominator of the weights
+    scale = lcm(*(w.denominator for w in fc.weights))
+    cover = [0] * V
     for idx, (s, w) in enumerate(zip(fc.sets, fc.weights)):
         if w < 0:
             out.append(f"set {idx} has negative weight {w}")
-        seen = set()
+        units = w.numerator * (scale // w.denominator)
+        mask = 0
         for v in s:
             if not (0 <= v < V) or v == excl_v:
                 out.append(f"set {idx} uses invalid vertex {v}")
-            elif v in seen:
+            elif (mask >> v) & 1:
                 out.append(f"set {idx} repeats vertex {v}")
             else:
-                seen.add(v)
-                cover[v] += w
-        ordered = sorted(seen)
-        for i, u in enumerate(ordered):
-            for v in ordered[i + 1:]:
-                if g.has_edge(u, v) and (u, v) != excl_e:
+                mask |= 1 << v
+                cover[v] += units
+        later = mask
+        for u in iter_bits(mask):
+            later ^= 1 << u
+            for v in iter_bits(g.adj[u] & later):
+                if (u, v) != excl_e:
                     out.append(f"set {idx} not independent: edge {{{u},{v}}}")
     for v in range(V):
-        if v != excl_v and cover[v] < 1:
-            out.append(f"vertex {v} covered only {cover[v]}")
+        if v != excl_v and cover[v] < scale:
+            out.append(f"vertex {v} covered only {Fraction(cover[v], scale)}")
     return out
 
 

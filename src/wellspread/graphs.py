@@ -4,6 +4,12 @@ Vertices are dense 0-based ids.  Adjacency is kept as one Python-int bitmask
 per vertex, which the exact solvers rely on.  Vertex labels carry identity:
 k-subsets of Z_n for the set-valued families, plain residues for circular
 complete graphs.
+
+The disjointness families are built from one holder mask per residue (the
+vertices whose label contains it): a vertex's neighbours are everything
+outside the holders of its own residues, so a build costs O(V*k) big-int ORs
+instead of O(V^2) set intersections.  Circular complete graphs are
+circulant: every row is row 0 rotated within n bits.
 """
 from __future__ import annotations
 
@@ -17,6 +23,13 @@ from .cyclic import CyclicSubset, canonical_well_spread, is_r_separated
 from .errors import InvalidParams, NotAnEdge, ResourceCap
 
 DEFAULT_VERTEX_CAP = 10_000
+
+
+def iter_bits(m: int) -> Iterator[int]:
+    while m:
+        b = m & -m
+        yield b.bit_length() - 1
+        m ^= b
 
 
 @dataclass(frozen=True)
@@ -43,22 +56,12 @@ class LabeledGraph:
         return u != v and bool((self.adj[u] >> v) & 1)
 
     def neighbors(self, v: int) -> Iterator[int]:
-        m = self.adj[v]
-        while m:
-            b = m & -m
-            yield b.bit_length() - 1
-            m ^= b
+        return iter_bits(self.adj[v])
 
     def edges(self) -> list[tuple[int, int]]:
         out = []
-        for u in range(self.vertex_count):
-            m = self.adj[u] >> (u + 1)
-            v = u + 1
-            while m:
-                if m & 1:
-                    out.append((u, v))
-                m >>= 1
-                v += 1
+        for u, a in enumerate(self.adj):
+            out.extend((u, v) for v in iter_bits(a >> (u + 1) << (u + 1)))
         return out
 
     def edge_count(self) -> int:
@@ -78,12 +81,22 @@ def _check_cap(count: int, vertex_cap: int, what: str) -> None:
         raise ResourceCap(f"{what} would have {count} vertices, cap is {vertex_cap}")
 
 
-def _disjointness_edges(labels: tuple[CyclicSubset, ...]):
-    sets = [frozenset(l.elements) for l in labels]
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            if not (sets[i] & sets[j]):
-                yield i, j
+def _disjointness_graph(labels: tuple[CyclicSubset, ...], n: int,
+                        family: FamilyParams) -> LabeledGraph:
+    """Edges join labels with no common residue of Z_n."""
+    holders = [0] * n
+    for i, lab in enumerate(labels):
+        bit = 1 << i
+        for x in lab.elements:
+            holders[x] |= bit
+    full = (1 << len(labels)) - 1
+    adj = []
+    for lab in labels:
+        held = 0
+        for x in lab.elements:
+            held |= holders[x]
+        adj.append(full & ~held)
+    return LabeledGraph(labels, tuple(adj), family)
 
 
 def build_kneser(n: int, k: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> LabeledGraph:
@@ -92,7 +105,7 @@ def build_kneser(n: int, k: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Labele
         raise InvalidParams(f"need 1 <= k <= n/2, got n={n} k={k}")
     _check_cap(comb(n, k), vertex_cap, f"kneser({n},{k})")
     labels = tuple(CyclicSubset(n, c) for c in combinations(range(n), k))
-    return _graph_from_edges(labels, _disjointness_edges(labels), FamilyParams("kneser", n, k))
+    return _disjointness_graph(labels, n, FamilyParams("kneser", n, k))
 
 
 def build_schrijver(n: int, k: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> LabeledGraph:
@@ -105,7 +118,7 @@ def build_schrijver(n: int, k: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Lab
         for c in combinations(range(n), k)
         if is_r_separated(CyclicSubset(n, c), 2)
     )
-    return _graph_from_edges(labels, _disjointness_edges(labels), FamilyParams("sg", n, k))
+    return _disjointness_graph(labels, n, FamilyParams("sg", n, k))
 
 
 def build_q(n: int, k: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> LabeledGraph:
@@ -125,7 +138,7 @@ def build_q(n: int, k: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> LabeledGrap
         raise AssertionError(f"rotations of {canon} not distinct over {n2} steps")
     if labels[-1].rotate(1) != labels[0]:
         raise AssertionError("base-cycle order broken: final rotation misses the start")
-    return _graph_from_edges(labels, _disjointness_edges(labels), FamilyParams("q", n, k))
+    return _disjointness_graph(labels, n, FamilyParams("q", n, k))
 
 
 def build_circular(n: int, k: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> LabeledGraph:
@@ -133,13 +146,10 @@ def build_circular(n: int, k: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Labe
     if not (1 <= k and 2 * k <= n):
         raise InvalidParams(f"need 1 <= k <= n/2, got n={n} k={k}")
     _check_cap(n, vertex_cap, f"circular({n},{k})")
-    labels = tuple(range(n))
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if k <= j - i <= n - k:
-                edges.append((i, j))
-    return _graph_from_edges(labels, edges, FamilyParams("circular", n, k))
+    full = (1 << n) - 1
+    row0 = ((1 << (n - 2 * k + 1)) - 1) << k  # residues k..n-k
+    adj = tuple(((row0 << i) | (row0 >> (n - i))) & full for i in range(n))
+    return LabeledGraph(tuple(range(n)), adj, FamilyParams("circular", n, k))
 
 
 def is_interlacing_edge(x: CyclicSubset, y: CyclicSubset) -> bool:
@@ -193,11 +203,9 @@ def delete_vertex(g: LabeledGraph, v: int) -> LabeledGraph:
     V = g.vertex_count
     if not (0 <= v < V):
         raise InvalidParams(f"vertex {v} out of range 0..{V - 1}")
-    keep = [u for u in range(V) if u != v]
-    remap = {u: i for i, u in enumerate(keep)}
-    labels = tuple(g.labels[u] for u in keep)
-    edges = [(remap[a], remap[b]) for a, b in g.edges() if a != v and b != v]
-    return _graph_from_edges(labels, edges, None)
+    low = (1 << v) - 1
+    adj = tuple((a & low) | ((a >> 1) & ~low) for u, a in enumerate(g.adj) if u != v)
+    return LabeledGraph(g.labels[:v] + g.labels[v + 1:], adj, None)
 
 
 def delete_edge(g: LabeledGraph, u: int, v: int) -> LabeledGraph:
@@ -253,26 +261,36 @@ def validate_map(m: VertexMap) -> list[str]:
             out.append(f"image of {u} out of range: {m.mapping[u]}")
     if out:
         return out
-    for u, v in src.edges():
-        if excluded_v is not None and excluded_v in (u, v):
-            continue
-        if excl_edge == (u, v):
-            continue
-        fu, fv = m.mapping[u], m.mapping[v]
-        if fu == fv or not tgt.has_edge(fu, fv):
-            out.append(f"edge {{{u},{v}}} maps to non-edge {{{fu},{fv}}}")
+    # src_later[u]: u's source neighbours v > u, less the exclusions
+    src_later = {}
+    for u in domain:
+        later = src.adj[u] >> (u + 1) << (u + 1)
+        if excluded_v is not None:
+            later &= ~(1 << excluded_v)
+        if excl_edge is not None and excl_edge[0] == u:
+            later &= ~(1 << excl_edge[1])
+        src_later[u] = later
+    for u in domain:
+        fu = m.mapping[u]
+        for v in iter_bits(src_later[u]):
+            fv = m.mapping[v]
+            if fu == fv or not tgt.has_edge(fu, fv):
+                out.append(f"edge {{{u},{v}}} maps to non-edge {{{fu},{fv}}}")
     if m.kind in (MapKind.EMBEDDING, MapKind.ISOMORPHISM):
         images = [m.mapping[u] for u in domain]
         if len(set(images)) != len(images):
             out.append("mapping not injective")
         else:
-            for i, u in enumerate(domain):
-                for v in domain[i + 1:]:
-                    if excluded_v is not None and excluded_v in (u, v):
-                        continue
-                    src_adj = src.has_edge(u, v) and excl_edge != (min(u, v), max(u, v))
-                    if not src_adj and tgt.has_edge(m.mapping[u], m.mapping[v]):
-                        out.append(f"non-edge {{{u},{v}}} maps to edge")
+            preimage = {t: u for u, t in zip(domain, images)}
+            for u in domain:
+                # later domain vertices whose images are adjacent to u's image
+                hits = 0
+                for t in tgt.neighbors(m.mapping[u]):
+                    v = preimage.get(t)
+                    if v is not None and v > u:
+                        hits |= 1 << v
+                for v in iter_bits(hits & ~src_later[u]):
+                    out.append(f"non-edge {{{u},{v}}} maps to edge")
     if m.kind is MapKind.ISOMORPHISM:
         if len(domain) != tgt.vertex_count:
             out.append(f"sizes differ: {len(domain)} vs {tgt.vertex_count}")
@@ -284,24 +302,3 @@ def validate_map(m: VertexMap) -> list[str]:
             elif m.mapping.get(s) != t:
                 out.append(f"section vertex {s} not fixed onto {t}")
     return out
-
-
-def embed_circular_in_kneser(n: int, k: int,
-                             vertex_cap: int = DEFAULT_VERTEX_CAP) -> VertexMap:
-    """Embed K_{n'/k'} (reduced by g = gcd(n,k)) into kneser(n, k).
-
-    The ground set splits into g cycles of length n' = n/g; circular vertex h
-    maps to the k-set taking the window h..h+k'-1 on every cycle.
-    """
-    if not (1 <= k and 2 * k <= n):
-        raise InvalidParams(f"need 1 <= k <= n/2, got n={n} k={k}")
-    g = gcd(n, k)
-    n2, k2 = n // g, k // g
-    kg = build_kneser(n, k, vertex_cap)
-    circ = build_circular(n2, k2, vertex_cap)
-    index = {lab: i for i, lab in enumerate(kg.labels)}
-    mapping = {}
-    for h in range(n2):
-        elems = [c * n2 + ((h + j) % n2) for c in range(g) for j in range(k2)]
-        mapping[h] = index[CyclicSubset(n, elems)]
-    return VertexMap(circ, kg, mapping, MapKind.EMBEDDING)

@@ -8,22 +8,14 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import ceil
-from typing import Iterator
 
 from .errors import ResourceCap
-from .graphs import LabeledGraph
+from .graphs import LabeledGraph, iter_bits
 
 DEFAULT_MIS_CAP = 200_000
 
 _GREEDY_SEED = 0xC0FFEE
 _GREEDY_TRIES = 40
-
-
-def iter_bits(m: int) -> Iterator[int]:
-    while m:
-        b = m & -m
-        yield b.bit_length() - 1
-        m ^= b
 
 
 def enumerate_maximal_independent_sets(g: LabeledGraph,
@@ -288,7 +280,7 @@ def maximum_independent_set(g: LabeledGraph) -> int:
     """A maximum independent set as a bitmask, exactly.
 
     Cascade: greedy lower bound, matching bound, certified ratio bound for
-    regular graphs, then branch-and-bound.
+    regular graphs of maximum degree above 2, then branch-and-bound.
     """
     V = g.vertex_count
     if V == 0:
@@ -298,7 +290,9 @@ def maximum_independent_set(g: LabeledGraph) -> int:
     full = (1 << V) - 1
     if _matching_bound(g.adj, full) == lb:
         return lb_mask
-    if V >= 40:
+    # at maximum degree <= 2 (paths and cycles) branch-and-bound settles alpha
+    # directly, far below the cost of the O(V^3) PSD check
+    if V >= 40 and max(a.bit_count() for a in g.adj) > 2:
         rb = ratio_upper_bound(g)
         if rb is not None and rb == lb:
             return lb_mask

@@ -91,6 +91,15 @@ def test_invariants_chi_of_a_long_odd_cycle(capsys):
     assert json.loads(out)["chi"] == 3
 
 
+def test_invariants_alpha_of_a_long_odd_cycle(capsys):
+    # Q(401,200) is a 401-cycle: alpha comes from branch-and-bound, not the
+    # O(V^3) exact PSD ratio bound
+    code, out, _ = run(capsys, "invariants", "--family", "q", "--n", "401", "--k", "200",
+                       "--alpha")
+    assert code == 0
+    assert json.loads(out)["alpha"] == 200
+
+
 def test_criticality_vertex_sweep(capsys):
     code, out, _ = run(capsys, "criticality", "--family", "q", "--n", "7", "--k", "2")
     assert code == 0

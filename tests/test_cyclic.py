@@ -52,11 +52,21 @@ def test_separation_small_cases():
     assert is_r_separated(CyclicSubset(7, []), 3)
 
 
+def _window_counts_balanced(n: int, mask: int) -> bool:
+    """The definition, arc by arc: counts of equal-length arcs differ by <= 1."""
+    for length in range(1, n):
+        counts = [sum(mask >> ((s + d) % n) & 1 for d in range(length)) for s in range(n)]
+        if max(counts) - min(counts) > 1:
+            return False
+    return True
+
+
 def test_well_spread_agrees_with_dual_exhaustively():
     for n in range(1, 13):
         for mask in range(1 << n):
             s = CyclicSubset(n, (i for i in range(n) if mask >> i & 1))
             assert is_well_spread(s) == is_well_spread_dual(s), s
+            assert is_well_spread(s) == _window_counts_balanced(n, mask), s
 
 
 def test_well_spread_examples():

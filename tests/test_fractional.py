@@ -94,6 +94,44 @@ def test_verifier_rejects_defects():
     assert verify_fractional_coloring(g, out_of_range)
 
 
+def test_verifier_messages_and_order():
+    g = cycle(5)
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    # two edges inside one set, reported in (u, v) order
+    fc = FractionalColoring(sets=((2, 0, 1),), weights=(Fraction(1),))
+    assert verify_fractional_coloring(g, fc) == [
+        "set 0 not independent: edge {0,1}",
+        "set 0 not independent: edge {1,2}",
+        "vertex 3 covered only 0",
+        "vertex 4 covered only 0",
+    ]
+    # only the excluded edge is tolerated, in either orientation
+    fc = FractionalColoring(sets=((0, 1, 2), (3,), (4,)), weights=(Fraction(1),) * 3,
+                            excluded_edge=(1, 0))
+    assert verify_fractional_coloring(g, fc) == ["set 0 not independent: edge {1,2}"]
+    # mixed denominators: the shortfall is the exact sum of the weights
+    fc = FractionalColoring(sets=((0, 2), (0, 3), (1, 3), (2, 4)),
+                            weights=(half, third, Fraction(1), half))
+    assert verify_fractional_coloring(g, fc) == [
+        "vertex 0 covered only 5/6",
+        "vertex 4 covered only 1/2",
+    ]
+    # set defects in set order, then coverage in vertex order
+    fc = FractionalColoring(
+        sets=((0, 2, 2), (1, 9), (3,), (1, 3, 4, 0)),
+        weights=(Fraction(1), Fraction(2), -half, third),
+        excluded_vertex=4,
+    )
+    assert verify_fractional_coloring(g, fc) == [
+        "set 0 repeats vertex 2",
+        "set 1 uses invalid vertex 9",
+        "set 2 has negative weight -1/2",
+        "set 3 uses invalid vertex 4",
+        "set 3 not independent: edge {0,1}",
+        "vertex 3 covered only -1/6",
+    ]
+
+
 def test_verifier_honors_exclusions():
     g = cycle(5)
     # minus vertex 0 the 4-path needs only weight 2

@@ -39,6 +39,32 @@ def test_kneser_petersen_shape():
             assert g.has_edge(u, v) == disjoint
 
 
+def _disjointness_adjacency(g):
+    sets = [frozenset(lbl.elements) for lbl in g.labels]
+    return tuple(
+        sum(1 << j for j in range(len(sets)) if j != i and not sets[i] & sets[j])
+        for i in range(len(sets))
+    )
+
+
+def test_set_families_match_pairwise_disjointness():
+    for n in range(2, 13):
+        for k in range(1, n // 2 + 1):
+            for builder in (build_kneser, build_schrijver, build_q):
+                g = builder(n, k)
+                assert g.adj == _disjointness_adjacency(g), (builder.__name__, n, k)
+
+
+def test_circular_matches_pairwise_distance():
+    for n in range(2, 41):
+        for k in range(1, n // 2 + 1):
+            g = build_circular(n, k)
+            want = tuple(
+                sum(1 << j for j in range(n) if k <= abs(i - j) <= n - k) for i in range(n)
+            )
+            assert g.adj == want, (n, k)
+
+
 def test_kneser_vertex_counts():
     for n in range(2, 9):
         for k in range(1, n // 2 + 1):
@@ -154,6 +180,19 @@ def test_delete_vertex_relabels_consistently():
         delete_vertex(q, 7)
 
 
+def test_delete_vertex_is_the_induced_subgraph():
+    for g in (build_q(7, 2), build_kneser(6, 2), build_circular(9, 2)):
+        V = g.vertex_count
+        for v in range(V):
+            h = delete_vertex(g, v)
+            keep = [u for u in range(V) if u != v]
+            assert h.labels == tuple(g.labels[u] for u in keep)
+            assert h.adj == tuple(
+                sum(1 << j for j, w in enumerate(keep) if g.has_edge(u, w)) for u in keep
+            )
+            assert h.family is None
+
+
 def test_delete_edge_removes_exactly_one_pair():
     q = build_q(7, 2)
     h = delete_edge(q, 0, 1)
@@ -181,3 +220,20 @@ def test_validate_map_flags_violations():
     assert validate_map(iso) == []
     not_onto = VertexMap(c5, build_circular(7, 2), {v: v for v in range(5)}, MapKind.ISOMORPHISM)
     assert validate_map(not_onto)
+    # exact messages, in (u, v) order; exclusions are skipped
+    assert validate_map(bad) == ["edge {0,1} maps to non-edge {0,0}"]
+    assert validate_map(VertexMap(c5, k3, bad.mapping, MapKind.HOMOMORPHISM,
+                                  excluded_edge=(1, 0))) == []
+    assert validate_map(VertexMap(c5, k3, {0: 0, 2: 1, 3: 0, 4: 1}, MapKind.HOMOMORPHISM,
+                                  excluded_vertex=1)) == []
+    into_k5 = VertexMap(c5, build_circular(5, 1), {v: v for v in range(5)}, MapKind.EMBEDDING)
+    assert validate_map(into_k5) == [
+        "non-edge {0,2} maps to edge",
+        "non-edge {0,3} maps to edge",
+        "non-edge {1,3} maps to edge",
+        "non-edge {1,4} maps to edge",
+        "non-edge {2,4} maps to edge",
+    ]
+    minus_edge = VertexMap(c5, c5, {v: v for v in range(5)}, MapKind.ISOMORPHISM,
+                           excluded_edge=(0, 1))
+    assert validate_map(minus_edge) == ["non-edge {0,1} maps to edge"]
