@@ -1,24 +1,25 @@
 """Exact chromatic numbers by a budgeted portfolio of two exhaustive searches.
 
 Every decision "is g t-colorable?" goes through `is_t_colorable`.  After the
-greedy clique and DSATUR-coloring shortcuts, vertex-at-a-time DSATUR search
-(`find_proper_coloring`: greedy-clique precoloring, forward checking on
-per-vertex domain masks, most-constrained-vertex selection, first-fresh-color
-symmetry breaking) runs as a probe of V + `_PROBE_NODES` nodes, enough to
-color a graph without backtracking.  If the probe runs out, class branching
-over maximal independent sets decides with what is left of the node budget.
-The two win on different graphs: the probe refutes 3 colors on I(10,3) at
-once, where class branching takes seconds; class branching refutes 5 colors
-on SG(10,3) in seconds, where DSATUR takes minutes.  Both searches are
-exhaustive, so both directions of every answer are exact.
+greedy clique and DSATUR-coloring shortcuts, `find_proper_coloring` runs as a
+probe of V + `_PROBE_NODES` nodes, enough to color a graph without
+backtracking.  It is the package's one map search (`graphs._map_search`) into
+K_t: greedy-clique precoloring, forward checking on per-vertex domain masks,
+DSATUR vertex order and first-fresh-color symmetry breaking.  If the probe
+runs out, class branching over maximal independent sets (the shared
+Bron-Kerbosch of `independence`) decides with what is left of the node
+budget.  The two win on different graphs: the probe refutes 3 colors on
+I(10,3) at once, where class branching takes seconds; class branching refutes
+5 colors on SG(10,3) in seconds, where DSATUR takes minutes.  Both searches
+are exhaustive, so both directions of every answer are exact.
 """
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 
 from .errors import ResourceCap
-from .graphs import LabeledGraph
-from .independence import iter_bits
+from .graphs import LabeledGraph, _map_search
+from .independence import bron_kerbosch, iter_bits, nonadjacency
 
 DEFAULT_NODE_BUDGET = 100_000_000
 
@@ -82,8 +83,9 @@ def find_proper_coloring(g: LabeledGraph, t: int,
                          node_budget: int = DEFAULT_NODE_BUDGET) -> list[int] | None:
     """Exact decision: a proper t-coloring, or None after exhaustive refutation.
 
-    Depth-first with an explicit stack, so graphs of any size stay within
-    Python's recursion limit.
+    A t-coloring is a homomorphism into K_t: the map search runs with the
+    greedy clique precolored and, the target being complete, DSATUR vertex
+    order and first-fresh-color symmetry breaking.
     """
     V = g.vertex_count
     if t < 0:
@@ -92,93 +94,14 @@ def find_proper_coloring(g: LabeledGraph, t: int,
         return []
     if t == 0:
         return None
-    adj = g.adj
-    full_t = (1 << t) - 1
-    domains = [full_t] * V
-    colors = [-1] * V
     clique = greedy_clique(g)
     if len(clique) > t:
         return None
-
-    def assign(v: int, c: int, trail: list[tuple[int, int]]) -> bool:
-        colors[v] = c
-        bit = 1 << c
-        for u in iter_bits(adj[v]):
-            if colors[u] < 0 and domains[u] & bit:
-                trail.append((u, domains[u]))
-                domains[u] &= ~bit
-                if domains[u] == 0:
-                    return False
-        return True
-
-    def undo(v: int, trail: list[tuple[int, int]]) -> None:
-        colors[v] = -1
-        for u, d in reversed(trail):
-            domains[u] = d
-
-    # precolor the clique
-    pre_trail: list[tuple[int, int]] = []
-    for i, v in enumerate(clique):
-        domains[v] = 1 << i
-        if not assign(v, i, pre_trail):
-            return None
-
-    max_used = len(clique) - 1
-
-    def most_constrained() -> int:
-        # min domain, then max saturation degree, then max degree
-        best, key = -1, None
-        for v in range(V):
-            if colors[v] < 0:
-                size = domains[v].bit_count()
-                if size == 1:
-                    return v
-                sat = sum(1 for u in iter_bits(adj[v]) if colors[u] >= 0)
-                kk = (size, -sat, -adj[v].bit_count())
-                if key is None or kk < key:
-                    key, best = kk, v
-        return best
-
-    # a frame is [vertex, candidate colors, next candidate index, max_used on
-    # entry, trail of the current assignment]
-    def color_next(frame: list) -> bool:
-        """Give the frame's vertex its next candidate color that survives
-        forward checking; False once the candidates are exhausted."""
-        nonlocal max_used
-        v, cands, _, saved_max, _ = frame
-        while frame[2] < len(cands):
-            c = cands[frame[2]]
-            frame[2] += 1
-            trail: list[tuple[int, int]] = []
-            max_used = max(saved_max, c)
-            if assign(v, c, trail):
-                frame[4] = trail
-                return True
-            undo(v, trail)
-        max_used = saved_max
-        return False
-
-    nodes = 0
-    remaining = V - len(clique)
-    stack: list[list] = []
-    while remaining:
-        nodes += 1
-        if nodes > node_budget:
-            raise ResourceCap(f"coloring search exceeded {node_budget} nodes")
-        v = most_constrained()
-        # colors above max_used + 1 are interchangeable with the first fresh one
-        cands = [c for c in iter_bits(domains[v]) if c <= max_used + 1]
-        frame = [v, cands, 0, max_used, None]
-        stack.append(frame)
-        while not color_next(frame):
-            stack.pop()
-            if not stack:
-                return None
-            frame = stack[-1]
-            undo(frame[0], frame[4])
-            remaining += 1
-        remaining -= 1
-    return colors[:]
+    t = min(t, V)  # fresh-color symmetry breaking never reaches color V
+    full_t = (1 << t) - 1
+    k_t = [full_t & ~(1 << c) for c in range(t)]
+    return _map_search(g.adj, k_t, [full_t] * V, node_budget, "coloring",
+                       pre=[(v, c) for c, v in enumerate(clique)])
 
 
 def _class_colorable(g: LabeledGraph, t: int, node_budget: int, nodes: int) -> bool:
@@ -190,38 +113,8 @@ def _class_colorable(g: LabeledGraph, t: int, node_budget: int, nodes: int) -> b
     maximal-set families stay small; can blow up when they do not.  `nodes`
     is the work already spent against `node_budget`.
     """
-    V = g.vertex_count
-    adj = g.adj
-    full = (1 << V) - 1
-    nonadj = [full & ~adj[v] & ~(1 << v) for v in range(V)]
+    nonadj = nonadjacency(g)
     refuted: dict[int, int] = {}
-
-    def classes_containing(v: int, mask: int) -> list[int]:
-        nonlocal nodes
-        out: list[int] = []
-
-        def expand(r: int, p: int, x: int) -> None:
-            nonlocal nodes
-            nodes += 1
-            if nodes > node_budget:
-                raise ResourceCap(f"colorability search exceeded {node_budget} nodes")
-            if p == 0 and x == 0:
-                out.append(r)
-                return
-            best_u, best_cnt = -1, -1
-            for u in iter_bits(p | x):
-                c = (p & nonadj[u]).bit_count()
-                if c > best_cnt:
-                    best_cnt, best_u = c, u
-            cand = p & ~nonadj[best_u]
-            for w in iter_bits(cand):
-                bw = 1 << w
-                expand(r | bw, p & nonadj[w], x & nonadj[w])
-                p &= ~bw
-                x |= bw
-
-        expand(1 << v, mask & nonadj[v], 0)
-        return out
 
     def rec(mask: int, colors_left: int) -> bool:
         nonlocal nodes
@@ -235,7 +128,13 @@ def _class_colorable(g: LabeledGraph, t: int, node_budget: int, nodes: int) -> b
         if nodes > node_budget:
             raise ResourceCap(f"colorability search exceeded {node_budget} nodes")
         v = (mask & -mask).bit_length() - 1
-        sols = classes_containing(v, mask)
+        sols = []
+        for cls in bron_kerbosch(nonadj, 1 << v, mask & nonadj[v]):
+            nodes += 1
+            if nodes > node_budget:
+                raise ResourceCap(f"colorability search exceeded {node_budget} nodes")
+            if cls:
+                sols.append(cls)
         sols.sort(key=lambda m: -m.bit_count())
         for cls in sols:
             if rec(mask & ~cls, colors_left - 1):
@@ -245,7 +144,7 @@ def _class_colorable(g: LabeledGraph, t: int, node_budget: int, nodes: int) -> b
             refuted[mask] = colors_left
         return False
 
-    return rec(full, t)
+    return rec((1 << g.vertex_count) - 1, t)
 
 
 def is_t_colorable(g: LabeledGraph, t: int,

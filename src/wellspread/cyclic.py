@@ -43,30 +43,9 @@ class CyclicSubset:
         n = self.modulus
         return CyclicSubset(n, ((x + t) % n for x in self.elements))
 
-    def complement(self) -> "CyclicSubset":
-        present = set(self.elements)
-        return CyclicSubset(self.modulus, (x for x in range(self.modulus) if x not in present))
-
     def __repr__(self) -> str:
         inner = ",".join(str(x) for x in self.elements)
         return f"{{{inner}}}/Z{self.modulus}"
-
-
-@dataclass(frozen=True)
-class Arc:
-    """Residue window {start, start+1, ..., start+length-1} mod modulus."""
-
-    modulus: int
-    start: int
-    length: int
-
-    def residues(self) -> tuple[int, ...]:
-        n = self.modulus
-        return tuple((self.start + i) % n for i in range(self.length))
-
-
-def rotate(s: CyclicSubset, t: int) -> CyclicSubset:
-    return s.rotate(t)
 
 
 def is_r_separated(s: CyclicSubset, r: int) -> bool:

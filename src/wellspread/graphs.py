@@ -183,13 +183,6 @@ def build_interlacing(n: int, k: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> L
     return _graph_from_edges(labels, edges, FamilyParams("interlacing", n, k))
 
 
-def natural_representation(q: LabeledGraph) -> tuple[int, ...]:
-    """Base-cycle vertex order of a rotation-family graph (identity by construction)."""
-    if q.family is None or q.family.tag != "q":
-        raise InvalidParams("natural representation is defined for the rotation family")
-    return tuple(range(q.vertex_count))
-
-
 def is_cycle_edge(q: LabeledGraph, u: int, v: int) -> bool:
     """True when edge {u, v} joins labels that differ by a single rotation."""
     if not q.has_edge(u, v):
@@ -241,6 +234,127 @@ class VertexMap:
     excluded_vertex: int | None = None
     excluded_edge: tuple[int, int] | None = None
     section: dict[int, int] | None = None
+
+
+def _map_search(adj, target_adj, domains: list[int], node_budget: int, what: str,
+                pre=(), injective: bool = False) -> list[int] | None:
+    """Depth-first search for a map from a source graph into a target graph.
+
+    Every source vertex keeps a bitmask domain of the target vertices it may
+    still map to (`domains`, updated in place).  Assigning u to a forward-checks
+    the unassigned vertices: a neighbour of u keeps only the target neighbours
+    of a; with `injective`, every other vertex also loses a, and a non-neighbour
+    keeps only the target non-neighbours of a (an isomorphism, given equal
+    vertex and edge counts).  `pre` lists forced (vertex, image) assignments,
+    checked the same way but not counted as nodes.  A node is one vertex
+    selection; ResourceCap is raised past `node_budget`.
+
+    Two rules come from the target alone.  Into a complete target, which
+    callers start from full domains, unused images are interchangeable: a
+    vertex tries no image above one past the largest used, and the next vertex
+    is the DSATUR choice (smallest domain, most assigned neighbours, highest
+    degree).  Into any other target the next vertex has the smallest domain,
+    then the highest degree.  Ties go to the lowest id, and the first vertex
+    left with one candidate is taken at once.  The stack is explicit, so the
+    depth is not bounded by Python's recursion limit.  Returns the image of
+    every source vertex, or None once the search space is exhausted.
+    """
+    V = len(adj)
+    T = len(target_adj)
+    complete = all(row == (1 << T) - 1 - (1 << a) for a, row in enumerate(target_adj))
+    deg = [a.bit_count() for a in adj]
+    regular = len(set(deg)) <= 1
+    everyone = (1 << V) - 1
+    # domain sizes are kept beside the domains; an assigned vertex's size is
+    # parked at T + 1, above any live domain's, so the smallest size is always
+    # an unassigned vertex's
+    sizes = [d.bit_count() for d in domains]
+    image = [-1] * V
+    assigned = 0
+    max_used = -1
+    nodes = 0
+    forced = list(reversed(pre))
+    # a frame is [vertex, its domain size, untried candidates, trail of the
+    # current candidate, max_used on entry]; forced frames have one candidate
+    # and are no node.  While a frame is on the stack its vertex counts as
+    # assigned and its size is parked.
+    stack: list[list] = []
+    while True:
+        if forced:
+            v, a = forced.pop()
+            cands = domains[v] & (1 << a)
+        elif assigned == everyone:
+            return image
+        else:
+            nodes += 1
+            if nodes > node_budget:
+                raise ResourceCap(f"{what} search exceeded {node_budget} nodes")
+            size = min(sizes)
+            # the first vertex of least size wins unless a tie-break can differ
+            if size > 1 and (complete or not regular):
+                ties = [w for w, s in enumerate(sizes) if s == size]
+                if complete:
+                    v = max(ties, key=lambda w: ((adj[w] & assigned).bit_count(), deg[w]))
+                else:
+                    v = max(ties, key=deg.__getitem__)
+            else:
+                v = sizes.index(size)
+            cands = domains[v]
+            if complete:
+                cands &= (1 << (max_used + 2)) - 1
+        frame = [v, sizes[v], cands, None, max_used]
+        stack.append(frame)
+        sizes[v] = T + 1
+        assigned |= 1 << v
+        # give the top frame's vertex its next candidate that survives forward
+        # checking, popping exhausted frames
+        while True:
+            u, _, cands, _, saved = frame
+            nb = adj[u]
+            free = everyone & ~assigned
+            while cands:
+                a = (cands & -cands).bit_length() - 1
+                cands &= cands - 1
+                keep = target_adj[a]
+                # neighbours keep the target neighbours of a; for an injective
+                # map the rest lose a and the target neighbours of a
+                if injective:
+                    checks = ((nb & free, keep), (free & ~nb, ~(keep | 1 << a)))
+                else:
+                    checks = ((nb & free, keep),)
+                trail = []
+                for m, keep in checks:
+                    while m:
+                        w = (m & -m).bit_length() - 1
+                        m &= m - 1
+                        d = domains[w]
+                        if d & ~keep:
+                            trail.append((w, d, sizes[w]))
+                            domains[w] = d = d & keep
+                            sizes[w] = d.bit_count()
+                            if not d:
+                                break
+                    else:
+                        continue
+                    break  # a domain emptied
+                else:
+                    image[u] = a
+                    frame[2], frame[3] = cands, trail
+                    max_used = a if a > saved else saved
+                    break
+                for w, d, k in reversed(trail):
+                    domains[w], sizes[w] = d, k
+            else:
+                stack.pop()
+                assigned &= ~(1 << u)
+                sizes[u] = frame[1]
+                if not stack:
+                    return None
+                frame = stack[-1]
+                for w, d, k in reversed(frame[3]):
+                    domains[w], sizes[w] = d, k
+                continue
+            break
 
 
 def validate_map(m: VertexMap) -> list[str]:

@@ -1,9 +1,14 @@
 """Homomorphism and isomorphism search, and circular chromatic numbers.
 
+Both searches set up the package's one map search (`graphs._map_search`),
+the same kernel that colors graphs as maps into K_t: a homomorphism search
+starts every domain full, an isomorphism search starts from joint
+neighbourhood-refinement classes and runs injective, with non-edges kept.
 Circular chromatic numbers are computed by scanning reduced fractions p/q
-(q bounded by the vertex count) upward from the fractional chromatic number;
-hom-existence into circular complete graphs is monotone in p/q, so the first
-admitting target is the exact value.
+(q bounded by the vertex count) upward from the fractional chromatic number,
+one homomorphism search into K_{p/q} per candidate; hom-existence into
+circular complete graphs is monotone in p/q, so the first admitting target is
+the exact value.
 """
 from __future__ import annotations
 
@@ -11,9 +16,10 @@ from fractions import Fraction
 from math import gcd
 
 from .coloring import chromatic_number
-from .errors import ResourceCap
 from .fractional import fractional_chromatic_number
-from .graphs import LabeledGraph, MapKind, VertexMap, build_circular, validate_map
+from .graphs import (
+    LabeledGraph, MapKind, VertexMap, _map_search, build_circular, validate_map,
+)
 from .independence import iter_bits
 
 DEFAULT_NODE_BUDGET = 100_000_000
@@ -26,53 +32,8 @@ def _hom_search(g: LabeledGraph, h: LabeledGraph,
         return {}
     if Vh == 0:
         return None
-    full = (1 << Vh) - 1
-    domains = [full] * Vg
-    image = [-1] * Vg
-    nodes = 0
-
-    def search(assigned: int) -> bool:
-        nonlocal nodes
-        if assigned == Vg:
-            return True
-        nodes += 1
-        if nodes > node_budget:
-            raise ResourceCap(f"homomorphism search exceeded {node_budget} nodes")
-        best, key = -1, None
-        for u in range(Vg):
-            if image[u] < 0:
-                size = domains[u].bit_count()
-                if size == 0:
-                    return False
-                kk = (size, -g.adj[u].bit_count())
-                if key is None or kk < key:
-                    key, best = kk, u
-                    if size == 1:
-                        break
-        u = best
-        for a in iter_bits(domains[u]):
-            image[u] = a
-            trail: list[tuple[int, int]] = []
-            ok = True
-            for w in iter_bits(g.adj[u]):
-                if image[w] < 0:
-                    nd = domains[w] & h.adj[a]
-                    if nd != domains[w]:
-                        trail.append((w, domains[w]))
-                        domains[w] = nd
-                        if nd == 0:
-                            ok = False
-                            break
-            if ok and search(assigned + 1):
-                return True
-            image[u] = -1
-            for w, d in reversed(trail):
-                domains[w] = d
-        return False
-
-    if search(0):
-        return {u: image[u] for u in range(Vg)}
-    return None
+    image = _map_search(g.adj, h.adj, [(1 << Vh) - 1] * Vg, node_budget, "homomorphism")
+    return None if image is None else dict(enumerate(image))
 
 
 def find_homomorphism(g: LabeledGraph, h: LabeledGraph,
@@ -128,56 +89,10 @@ def find_isomorphism(g: LabeledGraph, h: LabeledGraph,
     for v in range(Vh):
         class_mask[ch[v]] = class_mask.get(ch[v], 0) | (1 << v)
     domains = [class_mask.get(cg[u], 0) for u in range(Vg)]
-    image = [-1] * Vg
-    nodes = 0
-
-    def search(assigned: int) -> bool:
-        nonlocal nodes
-        if assigned == Vg:
-            return True
-        nodes += 1
-        if nodes > node_budget:
-            raise ResourceCap(f"isomorphism search exceeded {node_budget} nodes")
-        best, key = -1, None
-        for u in range(Vg):
-            if image[u] < 0:
-                size = domains[u].bit_count()
-                if size == 0:
-                    return False
-                kk = (size, -g.adj[u].bit_count())
-                if key is None or kk < key:
-                    key, best = kk, u
-                    if size == 1:
-                        break
-        u = best
-        for a in iter_bits(domains[u]):
-            image[u] = a
-            bit = 1 << a
-            trail: list[tuple[int, int]] = []
-            ok = True
-            for w in range(Vg):
-                if image[w] < 0 and w != u:
-                    nd = domains[w] & ~bit
-                    if (g.adj[u] >> w) & 1:
-                        nd &= h.adj[a]
-                    else:
-                        nd &= ~h.adj[a]
-                    if nd != domains[w]:
-                        trail.append((w, domains[w]))
-                        domains[w] = nd
-                        if nd == 0:
-                            ok = False
-                            break
-            if ok and search(assigned + 1):
-                return True
-            image[u] = -1
-            for w, d in reversed(trail):
-                domains[w] = d
-        return False
-
-    if not search(0):
+    image = _map_search(g.adj, h.adj, domains, node_budget, "isomorphism", injective=True)
+    if image is None:
         return None
-    out = VertexMap(g, h, {u: image[u] for u in range(Vg)}, MapKind.ISOMORPHISM)
+    out = VertexMap(g, h, dict(enumerate(image)), MapKind.ISOMORPHISM)
     bad = validate_map(out)
     if bad:
         raise AssertionError(f"search produced an invalid isomorphism: {bad[:3]}")
@@ -204,7 +119,7 @@ def circular_chromatic_number(g: LabeledGraph,
         return Fraction(0)
     if g.edge_count() == 0:
         return Fraction(1)
-    chi = chromatic_number(g)
+    chi = chromatic_number(g, node_budget)
     if chi <= 2:
         return Fraction(chi)
     chif, _ = fractional_chromatic_number(g)

@@ -8,6 +8,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import ceil
+from typing import Iterator
 
 from .errors import ResourceCap
 from .graphs import LabeledGraph, iter_bits
@@ -18,38 +19,66 @@ _GREEDY_SEED = 0xC0FFEE
 _GREEDY_TRIES = 40
 
 
+def bron_kerbosch(nonadj: list[int], r: int, p: int) -> Iterator[int]:
+    """Pivoting Bron-Kerbosch on the complement: the maximal independent sets
+    that contain r and lie within r | p, where nonadj[v] masks the vertices
+    other than v that are not adjacent to v.
+
+    Depth-first with an explicit stack, in the order of the recursive
+    algorithm.  Yields once per expansion, so a caller can count and budget
+    the work: the expanded set when it is maximal, else 0.
+    """
+    x = 0
+    stack: list[list[int]] = []
+    while True:
+        if p or x:
+            yield 0
+            # pivot maximizing |P & nonadj(u)|
+            best_u, best_cnt = -1, -1
+            m = p | x
+            while m:
+                u = (m & -m).bit_length() - 1
+                m &= m - 1
+                c = (p & nonadj[u]).bit_count()
+                if c > best_cnt:
+                    best_cnt, best_u = c, u
+            stack.append([r, p, x, p & ~nonadj[best_u]])
+        else:
+            yield r
+        # descend into the next untried branch, popping finished frames
+        while stack:
+            top = stack[-1]
+            r, p, x, cand = top
+            if cand:
+                bv = cand & -cand
+                v = bv.bit_length() - 1
+                top[1], top[2], top[3] = p & ~bv, x | bv, cand ^ bv
+                r, p, x = r | bv, p & nonadj[v], x & nonadj[v]
+                break
+            stack.pop()
+        else:
+            return
+
+
+def nonadjacency(g: LabeledGraph) -> list[int]:
+    """Per vertex, the mask of the other vertices not adjacent to it."""
+    full = (1 << g.vertex_count) - 1
+    return [full & ~a & ~(1 << v) for v, a in enumerate(g.adj)]
+
+
 def enumerate_maximal_independent_sets(g: LabeledGraph,
                                        mis_cap: int = DEFAULT_MIS_CAP) -> list[tuple[int, ...]]:
     """All maximal independent sets, lex-sorted, via pivoting Bron-Kerbosch
     on the complement.  Raises ResourceCap when the family outgrows mis_cap."""
     V = g.vertex_count
-    adj = g.adj
-    full = (1 << V) - 1
-    nonadj = [full & ~adj[v] & ~(1 << v) for v in range(V)]
     out: list[int] = []
-
-    def expand(r: int, p: int, x: int) -> None:
-        if p == 0 and x == 0:
-            out.append(r)
-            if len(out) > mis_cap:
-                raise ResourceCap(f"more than {mis_cap} maximal independent sets")
-            return
-        # pivot maximizing |P & nonadj(u)|
-        best_u, best_cnt = -1, -1
-        for u in iter_bits(p | x):
-            c = (p & nonadj[u]).bit_count()
-            if c > best_cnt:
-                best_cnt, best_u = c, u
-        cand = p & ~nonadj[best_u]
-        for v in iter_bits(cand):
-            bv = 1 << v
-            expand(r | bv, p & nonadj[v], x & nonadj[v])
-            p &= ~bv
-            x |= bv
     if V:
-        expand(0, full, 0)
-    sets = sorted(tuple(iter_bits(m)) for m in out)
-    return sets
+        for r in bron_kerbosch(nonadjacency(g), 0, (1 << V) - 1):
+            if r:
+                out.append(r)
+                if len(out) > mis_cap:
+                    raise ResourceCap(f"more than {mis_cap} maximal independent sets")
+    return sorted(tuple(iter_bits(m)) for m in out)
 
 
 def _greedy_independent(adj: list[int] | tuple[int, ...], V: int, mask: int,

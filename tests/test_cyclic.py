@@ -39,8 +39,6 @@ def test_rotate_and_complement():
     assert s.rotate(2).elements == (2, 5)
     assert s.rotate(7).elements == s.elements
     assert s.rotate(-1).elements == (2, 6)
-    assert s.complement().elements == (1, 2, 4, 5, 6)
-    assert s.complement().complement() == s
 
 
 def test_separation_small_cases():

@@ -22,7 +22,6 @@ from wellspread import (
     delete_vertex,
     is_cycle_edge,
     is_interlacing_edge,
-    natural_representation,
     validate_map,
 )
 
@@ -91,7 +90,6 @@ def test_q_vertices_are_rotations_in_natural_order():
     assert q.labels[0].elements == (0, 2, 5, 7, 10)
     for v in range(13):
         assert q.labels[v] == q.labels[0].rotate(v)
-    assert natural_representation(q) == tuple(range(13))
     # non-coprime pair collapses to n/gcd rotations
     assert build_q(6, 2).vertex_count == 3
     assert build_q(12, 4).vertex_count == 3

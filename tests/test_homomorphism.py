@@ -10,6 +10,7 @@ from wellspread import (
     build_circular,
     build_kneser,
     build_q,
+    chromatic_number,
     circular_candidates,
     circular_chromatic_number,
     delete_edge,
@@ -86,3 +87,17 @@ def test_circular_candidates_enumeration():
     assert Fraction(8, 3) in got and Fraction(14, 5) in got
     assert all(c.denominator <= 5 for c in got)
     assert all(Fraction(5, 2) <= c <= 3 for c in got)
+
+
+def test_circular_chromatic_number_passes_its_budget_to_chi(monkeypatch):
+    from wellspread import homomorphism
+
+    budgets = []
+
+    def recording(g, node_budget=homomorphism.DEFAULT_NODE_BUDGET):
+        budgets.append(node_budget)
+        return chromatic_number(g, node_budget)
+
+    monkeypatch.setattr(homomorphism, "chromatic_number", recording)
+    assert circular_chromatic_number(cycle(7), node_budget=12_345) == Fraction(7, 3)
+    assert budgets == [12_345]
