@@ -1,9 +1,17 @@
 """Deletion sweeps: how chromatic invariants respond to removing one vertex
 or one edge, and where the rotation and 2-separated families coincide.
 
-Every reported value is recomputed from the literally modified graph by the
-exact solvers; nothing is inferred from formulas.  Formula predictions live
-in the verification harness, which compares them against these sweeps.
+Every reported value is an exact solver's answer on a literally modified
+graph; nothing is inferred from formulas.  A sweep first takes the graph's
+certified dihedral symmetries (`graphs.dihedral_automorphisms`: the label
+rotation and reflection, each kept only once `validate_map` accepts it as an
+automorphism) and closes the vertices or edges into orbits under them.  An
+automorphism s gives G-v isomorphic to G-s(v) and G-e to G-s(e), so chi, chi_f
+and chi_c are constant on an orbit: the deleted graph of the orbit's first
+member is solved and its value is reported for every member.  A graph with no
+certified symmetry gets one solve per deletion.  Formula predictions live in
+the verification harness, which compares them against the closed forms and
+recomputes every deleted graph itself, so it checks this reduction too.
 """
 from __future__ import annotations
 
@@ -25,6 +33,7 @@ from .graphs import (
     build_schrijver,
     delete_edge,
     delete_vertex,
+    dihedral_automorphisms,
     is_cycle_edge,
 )
 from .homomorphism import circular_chromatic_number
@@ -64,15 +73,44 @@ def evaluate_invariant(g: LabeledGraph, invariant: Invariant) -> Fraction:
     return circular_chromatic_number(g)
 
 
+def _edge_image(perm: list[int], e: tuple[int, int]) -> tuple[int, int]:
+    u, v = perm[e[0]], perm[e[1]]
+    return (u, v) if u < v else (v, u)
+
+
+def _solve_per_orbit(items, generators, act, solve) -> list:
+    """The value of every item, calling solve only on the first item, in the
+    given order, of each orbit of the group the generators span;
+    `act(perm, item)` applies one generator."""
+    value = {}
+    for x in items:
+        if x in value:
+            continue
+        value[x] = val = solve(x)
+        todo = [x]
+        while todo:
+            y = todo.pop()
+            for perm in generators:
+                z = act(perm, y)
+                if z not in value:
+                    value[z] = val
+                    todo.append(z)
+    return [value[x] for x in items]
+
+
 def vertex_criticality(g: LabeledGraph, invariant: Invariant) -> CriticalityReport:
-    """Delete each vertex in turn and recompute the invariant.
+    """The invariant after each single vertex deletion, solved once per
+    certified vertex orbit.
 
     VERTEX_CRITICAL means every deletion strictly lowered the value.
     """
     baseline = evaluate_invariant(g, invariant)
+    vertices = range(g.vertex_count)
+    values = _solve_per_orbit(
+        vertices, dihedral_automorphisms(g), list.__getitem__,
+        lambda v: evaluate_invariant(delete_vertex(g, v), invariant))
     rows = []
-    for v in range(g.vertex_count):
-        val = evaluate_invariant(delete_vertex(g, v), invariant)
+    for v, val in zip(vertices, values):
         if val > baseline:
             raise AssertionError(f"deleting {v} raised {invariant.value} to {val}")
         rows.append((v, val))
@@ -96,7 +134,8 @@ def _edge_summary(rows, baseline) -> SweepSummary:
 
 def edge_criticality(q: LabeledGraph) -> CriticalityReport:
     """Fractional chromatic number of the rotation graph after each single
-    edge deletion, tagged with the consecutive-rotation flag.
+    edge deletion, solved once per certified edge orbit, tagged with the
+    consecutive-rotation flag.
 
     Non-coprime parameters are reduced first; the sweep then runs on the
     reduced graph with the original parameters preserved in metadata.
@@ -111,9 +150,12 @@ def edge_criticality(q: LabeledGraph) -> CriticalityReport:
         n, k = n // g, k // g
         q = build_q(n, k)
     baseline = fractional_chromatic_number(q)[0]
+    edges = q.edges()
+    values = _solve_per_orbit(
+        edges, dihedral_automorphisms(q), _edge_image,
+        lambda e: fractional_chromatic_number(delete_edge(q, *e))[0])
     rows = []
-    for e in q.edges():
-        val = fractional_chromatic_number(delete_edge(q, *e))[0]
+    for e, val in zip(edges, values):
         if val > baseline:
             raise AssertionError(f"deleting edge {e} raised chi_f to {val}")
         rows.append((e, val, is_cycle_edge(q, *e)))
@@ -125,7 +167,7 @@ def edge_criticality(q: LabeledGraph) -> CriticalityReport:
 
 def circular_edge_corollary(n: int, k: int) -> CriticalityReport:
     """Circular chromatic number of the circular complete graph after each
-    single edge deletion.
+    single edge deletion, solved once per certified edge orbit.
 
     The flag on each edge {i,j} marks circular distance exactly k, i.e. the
     image of a consecutive-rotation edge under the position-times-k bijection.
@@ -136,9 +178,12 @@ def circular_edge_corollary(n: int, k: int) -> CriticalityReport:
         raise InvalidParams(f"need gcd(n,k)=1, got gcd({n},{k})={gcd(n, k)}")
     g = build_circular(n, k)
     baseline = circular_chromatic_number(g)
+    edges = g.edges()
+    values = _solve_per_orbit(
+        edges, dihedral_automorphisms(g), _edge_image,
+        lambda e: circular_chromatic_number(delete_edge(g, *e)))
     rows = []
-    for e in g.edges():
-        val = circular_chromatic_number(delete_edge(g, *e))
+    for e, val in zip(edges, values):
         if val > baseline:
             raise AssertionError(f"deleting edge {e} raised chi_c to {val}")
         d = (e[1] - e[0]) % n

@@ -2,9 +2,10 @@
 
 Main path: column generation whose exact pricing runs on the optimal dual's
 support subgraph only -- sound by weak duality, since y(I) = y(I & supp) for
-every independent set I.  For cyclically-labeled graphs a rotation-orbit
-certificate built from one certified maximum independent set usually pins the
-value without any LP iterations.
+every independent set I.  For graphs labelled by residues or subsets of Z_n
+(the circular family included) a rotation-orbit certificate built from one
+certified maximum independent set usually pins the value without any LP
+iterations.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from math import lcm
 
 from .cyclic import CyclicSubset
 from .errors import ResourceCap
-from .graphs import LabeledGraph
+from .graphs import LabeledGraph, label_rotation
 from .independence import (
     iter_bits,
     max_weight_independent_set,
@@ -96,24 +97,27 @@ def _greedy_maximal_extend(adj, V: int, seed_mask: int) -> int:
 def _orbit_certificate(g: LabeledGraph) -> tuple[Fraction, FractionalColoring] | None:
     """Try the rotation-orbit coloring of one maximum independent set.
 
-    Succeeds when every rotated set is again an independent set of g and the
-    orbit covers all vertices equally often, and the resulting primal value
-    matches the dual bound |V| / alpha.  Then chi_f is pinned exactly.
+    The rotation is the label rotation x -> x+1 of Z_n (`label_rotation`),
+    taken n times.  Succeeds when every rotated set is again an independent
+    set of g and the orbit covers all vertices equally often, and the
+    resulting primal value matches the dual bound |V| / alpha.  Then chi_f is
+    pinned exactly.  The rotation need not be an automorphism: the rotated
+    sets and the certificate are checked here.
     """
+    rotation = label_rotation(g)
+    if rotation is None:
+        return None
     labels = g.labels
-    if not labels or not all(isinstance(l, CyclicSubset) for l in labels):
-        return None
-    n = labels[0].modulus
-    if any(l.modulus != n for l in labels):
-        return None
-    index = {l: i for i, l in enumerate(labels)}
+    subsets = isinstance(labels[0], CyclicSubset)
+    n = labels[0].modulus if subsets else g.vertex_count
     best_mask = maximum_independent_set(g)
     alpha = best_mask.bit_count()
     base = list(iter_bits(best_mask))
     V = g.vertex_count
     # a maximum residue-star, when one exists, always rotates onto stars and
-    # covers uniformly; prefer it over an arbitrary solver witness
-    for i in range(n):
+    # covers uniformly; prefer it over an arbitrary solver witness (subset
+    # labels only: a residue label holds no residues)
+    for i in range(n) if subsets else ():
         star = [v for v in range(V) if i in labels[v]]
         if len(star) != alpha:
             continue
@@ -128,13 +132,8 @@ def _orbit_certificate(g: LabeledGraph) -> tuple[Fraction, FractionalColoring] |
             break
     cover = [0] * V
     orbit_sets: dict[tuple[int, ...], int] = {}
-    for t in range(n):
-        members = []
-        for v in base:
-            img = index.get(labels[v].rotate(t))
-            if img is None:
-                return None
-            members.append(img)
+    members = base
+    for _ in range(n):
         mask = 0
         for v in members:
             if g.adj[v] & mask:
@@ -144,6 +143,7 @@ def _orbit_certificate(g: LabeledGraph) -> tuple[Fraction, FractionalColoring] |
         orbit_sets[key] = orbit_sets.get(key, 0) + 1
         for v in members:
             cover[v] += 1
+        members = [rotation[v] for v in members]
     c = cover[0]
     if c == 0 or any(x != c for x in cover):
         return None

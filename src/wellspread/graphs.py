@@ -416,3 +416,55 @@ def validate_map(m: VertexMap) -> list[str]:
             elif m.mapping.get(s) != t:
                 out.append(f"section vertex {s} not fixed onto {t}")
     return out
+
+
+def _residue_permutation(g: LabeledGraph, scale: int, shift: int) -> list[int] | None:
+    """The vertex permutation induced on g's labels by x -> scale*x + shift
+    mod n, or None when the labels are not mapped onto themselves.
+
+    Labels are residues for the circular family and k-subsets of Z_n
+    otherwise; any other labelling has no such permutation.
+    """
+    labels = g.labels
+    if g.family is not None and g.family.tag == "circular":
+        n = g.family.n
+        return [(scale * i + shift) % n for i in range(n)]
+    if not labels or not all(isinstance(lab, CyclicSubset) for lab in labels):
+        return None
+    n = labels[0].modulus
+    index = {lab: i for i, lab in enumerate(labels)}
+    out = []
+    for lab in labels:
+        if lab.modulus != n:
+            return None
+        img = index.get(CyclicSubset(n, ((scale * x + shift) % n for x in lab.elements)))
+        if img is None:
+            return None
+        out.append(img)
+    return out
+
+
+def label_rotation(g: LabeledGraph) -> list[int] | None:
+    """Vertex permutation of the label rotation x -> x+1 mod n, or None.
+
+    Nothing here checks that it preserves adjacency; see
+    `dihedral_automorphisms`.
+    """
+    return _residue_permutation(g, 1, 1)
+
+
+def dihedral_automorphisms(g: LabeledGraph) -> list[list[int]]:
+    """The label rotation and the reflection x -> -x mod n, keeping each only
+    when `validate_map` certifies it as an isomorphism of g onto itself.
+
+    Every permutation returned is a graph automorphism; an empty list means
+    no symmetry is known.
+    """
+    out = []
+    for perm in (label_rotation(g), _residue_permutation(g, -1, 0)):
+        if perm is None:
+            continue
+        m = VertexMap(g, g, dict(enumerate(perm)), MapKind.ISOMORPHISM)
+        if not validate_map(m):
+            out.append(perm)
+    return out

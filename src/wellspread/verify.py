@@ -21,7 +21,7 @@ from .certificates import (
     vertex_deleted_retraction,
 )
 from .coloring import find_proper_coloring, is_t_colorable
-from .criticality import circular_edge_corollary, edge_criticality, q_equals_schrijver_sweep
+from .criticality import q_equals_schrijver_sweep
 from .cyclic import (
     CyclicSubset,
     canonical_well_spread,
@@ -42,7 +42,7 @@ from .graphs import (
     is_cycle_edge,
     validate_map,
 )
-from .homomorphism import find_isomorphism
+from .homomorphism import circular_chromatic_number, find_isomorphism
 from .independence import DEFAULT_MIS_CAP, independence_number, max_independent_sets
 
 
@@ -234,32 +234,39 @@ def check_vertex_criticality(max_n: int = 14) -> CriterionResult:
 
 def check_edge_classification(max_n: int = 14) -> CriterionResult:
     """Two-sided edge test: deletion drops chi_f to a/b exactly on
-    consecutive-rotation edges and leaves n/k otherwise."""
+    consecutive-rotation edges and leaves n/k otherwise.
+
+    Every edge-deleted graph is solved here, independently of the
+    orbit-reduced sweep in `criticality`."""
     cases = []
     for n, k in _grid(max_n, strict=True, coprime=True):
         want_drop = critical_params(n, k).as_fraction()
         want_keep = Fraction(n, k)
-        rep = edge_criticality(build_q(n, k))
+        q = build_q(n, k)
+        per_edge = [
+            (e, fractional_chromatic_number(delete_edge(q, *e))[0], is_cycle_edge(q, *e))
+            for e in q.edges()
+        ]
         if k == 1:
             # Q(n,1) is complete: every edge deletion admits a two-vertex
             # color class, so the consecutive-rotation dichotomy degenerates
             # and the drop value a/b = n-1 holds for all edges instead.
-            bad = [(e, str(val), flag) for e, val, flag in rep.per_edge
+            bad = [(e, str(val), flag) for e, val, flag in per_edge
                    if val != want_drop]
             detail = (
-                f"complete graph: all {len(rep.per_edge)} deletions -> {want_drop}"
+                f"complete graph: all {len(per_edge)} deletions -> {want_drop}"
                 if not bad else f"mismatches {bad[:3]}"
             )
             cases.append(CaseResult(f"Q({n},{k})", detail, not bad))
             continue
         bad = [
             (e, str(val), flag)
-            for e, val, flag in rep.per_edge
+            for e, val, flag in per_edge
             if val != (want_drop if flag else want_keep)
         ]
-        ncyc = sum(1 for _, _, flag in rep.per_edge if flag)
+        ncyc = sum(1 for _, _, flag in per_edge if flag)
         detail = (
-            f"{ncyc} cycle-edges -> {want_drop}, {len(rep.per_edge) - ncyc} others -> {want_keep}"
+            f"{ncyc} cycle-edges -> {want_drop}, {len(per_edge) - ncyc} others -> {want_keep}"
             if not bad
             else f"mismatches {bad[:3]}"
         )
@@ -449,22 +456,30 @@ def check_circular_deletion(
     pairs: tuple[tuple[int, int], ...] = ((5, 2), (7, 2), (7, 3), (8, 3), (9, 4), (11, 3)),
 ) -> CriterionResult:
     """Search-based chi_c of the circular complete graph after each edge
-    deletion: a/b exactly at circular distance k, n/k otherwise."""
+    deletion: a/b exactly at circular distance k, n/k otherwise.
+
+    Every edge-deleted graph is solved here, independently of the
+    orbit-reduced sweep in `criticality`."""
     cases = []
     for n, k in pairs:
         want_drop = critical_params(n, k).as_fraction()
         want_keep = Fraction(n, k)
-        rep = circular_edge_corollary(n, k)
+        g = build_circular(n, k)
+        per_edge = []
+        for e in g.edges():
+            d = (e[1] - e[0]) % n
+            flag = min(d, n - d) == k
+            per_edge.append((e, circular_chromatic_number(delete_edge(g, *e)), flag))
         bad = [
             (e, str(val), flag)
-            for e, val, flag in rep.per_edge
+            for e, val, flag in per_edge
             if val != (want_drop if flag else want_keep)
         ]
-        tight = sum(1 for _, _, flag in rep.per_edge if flag)
+        tight = sum(1 for _, _, flag in per_edge if flag)
         cases.append(
             CaseResult(
                 f"K_{n}/{k}",
-                f"{tight} tight edges -> {want_drop}, {len(rep.per_edge) - tight} -> {want_keep}"
+                f"{tight} tight edges -> {want_drop}, {len(per_edge) - tight} -> {want_keep}"
                 if not bad
                 else f"mismatches {bad[:3]}",
                 not bad,

@@ -91,6 +91,14 @@ def test_invariants_chi_of_a_long_odd_cycle(capsys):
     assert json.loads(out)["chi"] == 3
 
 
+def test_invariants_chi_f_of_a_long_odd_cycle(capsys):
+    # circular(31,15) is a 31-cycle; chi_f comes from the rotation orbit
+    code, out, _ = run(capsys, "invariants", "--family", "circular", "--n", "31",
+                       "--k", "15", "--chi-f")
+    assert code == 0
+    assert json.loads(out)["chiF"] == "31/15"
+
+
 def test_invariants_alpha_of_a_long_odd_cycle(capsys):
     # Q(401,200) is a 401-cycle: alpha comes from branch-and-bound, not the
     # O(V^3) exact PSD ratio bound

@@ -156,3 +156,12 @@ def test_relabeled_copy_agrees_without_family_fast_path():
     shuffled = mk(11, [(perm[u], perm[v]) for u, v in q.edges()])
     assert shuffled.family is None
     assert fractional_chromatic_number(shuffled)[0] == Fraction(11, 3)
+
+
+def test_circular_family_pins_through_the_rotation_orbit():
+    # the circular family's labels are residues; rotating one maximum
+    # independent arc n times pins n/k without column generation
+    assert chi_f(build_circular(51, 25)) == Fraction(51, 25)
+    value, cert = fractional_chromatic_number(build_circular(17, 5))
+    assert value == Fraction(17, 5)
+    assert len(cert.sets) == 17 and set(cert.weights) == {Fraction(1, 5)}

@@ -9,6 +9,7 @@ import pytest
 from wellspread import (
     CyclicSubset,
     InvalidParams,
+    LabeledGraph,
     MapKind,
     NotAnEdge,
     ResourceCap,
@@ -24,6 +25,7 @@ from wellspread import (
     is_interlacing_edge,
     validate_map,
 )
+from wellspread.graphs import dihedral_automorphisms, label_rotation
 
 
 def test_kneser_petersen_shape():
@@ -235,3 +237,35 @@ def test_validate_map_flags_violations():
     minus_edge = VertexMap(c5, c5, {v: v for v in range(5)}, MapKind.ISOMORPHISM,
                            excluded_edge=(0, 1))
     assert validate_map(minus_edge) == ["non-edge {0,1} maps to edge"]
+
+
+def test_label_rotation_follows_the_labels():
+    q = build_q(7, 2)  # base-cycle order: vertex u + 1 is vertex u rotated
+    assert label_rotation(q) == [1, 2, 3, 4, 5, 6, 0]
+    assert label_rotation(build_circular(5, 2)) == [1, 2, 3, 4, 0]
+    kg = build_kneser(5, 2)
+    rot = label_rotation(kg)
+    assert all(kg.labels[rot[v]] == kg.labels[v].rotate(1) for v in range(10))
+    # a missing label, or labels that are not subsets of Z_n, give no rotation
+    assert label_rotation(delete_vertex(q, 3)) is None
+    assert label_rotation(delete_vertex(build_circular(5, 2), 0)) is None
+    assert label_rotation(build_interlacing(7, 2)) is not None
+    c5 = build_circular(5, 2)
+    assert label_rotation(LabeledGraph(c5.labels, c5.adj)) is None  # no family tag
+
+
+def test_dihedral_automorphisms_are_certified():
+    for g in (build_q(11, 4), build_circular(9, 2), build_kneser(6, 2),
+              build_schrijver(8, 3), build_interlacing(8, 3)):
+        gens = dihedral_automorphisms(g)
+        assert len(gens) == 2
+        for perm in gens:
+            m = VertexMap(g, g, dict(enumerate(perm)), MapKind.ISOMORPHISM)
+            assert validate_map(m) == []
+    # after an edge deletion the labels still rotate, but the rotation no
+    # longer preserves adjacency; the reflection survives only when it fixes
+    # the deleted edge
+    q = build_q(7, 2)
+    assert dihedral_automorphisms(delete_edge(q, 0, 1)) == []
+    assert dihedral_automorphisms(delete_edge(q, 1, 3)) == [[4, 3, 2, 1, 0, 6, 5]]
+    assert dihedral_automorphisms(delete_vertex(q, 0)) == []
