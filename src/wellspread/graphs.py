@@ -448,23 +448,21 @@ def label_rotation(g: LabeledGraph) -> list[int] | None:
     """Vertex permutation of the label rotation x -> x+1 mod n, or None.
 
     Nothing here checks that it preserves adjacency; see
-    `dihedral_automorphisms`.
+    `is_automorphism`.
     """
     return _residue_permutation(g, 1, 1)
 
 
+def is_automorphism(g: LabeledGraph, perm: list[int]) -> bool:
+    """True when `validate_map` certifies perm as an isomorphism of g onto itself."""
+    return not validate_map(VertexMap(g, g, dict(enumerate(perm)), MapKind.ISOMORPHISM))
+
+
 def dihedral_automorphisms(g: LabeledGraph) -> list[list[int]]:
     """The label rotation and the reflection x -> -x mod n, keeping each only
-    when `validate_map` certifies it as an isomorphism of g onto itself.
+    when it `is_automorphism` of g.
 
-    Every permutation returned is a graph automorphism; an empty list means
-    no symmetry is known.
+    An empty list means no symmetry is known.
     """
-    out = []
-    for perm in (label_rotation(g), _residue_permutation(g, -1, 0)):
-        if perm is None:
-            continue
-        m = VertexMap(g, g, dict(enumerate(perm)), MapKind.ISOMORPHISM)
-        if not validate_map(m):
-            out.append(perm)
-    return out
+    perms = (label_rotation(g), _residue_permutation(g, -1, 0))
+    return [perm for perm in perms if perm is not None and is_automorphism(g, perm)]

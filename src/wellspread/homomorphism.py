@@ -5,20 +5,26 @@ the same kernel that colors graphs as maps into K_t: a homomorphism search
 starts every domain full, an isomorphism search starts from joint
 neighbourhood-refinement classes and runs injective, with non-edges kept.
 Circular chromatic numbers are computed by scanning reduced fractions p/q
-(q bounded by the vertex count) upward from the fractional chromatic number,
-one homomorphism search into K_{p/q} per candidate; hom-existence into
-circular complete graphs is monotone in p/q, so the first admitting target is
-the exact value.
+(q bounded by the vertex count) upward from the fractional chromatic number;
+hom-existence into circular complete graphs is monotone in p/q, so the first
+admitting target is the exact value.  Each candidate is first tried with the
+maps v -> s*x(v) mod p that commute with a certified label rotation (v is the
+rotation applied x(v) times to vertex 0); a hit is validated and admits the
+candidate, a miss falls through to one homomorphism search into K_{p/q}, so
+every candidate below the answer is still refuted by the full search.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heapreplace
 from math import gcd
+from typing import Iterator
 
 from .coloring import chromatic_number
 from .fractional import fractional_chromatic_number
 from .graphs import (
-    LabeledGraph, MapKind, VertexMap, _map_search, build_circular, validate_map,
+    LabeledGraph, MapKind, VertexMap, _map_search, build_circular, is_automorphism,
+    label_rotation, validate_map,
 )
 from .independence import iter_bits
 
@@ -101,14 +107,64 @@ def find_isomorphism(g: LabeledGraph, h: LabeledGraph,
 
 def circular_candidates(lo: Fraction, hi: Fraction, max_q: int) -> list[Fraction]:
     """Reduced fractions in [lo, hi] with denominator <= max_q, ascending."""
-    out = set()
+    return list(_ascending_candidates(lo, hi, max_q))
+
+
+def _ascending_candidates(lo: Fraction, hi: Fraction, max_q: int) -> Iterator[Fraction]:
+    """`circular_candidates`, made one at a time: a heap merge of the least
+    unused numerator p per denominator q, keeping p/q reduced so that every
+    fraction comes once, from its own denominator."""
+    heap = []
     for q in range(1, max_q + 1):
-        p_lo = -(-lo.numerator * q // lo.denominator)
-        p_hi = hi.numerator * q // hi.denominator
-        for p in range(p_lo, p_hi + 1):
-            if gcd(p, q) == 1:
-                out.add(Fraction(p, q))
-    return sorted(out)
+        p = -(-lo.numerator * q // lo.denominator)
+        while gcd(p, q) != 1:
+            p += 1
+        if p * hi.denominator <= hi.numerator * q:
+            heap.append((Fraction(p, q), q))
+    heapify(heap)
+    while heap:
+        c, q = heap[0]
+        yield c
+        p = c.numerator + 1
+        while gcd(p, q) != 1:
+            p += 1
+        if p * hi.denominator <= hi.numerator * q:
+            heapreplace(heap, (Fraction(p, q), q))
+        else:
+            heappop(heap)
+
+
+def _rotation_steps(g: LabeledGraph) -> list[int] | None:
+    """x(v) with v = sigma^x(v)(0), where sigma is g's label rotation; None
+    unless sigma is a certified automorphism of g whose orbit from vertex 0
+    is every vertex."""
+    sigma = label_rotation(g)
+    if sigma is None or not is_automorphism(g, sigma):
+        return None
+    steps: list[int | None] = [None] * g.vertex_count
+    v = 0
+    for x in range(g.vertex_count):
+        if steps[v] is not None:
+            return None
+        steps[v] = x
+        v = sigma[v]
+    return steps
+
+
+def _rotation_probe(g: LabeledGraph, steps: list[int], p: int, q: int) -> int | None:
+    """Least s with v -> s*x(v) mod p a homomorphism g -> K_{p/q}, or None.
+
+    Only multiples s of p/gcd(p, V) give maps that commute with the rotation
+    (s*V must vanish mod p).  Since the
+    rotation is an automorphism, every edge is a rotated copy of an edge at
+    vertex 0, so checking the neighbours of 0 decides the whole map.
+    """
+    step = p // gcd(p, g.vertex_count)
+    xs = [steps[u] for u in iter_bits(g.adj[0])]
+    for s in range(step, p, step):
+        if all(q <= s * x % p <= p - q for x in xs):
+            return s
+    return None
 
 
 def circular_chromatic_number(g: LabeledGraph,
@@ -123,11 +179,20 @@ def circular_chromatic_number(g: LabeledGraph,
     if chi <= 2:
         return Fraction(chi)
     chif, _ = fractional_chromatic_number(g)
-    for cand in circular_candidates(chif, Fraction(chi), V):
+    steps = _rotation_steps(g)
+    for cand in _ascending_candidates(chif, Fraction(chi), V):
         if cand < 2:
             continue
-        target = build_circular(cand.numerator, cand.denominator,
-                                vertex_cap=max(cand.numerator, 1))
+        p, q = cand.numerator, cand.denominator
+        target = build_circular(p, q, vertex_cap=max(p, 1))
+        s = None if steps is None else _rotation_probe(g, steps, p, q)
+        if s is not None:
+            m = VertexMap(g, target, {v: s * x % p for v, x in enumerate(steps)},
+                          MapKind.HOMOMORPHISM)
+            bad = validate_map(m)
+            if bad:
+                raise AssertionError(f"rotation probe produced an invalid homomorphism: {bad[:3]}")
+            return cand
         if _hom_search(g, target, node_budget) is not None:
             return cand
     raise AssertionError("no circular target admitted the graph up to its chromatic number")

@@ -57,17 +57,24 @@ class PackingMaster:
         self._pivots += 1
         if self._pivots > _PIVOT_CAP:
             raise ResourceCap(f"simplex exceeded {_PIVOT_CAP} pivots")
-        piv = self.rows[r][j]
-        if piv != 1:
-            self.rows[r] = [x / piv for x in self.rows[r]]
         rr = self.rows[r]
+        # only the pivot row's non-zero columns (the rhs included) change
+        nz = [c for c, x in enumerate(rr) if x]
+        piv = rr[j]
+        if piv != 1:
+            for c in nz:
+                rr[c] /= piv
         for i, row in enumerate(self.rows):
-            if i != r and row[j]:
-                f = row[j]
-                self.rows[i] = [a - f * b for a, b in zip(row, rr)]
+            f = row[j]
+            if i != r and f:
+                for c in nz:
+                    row[c] -= f * rr[c]
         f = self.obj[j]
         if f:
-            self.obj = [a - f * b for a, b in zip(self.obj, rr[:-1])]
+            obj = self.obj
+            for c in nz:
+                if c < self.ncols:
+                    obj[c] -= f * rr[c]
             self.objrhs -= f * rr[-1]
         self.basis[r] = j
 

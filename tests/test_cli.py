@@ -99,6 +99,16 @@ def test_invariants_chi_f_of_a_long_odd_cycle(capsys):
     assert json.loads(out)["chiF"] == "31/15"
 
 
+@pytest.mark.parametrize("family", ["q", "circular"])
+def test_invariants_chi_c_of_a_long_odd_cycle(capsys, family):
+    # a 101-cycle: the certified rotation's map v -> 50*x(v) mod 101 admits
+    # K_{101/50} without a homomorphism search
+    code, out, _ = run(capsys, "invariants", "--family", family, "--n", "101", "--k", "50",
+                       "--chi-c")
+    assert code == 0
+    assert json.loads(out)["chiC"] == "101/50"
+
+
 def test_invariants_alpha_of_a_long_odd_cycle(capsys):
     # Q(401,200) is a 401-cycle: alpha comes from branch-and-bound, not the
     # O(V^3) exact PSD ratio bound

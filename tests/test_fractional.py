@@ -14,6 +14,7 @@ from wellspread import (
     build_q,
     build_schrijver,
     covering_lp_over_pool,
+    delete_vertex,
     enumerate_maximal_independent_sets,
     fractional_chromatic_number,
     independence_number,
@@ -148,6 +149,23 @@ def test_verifier_honors_exclusions():
         excluded_edge=(0, 1),
     )
     assert verify_fractional_coloring(g, fc) == []
+
+
+def test_column_generation_pivot_count(monkeypatch):
+    # SG(10,3) minus a vertex has no rotation, so column generation solves it;
+    # the sparse row update must leave the pivot sequence unchanged
+    from wellspread import simplex
+
+    pivots = []
+    pivot = simplex.PackingMaster._pivot
+
+    def counted(self, r, j):
+        pivots.append((r, j))
+        return pivot(self, r, j)
+
+    monkeypatch.setattr(simplex.PackingMaster, "_pivot", counted)
+    assert chi_f(delete_vertex(build_schrijver(10, 3), 0)) == Fraction(10, 3)
+    assert len(pivots) == 90
 
 
 def test_relabeled_copy_agrees_without_family_fast_path():

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
 from conftest import complete, cycle, mk
 
+from wellspread import homomorphism
 from wellspread import (
+    CyclicSubset,
+    LabeledGraph,
     build_circular,
     build_kneser,
     build_q,
@@ -14,6 +18,7 @@ from wellspread import (
     circular_candidates,
     circular_chromatic_number,
     delete_edge,
+    delete_vertex,
     find_homomorphism,
     find_isomorphism,
     validate_map,
@@ -101,3 +106,88 @@ def test_circular_chromatic_number_passes_its_budget_to_chi(monkeypatch):
     monkeypatch.setattr(homomorphism, "chromatic_number", recording)
     assert circular_chromatic_number(cycle(7), node_budget=12_345) == Fraction(7, 3)
     assert budgets == [12_345]
+
+
+def test_candidate_iterator_matches_the_sorted_enumeration():
+    for lo, hi, max_q in [(Fraction(5, 2), Fraction(3), 5), (Fraction(23, 11), Fraction(3), 23),
+                          (Fraction(1), Fraction(4), 9), (Fraction(7, 3), Fraction(7, 3), 3)]:
+        want = sorted({Fraction(p, q) for q in range(1, max_q + 1)
+                       for p in range(0, hi.numerator * q // hi.denominator + 1)
+                       if lo <= Fraction(p, q)})
+        assert list(homomorphism._ascending_candidates(lo, hi, max_q)) == want
+        assert circular_candidates(lo, hi, max_q) == want
+
+
+def _circulant(n, jumps):
+    """C_n(jumps), labelled by the singletons of Z_n, so its rotation is certified."""
+    adj = [0] * n
+    for i in range(n):
+        for j in jumps:
+            adj[i] |= 1 << ((i + j) % n) | 1 << ((i - j) % n)
+    return LabeledGraph(tuple(CyclicSubset(n, (i,)) for i in range(n)), tuple(adj))
+
+
+def test_rotation_probe_agrees_with_the_search(monkeypatch):
+    # the families, every deletion of each, relabelled copies (integer
+    # labels, so no certified rotation) of a few, and circulants whose
+    # rotation is certified but admits no commuting map at the answer
+    graphs = [_circulant(9, (3,)), _circulant(10, (2, 5)), _circulant(8, (1, 2, 4))]
+    for n in range(2, 14):
+        for k in range(1, n // 2 + 1):
+            for g in (build_circular(n, k), build_q(n, k)):
+                graphs.append(g)
+                graphs.extend(delete_vertex(g, v) for v in range(g.vertex_count))
+                graphs.extend(delete_edge(g, *e) for e in g.edges())
+    for g in (build_q(11, 3), build_circular(13, 5), build_q(12, 5)):
+        V = g.vertex_count
+        perm = [(5 * i + 2) % V for i in range(V)]
+        graphs.append(mk(V, [(perm[u], perm[v]) for u, v in g.edges()]))
+    with_probe = [circular_chromatic_number(g) for g in graphs]
+    monkeypatch.setattr(homomorphism, "_rotation_probe", lambda g, steps, p, q: None)
+    assert [circular_chromatic_number(g) for g in graphs] == with_probe
+
+
+def test_rotation_probe_only_for_a_certified_rotation():
+    # Q(n,k) minus an edge keeps labels that rotate onto themselves, but the
+    # rotation is no automorphism
+    g = build_q(7, 2)
+    assert homomorphism._rotation_steps(g) == list(range(7))
+    assert homomorphism._rotation_steps(delete_edge(g, *g.edges()[0])) is None
+    assert homomorphism._rotation_steps(delete_vertex(g, 0)) is None
+    assert homomorphism._rotation_steps(cycle(7)) is None
+    assert homomorphism._rotation_steps(build_kneser(5, 2)) is None  # orbit of 5 in 10
+    assert homomorphism._rotation_steps(_circulant(9, (3,))) == list(range(9))
+    assert homomorphism._rotation_probe(_circulant(9, (3,)), list(range(9)), 3, 1) is None
+    assert homomorphism._rotation_probe(g, list(range(7)), 5, 2) is None
+    assert homomorphism._rotation_probe(g, list(range(7)), 7, 2) == 2
+
+
+@pytest.mark.parametrize("s", [0, 1])
+def test_a_wrong_probe_answer_is_caught(monkeypatch, s):
+    # Q(7,2) -> K_{7/2} is v -> 2v; v -> 0 and v -> v send edges to non-edges
+    monkeypatch.setattr(homomorphism, "_rotation_probe", lambda g, steps, p, q: s)
+    with pytest.raises(AssertionError, match="rotation probe"):
+        circular_chromatic_number(build_q(7, 2))
+
+
+@pytest.mark.parametrize("g,value,searches", [
+    (build_q(23, 11), Fraction(23, 11), 0),
+    (build_q(29, 9), Fraction(29, 9), 0),
+    (build_circular(17, 5), Fraction(17, 5), 0),
+    (delete_edge(build_circular(17, 5), 0, 5), Fraction(10, 3), 1),
+    (delete_edge(build_circular(17, 5), 0, 6), Fraction(17, 5), 1),
+], ids=["Q(23,11)", "Q(29,9)", "circular(17,5)", "circular(17,5)-{0,5}",
+        "circular(17,5)-{0,6}"])
+def test_hom_searches_per_chi_c(monkeypatch, g, value, searches):
+    # the probe decides the rotation-invariant graphs; an edge deletion has no
+    # certified rotation and keeps its one search per candidate tried
+    calls = []
+    search = homomorphism._hom_search
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(homomorphism, "_hom_search", counted)
+    assert circular_chromatic_number(g) == value
+    assert len(calls) == searches

@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -16,6 +17,7 @@ from conftest import complete, cycle, mk  # noqa: E402
 
 from wellspread import (  # noqa: E402
     build_circular,
+    circular_chromatic_number,
     enumerate_maximal_independent_sets,
     find_homomorphism,
     find_isomorphism,
@@ -97,3 +99,75 @@ def test_t_colorability_against_brute_force(n, t, rng):
     coloring = find_proper_coloring(g, t)
     assert (coloring is not None) == colorable
     assert coloring is None or all(coloring[u] != coloring[v] for u, v in g.edges())
+
+
+def admits_circular_map(g, p: int, q: int) -> bool:
+    """Exhaustive: some map V -> Z_p puts every edge at circular distance >= q.
+
+    Components are mapped one at a time, in breadth-first order from their
+    least vertex, which goes to 0 (K_{p/q} is vertex-transitive); every later
+    vertex tries every residue, and a partial map is dropped once an edge
+    among its vertices fails.
+    """
+    V = g.vertex_count
+    f = {}
+    for root in range(V):
+        if root in f:
+            continue
+        order = [root]
+        for v in order:
+            order.extend(u for u in g.neighbors(v) if u not in order)
+
+        def extend(i: int) -> bool:
+            if i == len(order):
+                return True
+            v = order[i]
+            for c in range(p) if i else (0,):
+                if all(q <= (c - f[u]) % p <= p - q for u in g.neighbors(v) if u in f):
+                    f[v] = c
+                    if extend(i + 1):
+                        return True
+                    del f[v]
+            return False
+
+        if not extend(0):
+            return False
+    return True
+
+
+def chi_c_by_definition(g) -> Fraction:
+    """The least p/q whose circular complete graph admits g.
+
+    Only p <= V is tried: chi_c is attained by such a fraction (Zhu 2001,
+    "Circular chromatic number: a survey"), so its denominator is at most V
+    as well, and every fraction below the least admitting one is refuted.
+    """
+    V = g.vertex_count
+    if V == 0:
+        return Fraction(0)
+    if not g.edges():
+        return Fraction(1)
+    fractions = sorted({Fraction(p, q) for p in range(2, V + 1) for q in range(1, p // 2 + 1)})
+    return next(r for r in fractions if admits_circular_map(g, r.numerator, r.denominator))
+
+
+def mobius_ladder(n: int):
+    """n vertices (n even) on a cycle, each joined to the opposite one."""
+    return mk(n, [(i, (i + 1) % n) for i in range(n)] + [(i, i + n // 2) for i in range(n // 2)])
+
+
+@pytest.mark.parametrize("g,value", [
+    (cycle(3), Fraction(3)), (cycle(5), Fraction(5, 2)), (cycle(7), Fraction(7, 3)),
+    (mobius_ladder(4), Fraction(4)), (mobius_ladder(6), Fraction(2)),
+    (mobius_ladder(8), Fraction(8, 3)), (mobius_ladder(10), Fraction(2)),
+], ids=["C3", "C5", "C7", "M4", "M6", "M8", "M10"])
+def test_circular_chromatic_number_of_cycles_and_ladders(g, value):
+    assert chi_c_by_definition(g) == value
+    assert circular_chromatic_number(g) == value
+
+
+@hypothesis.settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@hypothesis.given(st.integers(1, 7), st.randoms(use_true_random=False))
+def test_circular_chromatic_number_against_the_definition(n, rng):
+    g = random_graph(rng, n)
+    assert circular_chromatic_number(g) == chi_c_by_definition(g)
