@@ -8,10 +8,13 @@ K_t: greedy-clique precoloring, forward checking on per-vertex domain masks,
 DSATUR vertex order and first-fresh-color symmetry breaking.  If the probe
 runs out, class branching over maximal independent sets (the shared
 Bron-Kerbosch of `independence`) decides with what is left of the node
-budget.  The two win on different graphs: the probe refutes 3 colors on
-I(10,3) at once, where class branching takes seconds; class branching refutes
-5 colors on SG(10,3) in seconds, where DSATUR takes minutes.  Both searches
-are exhaustive, so both directions of every answer are exact.
+budget, branching on the residual vertex with the fewest class choices and
+deciding the last two colors by a bipartiteness check, which alone decides
+t = 2 before any search.  The two searches win on different graphs: the
+probe refutes 3 colors on I(10,3) at once, where class branching takes
+seconds; class branching refutes 5 colors on SG(10,3) and 4 on SG(11,4) in
+well under a second each, where DSATUR takes minutes.  Both searches are
+exhaustive, so both directions of every answer are exact.
 """
 from __future__ import annotations
 
@@ -28,7 +31,7 @@ _PROBE_NODES = 1000
 
 # class branching stops memoizing refuted residual masks past this many; the
 # largest memo in the acceptance grids and SG sweeps, refuting 5 colors on
-# SG(10,3), holds 184,664
+# SG(10,3), holds 1,751 (refuting 4 colors on SG(11,4) holds 367)
 _REFUTED_MEMO_CAP = 250_000
 
 
@@ -104,15 +107,37 @@ def find_proper_coloring(g: LabeledGraph, t: int,
                        pre=[(v, c) for c, v in enumerate(clique)])
 
 
+def _is_bipartite(adj: tuple[int, ...], mask: int) -> bool:
+    """Whether the subgraph induced on `mask` is 2-colorable: breadth-first
+    search one layer mask at a time; an edge inside a layer closes an odd
+    cycle, and without one the layers alternate two colors."""
+    while mask:
+        layer = seen = mask & -mask
+        while layer:
+            reach = 0
+            for v in iter_bits(layer):
+                reach |= adj[v]
+            if reach & layer:
+                return False
+            layer = reach & mask & ~seen
+            seen |= layer
+        mask &= ~seen
+    return True
+
+
 def _class_colorable(g: LabeledGraph, t: int, node_budget: int, nodes: int) -> bool:
     """Exact t-colorability via class branching with residual memoization.
 
-    The first remaining vertex always lies in some color class that is a
-    maximal independent set of the residual graph, so branching over those
-    sets is exhaustive.  Much faster than vertex-at-a-time search when the
-    maximal-set families stay small; can blow up when they do not.  `nodes`
-    is the work already spent against `node_budget`.
+    Any coloring can be changed so that the class of a chosen residual vertex
+    is a maximal independent set of the residual graph, so branching over
+    those sets is exhaustive for every choice; the vertex with the fewest
+    residual non-neighbors (lowest index on ties) has the fewest sets.  Two
+    colors left are decided by `_is_bipartite`, one node.  Much faster than
+    vertex-at-a-time search when the maximal-set families stay small; can
+    blow up when they do not.  `nodes` is the work already spent against
+    `node_budget`.
     """
+    adj = g.adj
     nonadj = nonadjacency(g)
     refuted: dict[int, int] = {}
 
@@ -127,7 +152,9 @@ def _class_colorable(g: LabeledGraph, t: int, node_budget: int, nodes: int) -> b
         nodes += 1
         if nodes > node_budget:
             raise ResourceCap(f"colorability search exceeded {node_budget} nodes")
-        v = (mask & -mask).bit_length() - 1
+        if colors_left == 2:
+            return _is_bipartite(adj, mask)
+        v = min(iter_bits(mask), key=lambda u: (mask & nonadj[u]).bit_count())
         sols = []
         for cls in bron_kerbosch(nonadj, 1 << v, mask & nonadj[v]):
             nodes += 1
@@ -150,7 +177,7 @@ def _class_colorable(g: LabeledGraph, t: int, node_budget: int, nodes: int) -> b
 def is_t_colorable(g: LabeledGraph, t: int,
                    node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
     """Exact t-colorability: greedy shortcuts, then a DSATUR probe, then
-    class branching.
+    class branching; t = 2 is decided by `_is_bipartite` alone.
 
     The probe gets V + `_PROBE_NODES` nodes of `node_budget`; if it runs out,
     class branching decides with the rest.  Either search is exhaustive, so
@@ -166,6 +193,8 @@ def is_t_colorable(g: LabeledGraph, t: int,
         return False
     if all(m == 0 for m in g.adj):
         return True
+    if t == 2:
+        return _is_bipartite(g.adj, (1 << V) - 1)
     if len(greedy_clique(g)) > t:
         return False
     if max(greedy_coloring(g)) + 1 <= t:

@@ -5,13 +5,14 @@ the same kernel that colors graphs as maps into K_t: a homomorphism search
 starts every domain full, an isomorphism search starts from joint
 neighbourhood-refinement classes and runs injective, with non-edges kept.
 Circular chromatic numbers are computed by scanning reduced fractions p/q
-(q bounded by the vertex count) upward from the fractional chromatic number;
-hom-existence into circular complete graphs is monotone in p/q, so the first
-admitting target is the exact value.  Each candidate is first tried with the
-maps v -> s*x(v) mod p that commute with a certified label rotation (v is the
-rotation applied x(v) times to vertex 0); a hit is validated and admits the
-candidate, a miss falls through to one homomorphism search into K_{p/q}, so
-every candidate below the answer is still refuted by the full search.
+(p bounded by the vertex count, which always holds for the answer) upward
+from the fractional chromatic number; hom-existence into circular complete
+graphs is monotone in p/q, so the first admitting target is the exact value.
+Each candidate is first tried with the maps v -> s*x(v) mod p that commute
+with a certified label rotation (v is the rotation applied x(v) times to
+vertex 0); a hit is validated and admits the candidate, a miss falls through
+to one homomorphism search into K_{p/q}, so every candidate below the answer
+is still refuted by the full search.
 """
 from __future__ import annotations
 
@@ -169,7 +170,11 @@ def _rotation_probe(g: LabeledGraph, steps: list[int], p: int, q: int) -> int | 
 
 def circular_chromatic_number(g: LabeledGraph,
                               node_budget: int = DEFAULT_NODE_BUDGET) -> Fraction:
-    """Least p/q (q <= |V|) whose circular complete graph admits g, exact."""
+    """Least p/q (p <= |V|) whose circular complete graph admits g, exact.
+
+    chi_c is attained by some p/q with p <= |V| (Zhu 2001), so candidates
+    with a larger numerator are skipped without a search.
+    """
     V = g.vertex_count
     if V == 0:
         return Fraction(0)
@@ -181,9 +186,9 @@ def circular_chromatic_number(g: LabeledGraph,
     chif, _ = fractional_chromatic_number(g)
     steps = _rotation_steps(g)
     for cand in _ascending_candidates(chif, Fraction(chi), V):
-        if cand < 2:
-            continue
         p, q = cand.numerator, cand.denominator
+        if cand < 2 or p > V:
+            continue
         target = build_circular(p, q, vertex_cap=max(p, 1))
         s = None if steps is None else _rotation_probe(g, steps, p, q)
         if s is not None:

@@ -21,7 +21,7 @@ from wellspread import (
     is_t_colorable,
 )
 from wellspread import coloring
-from wellspread.coloring import DEFAULT_NODE_BUDGET, _class_colorable
+from wellspread.coloring import DEFAULT_NODE_BUDGET, _class_colorable, _is_bipartite
 
 
 def test_chromatic_basics():
@@ -71,16 +71,41 @@ def test_class_branching_agrees_with_dsatur_on_random_graphs():
             if rng.random() < p
         ]
         g = mk(n, edges)
+        assert _is_bipartite(g.adj, (1 << n) - 1) == (
+            find_proper_coloring(g, 2) is not None), trial
         for t in range(1, 6):
             by_classes = _class_colorable(g, t, DEFAULT_NODE_BUDGET, 0)
             assert by_classes == (find_proper_coloring(g, t) is not None), (trial, n, t)
             assert is_t_colorable(g, t) == by_classes, (trial, n, t)
 
 
+def test_is_bipartite():
+    assert _is_bipartite(cycle(6).adj, (1 << 6) - 1)
+    assert not _is_bipartite(cycle(7).adj, (1 << 7) - 1)
+    # an even cycle on 0..5 beside an odd one on 6..10: the second
+    # component decides
+    g = mk(11, [(i, (i + 1) % 6) for i in range(6)]
+           + [(6 + i, 6 + (i + 1) % 5) for i in range(5)])
+    assert not _is_bipartite(g.adj, (1 << 11) - 1)
+    assert _is_bipartite(g.adj, (1 << 6) - 1)
+    assert _is_bipartite(g.adj, 0)
+    # removing one vertex cuts the odd cycle open into a path
+    assert _is_bipartite(g.adj, ((1 << 11) - 1) & ~(1 << 8))
+    assert _is_bipartite(cycle(7).adj, (1 << 7) - 2)
+
+
 def test_schrijver_chromatic_formula_small():
-    for n in range(2, 10):
-        for k in range(1, n // 2 + 1):
-            assert chromatic_number(build_schrijver(n, k)) == n - 2 * k + 2
+    # SG(10,3) and SG(11,4) refute n - 2k + 1 colors by class branching
+    cases = [(n, k) for n in range(2, 10) for k in range(1, n // 2 + 1)]
+    for n, k in cases + [(10, 3), (11, 4)]:
+        assert chromatic_number(build_schrijver(n, k)) == n - 2 * k + 2
+
+
+def test_class_branching_node_count_on_schrijver_10_3():
+    # branching on the vertex with the fewest class choices and deciding two
+    # colors by bipartiteness refutes 5 colors on SG(10,3) in 86,117 nodes;
+    # branching on the lowest-index vertex down to one color took 3,019,976
+    assert not _class_colorable(build_schrijver(10, 3), 5, 100_000, 0)
 
 
 def test_q_needs_ceil_n_over_k():

@@ -191,3 +191,20 @@ def test_hom_searches_per_chi_c(monkeypatch, g, value, searches):
     monkeypatch.setattr(homomorphism, "_hom_search", counted)
     assert circular_chromatic_number(g) == value
     assert len(calls) == searches
+
+
+def test_chi_c_searches_only_targets_with_at_most_v_vertices(monkeypatch):
+    # chi_c is attained with p <= |V|, so no candidate with a larger
+    # numerator is searched: the Petersen graph (chi_f 5/2, chi 3) needs 3
+    calls = []
+    search = homomorphism._hom_search
+
+    def recording(g, h, node_budget):
+        calls.append(h.vertex_count)
+        return search(g, h, node_budget)
+
+    monkeypatch.setattr(homomorphism, "_hom_search", recording)
+    g = build_kneser(5, 2)
+    assert circular_chromatic_number(g) == 3
+    assert len(calls) == 3
+    assert all(p <= g.vertex_count for p in calls)
