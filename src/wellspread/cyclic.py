@@ -5,6 +5,7 @@ length L starting at s is the residue window {s, s+1, ..., s+L-1} mod n.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -39,9 +40,20 @@ class CyclicSubset:
         return x in self.elements
 
     def rotate(self, t: int) -> "CyclicSubset":
-        """Clockwise rotation: every element shifted by +t mod n."""
+        """Clockwise rotation: every element shifted by +t mod n.
+
+        The elements from n-t upward wrap to the front, so the sorted tuple is
+        split there instead of sorted again.
+        """
         n = self.modulus
-        return CyclicSubset(n, ((x + t) % n for x in self.elements))
+        t %= n
+        es = self.elements
+        cut = bisect_left(es, n - t)
+        out = object.__new__(CyclicSubset)
+        object.__setattr__(out, "modulus", n)
+        object.__setattr__(out, "elements",
+                           tuple(map((t - n).__add__, es[cut:])) + tuple(map(t.__add__, es[:cut])))
+        return out
 
     def __repr__(self) -> str:
         inner = ",".join(str(x) for x in self.elements)

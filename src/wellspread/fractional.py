@@ -9,6 +9,7 @@ iterations.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -44,16 +45,65 @@ class FractionalColoring:
 
 
 def verify_fractional_coloring(g: LabeledGraph, fc: FractionalColoring) -> list[str]:
-    """Exact feasibility check against g minus fc's exclusions."""
-    out: list[str] = []
-    V = g.vertex_count
-    excl_v = fc.excluded_vertex
+    """Exact feasibility check against g minus fc's exclusions.
+
+    A quick pass settles a valid coloring with a few whole-set operations per
+    set; anything it rejects is walked again member by member, so a
+    violation is always reported by that walk.
+    """
+    if len(fc.sets) != len(fc.weights):
+        return ["sets/weights length mismatch"]
     excl_e = None
     if fc.excluded_edge is not None:
         a, b = fc.excluded_edge
         excl_e = (min(a, b), max(a, b))
-    if len(fc.sets) != len(fc.weights):
-        return ["sets/weights length mismatch"]
+    if _coloring_passes(g, fc, excl_e):
+        return []
+    return _coloring_violations(g, fc, excl_e)
+
+
+def _coloring_passes(g: LabeledGraph, fc: FractionalColoring,
+                     excl_e: tuple[int, int] | None) -> bool:
+    """True when fc is valid: each set is in range, has no repeats and misses
+    the excluded vertex, no member's adjacency (less the excluded edge) meets
+    the set, and coverage counted per weight reaches 1 everywhere else."""
+    V = g.vertex_count
+    excl_v = fc.excluded_vertex
+    adj = g.adj
+    if excl_e is not None and 0 <= excl_e[0] and excl_e[1] < V:
+        a, b = excl_e
+        adj = list(adj)
+        adj[a] &= ~(1 << b)
+        adj[b] &= ~(1 << a)
+    bits = [1 << v for v in range(V)]
+    counts: dict[Fraction, Counter] = {}
+    for s, w in zip(fc.sets, fc.weights):
+        if w < 0:
+            return False
+        if s:
+            if min(s) < 0 or max(s) >= V or len(set(s)) != len(s) or excl_v in s:
+                return False
+            mask = sum(map(bits.__getitem__, s))  # distinct members, so sum is OR
+            if any(map(mask.__and__, map(adj.__getitem__, s))):
+                return False
+        if w not in counts:
+            counts[w] = Counter()
+        counts[w].update(s)
+    scale = lcm(*(w.denominator for w in fc.weights))
+    cover = [0] * V
+    for w, members in counts.items():
+        units = w.numerator * (scale // w.denominator)
+        for v, c in members.items():
+            cover[v] += c * units
+    return all(c >= scale for v, c in enumerate(cover) if v != excl_v)
+
+
+def _coloring_violations(g: LabeledGraph, fc: FractionalColoring,
+                         excl_e: tuple[int, int] | None) -> list[str]:
+    """Every violation of fc, set by set and member by member."""
+    out: list[str] = []
+    V = g.vertex_count
+    excl_v = fc.excluded_vertex
     # coverage in integers over the common denominator of the weights
     scale = lcm(*(w.denominator for w in fc.weights))
     cover = [0] * V

@@ -5,11 +5,14 @@ per vertex, which the exact solvers rely on.  Vertex labels carry identity:
 k-subsets of Z_n for the set-valued families, plain residues for circular
 complete graphs.
 
-The disjointness families are built from one holder mask per residue (the
-vertices whose label contains it): a vertex's neighbours are everything
-outside the holders of its own residues, so a build costs O(V*k) big-int ORs
-instead of O(V^2) set intersections.  Circular complete graphs are
-circulant: every row is row 0 rotated within n bits.
+The Kneser and Schrijver families are built from one holder mask per
+residue (the vertices whose label contains it): a vertex's neighbours are
+everything outside the holders of its own residues, so a build costs O(V*k)
+big-int ORs instead of O(V^2) set intersections.  The rotation graph Q(n,k)
+and the circular complete graphs are circulants: every row is row 0 rotated
+within V bits.  Row 0 of Q(n,k) takes one test per rotation offset of the
+canonical set's member mask, so the build costs O(V) big-int operations
+beyond writing the V labels.
 """
 from __future__ import annotations
 
@@ -125,7 +128,9 @@ def build_q(n: int, k: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> LabeledGrap
     """Rotations of the canonical well-spread k-subset, in base-cycle order.
 
     Vertex u carries rotate(canonical, u); there are n/gcd(n,k) distinct
-    rotations, and consecutive vertices differ by a +1 rotation.
+    rotations, and consecutive vertices differ by a +1 rotation.  Whether u
+    and v are adjacent depends only on v - u mod n/gcd(n,k), so the graph is
+    a circulant built from row 0.
     """
     if not (1 <= k and 2 * k <= n):
         raise InvalidParams(f"need 1 <= k <= n/2, got n={n} k={k}")
@@ -138,7 +143,19 @@ def build_q(n: int, k: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> LabeledGrap
         raise AssertionError(f"rotations of {canon} not distinct over {n2} steps")
     if labels[-1].rotate(1) != labels[0]:
         raise AssertionError("base-cycle order broken: final rotation misses the start")
-    return _disjointness_graph(labels, n, FamilyParams("q", n, k))
+    # v is adjacent to 0 when the canonical set rotated by v misses it; the
+    # rotations repeat with period n2, so every row is row 0 rotated by u
+    full_n = (1 << n) - 1
+    member = 0
+    for x in canon.elements:
+        member |= 1 << x
+    row0 = 0
+    for v in range(1, n2):
+        if not member & ((member << v) | (member >> (n - v))) & full_n:
+            row0 |= 1 << v
+    full = (1 << n2) - 1
+    adj = tuple(((row0 << u) | (row0 >> (n2 - u))) & full for u in range(n2))
+    return LabeledGraph(labels, adj, FamilyParams("q", n, k))
 
 
 def build_circular(n: int, k: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> LabeledGraph:
@@ -384,11 +401,17 @@ def validate_map(m: VertexMap) -> list[str]:
         if excl_edge is not None and excl_edge[0] == u:
             later &= ~(1 << excl_edge[1])
         src_later[u] = later
+    mapping, tgt_adj = m.mapping, tgt.adj
     for u in domain:
-        fu = m.mapping[u]
-        for v in iter_bits(src_later[u]):
-            fv = m.mapping[v]
-            if fu == fv or not tgt.has_edge(fu, fv):
+        fu = mapping[u]
+        row = tgt_adj[fu]
+        later = src_later[u]
+        while later:
+            b = later & -later
+            later ^= b
+            v = b.bit_length() - 1
+            fv = mapping[v]
+            if fu == fv or not (row >> fv) & 1:
                 out.append(f"edge {{{u},{v}}} maps to non-edge {{{fu},{fv}}}")
     if m.kind in (MapKind.EMBEDDING, MapKind.ISOMORPHISM):
         images = [m.mapping[u] for u in domain]

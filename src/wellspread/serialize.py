@@ -5,12 +5,23 @@ rebuilds the graph from those parameters and refuses documents whose vertex
 or edge lists disagree with the reconstruction.  Certificates self-validate
 on load through the same checkers used at construction time.  Rationals
 travel as "p/q" strings, never floats.
+
+`dumps` writes exactly the bytes of `json.dumps(doc, indent=2,
+sort_keys=True)` plus a newline, without going through json's pure-Python
+indenting encoder.  A small recursive writer handles dicts with string keys,
+lists, tuples, strings (through json's own `encode_basestring_ascii`), ints,
+bools and None; a flat list of ints, and a list of int lists such as vertex
+labels, edges and colour classes, is written with one `str.join` over its
+rows.  Anything else (floats, subclasses, non-string keys) is handed to
+`json.dumps` and re-indented.
 """
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Optional
+from itertools import chain
+from json.encoder import encode_basestring_ascii
+from typing import Any, Callable, Optional
 
 from .criticality import BoundaryEntry, BoundaryReport, CriticalityReport, Invariant, SweepSummary
 from .cyclic import CyclicSubset, ReductionTrace, euclid_reduce
@@ -127,7 +138,7 @@ def graph_from_document(doc: dict) -> LabeledGraph:
 
 def _label_text(label) -> str:
     if isinstance(label, CyclicSubset):
-        return "{" + ",".join(str(x) for x in label.elements) + "}"
+        return "{" + ",".join(map(str, label.elements)) + "}"
     return str(label)
 
 
@@ -344,4 +355,59 @@ def boundary_from_document(doc: dict) -> BoundaryReport:
 
 
 def dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """`json.dumps(doc, indent=2, sort_keys=True)` plus a newline, byte for byte."""
+    return _encode(doc, "\n") + "\n"
+
+
+def _encode(o, nl: str) -> str:
+    """o as json's indent=2, sort_keys=True encoder writes it; nl is a newline
+    followed by the indent of the line o starts on."""
+    t = type(o)
+    if t is str:
+        return encode_basestring_ascii(o)
+    if t is int:
+        return str(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if t is list or t is tuple:
+        if not o:
+            return "[]"
+        inner = nl + "  "
+        sep = "," + inner
+        kinds = set(map(type, o))
+        if kinds == {int}:
+            body = sep.join(map(str, o))
+        elif kinds <= {list, tuple} and set(map(type, chain.from_iterable(o))) <= {int}:
+            inner2 = inner + "  "
+            sep2 = "," + inner2
+            close = inner + "]"
+            text = _int_text(o)
+            body = sep.join("[" + inner2 + sep2.join(map(text, row)) + close if row else "[]"
+                            for row in o)
+        else:
+            body = sep.join(_encode(x, inner) for x in o)
+        return "[" + inner + body + nl + "]"
+    if t is dict and all(type(key) is str for key in o):
+        if not o:
+            return "{}"
+        inner = nl + "  "
+        return "{" + inner + ("," + inner).join(
+            encode_basestring_ascii(key) + ": " + _encode(o[key], inner) for key in sorted(o)
+        ) + nl + "}"
+    # floats, subclasses and non-string keys: json itself, re-indented
+    return json.dumps(o, indent=2, sort_keys=True).replace("\n", nl)
+
+
+def _int_text(rows) -> Callable[[int], str]:
+    """str for the ints in rows: a table lookup when they are non-negative and
+    the largest is below their count, as vertex ids are."""
+    full = [row for row in rows if row]
+    if full and min(map(min, full)) >= 0:
+        top = max(map(max, full))
+        if top < sum(map(len, full)):
+            return list(map(str, range(top + 1))).__getitem__
+    return str

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -206,3 +207,63 @@ def test_verify_paper_small_run(capsys):
     assert doc["allPassed"] is True
     assert len(doc["criteria"]) == 10
     assert "OK" in err
+
+
+# sha256 of stdout and the exit code, pinned from the output of the straight
+# (disjointness build, json.dumps, member-by-member check) implementation.
+# The first eight are the benchmark's large-cyclic request shapes.
+GOLDEN = [
+    ("build --family q --n 601 --k 300", 0,
+     "459b6ed19b7c9a292cbbdc312c1446273ddf82285b3f367f5066ccd1d1141cd2"),
+    ("build --family q --n 401 --k 200 --format dot", 0,
+     "6f23e09610dca9841be43ee0d07a05d5ef1fb939b88c276fef5faf28144fbf52"),
+    ("certify coloring --n 599 --k 150 --delete-vertex 17", 0,
+     "21634187f67bd2ec45813e5cd8270797f389502649fdd10cc5740dc1a799b160"),
+    ("certify retraction --n 599 --k 150 --delete-edge 43,42", 0,
+     "b375bc66416008deb222802de8c1d3904e138cb379c9214d17a76448b82197e2"),
+    ("certify iso-circular --n 401 --k 200", 0,
+     "18f839b9c43c4879258b9de9bbc87e590ac180943ca858b7893b5a558c7f3486"),
+    ("invariants --family q --n 101 --k 50 --chi-f", 0,
+     "3b3dab56aac062775a86e6ee815635ea1e28333da506b0f553452d8415196d58"),
+    ("invariants --family q --n 401 --k 200 --chi", 0,
+     "ee15730243a4d898d850e469716dd5aeb5b3fe10574cdc31de843f7bf38cc43c"),
+    ("invariants --family circular --n 1001 --k 500 --chi", 0,
+     "be8be2f1b2bf9bf9ef33b25537da509c78bb5d6a18d6e24855d60b70babdfa83"),
+    ("certify coloring --n 599 --k 150 --delete-edge 42,43", 0,
+     "d623bb5206da95200177c0c2c72fc8265655fba44d16c4cf3a266fe361785a5c"),
+    ("certify coloring --n 13 --k 5 --delete-edge 3,4", 0,
+     "99b62d5870e5cd001aa06b4a9239f4caaa593e9e968fa39bbc16ccc047342717"),
+    ("certify retraction --n 13 --k 5 --delete-vertex 3", 0,
+     "b2df0cadb1cf5a5c5a58f8792fcb0535f645d4be08cd15b334580cfa2d50c3ff"),
+    ("certify retraction --n 13 --k 5 --delete-edge 4,5", 0,
+     "f79735595f13ab83c2740678358fc0fa2ad945f90a4bd3832fdb5c3910bfde1f"),
+    ("certify subgraph-qab --n 13 --k 5", 0,
+     "d80b45799343e3112fd74fb3b73738d94df906e06b90aeb2fdee4f0deb0c8aeb"),
+    ("certify iso-scaling --n 7 --k 3 --l 2", 0,
+     "135c0e754435895556f31cce4a297945df1936fd378924c244712ed9cf552a68"),
+    ("certify reduce --n 13 --k 5", 0,
+     "1acfdce62ee2deb3515a36d069792a0a2640284eb9d9137850fd618bdf884e7a"),
+    ("criticality --family q --n 13 --k 5", 0,
+     "e2a60a6bcf6e115086e2200c4e678d50ddb58b896bbd91d01473aad4a3607be6"),
+    ("criticality --family q --n 11 --k 4 --edges", 0,
+     "a70ac7d0869c86316c8396125d5db48368a60b4cede666e742b551af242504c6"),
+    ("criticality --family circular --n 11 --k 3 --edges", 0,
+     "0e29f36aef26dfc152dab5b6ca36a4b098d93a7960526082748a524b94ca212c"),
+    ("criticality --family q --n 12 --k 5 --invariant chi-c", 0,
+     "4245079f5d602d90d8b2d375ba24fe03fe23367a3ae512a316aeb3f1cd83c375"),
+    ("criticality --boundary --max-n 9", 0,
+     "1a563349d55a57d7c0a531ed98efaa053709993da58b628d6c2027d6d0f310c9"),
+    ("invariants --family q --n 12 --k 4", 0,
+     "a57ea13093ce1104d14d2c489ceb55f85e649df291892398c6dfc861d1e06e7c"),
+    ("build --family q --n 12 --k 4 --delete-vertex 2", 0,
+     "95bda9548681089cdfc107ddac9a5179c02a3a082d59de94156d1994849d72ba"),
+    ("certify coloring --n 13 --k 5 --delete-edge 0,5", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+]
+
+
+@pytest.mark.parametrize("cmd,code,digest", GOLDEN, ids=[c for c, _, _ in GOLDEN])
+def test_golden_output(capsys, cmd, code, digest):
+    got, out, _ = run(capsys, *cmd.split())
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

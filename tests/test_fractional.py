@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -15,11 +17,14 @@ from wellspread import (
     build_schrijver,
     covering_lp_over_pool,
     delete_vertex,
+    edge_deleted_coloring,
     enumerate_maximal_independent_sets,
     fractional_chromatic_number,
     independence_number,
     verify_fractional_coloring,
+    vertex_deleted_coloring,
 )
+from wellspread.fractional import _coloring_passes, _coloring_violations
 
 
 def chi_f(g):
@@ -131,6 +136,63 @@ def test_verifier_messages_and_order():
         "set 3 not independent: edge {0,1}",
         "vertex 3 covered only -1/6",
     ]
+
+
+def _tamper(rng, n, fc):
+    """fc with one random defect or change of exclusion (which may be harmless)."""
+    sets = [list(s) for s in fc.sets]
+    weights = list(fc.weights)
+    i = rng.randrange(len(sets))
+    kind = rng.randrange(7)
+    if kind == 0:  # a member more: a neighbour, a repeat, the deletion or out of range
+        sets[i].insert(rng.randrange(len(sets[i]) + 1), rng.randrange(-1, n + 1))
+    elif kind == 1 and sets[i]:  # a member less
+        sets[i].pop(rng.randrange(len(sets[i])))
+    elif kind == 2:
+        weights[i] = rng.choice([-weights[i], weights[i] / 2, Fraction(0), weights[i] * 3])
+    elif kind == 3:
+        return replace(fc, sets=tuple(map(tuple, sets)), weights=tuple(weights),
+                       excluded_vertex=rng.choice([None, rng.randrange(-1, n + 1)]))
+    elif kind == 4:
+        u = rng.randrange(-1, n + 1)
+        return replace(fc, excluded_edge=rng.choice([None, (u, (u + 1) % n), (u + 1, u),
+                                                     (u, rng.randrange(n + 2))]))
+    elif kind == 5:  # two sets merged
+        j = rng.randrange(len(sets))
+        sets[i] = sets[i] + sets[j]
+    else:  # a set swapped for an arbitrary one
+        sets[i] = rng.sample(range(n), rng.randrange(n // 2 + 1))
+    return replace(fc, sets=tuple(map(tuple, sets)), weights=tuple(weights))
+
+
+def test_quick_pass_agrees_with_the_member_walk():
+    # the whole-set pass must accept exactly the colorings in which the
+    # member-by-member walk finds no fault, on the vertex- and edge-deletion
+    # certificates of small Q(n,k), random tamperings of them, and graphs with
+    # a self-loop (which no walk reports)
+    rng = random.Random(11)
+    cases = []
+    for n, k in [(7, 2), (11, 4), (13, 5), (17, 5)]:
+        q = build_q(n, k)
+        for v in range(n):
+            cases.append((q, vertex_deleted_coloring(n, k, v)))
+            cases.append((q, edge_deleted_coloring(n, k, (v, (v + 1) % n))))
+    loop = mk(5, [(0, 0), (0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    cases.append((loop, FractionalColoring(((0, 2), (1, 3), (2, 4), (3, 0), (4, 1)),
+                                           (Fraction(1, 2),) * 5)))
+    def excl_e(fc):
+        return None if fc.excluded_edge is None else tuple(sorted(fc.excluded_edge))
+
+    for g, fc in cases[:-1]:  # the certificates pass without the walk
+        assert _coloring_passes(g, fc, excl_e(fc)), fc
+    accepted = rejected = 0
+    for g, fc in cases:
+        for variant in [fc] + [_tamper(rng, g.vertex_count, fc) for _ in range(8)]:
+            want = _coloring_violations(g, variant, excl_e(variant))
+            assert verify_fractional_coloring(g, variant) == want, variant
+            accepted += not want
+            rejected += bool(want)
+    assert accepted > len(cases) and rejected > len(cases)
 
 
 def test_verifier_honors_exclusions():

@@ -25,7 +25,12 @@ from wellspread import (
     is_interlacing_edge,
     validate_map,
 )
-from wellspread.graphs import dihedral_automorphisms, label_rotation
+from wellspread.graphs import (
+    FamilyParams,
+    _disjointness_graph,
+    dihedral_automorphisms,
+    label_rotation,
+)
 
 
 def test_kneser_petersen_shape():
@@ -54,6 +59,24 @@ def test_set_families_match_pairwise_disjointness():
             for builder in (build_kneser, build_schrijver, build_q):
                 g = builder(n, k)
                 assert g.adj == _disjointness_adjacency(g), (builder.__name__, n, k)
+
+
+def test_q_circulant_matches_the_disjointness_build():
+    cases = [(n, k) for n in range(2, 61) for k in range(1, n // 2 + 1)]
+    for n, k in cases + [(601, 300), (599, 150), (600, 150), (602, 300)]:
+        g = build_q(n, k)
+        assert g == _disjointness_graph(g.labels, n, FamilyParams("q", n, k)), (n, k)
+
+
+def test_rotate_matches_the_residue_definition():
+    for n in range(1, 14):
+        for k in range(n + 1):
+            s = CyclicSubset(n, range(0, 2 * k, 2) if 2 * k <= n else range(k))
+            for t in range(-n - 1, 2 * n + 2):
+                want = CyclicSubset(n, ((x + t) % n for x in s.elements))
+                got = s.rotate(t)
+                assert got == want and hash(got) == hash(want), (n, k, t)
+                assert type(got.elements) is tuple
 
 
 def test_circular_matches_pairwise_distance():

@@ -6,6 +6,10 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from wellspread import cli, serialize
 
 from wellspread import (
     FamilyParams,
@@ -161,3 +165,57 @@ def test_dumps_is_deterministic():
     assert text == dumps(json.loads(text))
     assert text.endswith("\n")
     assert json.loads(text)["schemaVersion"] == "1"
+
+
+# one document of every kind the command line prints
+CLI_DOCUMENTS = [
+    "build --family q --n 13 --k 5",
+    "build --family q --n 601 --k 300",
+    "build --family kneser --n 6 --k 2 --delete-vertex 3",
+    "build --family circular --n 9 --k 2 --delete-edge 2,0",
+    "invariants --family q --n 12 --k 4",
+    "criticality --family q --n 13 --k 5",
+    "criticality --family q --n 11 --k 4 --edges",
+    "criticality --family circular --n 11 --k 3 --edges",
+    "criticality --boundary --max-n 8",
+    "certify coloring --n 13 --k 5 --delete-vertex 2",
+    "certify coloring --n 599 --k 150 --delete-edge 42,43",
+    "certify retraction --n 13 --k 5 --delete-vertex 3",
+    "certify retraction --n 13 --k 5 --delete-edge 4,5",
+    "certify subgraph-qab --n 13 --k 5",
+    "certify iso-circular --n 13 --k 5",
+    "certify iso-scaling --n 7 --k 3 --l 2",
+    "certify reduce --n 13 --k 5",
+    "verify-paper --max-n 5",
+]
+
+
+@pytest.mark.parametrize("cmd", CLI_DOCUMENTS)
+def test_dumps_matches_json_on_every_cli_document(cmd, monkeypatch, capsys):
+    docs = []
+
+    def recording(doc):
+        docs.append(doc)
+        return serialize.dumps(doc)
+
+    monkeypatch.setattr(cli, "dumps", recording)
+    assert cli.main(cmd.split()) == 0
+    (doc,) = docs
+    assert capsys.readouterr().out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+_TEXT = st.text() | st.text(st.characters(max_codepoint=0x2F)) | st.sampled_from(
+    ["", "\u00e9t\u00e9", "\u2603\U0001f600", "a\"b\\c", "\x00\x1f\x7f\n\t\u2028"])
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(-2**80, 2**80)
+            | st.floats() | _TEXT)
+_INT_LISTS = st.lists(st.integers(0, 40)) | st.lists(st.integers(-3, 3) | st.booleans())
+
+
+@given(st.recursive(
+    _SCALARS | _INT_LISTS | st.lists(_INT_LISTS) | st.lists(_INT_LISTS.map(tuple)),
+    lambda kids: (st.lists(kids) | st.lists(kids).map(tuple)
+                  | st.dictionaries(_TEXT, kids) | st.dictionaries(st.integers(), kids)),
+    max_leaves=25,
+))
+def test_dumps_matches_json_on_arbitrary_trees(doc):
+    assert dumps(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
