@@ -1,17 +1,28 @@
 """Deletion sweeps: how chromatic invariants respond to removing one vertex
 or one edge, and where the rotation and 2-separated families coincide.
 
-Every reported value is an exact solver's answer on a literally modified
-graph; nothing is inferred from formulas.  A sweep first takes the graph's
-certified dihedral symmetries (`graphs.dihedral_automorphisms`: the label
-rotation and reflection, each kept only once `validate_map` accepts it as an
-automorphism) and closes the vertices or edges into orbits under them.  An
-automorphism s gives G-v isomorphic to G-s(v) and G-e to G-s(e), so chi, chi_f
-and chi_c are constant on an orbit: the deleted graph of the orbit's first
-member is solved and its value is reported for every member.  A graph with no
-certified symmetry gets one solve per deletion.  Formula predictions live in
-the verification harness, which compares them against the closed forms and
-recomputes every deleted graph itself, so it checks this reduction too.
+Every reported value is checked on the literally deleted graph: it comes
+either from a witness pair checked there or from an exact solver.  A sweep
+first takes the graph's certified dihedral symmetries
+(`graphs.dihedral_automorphisms`: the label rotation and reflection, each kept
+only once `validate_map` accepts it as an automorphism) and closes the
+vertices or edges into orbits under them.  An automorphism s gives G-v
+isomorphic to G-s(v) and G-e to G-s(e), so chi, chi_f and chi_c are constant
+on an orbit: the deleted graph of the orbit's first member is settled and its
+value is reported for every member.  A graph with no certified symmetry gets
+one deleted graph settled per deletion.
+
+On the rotation graph Q(n,k) with gcd(n,k) = 1 and 2k < n, chi_f and chi_c of
+a deleted graph D are first tried through the paper's constructions
+(`certificates`): a fractional colouring of D and the uniform weight 1/b on
+the embedded copy S of Q(a,b).  `fractional.witnessed_value` verifies the
+colouring on D and proves alpha(D[S]) <= b by branch-and-bound, and weak
+duality then pins chi_f(D) = a/b.  For chi_c the retraction onto that copy, composed
+with Q(a,b) ~ K_{a/b}, must also pass `validate_map` as a homomorphism of D,
+so chi_f(D) <= chi_c(D) <= a/b.  If any check fails, the solver decides.
+Formula predictions live in the verification harness, which compares them
+against the closed forms and solves every deleted graph itself, so it checks
+the witnesses and the orbit reduction too.
 """
 from __future__ import annotations
 
@@ -21,13 +32,22 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional
 
+from .certificates import (
+    circular_isomorphism,
+    edge_deleted_coloring,
+    edge_deleted_retraction,
+    vertex_deleted_coloring,
+    vertex_deleted_retraction,
+)
 from .coloring import chromatic_number
 from .cyclic import critical_params
 from .errors import InvalidParams
-from .fractional import fractional_chromatic_number
+from .fractional import FractionalColoring, fractional_chromatic_number, witnessed_value
 from .graphs import (
     FamilyParams,
     LabeledGraph,
+    MapKind,
+    VertexMap,
     build_circular,
     build_q,
     build_schrijver,
@@ -35,6 +55,7 @@ from .graphs import (
     delete_vertex,
     dihedral_automorphisms,
     is_cycle_edge,
+    validate_map,
 )
 from .homomorphism import circular_chromatic_number
 
@@ -98,8 +119,63 @@ def _solve_per_orbit(items, generators, act, solve) -> list:
     return [value[x] for x in items]
 
 
+def _retraction_witness(q: LabeledGraph, d: LabeledGraph, invariant: Invariant,
+                        deletion: int | tuple[int, int],
+                        orbit_fc: FractionalColoring | None = None) -> Fraction | None:
+    """chi_f or chi_c of d, the graph q less one vertex or edge, when the
+    paper's witness pair pins it on d; None otherwise.
+
+    Only the coprime rotation graph with 2k < n has the pair:
+    - vertex v: the star colouring avoiding v, re-indexed to d's ids, and the
+      copy of Q(a,b) anchored at v-1, with weight 1/b;
+    - consecutive-rotation edge: the star colouring less that edge and the
+      copy anchored at the edge's lower endpoint;
+    - any other edge (chi_f only): orbit_fc, q's own colouring, which stays
+      valid, and weight 1/k on every vertex.
+    chi_c also needs the retraction onto the copy, composed with
+    Q(a,b) ~ K_{a/b}, to be a homomorphism of d.
+    """
+    fam = q.family
+    if invariant is Invariant.CHI or fam is None or fam.tag != "q":
+        return None
+    n, k = fam.n, fam.k
+    if gcd(n, k) != 1 or not 2 * k < n or q.vertex_count != n:
+        return None
+    if isinstance(deletion, int):
+        fc = vertex_deleted_coloring(n, k, deletion)
+        retraction = vertex_deleted_retraction(n, k, deletion)
+        d_id = lambda u: u - (u > deletion)  # delete_vertex compacts the ids
+    elif is_cycle_edge(q, *deletion):
+        fc = edge_deleted_coloring(n, k, deletion)
+        retraction = edge_deleted_retraction(n, k, deletion)
+        d_id = lambda u: u
+    elif invariant is Invariant.CHI_F and orbit_fc is not None:
+        return witnessed_value(d, orbit_fc, range(n), k)
+    else:
+        return None
+    # re-indexed without its exclusion, the colouring is checked on d itself
+    fc = FractionalColoring(tuple(tuple(map(d_id, s)) for s in fc.sets), fc.weights)
+    cp = critical_params(n, k)
+    value = witnessed_value(d, fc, map(d_id, retraction.section.values()), cp.b)
+    if value is None or invariant is Invariant.CHI_F:
+        return value
+    to_circular = circular_isomorphism(cp.a, cp.b)
+    mapping = {d_id(u): to_circular.mapping[t] for u, t in retraction.mapping.items()}
+    hom = VertexMap(d, to_circular.target, mapping, MapKind.HOMOMORPHISM)
+    if value != Fraction(cp.a, cp.b) or validate_map(hom):
+        return None
+    return value
+
+
+def _settle(q: LabeledGraph, d: LabeledGraph, invariant: Invariant, deletion,
+            orbit_fc: FractionalColoring | None = None) -> Fraction:
+    """The invariant of d = q less the deletion: witness first, then the solver."""
+    value = _retraction_witness(q, d, invariant, deletion, orbit_fc)
+    return evaluate_invariant(d, invariant) if value is None else value
+
+
 def vertex_criticality(g: LabeledGraph, invariant: Invariant) -> CriticalityReport:
-    """The invariant after each single vertex deletion, solved once per
+    """The invariant after each single vertex deletion, settled once per
     certified vertex orbit.
 
     VERTEX_CRITICAL means every deletion strictly lowered the value.
@@ -108,7 +184,7 @@ def vertex_criticality(g: LabeledGraph, invariant: Invariant) -> CriticalityRepo
     vertices = range(g.vertex_count)
     values = _solve_per_orbit(
         vertices, dihedral_automorphisms(g), list.__getitem__,
-        lambda v: evaluate_invariant(delete_vertex(g, v), invariant))
+        lambda v: _settle(g, delete_vertex(g, v), invariant, v))
     rows = []
     for v, val in zip(vertices, values):
         if val > baseline:
@@ -134,7 +210,7 @@ def _edge_summary(rows, baseline) -> SweepSummary:
 
 def edge_criticality(q: LabeledGraph) -> CriticalityReport:
     """Fractional chromatic number of the rotation graph after each single
-    edge deletion, solved once per certified edge orbit, tagged with the
+    edge deletion, settled once per certified edge orbit, tagged with the
     consecutive-rotation flag.
 
     Non-coprime parameters are reduced first; the sweep then runs on the
@@ -149,11 +225,11 @@ def edge_criticality(q: LabeledGraph) -> CriticalityReport:
         metadata["original_params"] = (n, k)
         n, k = n // g, k // g
         q = build_q(n, k)
-    baseline = fractional_chromatic_number(q)[0]
+    baseline, orbit_fc = fractional_chromatic_number(q)
     edges = q.edges()
     values = _solve_per_orbit(
         edges, dihedral_automorphisms(q), _edge_image,
-        lambda e: fractional_chromatic_number(delete_edge(q, *e))[0])
+        lambda e: _settle(q, delete_edge(q, *e), Invariant.CHI_F, e, orbit_fc))
     rows = []
     for e, val in zip(edges, values):
         if val > baseline:

@@ -18,6 +18,7 @@ from .cyclic import CyclicSubset
 from .errors import ResourceCap
 from .graphs import LabeledGraph, label_rotation
 from .independence import (
+    alpha_at_most,
     iter_bits,
     max_weight_independent_set,
     maximum_independent_set,
@@ -130,6 +131,29 @@ def _coloring_violations(g: LabeledGraph, fc: FractionalColoring,
         if v != excl_v and cover[v] < scale:
             out.append(f"vertex {v} covered only {Fraction(cover[v], scale)}")
     return out
+
+
+def witnessed_value(g: LabeledGraph, fc: FractionalColoring, support,
+                    b: int) -> Fraction | None:
+    """chi_f(g) = |support|/b when fc and the uniform weight 1/b on support
+    pin it, else None.
+
+    fc must pass `verify_fractional_coloring(g, fc)` with value |support|/b,
+    and branch-and-bound must prove alpha(g[support]) <= b, which makes the
+    weights a fractional clique.  Weak duality then gives
+    |support|/b <= chi_f(g) <= fc.value.
+    """
+    mask = 0
+    for v in support:
+        if not 0 <= v < g.vertex_count:
+            return None
+        mask |= 1 << v
+    value = Fraction(mask.bit_count(), b)
+    if fc.value != value or verify_fractional_coloring(g, fc):
+        return None
+    if not alpha_at_most(g.adj, mask, b):
+        return None
+    return value
 
 
 def _greedy_maximal_extend(adj, V: int, seed_mask: int) -> int:

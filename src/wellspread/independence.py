@@ -205,11 +205,12 @@ def ratio_upper_bound(g: LabeledGraph) -> int | None:
     return None
 
 
-def _alpha_branch_and_bound(adj, V: int, lb_mask: int) -> tuple[int, int]:
-    """Exact (alpha, witness_mask) by neighborhood branching.
+def _fail_soft_alpha(adj):
+    """Neighborhood branching on the graph with adjacency rows adj.
 
-    solve(mask, need) returns (r, witness): r is exact alpha of G[mask]
-    whenever r > need; any r <= need certifies alpha <= need (fail-soft).
+    The returned solve(mask, need) gives (r, witness): r is exact alpha of
+    G[mask] whenever r > need; any r <= need certifies alpha <= need
+    (fail-soft).
     """
 
     def alpha_deg2(mask: int) -> tuple[int, int]:
@@ -297,9 +298,14 @@ def _alpha_branch_and_bound(adj, V: int, lb_mask: int) -> tuple[int, int]:
             excluded |= 1 << u
         return total + best, taken | best_mask
 
+    return solve
+
+
+def _alpha_branch_and_bound(adj, V: int, lb_mask: int) -> tuple[int, int]:
+    """Exact (alpha, witness_mask), starting from the independent set lb_mask."""
     full = (1 << V) - 1
     lb = lb_mask.bit_count()
-    res, wit = solve(full, lb - 1)
+    res, wit = _fail_soft_alpha(adj)(full, lb - 1)
     if res > lb - 1:
         return res, wit
     return lb, lb_mask
@@ -329,6 +335,13 @@ def maximum_independent_set(g: LabeledGraph) -> int:
     if res == lb:
         return lb_mask
     return wit
+
+
+def alpha_at_most(adj, mask: int, bound: int) -> bool:
+    """True when the subgraph induced on mask has no independent set of more
+    than bound vertices; branch-and-bound prunes at bound and computes no
+    maximum set."""
+    return _fail_soft_alpha(adj)(mask, bound)[0] <= bound
 
 
 def independence_number(g: LabeledGraph) -> int:

@@ -259,6 +259,26 @@ GOLDEN = [
      "95bda9548681089cdfc107ddac9a5179c02a3a082d59de94156d1994849d72ba"),
     ("certify coloring --n 13 --k 5 --delete-edge 0,5", 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    # Deletion sweeps, pinned from sweeps that solved every orbit with the
+    # LP or the map search.  The first five are the benchmark's chif-sweeps
+    # requests; the last two reduce to Q(4,1) and Q(7,1), complete graphs
+    # whose non-cycle edges still go to the solver.
+    ("criticality --family q --n 23 --k 7 --edges", 0,
+     "0fee30eeafc4fad43ddc6eac490d113c4e1a6c40dcb9d61dd09eab061d3592d0"),
+    ("criticality --family q --n 27 --k 8 --edges", 0,
+     "3087f93e21b5ca5885b0c0756705bcbac620103f900e7a65a47b1b0a85e07abc"),
+    ("criticality --family q --n 19 --k 7 --edges", 0,
+     "0691383e6b938c67d33f770ebe1ef1e63f25972ba6acbe3b3ae3202894a2daef"),
+    ("criticality --family q --n 29 --k 9", 0,
+     "2e7c8e388b679fbac3c119ee6630da6dd9233d007cbf7bf04bbb3445dd026e95"),
+    ("criticality --family q --n 23 --k 7", 0,
+     "7c3310e6f0edfce15bb4a010f3216963b8adcee144535888d9ff436c040c043a"),
+    ("criticality --family q --n 41 --k 13 --invariant chi-c", 0,
+     "bd347f1b1aeade1c574b1bd6ddbe5108192d4a9ea91af89dc0b03ddd9d06a974"),
+    ("criticality --family q --n 12 --k 3 --edges", 0,
+     "91060c46fa81038474a713914b39874ab05c0a7705392ea5f79f8d53b3d77e18"),
+    ("criticality --family q --n 7 --k 1 --edges", 0,
+     "30abe9030c034c7993be4a4d3ef356abb2447cf25e99aa39caba959d2379671d"),
 ]
 
 
@@ -267,3 +287,50 @@ def test_golden_output(capsys, cmd, code, digest):
     got, out, _ = run(capsys, *cmd.split())
     assert got == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+FUZZ_FAMILIES = ["kneser", "sg", "q", "circular", "interlacing"]
+FUZZ_PARAMS = [(-1, 1), (0, 0), (3, 0), (3, 2), (4, 1), (4, 2), (5, 2), (6, 2), (6, 3),
+               (7, 2), (8, 3), (40, 10)]
+FUZZ_FAMILY_KINDS = [
+    ["build"], ["build", "--format", "dot"], ["build", "--delete-vertex", "0"],
+    ["build", "--delete-edge", "0,1"], ["build", "--delete-vertex", "99"],
+    ["invariants"], ["criticality"], ["criticality", "--invariant", "chi"],
+    ["criticality", "--invariant", "chi-c"], ["criticality", "--edges"],
+]
+FUZZ_CERTIFY = [
+    ["coloring", "--delete-vertex", "1"], ["coloring", "--delete-edge", "0,1"], ["coloring"],
+    ["retraction", "--delete-vertex", "0"], ["retraction", "--delete-edge", "1,0"],
+    ["retraction", "--delete-edge", "0,2"], ["subgraph-qab"], ["iso-circular"],
+    ["iso-scaling"], ["reduce"],
+]
+# Kneser and Schrijver graphs whose chi_c (and, for KG(8,3), chi_f sweep)
+# took from 1.9 s to past 10 s; they are only built.  Every other request of
+# the grid ended in under 0.6 s.
+FUZZ_SLOW = {("kneser", 7, 2), ("kneser", 8, 3), ("sg", 7, 2), ("sg", 8, 3)}
+
+
+def fuzz_grid():
+    for fam in FUZZ_FAMILIES:
+        for n, k in FUZZ_PARAMS:
+            for kind in FUZZ_FAMILY_KINDS:
+                if kind[0] != "build" and (fam, n, k) in FUZZ_SLOW:
+                    continue
+                yield [kind[0], "--family", fam, "--n", str(n), "--k", str(k), *kind[1:]]
+    for n, k in FUZZ_PARAMS:
+        for kind in FUZZ_CERTIFY:
+            yield ["certify", kind[0], "--n", str(n), "--k", str(k), *kind[1:]]
+
+
+def test_every_request_of_a_small_grid_exits_with_a_documented_code(capsys):
+    # an uncaught exception here is a traceback at the command line
+    codes = set()
+    for argv in fuzz_grid():
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        capsys.readouterr()
+        assert code in (0, 1, 2, 3), argv
+        codes.add(code)
+    assert codes == {0, 2, 3}

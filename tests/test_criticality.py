@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 from math import gcd
 
@@ -29,7 +30,10 @@ from wellspread import (
     q_equals_schrijver_sweep,
     vertex_criticality,
 )
-from wellspread import criticality
+from wellspread import criticality, fractional
+from wellspread.certificates import vertex_deleted_coloring, vertex_deleted_retraction
+from wellspread.cyclic import critical_params
+from wellspread.fractional import FractionalColoring, verify_fractional_coloring, witnessed_value
 from wellspread.graphs import dihedral_automorphisms
 
 
@@ -240,19 +244,59 @@ def solver_calls(monkeypatch):
     return calls
 
 
-def test_sweeps_solve_once_per_orbit(solver_calls):
-    # Q(n,k) is vertex-transitive and has (n-2k+1)/2 dihedral edge orbits
+@pytest.fixture
+def witnessed(monkeypatch):
+    """Deletions settled by a witness pair, one entry per success."""
+    hits = []
+    witness = criticality._retraction_witness
+
+    def wrapper(q, d, *args, **kwargs):
+        value = witness(q, d, *args, **kwargs)
+        if value is not None:
+            hits.append(d)
+        return value
+
+    monkeypatch.setattr(criticality, "_retraction_witness", wrapper)
+    return hits
+
+
+@pytest.fixture
+def lp_runs(monkeypatch):
+    runs = []
+    column_generation = fractional._column_generation
+
+    def wrapper(g):
+        runs.append(g)
+        return column_generation(g)
+
+    monkeypatch.setattr(fractional, "_column_generation", wrapper)
+    return runs
+
+
+def test_sweeps_solve_once_per_orbit(solver_calls, witnessed, lp_runs):
+    # Q(n,k) is vertex-transitive and has (n-2k+1)/2 dihedral edge orbits.
+    # Each orbit is settled once, by a witness pair on coprime Q(n,k) and by
+    # the solver elsewhere; the baseline is always the solver's, and on Q(n,k)
+    # it pins through the rotation orbit without the LP.
     rep = edge_criticality(build_q(23, 7))
     assert len(rep.per_edge) == 115
-    assert len(solver_calls) == 1 + 5
+    assert len(solver_calls) + len(witnessed) == 1 + 5
+    assert len(solver_calls) == 1 and lp_runs == []
     solver_calls.clear()
+    witnessed.clear()
     rep = circular_edge_corollary(17, 5)
     assert len(rep.per_edge) == 68
-    assert len(solver_calls) == 1 + 4
+    assert (len(solver_calls), len(witnessed)) == (1 + 4, 0)
     solver_calls.clear()
+    lp_runs.clear()
     rep = vertex_criticality(build_q(29, 9), Invariant.CHI_F)
     assert len(rep.per_vertex) == 29
-    assert len(solver_calls) == 1 + 1
+    assert len(solver_calls) + len(witnessed) == 1 + 1
+    assert len(solver_calls) == 1 and lp_runs == []
+    solver_calls.clear()
+    witnessed.clear()
+    rep = vertex_criticality(build_q(29, 9), Invariant.CHI_C)
+    assert len(solver_calls) == 1 and len(witnessed) == 1
 
 
 def test_sweep_without_a_certified_symmetry_solves_every_deletion(solver_calls):
@@ -264,3 +308,106 @@ def test_sweep_without_a_certified_symmetry_solves_every_deletion(solver_calls):
     assert len(solver_calls) == 1 + 7
     assert (rep.baseline, rep.per_vertex, rep.summary) == literal_vertex_sweep(
         h, Invariant.CHI_F)
+
+
+def coprime_q(max_n):
+    return [(n, k) for n in range(5, max_n + 1) for k in range(2, (n - 1) // 2 + 1)
+            if gcd(n, k) == 1]
+
+
+def test_retraction_witness_matches_the_solvers():
+    # every deletion has a witness pair; one deletion per orbit is solved too
+    for n, k in coprime_q(17):
+        q = build_q(n, k)
+        orbit_fc = fractional_chromatic_number(q)[1]
+        autos = dihedral_automorphisms(q)
+        for v in range(n):
+            d = delete_vertex(q, v)
+            got = criticality._retraction_witness(q, d, Invariant.CHI_F, v)
+            assert got is not None, (n, k, v)
+            if v == 0:
+                assert got == fractional_chromatic_number(d)[0]
+        edges = q.edges()
+        got = {e: criticality._retraction_witness(
+            q, delete_edge(q, *e), Invariant.CHI_F, e, orbit_fc) for e in edges}
+        assert None not in got.values(), (n, k)
+        firsts = criticality._solve_per_orbit(
+            edges, autos, criticality._edge_image, lambda e: e)
+        for e in set(firsts):
+            assert got[e] == fractional_chromatic_number(delete_edge(q, *e))[0]
+        if n <= 13:
+            d = delete_vertex(q, 0)
+            got = criticality._retraction_witness(q, d, Invariant.CHI_C, 0)
+            assert got is not None and got == circular_chromatic_number(d), (n, k)
+            assert all(criticality._retraction_witness(
+                q, delete_vertex(q, v), Invariant.CHI_C, v) == got for v in range(1, n))
+
+
+def test_witnessed_value_rejects_tampered_pairs():
+    q = build_q(13, 5)
+    d = delete_vertex(q, 4)
+    fc = vertex_deleted_coloring(13, 5, 4)
+    fc = FractionalColoring(tuple(tuple(u - (u > 4) for u in s) for s in fc.sets), fc.weights)
+    support = [u - (u > 4) for u in vertex_deleted_retraction(13, 5, 4).section.values()]
+    b = critical_params(13, 5).b
+    assert witnessed_value(d, fc, support, b) == Fraction(5, 2)
+    # a colouring missing a set covers too little (and is worth too little)
+    short = FractionalColoring(fc.sets[1:], fc.weights[1:])
+    assert witnessed_value(d, short, support, b) is None
+    assert witnessed_value(d, short, support[1:], b) is None
+    # a set that is not independent
+    bad = FractionalColoring((fc.sets[0] + fc.sets[1],) + fc.sets[2:], fc.weights)
+    assert verify_fractional_coloring(d, bad)
+    assert witnessed_value(d, bad, support, b) is None
+    # the whole of C_5 3-coloured: value 3 = |{0,1,2}|/1, but alpha(P_3) = 2 > 1
+    c5 = cycle(5)
+    three = FractionalColoring(((0, 2), (1, 3), (4,)), (Fraction(1),) * 3)
+    assert not verify_fractional_coloring(c5, three)
+    assert witnessed_value(c5, three, [0, 1, 2], 1) is None
+    assert witnessed_value(c5, three, [0, 1, 5], 1) is None
+
+
+def sweep_without_witnesses(monkeypatch, sweep):
+    with monkeypatch.context() as m:
+        m.setattr(criticality, "_retraction_witness", lambda *args, **kwargs: None)
+        return sweep()
+
+
+def test_tampered_colouring_falls_back_to_the_solver(monkeypatch, solver_calls):
+    def short(n, k, v):
+        fc = vertex_deleted_coloring(n, k, v)
+        return FractionalColoring(fc.sets[:-1], fc.weights[:-1])
+
+    q = build_q(13, 5)
+    want = sweep_without_witnesses(monkeypatch, lambda: vertex_criticality(q, Invariant.CHI_F))
+    solver_calls.clear()
+    monkeypatch.setattr(criticality, "vertex_deleted_coloring", short)
+    assert vertex_criticality(q, Invariant.CHI_F) == want
+    assert len(solver_calls) == 1 + 1
+
+
+def test_chords_of_a_complete_graph_fail_the_dual_check(monkeypatch, solver_calls, witnessed):
+    # Q(7,1) is K_7: deleting a chord leaves alpha = 2 > k, so its orbits
+    # fall to the solver, while the cycle-edge orbit keeps its witness
+    q = build_q(7, 1)
+    want = sweep_without_witnesses(monkeypatch, lambda: edge_criticality(q))
+    solver_calls.clear()
+    assert edge_criticality(q) == want
+    assert len(witnessed) == 1
+    assert len(solver_calls) == 1 + 2
+
+
+def test_tampered_homomorphism_falls_back_to_the_solver(monkeypatch, solver_calls):
+    def bent(n, k, v):
+        m = vertex_deleted_retraction(n, k, v)
+        mapping = dict(m.mapping)
+        u = next(iter(mapping))
+        mapping[u] = (mapping[u] + 1) % m.target.vertex_count
+        return dataclasses.replace(m, mapping=mapping)
+
+    q = build_q(11, 3)
+    want = sweep_without_witnesses(monkeypatch, lambda: vertex_criticality(q, Invariant.CHI_C))
+    solver_calls.clear()
+    monkeypatch.setattr(criticality, "vertex_deleted_retraction", bent)
+    assert vertex_criticality(q, Invariant.CHI_C) == want
+    assert len(solver_calls) == 1 + 1
