@@ -10,18 +10,24 @@ runs out, class branching over maximal independent sets (the shared
 Bron-Kerbosch of `independence`) decides with what is left of the node
 budget, branching on the residual vertex with the fewest class choices and
 deciding the last two colors by a bipartiteness check, which alone decides
-t = 2 before any search.  The two searches win on different graphs: the
-probe refutes 3 colors on I(10,3) at once, where class branching takes
-seconds; class branching refutes 5 colors on SG(10,3) and 4 on SG(11,4) in
-well under a second each, where DSATUR takes minutes.  Both searches are
-exhaustive, so both directions of every answer are exact.
+t = 2 before any search.  It memoizes refuted residuals up to the graph's
+certified dihedral symmetry (`graphs.dihedral_automorphisms`), renumbering
+the vertices so that the rotation acts by bit shifts; a graph without one
+keys the memo by the residual itself.  The two searches win on different
+graphs: the probe refutes 3 colors on I(10,3) at once, where class branching
+takes seconds; class branching refutes 5 colors on SG(10,3) and 4 on SG(11,4)
+in a fraction of a second each, where DSATUR takes minutes.  Both searches
+are exhaustive and the memo only skips residuals isomorphic to refuted ones,
+so both directions of every answer are exact.
 """
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from math import lcm
+from typing import Callable
 
 from .errors import ResourceCap
-from .graphs import LabeledGraph, _map_search
+from .graphs import LabeledGraph, _map_search, dihedral_automorphisms
 from .independence import bron_kerbosch, iter_bits, nonadjacency
 
 DEFAULT_NODE_BUDGET = 100_000_000
@@ -31,7 +37,7 @@ _PROBE_NODES = 1000
 
 # class branching stops memoizing refuted residual masks past this many; the
 # largest memo in the acceptance grids and SG sweeps, refuting 5 colors on
-# SG(10,3), holds 1,751 (refuting 4 colors on SG(11,4) holds 367)
+# SG(10,3), holds 384 (refuting 4 colors on SG(11,4) holds 77)
 _REFUTED_MEMO_CAP = 250_000
 
 
@@ -125,6 +131,74 @@ def _is_bipartite(adj: tuple[int, ...], mask: int) -> bool:
     return True
 
 
+def _dihedral_frame(g: LabeledGraph) -> tuple[LabeledGraph, Callable[[int], int] | None]:
+    """g renumbered so that its certified dihedral symmetry acts by shifts, and
+    the memo key of a vertex mask there: its least image under that symmetry.
+
+    Without a generator from `dihedral_automorphisms`, g itself and None.
+    Otherwise the vertices are renumbered along the cycles of the first
+    generator (the rotation when it is certified): the m cycles of one length
+    form a block of bits, position i of the j-th cycle at bit i*m + j of the
+    block, with longer cycles in higher blocks.  The generator then rotates
+    each block by m bits, so each of its powers costs one shift per block; the
+    second generator, the reflection, is applied bit by bit.  The key is the
+    least image of the mask and of its reflection under those powers.  Every
+    image is under a composition of certified automorphisms, so two masks with
+    one key induce isomorphic subgraphs.  Blocks compare from the top, so the
+    lower blocks are rotated only by the powers that tie on the top block.
+    """
+    gens = dihedral_automorphisms(g)
+    if not gens:
+        return g, None
+    step, *rest = gens
+    V = g.vertex_count
+    by_length: dict[int, list[list[int]]] = {}
+    seen = [False] * V
+    for v in range(V):
+        cycle = []
+        while not seen[v]:
+            seen[v] = True
+            cycle.append(v)
+            v = step[v]
+        if cycle:
+            by_length.setdefault(len(cycle), []).append(cycle)
+    order = lcm(*by_length)
+    pos = [0] * V
+    blocks = []  # (block mask, doubling factor, right shift per power), lowest first
+    offset = 0
+    for length in sorted(by_length):
+        cycles = by_length[length]
+        m = len(cycles)
+        for j, cycle in enumerate(cycles):
+            for i, u in enumerate(cycle):
+                pos[u] = offset + i * m + j
+        width = length * m
+        blocks.append((((1 << width) - 1) << offset, 1 + (1 << width),
+                       [width - r * m % width for r in range(order)]))
+        offset += width
+    old = sorted(range(V), key=pos.__getitem__)
+    h = LabeledGraph(tuple(g.labels[v] for v in old),
+                     tuple(sum(1 << pos[u] for u in iter_bits(g.adj[v])) for v in old))
+    reflected = [1 << pos[rest[0][v]] for v in old] if rest else None
+    top, top_double, top_shifts = blocks.pop()
+
+    def least_image(mask: int) -> int:
+        best = mask
+        for x in (mask, sum(map(reflected.__getitem__, iter_bits(mask)))) if reflected else (mask,):
+            doubled = (x & top) * top_double
+            images = [(doubled >> s) & top for s in top_shifts]
+            low = min(images)
+            lower = [((x & bm) * dbl, bm, shifts) for bm, dbl, shifts in blocks]
+            for r, image in enumerate(images):
+                if image == low:
+                    for dl, bm, shifts in lower:
+                        image |= (dl >> shifts[r]) & bm
+                    best = min(best, image)
+        return best
+
+    return h, least_image
+
+
 def _class_colorable(g: LabeledGraph, t: int, node_budget: int, nodes: int) -> bool:
     """Exact t-colorability via class branching with residual memoization.
 
@@ -136,7 +210,14 @@ def _class_colorable(g: LabeledGraph, t: int, node_budget: int, nodes: int) -> b
     vertex-at-a-time search when the maximal-set families stay small; can
     blow up when they do not.  `nodes` is the work already spent against
     `node_budget`.
+
+    A residual refuted with c colors is memoized under its least image by
+    `_dihedral_frame`: an automorphism maps G[m] onto G[s(m)], so one
+    refutation refutes the residual's whole orbit.  With more than two colors
+    left, lookups use that key; a graph without certified symmetry keys by
+    the mask itself.
     """
+    g, least_image = _dihedral_frame(g)
     adj = g.adj
     nonadj = nonadjacency(g)
     refuted: dict[int, int] = {}
@@ -147,7 +228,8 @@ def _class_colorable(g: LabeledGraph, t: int, node_budget: int, nodes: int) -> b
             return True
         if colors_left == 0:
             return False
-        if refuted.get(mask, 0) >= colors_left:
+        key = least_image(mask) if least_image and colors_left > 2 else mask
+        if refuted.get(key, 0) >= colors_left:
             return False
         nodes += 1
         if nodes > node_budget:
@@ -166,9 +248,9 @@ def _class_colorable(g: LabeledGraph, t: int, node_budget: int, nodes: int) -> b
         for cls in sols:
             if rec(mask & ~cls, colors_left - 1):
                 return True
-        if colors_left > refuted.get(mask, 0) and (
-                mask in refuted or len(refuted) < _REFUTED_MEMO_CAP):
-            refuted[mask] = colors_left
+        if colors_left > refuted.get(key, 0) and (
+                key in refuted or len(refuted) < _REFUTED_MEMO_CAP):
+            refuted[key] = colors_left
         return False
 
     return rec((1 << g.vertex_count) - 1, t)

@@ -98,17 +98,24 @@ def _greedy_independent(adj: list[int] | tuple[int, ...], V: int, mask: int,
     return chosen
 
 
-def greedy_independent_set(g: LabeledGraph, tries: int = _GREEDY_TRIES) -> int:
-    """Best independent set found by randomized min-degree passes (fixed seed)."""
-    V = g.vertex_count
+def _random_passes(adj, V: int, best: int, passes: int) -> int:
+    """best, replaced by each of `passes` randomized min-degree passes (fixed
+    seed) that is strictly larger than the best so far."""
     full = (1 << V) - 1
-    best = _greedy_independent(g.adj, V, full, None)
     rng = random.Random(_GREEDY_SEED)
-    for _ in range(tries - 1):
-        cand = _greedy_independent(g.adj, V, full, rng)
+    for _ in range(passes):
+        cand = _greedy_independent(adj, V, full, rng)
         if cand.bit_count() > best.bit_count():
             best = cand
     return best
+
+
+def greedy_independent_set(g: LabeledGraph, tries: int = _GREEDY_TRIES) -> int:
+    """Best independent set found by min-degree passes: one deterministic,
+    then tries - 1 randomized (fixed seed)."""
+    V = g.vertex_count
+    first = _greedy_independent(g.adj, V, (1 << V) - 1, None)
+    return _random_passes(g.adj, V, first, tries - 1)
 
 
 def _matching_bound(adj, mask: int) -> int:
@@ -314,27 +321,36 @@ def _alpha_branch_and_bound(adj, V: int, lb_mask: int) -> tuple[int, int]:
 def maximum_independent_set(g: LabeledGraph) -> int:
     """A maximum independent set as a bitmask, exactly.
 
-    Cascade: greedy lower bound, matching bound, certified ratio bound for
-    regular graphs of maximum degree above 2, then branch-and-bound.
+    Cascade: the deterministic greedy pass, then the matching bound, the
+    certified ratio bound for regular graphs of maximum degree above 2, and
+    branch-and-bound from that pass.  When they prove the pass maximum, it is
+    returned at once.  Otherwise the randomized greedy passes run, and the
+    mask returned is the one the 40-pass greedy followed by this cascade
+    gives: a random pass replaces the first only when strictly larger, so a
+    greedy set of the first pass's size is the first pass itself.
     """
     V = g.vertex_count
     if V == 0:
         return 0
-    lb_mask = greedy_independent_set(g)
-    lb = lb_mask.bit_count()
+    adj = g.adj
     full = (1 << V) - 1
-    if _matching_bound(g.adj, full) == lb:
-        return lb_mask
+    first = _greedy_independent(adj, V, full, None)
+    lb = first.bit_count()
+    if _matching_bound(adj, full) == lb:
+        return first
     # at maximum degree <= 2 (paths and cycles) branch-and-bound settles alpha
     # directly, far below the cost of the O(V^3) PSD check
-    if V >= 40 and max(a.bit_count() for a in g.adj) > 2:
-        rb = ratio_upper_bound(g)
-        if rb is not None and rb == lb:
-            return lb_mask
-    res, wit = _alpha_branch_and_bound(g.adj, V, lb_mask)
-    if res == lb:
-        return lb_mask
-    return wit
+    if V >= 40 and max(a.bit_count() for a in adj) > 2 and ratio_upper_bound(g) == lb:
+        return first
+    alpha, wit = _alpha_branch_and_bound(adj, V, first)
+    if alpha == lb:
+        return first
+    best = _random_passes(adj, V, first, _GREEDY_TRIES - 1)
+    if best == first:
+        return wit  # the branch-and-bound above is the one run from best
+    if best.bit_count() == alpha:
+        return best
+    return _alpha_branch_and_bound(adj, V, best)[1]
 
 
 def alpha_at_most(adj, mask: int, bound: int) -> bool:

@@ -17,11 +17,14 @@ from wellspread import (
     build_q,
     build_schrijver,
     chromatic_number,
+    delete_edge,
+    delete_vertex,
     find_proper_coloring,
     is_t_colorable,
 )
 from wellspread import coloring
 from wellspread.coloring import DEFAULT_NODE_BUDGET, _class_colorable, _is_bipartite
+from wellspread.graphs import dihedral_automorphisms
 
 
 def test_chromatic_basics():
@@ -106,6 +109,54 @@ def test_class_branching_node_count_on_schrijver_10_3():
     # colors by bipartiteness refutes 5 colors on SG(10,3) in 86,117 nodes;
     # branching on the lowest-index vertex down to one color took 3,019,976
     assert not _class_colorable(build_schrijver(10, 3), 5, 100_000, 0)
+
+
+def test_class_branching_node_counts_with_the_symmetric_memo():
+    # memoizing refuted residuals up to the certified dihedral symmetry
+    # refutes 5 colors on SG(10,3) in 19,373 nodes and 4 on SG(11,4) in
+    # 44,956 (86,117 and 151,441 with the plain memo)
+    assert not _class_colorable(build_schrijver(10, 3), 5, 20_000, 0)
+    assert not _class_colorable(build_schrijver(11, 4), 4, 46_000, 0)
+    # the searches of the SG(10,2) and SG(9,3) chi sweeps, each within the
+    # nodes it took with the plain memo
+    assert not _class_colorable(build_schrijver(10, 2), 7, 5_484, 0)
+    sg = build_schrijver(9, 3)
+    assert not _class_colorable(sg, 4, 919, 0)
+    assert _class_colorable(delete_vertex(sg, 0), 4, 122, 0)
+
+
+def test_symmetric_memo_agrees_with_plain_memo_and_dsatur(monkeypatch):
+    graphs = []
+    for build in (build_schrijver, build_kneser, build_q, build_circular):
+        for n in range(4, 14):
+            for k in range(2, n // 2 + 1):
+                g = build(n, k)
+                if g.vertex_count > 40:
+                    continue
+                graphs.append(g)
+                if build in (build_q, build_circular):
+                    # labels still rotate, but the rotation is no automorphism
+                    u = (g.adj[0] & -g.adj[0]).bit_length() - 1
+                    graphs.append(delete_edge(g, 0, u))
+                # an edge {u, s(u)} under the reflection s: s still fixes
+                # the graph once it is deleted
+                reflection = dihedral_automorphisms(g)[-1]
+                u = next((u for u, v in enumerate(reflection) if g.has_edge(u, v)), None)
+                if u is not None:
+                    graphs.append(delete_edge(g, u, reflection[u]))
+    symmetries = set()
+    for g in graphs:
+        symmetries.add(len(dihedral_automorphisms(g)))
+        chi = chromatic_number(g)
+        for t in range(1, chi + 1):
+            symmetric = _class_colorable(g, t, DEFAULT_NODE_BUDGET, 0)
+            with monkeypatch.context() as m:
+                m.setattr(coloring, "dihedral_automorphisms", lambda g: [])
+                plain = _class_colorable(g, t, DEFAULT_NODE_BUDGET, 0)
+            by_dsatur = find_proper_coloring(g, t) is not None
+            assert symmetric == plain == by_dsatur == (t == chi)
+    # graphs with no certified generator, with the reflection alone, and with both
+    assert symmetries == {0, 1, 2}
 
 
 def test_q_needs_ceil_n_over_k():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import comb
 
@@ -11,6 +12,7 @@ from conftest import complete, cycle, mk
 
 from wellspread import (
     ResourceCap,
+    build_circular,
     build_kneser,
     build_q,
     build_schrijver,
@@ -22,7 +24,14 @@ from wellspread import (
     maximum_independent_set,
 )
 from wellspread.cyclic import CyclicSubset
-from wellspread.independence import greedy_independent_set
+from wellspread.independence import (
+    _GREEDY_SEED,
+    _alpha_branch_and_bound,
+    _greedy_independent,
+    _matching_bound,
+    greedy_independent_set,
+    ratio_upper_bound,
+)
 
 
 def test_small_graph_alphas():
@@ -105,6 +114,62 @@ def test_maximum_independent_set_returns_witness():
     for i, u in enumerate(members):
         for v in members[i + 1:]:
             assert not g.has_edge(u, v)
+
+
+def _forty_pass_maximum_independent_set(g):
+    """Reference: 40 greedy passes (the first deterministic, a random pass
+    kept only when strictly larger), then the matching bound, the ratio bound
+    and branch-and-bound from the best pass."""
+    V = g.vertex_count
+    if V == 0:
+        return 0
+    full = (1 << V) - 1
+    lb_mask = _greedy_independent(g.adj, V, full, None)
+    rng = random.Random(_GREEDY_SEED)
+    for _ in range(39):
+        cand = _greedy_independent(g.adj, V, full, rng)
+        if cand.bit_count() > lb_mask.bit_count():
+            lb_mask = cand
+    lb = lb_mask.bit_count()
+    if _matching_bound(g.adj, full) == lb:
+        return lb_mask
+    if V >= 40 and max(a.bit_count() for a in g.adj) > 2:
+        rb = ratio_upper_bound(g)
+        if rb is not None and rb == lb:
+            return lb_mask
+    res, wit = _alpha_branch_and_bound(g.adj, V, lb_mask)
+    return lb_mask if res == lb else wit
+
+
+def _random_graph(seed, sizes, densities):
+    rng = random.Random(seed)
+    V = rng.randrange(*sizes)
+    p = rng.choice(densities)
+    return mk(V, [(u, v) for u in range(V) for v in range(u + 1, V) if rng.random() < p])
+
+
+def test_maximum_independent_set_matches_the_forty_pass_cascade():
+    graphs = [_random_graph(seed, (1, 30), (0.1, 0.2, 0.3, 0.5, 0.7)) for seed in range(150)]
+    # found by scanning seeds: a random pass reaches alpha where the
+    # branch-and-bound witness is another set (seed 0), and random passes beat
+    # the first pass but stay short of alpha (seed 193)
+    graphs += [_random_graph(seed, (15, 45), (0.1, 0.2, 0.3, 0.5)) for seed in (0, 193)]
+    # V >= 40 reaches the ratio bound
+    for n, k in [(7, 2), (11, 3), (17, 5), (23, 11), (30, 7), (41, 10)]:
+        graphs += [build_circular(n, k), build_q(n, k)]
+    cases = set()
+    for g in graphs:
+        mask = maximum_independent_set(g)
+        assert mask == _forty_pass_maximum_independent_set(g)
+        V = g.vertex_count
+        first = _greedy_independent(g.adj, V, (1 << V) - 1, None).bit_count()
+        best = greedy_independent_set(g).bit_count()
+        alpha = mask.bit_count()
+        cases.add((first == alpha, best == alpha, first == best))
+    # first pass maximum; random passes reach alpha; no pass beats the
+    # first; a pass beats the first but is not maximum
+    assert cases == {(True, True, True), (False, True, False),
+                     (False, False, True), (False, False, False)}
 
 
 def test_enumeration_cap_trips():
