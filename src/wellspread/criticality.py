@@ -48,6 +48,7 @@ from .graphs import (
     LabeledGraph,
     MapKind,
     VertexMap,
+    _solve_per_orbit,
     build_circular,
     build_q,
     build_schrijver,
@@ -97,26 +98,6 @@ def evaluate_invariant(g: LabeledGraph, invariant: Invariant) -> Fraction:
 def _edge_image(perm: list[int], e: tuple[int, int]) -> tuple[int, int]:
     u, v = perm[e[0]], perm[e[1]]
     return (u, v) if u < v else (v, u)
-
-
-def _solve_per_orbit(items, generators, act, solve) -> list:
-    """The value of every item, calling solve only on the first item, in the
-    given order, of each orbit of the group the generators span;
-    `act(perm, item)` applies one generator."""
-    value = {}
-    for x in items:
-        if x in value:
-            continue
-        value[x] = val = solve(x)
-        todo = [x]
-        while todo:
-            y = todo.pop()
-            for perm in generators:
-                z = act(perm, y)
-                if z not in value:
-                    value[z] = val
-                    todo.append(z)
-    return [value[x] for x in items]
 
 
 def _retraction_witness(q: LabeledGraph, d: LabeledGraph, invariant: Invariant,

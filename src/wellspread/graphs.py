@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 from math import comb, gcd
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .cyclic import CyclicSubset, canonical_well_spread, is_r_separated
 from .errors import InvalidParams, NotAnEdge, ResourceCap
@@ -220,6 +220,9 @@ def delete_vertex(g: LabeledGraph, v: int) -> LabeledGraph:
 
 def delete_edge(g: LabeledGraph, u: int, v: int) -> LabeledGraph:
     """Same vertex set with one edge removed."""
+    V = g.vertex_count
+    if not (0 <= u < V and 0 <= v < V):
+        raise InvalidParams(f"edge {{{u},{v}}} out of range 0..{V - 1}")
     if not g.has_edge(u, v):
         raise NotAnEdge(f"{{{u},{v}}} is not an edge")
     adj = list(g.adj)
@@ -441,9 +444,11 @@ def validate_map(m: VertexMap) -> list[str]:
     return out
 
 
-def _residue_permutation(g: LabeledGraph, scale: int, shift: int) -> list[int] | None:
-    """The vertex permutation induced on g's labels by x -> scale*x + shift
-    mod n, or None when the labels are not mapped onto themselves.
+def _residue_permutation(g: LabeledGraph,
+                         residue_map: Callable[[int, int], int]) -> list[int] | None:
+    """The vertex permutation induced on g's labels by the residue map
+    x -> residue_map(x, n) of Z_n, or None when the labels are not mapped
+    onto themselves.
 
     Labels are residues for the circular family and k-subsets of Z_n
     otherwise; any other labelling has no such permutation.
@@ -451,16 +456,17 @@ def _residue_permutation(g: LabeledGraph, scale: int, shift: int) -> list[int] |
     labels = g.labels
     if g.family is not None and g.family.tag == "circular":
         n = g.family.n
-        return [(scale * i + shift) % n for i in range(n)]
+        return [residue_map(i, n) for i in range(n)]
     if not labels or not all(isinstance(lab, CyclicSubset) for lab in labels):
         return None
     n = labels[0].modulus
+    image = [residue_map(x, n) for x in range(n)]
     index = {lab: i for i, lab in enumerate(labels)}
     out = []
     for lab in labels:
         if lab.modulus != n:
             return None
-        img = index.get(CyclicSubset(n, ((scale * x + shift) % n for x in lab.elements)))
+        img = index.get(CyclicSubset(n, map(image.__getitem__, lab.elements)))
         if img is None:
             return None
         out.append(img)
@@ -473,7 +479,7 @@ def label_rotation(g: LabeledGraph) -> list[int] | None:
     Nothing here checks that it preserves adjacency; see
     `is_automorphism`.
     """
-    return _residue_permutation(g, 1, 1)
+    return _residue_permutation(g, lambda x, n: (x + 1) % n)
 
 
 def is_automorphism(g: LabeledGraph, perm: list[int]) -> bool:
@@ -487,5 +493,25 @@ def dihedral_automorphisms(g: LabeledGraph) -> list[list[int]]:
 
     An empty list means no symmetry is known.
     """
-    perms = (label_rotation(g), _residue_permutation(g, -1, 0))
+    perms = (label_rotation(g), _residue_permutation(g, lambda x, n: -x % n))
     return [perm for perm in perms if perm is not None and is_automorphism(g, perm)]
+
+
+def _solve_per_orbit(items, generators, act, solve) -> list:
+    """The value of every item, calling solve only on the first item, in the
+    given order, of each orbit of the group the generators span;
+    `act(perm, item)` applies one generator."""
+    value = {}
+    for x in items:
+        if x in value:
+            continue
+        value[x] = val = solve(x)
+        todo = [x]
+        while todo:
+            y = todo.pop()
+            for perm in generators:
+                z = act(perm, y)
+                if z not in value:
+                    value[z] = val
+                    todo.append(z)
+    return [value[x] for x in items]

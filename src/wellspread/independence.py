@@ -1,17 +1,19 @@
 """Exact independent-set machinery on bitmask adjacency.
 
-All certificates are exact: the ratio bound is only ever accepted after an
-exact rational PSD check, and the branch-and-bound returns witnesses.
+All certificates are exact: the ratio bound is only ever returned after its
+Katona-circle witness passes `validate_map` on the graph itself, and the
+branch-and-bound returns witnesses.
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import ceil
 from typing import Iterator
 
 from .errors import ResourceCap
-from .graphs import LabeledGraph, iter_bits
+from .cyclic import CyclicSubset
+from .graphs import (LabeledGraph, MapKind, VertexMap, _residue_permutation, _solve_per_orbit,
+                     build_circular, is_automorphism, iter_bits, label_rotation, validate_map)
 
 DEFAULT_MIS_CAP = 200_000
 
@@ -151,65 +153,43 @@ def _components(adj, mask: int) -> list[int]:
     return comps
 
 
-def _is_psd_exact(M: list[list[Fraction]]) -> bool:
-    """Congruence elimination with symmetric pivoting; exact rational PSD test."""
-    n = len(M)
-    for i in range(n):
-        piv = -1
-        for j in range(i, n):
-            if M[j][j] > 0:
-                piv = j
-                break
-        if piv < 0:
-            return all(M[p][q] == 0 for p in range(i, n) for q in range(i, n))
-        if piv != i:
-            M[i], M[piv] = M[piv], M[i]
-            for row in M:
-                row[i], row[piv] = row[piv], row[i]
-        d = M[i][i]
-        rowi = M[i]
-        for p in range(i + 1, n):
-            f = M[p][i]
-            if f:
-                f = f / d
-                rowp = M[p]
-                for q in range(i + 1, n):
-                    if rowi[q]:
-                        rowp[q] -= f * rowi[q]
-                rowp[i] = Fraction(0)
-    return True
-
-
 def ratio_upper_bound(g: LabeledGraph) -> int | None:
-    """alpha <= floor(V*c/(d+c)) certified by PSD of V(A + cI) - (d+c)J.
+    """alpha(g) <= floor(|V|*k/n), certified by the Katona circle, or None.
 
-    The bound's proof needs only the PSD fact: for an independent set of size
-    s, 0 <= 1_S^T M 1_S = V*c*s - (d+c)*s^2.  Regularity just makes the PSD
-    certificate attainable; a float eigenvalue computation guesses c, the
-    exact rational elimination confirms it.
+    k and n come from vertex 0's label, a k-subset of Z_n.  The n intervals
+    {i, ..., i+k-1} map the circular complete graph K_{n/k} into g (Katona
+    1972); with alpha(K_{n/k}) <= k this gives chi_f(g) >= n/k, and a
+    vertex-transitive g has alpha(g) = |V|/chi_f(g) (the no-homomorphism
+    lemma, Albertson and Collins 1985).  Every step is checked on g itself:
+    the label rotation and the transposition (0 1) must each pass
+    `is_automorphism` and move vertex 0 onto every vertex, the interval map
+    must pass `validate_map`, and branch-and-bound must bound alpha(K_{n/k})
+    by k.  Any failed check gives None.
     """
-    V = g.vertex_count
-    adj = g.adj
-    degs = {a.bit_count() for a in adj}
-    if len(degs) != 1:
+    labels = g.labels
+    if not labels or not isinstance(labels[0], CyclicSubset):
         return None
-    d = degs.pop()
-    if d == 0:
-        return V
-    import numpy as np
-
-    A = np.zeros((V, V))
-    for i in range(V):
-        for j in iter_bits(adj[i]):
-            A[i][j] = 1.0
-    lam_min = float(np.linalg.eigvalsh(A)[0])
-    c0 = max(1, ceil(-lam_min - 1e-9))
-    for c in (c0, c0 + 1):
-        M = [[Fraction(V * ((adj[i] >> j) & 1) + (V * c if i == j else 0) - (d + c))
-              for j in range(V)] for i in range(V)]
-        if _is_psd_exact(M):
-            return (V * c) // (d + c)
-    return None
+    n, k = labels[0].modulus, len(labels[0])
+    if not 1 <= k <= n // 2:
+        return None
+    gens = [label_rotation(g), _residue_permutation(g, lambda x, n: 1 - x if x < 2 else x)]
+    if None in gens or not all(is_automorphism(g, perm) for perm in gens):
+        return None
+    V = g.vertex_count
+    # transitive: vertex 0 is the first member of every vertex's orbit
+    if any(_solve_per_orbit(range(V), gens, list.__getitem__, lambda v: v)):
+        return None
+    index = {lab: i for i, lab in enumerate(labels)}
+    first = CyclicSubset(n, range(k))
+    intervals = [index.get(first.rotate(i)) for i in range(n)]
+    if None in intervals:
+        return None
+    circle = build_circular(n, k)
+    if validate_map(VertexMap(circle, g, dict(enumerate(intervals)), MapKind.HOMOMORPHISM)):
+        return None
+    if not alpha_at_most(circle.adj, (1 << n) - 1, k):
+        return None
+    return V * k // n
 
 
 def _fail_soft_alpha(adj):
@@ -322,12 +302,13 @@ def maximum_independent_set(g: LabeledGraph) -> int:
     """A maximum independent set as a bitmask, exactly.
 
     Cascade: the deterministic greedy pass, then the matching bound, the
-    certified ratio bound for regular graphs of maximum degree above 2, and
-    branch-and-bound from that pass.  When they prove the pass maximum, it is
-    returned at once.  Otherwise the randomized greedy passes run, and the
-    mask returned is the one the 40-pass greedy followed by this cascade
-    gives: a random pass replaces the first only when strictly larger, so a
-    greedy set of the first pass's size is the first pass itself.
+    Katona-circle ratio bound on 40 or more vertices of maximum degree above
+    2, and branch-and-bound from that pass.  When they prove the pass
+    maximum, it is returned at once.  Otherwise the randomized greedy passes
+    run, and the mask returned is the one the 40-pass greedy followed by
+    this cascade gives: a random pass replaces the first only when strictly
+    larger, so a greedy set of the first pass's size is the first pass
+    itself.
     """
     V = g.vertex_count
     if V == 0:
@@ -338,8 +319,8 @@ def maximum_independent_set(g: LabeledGraph) -> int:
     lb = first.bit_count()
     if _matching_bound(adj, full) == lb:
         return first
-    # at maximum degree <= 2 (paths and cycles) branch-and-bound settles alpha
-    # directly, far below the cost of the O(V^3) PSD check
+    # on small graphs, and at maximum degree <= 2 (paths and cycles),
+    # branch-and-bound settles alpha directly
     if V >= 40 and max(a.bit_count() for a in adj) > 2 and ratio_upper_bound(g) == lb:
         return first
     alpha, wit = _alpha_branch_and_bound(adj, V, first)

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -111,12 +115,45 @@ def test_invariants_chi_c_of_a_long_odd_cycle(capsys, family):
 
 
 def test_invariants_alpha_of_a_long_odd_cycle(capsys):
-    # Q(401,200) is a 401-cycle: alpha comes from branch-and-bound, not the
-    # O(V^3) exact PSD ratio bound
+    # Q(401,200) is a 401-cycle: alpha comes from branch-and-bound; the
+    # ratio bound is not tried at maximum degree 2
     code, out, _ = run(capsys, "invariants", "--family", "q", "--n", "401", "--k", "200",
                        "--alpha")
     assert code == 0
     assert json.loads(out)["alpha"] == 200
+
+
+REFUSE_NUMPY = """
+import sys
+from importlib.abc import MetaPathFinder
+
+
+class RefuseNumpy(MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" or name.startswith("numpy."):
+            raise ImportError(f"{name} is refused")
+        return None
+
+
+sys.meta_path.insert(0, RefuseNumpy())
+from wellspread.cli import main
+
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_kneser_invariants_need_no_numpy():
+    # alpha(KG(10,4)) is certified by the Katona circle, and chi_f pins from it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", REFUSE_NUMPY, "invariants", "--family", "kneser", "--n", "10",
+         "--k", "4", "--alpha", "--chi-f"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["alpha"] == 84
+    assert doc["chiF"] == "5/2"
 
 
 def test_criticality_vertex_sweep(capsys):
@@ -295,6 +332,7 @@ FUZZ_PARAMS = [(-1, 1), (0, 0), (3, 0), (3, 2), (4, 1), (4, 2), (5, 2), (6, 2), 
 FUZZ_FAMILY_KINDS = [
     ["build"], ["build", "--format", "dot"], ["build", "--delete-vertex", "0"],
     ["build", "--delete-edge", "0,1"], ["build", "--delete-vertex", "99"],
+    ["build", "--delete-edge", "99,0"], ["build", "--delete-edge", "2,-1"],
     ["invariants"], ["criticality"], ["criticality", "--invariant", "chi"],
     ["criticality", "--invariant", "chi-c"], ["criticality", "--edges"],
 ]

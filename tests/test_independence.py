@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -11,11 +12,13 @@ import pytest
 from conftest import complete, cycle, mk
 
 from wellspread import (
+    LabeledGraph,
     ResourceCap,
     build_circular,
     build_kneser,
     build_q,
     build_schrijver,
+    delete_vertex,
     enumerate_maximal_independent_sets,
     independence_number,
     is_well_spread,
@@ -24,6 +27,12 @@ from wellspread import (
     maximum_independent_set,
 )
 from wellspread.cyclic import CyclicSubset
+from wellspread.graphs import (
+    _disjointness_graph,
+    _residue_permutation,
+    is_automorphism,
+    label_rotation,
+)
 from wellspread.independence import (
     _GREEDY_SEED,
     _alpha_branch_and_bound,
@@ -60,6 +69,42 @@ def test_kneser_alpha_formula():
     for n in range(2, 9):
         for k in range(1, n // 2 + 1):
             assert independence_number(build_kneser(n, k)) == comb(n - 1, k - 1)
+
+
+def test_ratio_bound_is_the_kneser_alpha():
+    for n in range(2, 11):
+        for k in range(1, n // 2 + 1):
+            assert ratio_upper_bound(build_kneser(n, k)) == comb(n - 1, k - 1)
+
+
+def _transposition(g):
+    return _residue_permutation(g, lambda x, n: 1 - x if x < 2 else x)
+
+
+def test_ratio_bound_refuses_without_its_witness():
+    # no transposition among the labels, or no rotation
+    for g in (build_q(41, 10), build_circular(41, 10), build_schrijver(10, 3),
+              delete_vertex(build_kneser(8, 3), 0)):
+        assert ratio_upper_bound(g) is None
+    # both generators are automorphisms of the edgeless graph and move vertex
+    # 0 everywhere; only the interval map fails validation
+    kg = build_kneser(9, 3)
+    empty = LabeledGraph(kg.labels, (0,) * kg.vertex_count, kg.family)
+    assert is_automorphism(empty, label_rotation(empty))
+    assert is_automorphism(empty, _transposition(empty))
+    assert ratio_upper_bound(empty) is None
+
+
+def test_ratio_bound_refuses_a_graph_that_is_not_vertex_transitive():
+    # 2- and 3-subsets of Z_7, joined when disjoint: both generators are
+    # automorphisms and the intervals {i, i+1} map K_{7/2} in, but the orbit
+    # of vertex 0 is the 2-subsets; the bound would be 56*2//7 = 16 < alpha
+    labels = tuple(CyclicSubset(7, c) for k in (2, 3) for c in combinations(range(7), k))
+    g = _disjointness_graph(labels, 7, None)
+    assert is_automorphism(g, label_rotation(g))
+    assert is_automorphism(g, _transposition(g))
+    assert independence_number(g) == 21
+    assert ratio_upper_bound(g) is None
 
 
 def test_schrijver_alpha_formula():

@@ -74,6 +74,9 @@ def test_graph_documents_record_deletions():
     doc = graph_to_document(delete_edge(q, 0, 1), family=q.family, deleted_edge=(1, 0))
     assert doc["deletedEdge"] == [0, 1]
     assert graph_from_document(doc).edge_count() == q.edge_count() - 1
+    doc["deletedEdge"] = [99, 0]
+    with pytest.raises(InvalidParams):
+        graph_from_document(doc)
 
 
 def test_graph_document_tampering_is_caught():
