@@ -181,16 +181,15 @@ def _cmd_criticality(args) -> int:
     if args.family is None or args.n is None or args.k is None:
         raise InvalidParams("sweeps need --family, --n, and --k")
     fp = FamilyParams(args.family, args.n, args.k)
-    if args.edges:
-        if fp.tag == "q":
-            rep = edge_criticality(build_family(fp, args.vertex_cap))
-        elif fp.tag == "circular":
-            rep = circular_edge_corollary(fp.n, fp.k)
-        else:
-            raise InvalidParams("edge sweeps cover the q and circular families")
-    else:
-        g = build_family(fp, args.vertex_cap)
+    if args.edges and fp.tag not in ("q", "circular"):
+        raise InvalidParams("edge sweeps cover the q and circular families")
+    g = build_family(fp, args.vertex_cap)
+    if not args.edges:
         rep = vertex_criticality(g, _INVARIANTS[args.invariant])
+    elif fp.tag == "q":
+        rep = edge_criticality(g)
+    else:
+        rep = circular_edge_corollary(fp.n, fp.k)
     sys.stdout.write(dumps(report_to_document(rep)))
     return 0
 

@@ -156,16 +156,17 @@ def witnessed_value(g: LabeledGraph, fc: FractionalColoring, support,
     return value
 
 
-def _greedy_maximal_extend(adj, V: int, seed_mask: int) -> int:
-    s = seed_mask
-    blocked = seed_mask
-    for v in iter_bits(seed_mask):
+def _greedy_extend(adj, chosen: int, order) -> int:
+    """The independent set chosen, extended by each vertex of order, in
+    turn, that is not chosen and has no chosen neighbour."""
+    blocked = chosen
+    for v in iter_bits(chosen):
         blocked |= adj[v]
-    for v in range(V):
+    for v in order:
         if not (blocked >> v) & 1:
-            s |= 1 << v
+            chosen |= 1 << v
             blocked |= adj[v] | (1 << v)
-    return s
+    return chosen
 
 
 def _orbit_certificate(g: LabeledGraph) -> tuple[Fraction, FractionalColoring] | None:
@@ -256,16 +257,9 @@ def _greedy_priced_columns(g: LabeledGraph, y: list[Fraction]) -> list[int]:
     supp = sorted((v for v in range(V) if y[v] > 0), key=lambda u: (-y[u], u))
     cols = []
     for force in supp[:_PRICE_BATCH]:
-        tw = y[force]
-        blocked = g.adj[force] | (1 << force)
-        chosen = 1 << force
-        for v in supp:
-            if not (blocked >> v) & 1:
-                chosen |= 1 << v
-                tw += y[v]
-                blocked |= g.adj[v] | (1 << v)
-        if tw > 1:
-            cols.append(_greedy_maximal_extend(g.adj, V, chosen))
+        chosen = _greedy_extend(g.adj, 1 << force, supp)
+        if sum(map(y.__getitem__, iter_bits(chosen)), _ZERO) > 1:
+            cols.append(_greedy_extend(g.adj, chosen, range(V)))
     return cols
 
 
@@ -295,7 +289,7 @@ def _column_generation(g: LabeledGraph) -> tuple[Fraction, list[int], list[Fract
     master = PackingMaster(V)
     seen: set[int] = set()
     for v in range(V):
-        col = _greedy_maximal_extend(adj, V, 1 << v)
+        col = _greedy_extend(adj, 1 << v, range(V))
         if col not in seen:
             seen.add(col)
             master.add_constraint(col)
@@ -313,7 +307,7 @@ def _column_generation(g: LabeledGraph) -> tuple[Fraction, list[int], list[Fract
         if best_w <= 1:
             keep = [(m, wi) for m, wi in zip(master.pool, w) if wi > 0]
             return value, [m for m, _ in keep], [wi for _, wi in keep]
-        col = _greedy_maximal_extend(adj, V, best_mask)
+        col = _greedy_extend(adj, best_mask, range(V))
         if col in seen:
             col = best_mask  # the violated set itself is necessarily new
         seen.add(col)

@@ -1,12 +1,14 @@
 """Exact independent-set machinery on bitmask adjacency.
 
-All certificates are exact: the ratio bound is only ever returned after its
-Katona-circle witness passes `validate_map` on the graph itself, and the
-branch-and-bound returns witnesses.
+One min-degree greedy (`_greedy_independent`) gives the first independent
+set, and one exact search (`_fail_soft_alpha`, neighbourhood branching with
+fail-soft pruning) proves or improves it.  All certificates are exact: the
+ratio bound is only ever returned after its Katona-circle witness passes
+`validate_map` on the graph itself, and the branch-and-bound returns
+witnesses.
 """
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from typing import Iterator
 
@@ -16,9 +18,6 @@ from .graphs import (LabeledGraph, MapKind, VertexMap, _residue_permutation, _so
                      build_circular, is_automorphism, iter_bits, label_rotation, validate_map)
 
 DEFAULT_MIS_CAP = 200_000
-
-_GREEDY_SEED = 0xC0FFEE
-_GREEDY_TRIES = 40
 
 
 def bron_kerbosch(nonadj: list[int], r: int, p: int) -> Iterator[int]:
@@ -83,41 +82,20 @@ def enumerate_maximal_independent_sets(g: LabeledGraph,
     return sorted(tuple(iter_bits(m)) for m in out)
 
 
-def _greedy_independent(adj: list[int] | tuple[int, ...], V: int, mask: int,
-                        rng: random.Random | None) -> int:
+def _greedy_independent(adj, mask: int) -> int:
+    """Min-degree greedy on the subgraph induced on mask: take the first
+    vertex of least degree in what is left, drop it and its neighbours, and
+    repeat.  On paths and cycles this is a maximum independent set."""
     chosen = 0
     while mask:
-        best, bestd, cands = -1, V + 1, []
+        best, bestd = -1, mask.bit_count()
         for v in iter_bits(mask):
             d = (adj[v] & mask).bit_count()
             if d < bestd:
-                bestd, cands = d, [v]
-            elif d == bestd:
-                cands.append(v)
-        v = cands[0] if rng is None else rng.choice(cands)
-        chosen |= 1 << v
-        mask &= ~(adj[v] | (1 << v))
+                bestd, best = d, v
+        chosen |= 1 << best
+        mask &= ~(adj[best] | (1 << best))
     return chosen
-
-
-def _random_passes(adj, V: int, best: int, passes: int) -> int:
-    """best, replaced by each of `passes` randomized min-degree passes (fixed
-    seed) that is strictly larger than the best so far."""
-    full = (1 << V) - 1
-    rng = random.Random(_GREEDY_SEED)
-    for _ in range(passes):
-        cand = _greedy_independent(adj, V, full, rng)
-        if cand.bit_count() > best.bit_count():
-            best = cand
-    return best
-
-
-def greedy_independent_set(g: LabeledGraph, tries: int = _GREEDY_TRIES) -> int:
-    """Best independent set found by min-degree passes: one deterministic,
-    then tries - 1 randomized (fixed seed)."""
-    V = g.vertex_count
-    first = _greedy_independent(g.adj, V, (1 << V) - 1, None)
-    return _random_passes(g.adj, V, first, tries - 1)
 
 
 def _matching_bound(adj, mask: int) -> int:
@@ -200,22 +178,6 @@ def _fail_soft_alpha(adj):
     (fail-soft).
     """
 
-    def alpha_deg2(mask: int) -> tuple[int, int]:
-        total, taken = 0, 0
-        for comp in _components(adj, mask):
-            # path or cycle: take alternating vertices greedily
-            sub = comp
-            while sub:
-                best, bestd = -1, 3
-                for v in iter_bits(sub):
-                    dd = (adj[v] & sub).bit_count()
-                    if dd < bestd:
-                        bestd, best = dd, v
-                taken |= 1 << best
-                total += 1
-                sub &= ~(adj[best] | (1 << best))
-        return total, taken
-
     def solve(mask: int, need: int) -> tuple[int, int]:
         total, taken = 0, 0
         while True:
@@ -256,8 +218,9 @@ def _fail_soft_alpha(adj):
             if d > maxd:
                 maxd, v = d, u
         if maxd <= 2:
-            t2, m2 = alpha_deg2(mask)
-            return total + t2, taken | m2
+            # paths and cycles, where the greedy is exact
+            m2 = _greedy_independent(adj, mask)
+            return total + m2.bit_count(), taken | m2
 
         comps = _components(adj, mask)
         if len(comps) > 1:
@@ -288,34 +251,21 @@ def _fail_soft_alpha(adj):
     return solve
 
 
-def _alpha_branch_and_bound(adj, V: int, lb_mask: int) -> tuple[int, int]:
-    """Exact (alpha, witness_mask), starting from the independent set lb_mask."""
-    full = (1 << V) - 1
-    lb = lb_mask.bit_count()
-    res, wit = _fail_soft_alpha(adj)(full, lb - 1)
-    if res > lb - 1:
-        return res, wit
-    return lb, lb_mask
-
-
 def maximum_independent_set(g: LabeledGraph) -> int:
     """A maximum independent set as a bitmask, exactly.
 
-    Cascade: the deterministic greedy pass, then the matching bound, the
+    Cascade: the min-degree greedy pass, then the matching bound, the
     Katona-circle ratio bound on 40 or more vertices of maximum degree above
-    2, and branch-and-bound from that pass.  When they prove the pass
-    maximum, it is returned at once.  Otherwise the randomized greedy passes
-    run, and the mask returned is the one the 40-pass greedy followed by
-    this cascade gives: a random pass replaces the first only when strictly
-    larger, so a greedy set of the first pass's size is the first pass
-    itself.
+    2, and branch-and-bound pruned below the pass's size.  The greedy set is
+    returned whenever the cascade proves it maximum, and otherwise the
+    larger set branch-and-bound found.
     """
     V = g.vertex_count
     if V == 0:
         return 0
     adj = g.adj
     full = (1 << V) - 1
-    first = _greedy_independent(adj, V, full, None)
+    first = _greedy_independent(adj, full)
     lb = first.bit_count()
     if _matching_bound(adj, full) == lb:
         return first
@@ -323,15 +273,8 @@ def maximum_independent_set(g: LabeledGraph) -> int:
     # branch-and-bound settles alpha directly
     if V >= 40 and max(a.bit_count() for a in adj) > 2 and ratio_upper_bound(g) == lb:
         return first
-    alpha, wit = _alpha_branch_and_bound(adj, V, first)
-    if alpha == lb:
-        return first
-    best = _random_passes(adj, V, first, _GREEDY_TRIES - 1)
-    if best == first:
-        return wit  # the branch-and-bound above is the one run from best
-    if best.bit_count() == alpha:
-        return best
-    return _alpha_branch_and_bound(adj, V, best)[1]
+    r, wit = _fail_soft_alpha(adj)(full, lb - 1)
+    return wit if r > lb else first
 
 
 def alpha_at_most(adj, mask: int, bound: int) -> bool:

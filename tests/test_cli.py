@@ -73,6 +73,11 @@ def test_vertex_cap_exit_3(capsys):
     code, _, err = run(capsys, "build", "--family", "kneser", "--n", "40", "--k", "10")
     assert code == 3
     assert "cap" in err
+    # the circular edge sweep is a corollary, but its graph is still capped
+    code, _, err = run(capsys, "criticality", "--family", "circular", "--n", "9", "--k", "2",
+                       "--edges", "--vertex-cap", "2")
+    assert code == 3
+    assert "cap" in err
 
 
 def test_invariants_selected_and_full(capsys):
@@ -335,6 +340,7 @@ FUZZ_FAMILY_KINDS = [
     ["build", "--delete-edge", "99,0"], ["build", "--delete-edge", "2,-1"],
     ["invariants"], ["criticality"], ["criticality", "--invariant", "chi"],
     ["criticality", "--invariant", "chi-c"], ["criticality", "--edges"],
+    ["criticality", "--edges", "--vertex-cap", "2"],
 ]
 FUZZ_CERTIFY = [
     ["coloring", "--delete-vertex", "1"], ["coloring", "--delete-edge", "0,1"], ["coloring"],

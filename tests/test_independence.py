@@ -33,14 +33,7 @@ from wellspread.graphs import (
     is_automorphism,
     label_rotation,
 )
-from wellspread.independence import (
-    _GREEDY_SEED,
-    _alpha_branch_and_bound,
-    _greedy_independent,
-    _matching_bound,
-    greedy_independent_set,
-    ratio_upper_bound,
-)
+from wellspread.independence import _greedy_independent, ratio_upper_bound
 
 
 def test_small_graph_alphas():
@@ -143,7 +136,7 @@ def test_q_alpha_is_k_and_maximum_sets_are_well_spread():
 
 def test_greedy_witness_is_independent_and_bounded():
     for g in (cycle(7), build_kneser(6, 2), build_schrijver(8, 3), complete(5)):
-        mask = greedy_independent_set(g)
+        mask = _greedy_independent(g.adj, (1 << g.vertex_count) - 1)
         members = [v for v in range(g.vertex_count) if mask >> v & 1]
         assert 1 <= len(members) <= independence_number(g)
         for i, u in enumerate(members):
@@ -161,60 +154,65 @@ def test_maximum_independent_set_returns_witness():
             assert not g.has_edge(u, v)
 
 
-def _forty_pass_maximum_independent_set(g):
-    """Reference: 40 greedy passes (the first deterministic, a random pass
-    kept only when strictly larger), then the matching bound, the ratio bound
-    and branch-and-bound from the best pass."""
-    V = g.vertex_count
-    if V == 0:
-        return 0
-    full = (1 << V) - 1
-    lb_mask = _greedy_independent(g.adj, V, full, None)
-    rng = random.Random(_GREEDY_SEED)
-    for _ in range(39):
-        cand = _greedy_independent(g.adj, V, full, rng)
-        if cand.bit_count() > lb_mask.bit_count():
-            lb_mask = cand
-    lb = lb_mask.bit_count()
-    if _matching_bound(g.adj, full) == lb:
-        return lb_mask
-    if V >= 40 and max(a.bit_count() for a in g.adj) > 2:
-        rb = ratio_upper_bound(g)
-        if rb is not None and rb == lb:
-            return lb_mask
-    res, wit = _alpha_branch_and_bound(g.adj, V, lb_mask)
-    return lb_mask if res == lb else wit
-
-
-def _random_graph(seed, sizes, densities):
-    rng = random.Random(seed)
-    V = rng.randrange(*sizes)
-    p = rng.choice(densities)
-    return mk(V, [(u, v) for u in range(V) for v in range(u + 1, V) if rng.random() < p])
-
-
-def test_maximum_independent_set_matches_the_forty_pass_cascade():
-    graphs = [_random_graph(seed, (1, 30), (0.1, 0.2, 0.3, 0.5, 0.7)) for seed in range(150)]
-    # found by scanning seeds: a random pass reaches alpha where the
-    # branch-and-bound witness is another set (seed 0), and random passes beat
-    # the first pass but stay short of alpha (seed 193)
-    graphs += [_random_graph(seed, (15, 45), (0.1, 0.2, 0.3, 0.5)) for seed in (0, 193)]
-    # V >= 40 reaches the ratio bound
+def test_maximum_independent_set_of_family_graphs_is_the_greedy_pass():
+    # the cascade proves the greedy pass maximum on these; V >= 40 reaches
+    # the ratio bound's refusal and then branch-and-bound
     for n, k in [(7, 2), (11, 3), (17, 5), (23, 11), (30, 7), (41, 10)]:
-        graphs += [build_circular(n, k), build_q(n, k)]
-    cases = set()
-    for g in graphs:
-        mask = maximum_independent_set(g)
-        assert mask == _forty_pass_maximum_independent_set(g)
-        V = g.vertex_count
-        first = _greedy_independent(g.adj, V, (1 << V) - 1, None).bit_count()
-        best = greedy_independent_set(g).bit_count()
-        alpha = mask.bit_count()
-        cases.add((first == alpha, best == alpha, first == best))
-    # first pass maximum; random passes reach alpha; no pass beats the
-    # first; a pass beats the first but is not maximum
-    assert cases == {(True, True, True), (False, True, False),
-                     (False, False, True), (False, False, False)}
+        for g in (build_circular(n, k), build_q(n, k)):
+            full = (1 << g.vertex_count) - 1
+            assert maximum_independent_set(g) == _greedy_independent(g.adj, full), (g.family, n, k)
+
+
+def test_maximum_independent_set_improves_on_a_short_greedy_pass():
+    # the greedy takes vertex 4, leaving the triangle 0, 1, 5: two vertices
+    g = mk(6, [(0, 1), (0, 2), (0, 3), (0, 5), (1, 2), (1, 3), (1, 5), (2, 4), (3, 4)])
+    assert _greedy_independent(g.adj, 0b111111) == 0b010001
+    assert maximum_independent_set(g) == 0b101100
+
+
+def _paths_and_cycles(rng):
+    """A random union of paths and cycles on a random subset `mask` of at
+    most 40 vertices, inside a graph whose other vertices are joined at
+    random to everything; returns (adj, mask, expected alpha)."""
+    V = rng.randrange(1, 41)
+    order = list(range(V))
+    rng.shuffle(order)
+    adj = [0] * V
+
+    def join(u, v):
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+
+    mask, alpha, i = 0, 0, 0
+    while i < V and rng.random() < 0.9:
+        L = rng.randrange(1, V - i + 1)
+        part = order[i:i + L]
+        i += L
+        for u, v in zip(part, part[1:]):
+            join(u, v)
+        if L >= 3 and rng.random() < 0.5:
+            join(part[-1], part[0])
+            alpha += L // 2
+        else:
+            alpha += (L + 1) // 2
+        for v in part:
+            mask |= 1 << v
+    for u in order[i:]:
+        for v in range(V):
+            if v != u and rng.random() < 0.3:
+                join(u, v)
+    return adj, mask, alpha
+
+
+def test_greedy_is_exact_on_paths_and_cycles():
+    # branch-and-bound hands every residual of maximum degree <= 2 to the greedy
+    rng = random.Random(2022)
+    for trial in range(2000):
+        adj, mask, alpha = _paths_and_cycles(rng)
+        got = _greedy_independent(adj, mask)
+        assert got & ~mask == 0, trial
+        assert all(not adj[v] & got for v in range(len(adj)) if got >> v & 1), trial
+        assert got.bit_count() == alpha, trial
 
 
 def test_enumeration_cap_trips():

@@ -18,13 +18,19 @@ from conftest import complete, cycle, mk  # noqa: E402
 from wellspread import (  # noqa: E402
     build_circular,
     circular_chromatic_number,
+    covering_lp_over_pool,
     enumerate_maximal_independent_sets,
     find_homomorphism,
     find_isomorphism,
     find_proper_coloring,
+    fractional_chromatic_number,
     is_t_colorable,
+    max_weight_independent_set,
+    maximum_independent_set,
     validate_map,
 )
+from wellspread.graphs import iter_bits, label_rotation  # noqa: E402
+from wellspread.independence import alpha_at_most  # noqa: E402
 
 
 def random_graph(rng: random.Random, n: int):
@@ -88,6 +94,60 @@ def test_maximal_independent_sets_against_networkx_cliques():
         g = random_graph(rng, rng.randint(1, 9))
         want = sorted(tuple(sorted(c)) for c in nx.find_cliques(nx.complement(to_nx(g))))
         assert enumerate_maximal_independent_sets(g) == want, trial
+
+
+def alpha_by_networkx(g, mask: int) -> int:
+    """The independence number of g[mask]: a maximum clique of the complement."""
+    sub = nx.complement(to_nx(g).subgraph(iter_bits(mask)))
+    return nx.max_weight_clique(sub, weight=None)[1] if mask else 0
+
+
+def is_independent(g, mask: int) -> bool:
+    return not any(g.adj[v] & mask for v in iter_bits(mask))
+
+
+@hypothesis.settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@hypothesis.given(st.integers(1, 10), st.randoms(use_true_random=False))
+def test_maximum_independent_set_against_networkx(n, rng):
+    g = random_graph(rng, n)
+    mask = maximum_independent_set(g)
+    assert is_independent(g, mask)
+    assert mask.bit_count() == alpha_by_networkx(g, (1 << n) - 1)
+
+
+@hypothesis.settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@hypothesis.given(st.integers(1, 10), st.randoms(use_true_random=False))
+def test_alpha_at_most_is_exact_at_alpha(n, rng):
+    g = random_graph(rng, n)
+    mask = rng.getrandbits(n)
+    alpha = alpha_by_networkx(g, mask)
+    assert alpha_at_most(g.adj, mask, alpha)
+    assert not alpha_at_most(g.adj, mask, alpha - 1)
+
+
+@hypothesis.settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@hypothesis.given(st.integers(1, 10), st.randoms(use_true_random=False))
+def test_max_weight_independent_set_against_brute_force(n, rng):
+    g = random_graph(rng, n)
+    weights = [Fraction(rng.randrange(13), rng.randrange(1, 9)) for _ in range(n)]
+
+    def weight(m):
+        return sum((weights[v] for v in iter_bits(m)), Fraction(0))
+
+    value, mask = max_weight_independent_set(list(g.adj), weights)
+    assert value == max(weight(m) for m in range(1 << n) if is_independent(g, m))
+    assert is_independent(g, mask)
+    assert weight(mask) == value
+
+
+@hypothesis.settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@hypothesis.given(st.integers(1, 8), st.randoms(use_true_random=False))
+def test_fractional_chromatic_number_against_the_maximal_pool(n, rng):
+    # no label rotation, so column generation runs rather than the orbit shortcut
+    g = random_graph(rng, n)
+    assert label_rotation(g) is None
+    want, _ = covering_lp_over_pool(g, enumerate_maximal_independent_sets(g))
+    assert fractional_chromatic_number(g)[0] == want
 
 
 @hypothesis.settings(max_examples=150, derandomize=True, database=None, deadline=None)
