@@ -19,7 +19,18 @@ the embedded copy S of Q(a,b).  `fractional.witnessed_value` verifies the
 colouring on D and proves alpha(D[S]) <= b by branch-and-bound, and weak
 duality then pins chi_f(D) = a/b.  For chi_c the retraction onto that copy, composed
 with Q(a,b) ~ K_{a/b}, must also pass `validate_map` as a homomorphism of D,
-so chi_f(D) <= chi_c(D) <= a/b.  If any check fails, the solver decides.
+so chi_f(D) <= chi_c(D) <= a/b.  An edge that joins no consecutive rotations
+keeps chi_f(D) = n/k: the intact graph's own colouring stays valid on D, and
+weight 1/k on every vertex is a fractional clique once branch-and-bound
+proves alpha(D) <= k; for chi_c the identity D -> K_{n/k} is validated too.
+
+The circular complete graph K_{n/k} with the same parameters gets the same
+witnesses: `certificates.circular_isomorphism` (validated) sends position u
+of Q(n,k) to residue u*k mod n, so a deletion moves to Q positions by k^-1
+mod n, the pair is built there, and its sets, section and retraction move
+back to D's ids, where every check runs.  This settles the paper's corollary
+that deleting an edge at circular distance k lowers chi_c to a/b and any
+other edge leaves n/k.  If any check fails, the solver decides.
 Formula predictions live in the verification harness, which compares them
 against the closed forms and solves every deleted graph itself, so it checks
 the witnesses and the orbit reduction too.
@@ -100,38 +111,71 @@ def _edge_image(perm: list[int], e: tuple[int, int]) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def _retraction_witness(q: LabeledGraph, d: LabeledGraph, invariant: Invariant,
-                        deletion: int | tuple[int, int],
-                        orbit_fc: FractionalColoring | None = None) -> Fraction | None:
-    """chi_f or chi_c of d, the graph q less one vertex or edge, when the
-    paper's witness pair pins it on d; None otherwise.
+def _q_positions(g: LabeledGraph) -> list[int] | None:
+    """g's vertex id of each position of Q(n,k) when the paper's witness pairs
+    apply to g, else None.
 
-    Only the coprime rotation graph with 2k < n has the pair:
-    - vertex v: the star colouring avoiding v, re-indexed to d's ids, and the
-      copy of Q(a,b) anchored at v-1, with weight 1/b;
-    - consecutive-rotation edge: the star colouring less that edge and the
-      copy anchored at the edge's lower endpoint;
-    - any other edge (chi_f only): orbit_fc, q's own colouring, which stays
-      valid, and weight 1/k on every vertex.
-    chi_c also needs the retraction onto the copy, composed with
-    Q(a,b) ~ K_{a/b}, to be a homomorphism of d.
+    They apply to the coprime rotation graph with 2k < n, on its own ids, and
+    to circular(n, k) with the same parameters, through the validated
+    `circular_isomorphism`, which sends position u to residue u*k mod n.
     """
-    fam = q.family
-    if invariant is Invariant.CHI or fam is None or fam.tag != "q":
+    fam = g.family
+    if fam is None or fam.tag not in ("q", "circular"):
         return None
     n, k = fam.n, fam.k
-    if gcd(n, k) != 1 or not 2 * k < n or q.vertex_count != n:
+    if gcd(n, k) != 1 or not 2 * k < n or g.vertex_count != n:
         return None
+    if fam.tag == "q":
+        return list(range(n))
+    iso = circular_isomorphism(n, k)
+    return [iso.mapping[u] for u in range(n)]
+
+
+def _retraction_witness(g: LabeledGraph, d: LabeledGraph, invariant: Invariant,
+                        deletion: int | tuple[int, int],
+                        orbit_fc: FractionalColoring | None = None,
+                        positions: list[int] | None = None) -> Fraction | None:
+    """chi_f or chi_c of d, the graph g less one vertex or edge, when the
+    paper's witness pair pins it on d; None otherwise.
+
+    g is Q(n,k) or circular(n,k) with gcd(n,k) = 1 and 2k < n; positions is
+    `_q_positions(g)`, computed here when not given.  The deletion moves to Q
+    positions, the pair is built there and moves back to d's ids:
+    - vertex v: the star colouring avoiding v, and the copy of Q(a,b)
+      anchored at v-1, with weight 1/b;
+    - consecutive-rotation edge (circular distance k): the star colouring less
+      that edge and the copy anchored at the edge's lower endpoint;
+    - any other edge: orbit_fc, g's own colouring, which stays valid, and
+      weight 1/k on every vertex.
+    chi_c also needs a validated homomorphism of d: the retraction onto the
+    copy composed with Q(a,b) ~ K_{a/b}, or, for the other edges, the
+    identity into g ~ K_{n/k}.
+    """
+    if invariant is Invariant.CHI:
+        return None
+    if positions is None:
+        positions = _q_positions(g)
+        if positions is None:
+            return None
+    n, k = g.family.n, g.family.k
+    where = [0] * n  # g id -> Q position
+    for u, x in enumerate(positions):
+        where[x] = u
     if isinstance(deletion, int):
-        fc = vertex_deleted_coloring(n, k, deletion)
-        retraction = vertex_deleted_retraction(n, k, deletion)
-        d_id = lambda u: u - (u > deletion)  # delete_vertex compacts the ids
-    elif is_cycle_edge(q, *deletion):
-        fc = edge_deleted_coloring(n, k, deletion)
-        retraction = edge_deleted_retraction(n, k, deletion)
-        d_id = lambda u: u
-    elif invariant is Invariant.CHI_F and orbit_fc is not None:
-        return witnessed_value(d, orbit_fc, range(n), k)
+        fc = vertex_deleted_coloring(n, k, where[deletion])
+        retraction = vertex_deleted_retraction(n, k, where[deletion])
+        d_id = lambda u: positions[u] - (positions[u] > deletion)  # delete_vertex compacts
+    elif (where[deletion[1]] - where[deletion[0]]) % n in (1, n - 1):
+        e = (where[deletion[0]], where[deletion[1]])
+        fc = edge_deleted_coloring(n, k, e)
+        retraction = edge_deleted_retraction(n, k, e)
+        d_id = positions.__getitem__
+    elif orbit_fc is not None:
+        value = witnessed_value(d, orbit_fc, range(n), k)
+        if value is None or invariant is Invariant.CHI_F:
+            return value
+        identity = VertexMap(d, g, {u: u for u in range(n)}, MapKind.HOMOMORPHISM)
+        return None if validate_map(identity) else value
     else:
         return None
     # re-indexed without its exclusion, the colouring is checked on d itself
@@ -148,10 +192,11 @@ def _retraction_witness(q: LabeledGraph, d: LabeledGraph, invariant: Invariant,
     return value
 
 
-def _settle(q: LabeledGraph, d: LabeledGraph, invariant: Invariant, deletion,
-            orbit_fc: FractionalColoring | None = None) -> Fraction:
-    """The invariant of d = q less the deletion: witness first, then the solver."""
-    value = _retraction_witness(q, d, invariant, deletion, orbit_fc)
+def _settle(g: LabeledGraph, d: LabeledGraph, invariant: Invariant, deletion,
+            orbit_fc: FractionalColoring | None = None,
+            positions: list[int] | None = None) -> Fraction:
+    """The invariant of d = g less the deletion: witness first, then the solver."""
+    value = _retraction_witness(g, d, invariant, deletion, orbit_fc, positions)
     return evaluate_invariant(d, invariant) if value is None else value
 
 
@@ -163,9 +208,10 @@ def vertex_criticality(g: LabeledGraph, invariant: Invariant) -> CriticalityRepo
     """
     baseline = evaluate_invariant(g, invariant)
     vertices = range(g.vertex_count)
+    positions = None if invariant is Invariant.CHI else _q_positions(g)
     values = _solve_per_orbit(
         vertices, dihedral_automorphisms(g), list.__getitem__,
-        lambda v: _settle(g, delete_vertex(g, v), invariant, v))
+        lambda v: _settle(g, delete_vertex(g, v), invariant, v, None, positions))
     rows = []
     for v, val in zip(vertices, values):
         if val > baseline:
@@ -208,9 +254,10 @@ def edge_criticality(q: LabeledGraph) -> CriticalityReport:
         q = build_q(n, k)
     baseline, orbit_fc = fractional_chromatic_number(q)
     edges = q.edges()
+    positions = _q_positions(q)
     values = _solve_per_orbit(
         edges, dihedral_automorphisms(q), _edge_image,
-        lambda e: _settle(q, delete_edge(q, *e), Invariant.CHI_F, e, orbit_fc))
+        lambda e: _settle(q, delete_edge(q, *e), Invariant.CHI_F, e, orbit_fc, positions))
     rows = []
     for e, val in zip(edges, values):
         if val > baseline:
@@ -224,7 +271,9 @@ def edge_criticality(q: LabeledGraph) -> CriticalityReport:
 
 def circular_edge_corollary(n: int, k: int) -> CriticalityReport:
     """Circular chromatic number of the circular complete graph after each
-    single edge deletion, solved once per certified edge orbit.
+    single edge deletion, settled once per certified edge orbit: by the
+    paper's witness pairs, moved across circular(n,k) ~ Q(n,k), or else by
+    the solver.
 
     The flag on each edge {i,j} marks circular distance exactly k, i.e. the
     image of a consecutive-rotation edge under the position-times-k bijection.
@@ -235,10 +284,12 @@ def circular_edge_corollary(n: int, k: int) -> CriticalityReport:
         raise InvalidParams(f"need gcd(n,k)=1, got gcd({n},{k})={gcd(n, k)}")
     g = build_circular(n, k)
     baseline = circular_chromatic_number(g)
+    orbit_fc = fractional_chromatic_number(g)[1]
     edges = g.edges()
+    positions = _q_positions(g)
     values = _solve_per_orbit(
         edges, dihedral_automorphisms(g), _edge_image,
-        lambda e: circular_chromatic_number(delete_edge(g, *e)))
+        lambda e: _settle(g, delete_edge(g, *e), Invariant.CHI_C, e, orbit_fc, positions))
     rows = []
     for e, val in zip(edges, values):
         if val > baseline:

@@ -31,7 +31,12 @@ from wellspread import (
     vertex_criticality,
 )
 from wellspread import criticality, fractional
-from wellspread.certificates import vertex_deleted_coloring, vertex_deleted_retraction
+from wellspread.certificates import (
+    edge_deleted_coloring,
+    edge_deleted_retraction,
+    vertex_deleted_coloring,
+    vertex_deleted_retraction,
+)
 from wellspread.cyclic import critical_params
 from wellspread.fractional import FractionalColoring, verify_fractional_coloring, witnessed_value
 from wellspread.graphs import dihedral_automorphisms
@@ -274,10 +279,12 @@ def lp_runs(monkeypatch):
 
 
 def test_sweeps_solve_once_per_orbit(solver_calls, witnessed, lp_runs):
-    # Q(n,k) is vertex-transitive and has (n-2k+1)/2 dihedral edge orbits.
-    # Each orbit is settled once, by a witness pair on coprime Q(n,k) and by
-    # the solver elsewhere; the baseline is always the solver's, and on Q(n,k)
-    # it pins through the rotation orbit without the LP.
+    # Q(n,k) and circular(n,k) are vertex-transitive and have (n-2k+1)/2
+    # dihedral edge orbits.  Each orbit is settled once, by a witness pair on
+    # coprime Q(n,k) and circular(n,k) and by the solver elsewhere; the
+    # baseline is always the solver's (circular(n,k) adds the chi_f that
+    # supplies the chords' colouring), and it pins through the rotation orbit
+    # without the LP.
     rep = edge_criticality(build_q(23, 7))
     assert len(rep.per_edge) == 115
     assert len(solver_calls) + len(witnessed) == 1 + 5
@@ -286,9 +293,9 @@ def test_sweeps_solve_once_per_orbit(solver_calls, witnessed, lp_runs):
     witnessed.clear()
     rep = circular_edge_corollary(17, 5)
     assert len(rep.per_edge) == 68
-    assert (len(solver_calls), len(witnessed)) == (1 + 4, 0)
+    assert (len(solver_calls), len(witnessed)) == (2, 4) and lp_runs == []
     solver_calls.clear()
-    lp_runs.clear()
+    witnessed.clear()
     rep = vertex_criticality(build_q(29, 9), Invariant.CHI_F)
     assert len(rep.per_vertex) == 29
     assert len(solver_calls) + len(witnessed) == 1 + 1
@@ -341,6 +348,26 @@ def test_retraction_witness_matches_the_solvers():
             assert got is not None and got == circular_chromatic_number(d), (n, k)
             assert all(criticality._retraction_witness(
                 q, delete_vertex(q, v), Invariant.CHI_C, v) == got for v in range(1, n))
+    # circular(n,k) gets the same pairs through circular(n,k) ~ Q(n,k)
+    solvers = {Invariant.CHI_F: lambda h: fractional_chromatic_number(h)[0],
+               Invariant.CHI_C: circular_chromatic_number}
+    for n, k in coprime_q(17):
+        g = build_circular(n, k)
+        positions = criticality._q_positions(g)
+        orbit_fc = fractional_chromatic_number(g)[1]
+        edges = g.edges()
+        firsts = set(criticality._solve_per_orbit(
+            edges, dihedral_automorphisms(g), criticality._edge_image, lambda e: e))
+        for invariant, solve in solvers.items():
+            got = [criticality._retraction_witness(
+                g, delete_vertex(g, v), invariant, v, None, positions) for v in range(n)]
+            assert None not in got and len(set(got)) == 1, (n, k, invariant)
+            assert got[0] == solve(delete_vertex(g, 0)), (n, k, invariant)
+            got = {e: criticality._retraction_witness(
+                g, delete_edge(g, *e), invariant, e, orbit_fc, positions) for e in edges}
+            assert None not in got.values(), (n, k, invariant)
+            for e in firsts:
+                assert got[e] == solve(delete_edge(g, *e)), (n, k, invariant, e)
 
 
 def test_witnessed_value_rejects_tampered_pairs():
@@ -411,3 +438,50 @@ def test_tampered_homomorphism_falls_back_to_the_solver(monkeypatch, solver_call
     monkeypatch.setattr(criticality, "vertex_deleted_retraction", bent)
     assert vertex_criticality(q, Invariant.CHI_C) == want
     assert len(solver_calls) == 1 + 1
+
+
+def test_circular_chords_of_a_complete_graph_fail_the_dual_check(
+        monkeypatch, solver_calls, witnessed):
+    # circular(7,1) is K_7: deleting a chord leaves alpha = 2 > k, so its
+    # orbits fall to the solver, while the distance-1 orbit keeps its witness
+    want = sweep_without_witnesses(monkeypatch, lambda: circular_edge_corollary(7, 1))
+    solver_calls.clear()
+    assert circular_edge_corollary(7, 1) == want
+    assert len(witnessed) == 1
+    assert len(solver_calls) == 2 + 2
+
+
+def test_tampered_circular_witnesses_fall_back_to_the_solver(monkeypatch, solver_calls):
+    def short(n, k, e):
+        fc = edge_deleted_coloring(n, k, e)
+        return dataclasses.replace(fc, sets=fc.sets[:-1], weights=fc.weights[:-1])
+
+    def bent(n, k, e):
+        m = edge_deleted_retraction(n, k, e)
+        mapping = dict(m.mapping)
+        u = next(iter(mapping))
+        mapping[u] = (mapping[u] + 1) % m.target.vertex_count
+        return dataclasses.replace(m, mapping=mapping)
+
+    want = sweep_without_witnesses(monkeypatch, lambda: circular_edge_corollary(11, 3))
+    for name, tampered in (("edge_deleted_coloring", short),
+                           ("edge_deleted_retraction", bent)):
+        with monkeypatch.context() as m:
+            m.setattr(criticality, name, tampered)
+            solver_calls.clear()
+            assert circular_edge_corollary(11, 3) == want, name
+            assert len(solver_calls) == 2 + 1, name
+
+
+@pytest.mark.parametrize("n,k", [(29, 9), (41, 13)])
+def test_circular_edge_corollary_closed_form(n, k):
+    # past the reach of a per-orbit solver: (29,9) took about a minute that way
+    rep = circular_edge_corollary(n, k)
+    cp = critical_params(n, k)
+    assert rep.baseline == Fraction(n, k)
+    assert len(rep.per_edge) == n * (n - 2 * k + 1) // 2
+    for (u, v), val, flag in rep.per_edge:
+        d = (v - u) % n
+        assert flag == (min(d, n - d) == k)
+        assert val == (Fraction(cp.a, cp.b) if flag else Fraction(n, k)), (u, v)
+    assert rep.summary is SweepSummary.EDGE_CLASSIFICATION
