@@ -14,11 +14,19 @@ conjugate that one deficient window onto the requested deletion.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
-from .cyclic import CriticalParams, CyclicSubset, canonical_well_spread, critical_params
+from .cyclic import (
+    CriticalParams,
+    CyclicSubset,
+    canonical_well_spread,
+    critical_params,
+    rotated_residues,
+)
 from .errors import InvalidParams, NotAnEdge, NotCoprime, NotCycleEdge
 from .fractional import FractionalColoring, verify_fractional_coloring
 from .graphs import (
@@ -69,6 +77,56 @@ def _light_window_start(n: int, length: int, heavy: int, members: frozenset[int]
     return light
 
 
+@dataclass(frozen=True)
+class _Frame:
+    """Coprime Q(n,k), its (a, b), and the parts of it that the deletion
+    certificates read, each computed on first use.
+
+    A constructor builds one frame per call; a deletion sweep builds one and
+    hands it to the certificates of every orbit, so a colouring never builds
+    Q(a,b) and a sweep builds it once.
+    """
+
+    q: LabeledGraph
+    cp: CriticalParams
+
+    @property
+    def n(self) -> int:
+        return self.q.vertex_count
+
+    @cached_property
+    def star(self) -> tuple[int, ...]:
+        return _star(self.q.labels[0])
+
+    @cached_property
+    def light(self) -> int:
+        """Start of the star's deficient a-window."""
+        return _light_window_start(self.n, self.cp.a, self.cp.b, frozenset(self.star))
+
+    @cached_property
+    def qab(self) -> LabeledGraph:
+        return build_q(self.cp.a, self.cp.b)
+
+    @cached_property
+    def qab_index(self) -> dict[CyclicSubset, int]:
+        return {lab: i for i, lab in enumerate(self.qab.labels)}
+
+    @cached_property
+    def to_circular(self) -> VertexMap:
+        """The validated isomorphism Q(a,b) -> K_{a/b}."""
+        return _circular_isomorphism(self.qab, build_circular(self.cp.a, self.cp.b))
+
+
+def _frame(n: int, k: int) -> _Frame:
+    return _Frame(build_q(n, k), critical_params(n, k))
+
+
+def _without(s: tuple[int, ...], x: int) -> tuple[int, ...]:
+    """The sorted tuple s less x, found by bisection."""
+    i = bisect_left(s, x)
+    return s[:i] + s[i + 1:] if i < len(s) and s[i] == x else s
+
+
 def _checked_coloring(q: LabeledGraph, fc: FractionalColoring) -> FractionalColoring:
     bad = verify_fractional_coloring(q, fc)
     if bad:
@@ -85,21 +143,21 @@ def vertex_deleted_coloring(n: int, k: int, deleted: int) -> FractionalColoring:
     _require_coprime(n, k, strict=False)
     if not (0 <= deleted < n):
         raise InvalidParams(f"vertex {deleted} out of range 0..{n - 1}")
-    q = build_q(n, k)
-    cp = critical_params(n, k)
-    a1 = _star(q.labels[0])
-    s0 = _light_window_start(n, cp.a, cp.b, frozenset(a1))
-    delta = (deleted - s0) % n
+    return _vertex_deleted_coloring(_frame(n, k), deleted)
+
+
+def _vertex_deleted_coloring(f: _Frame, deleted: int) -> FractionalColoring:
+    n, cp = f.n, f.cp
+    delta = (deleted - f.light) % n
     # The rotations hit `deleted` exactly b-1 times; strip it so each set
     # lives in the deleted graph.  Every other vertex keeps coverage b.
     sets = tuple(
-        tuple(sorted(x for u in a1 if (x := (u + delta - j) % n) != deleted))
-        for j in range(cp.a)
+        _without(rotated_residues(f.star, n, delta - j), deleted) for j in range(cp.a)
     )
     fc = FractionalColoring(sets, (Fraction(1, cp.b),) * cp.a, excluded_vertex=deleted)
     if fc.value != Fraction(cp.a, cp.b):
         raise AssertionError(f"total weight {fc.value} != {cp.a}/{cp.b}")
-    return _checked_coloring(q, fc)
+    return _checked_coloring(f.q, fc)
 
 
 def _check_edge_endpoints(n: int, edge: tuple[int, int]) -> None:
@@ -131,21 +189,26 @@ def edge_deleted_coloring(n: int, k: int, edge: tuple[int, int]) -> FractionalCo
     one consecutive-rotation edge with total weight a/b."""
     _require_coprime(n, k, strict=False)
     _check_edge_endpoints(n, edge)
-    q = build_q(n, k)
-    p = _cycle_edge_base(q, edge)
-    cp = critical_params(n, k)
-    a1 = _star(q.labels[0])
-    members = frozenset(a1)
-    s0 = _light_window_start(n, cp.a, cp.b, members)
+    f = _frame(n, k)
+    return _edge_deleted_coloring(f, _cycle_edge_base(f.q, edge))
+
+
+def _edge_deleted_coloring(f: _Frame, p: int) -> FractionalColoring:
+    """The colouring of Q(n,k) less the edge {p, p+1}."""
+    n, cp, star, s0 = f.n, f.cp, f.star, f.light
+    members = frozenset(star)
     # the deficient window start is the unique position entering the star a
     # steps later; its predecessor is a star position
     if (s0 + cp.a) % n not in members or s0 in members or (s0 - 1) % n not in members:
         raise AssertionError(f"deficient window at {s0} lacks the boundary structure")
     delta = (p - (s0 - 1)) % n
-    first = tuple(sorted({(u + delta) % n for u in a1} | {(s0 + delta) % n}))
-    sets = [first]
+    # s0 is no star position, so s0 + delta joins the first set as a new member
+    first = rotated_residues(star, n, delta)
+    extra = (s0 + delta) % n
+    cut = bisect_left(first, extra)
+    sets = [first[:cut] + (extra,) + first[cut:]]
     for j in range(1, cp.a):
-        sets.append(tuple(sorted((u + delta - j) % n for u in a1)))
+        sets.append(rotated_residues(star, n, delta - j))
     fc = FractionalColoring(
         tuple(sets),
         (Fraction(1, cp.b),) * cp.a,
@@ -153,7 +216,7 @@ def edge_deleted_coloring(n: int, k: int, edge: tuple[int, int]) -> FractionalCo
     )
     if fc.value != Fraction(cp.a, cp.b):
         raise AssertionError(f"total weight {fc.value} != {cp.a}/{cp.b}")
-    return _checked_coloring(q, fc)
+    return _checked_coloring(f.q, fc)
 
 
 def _window_labels(q: LabeledGraph, cp: CriticalParams,
@@ -179,20 +242,18 @@ def _window_labels(q: LabeledGraph, cp: CriticalParams,
     return out
 
 
-def _anchored_copy(q: LabeledGraph, anchor: int):
-    """The critical graph plus the (position, target-id) pairs of its copy."""
-    cp = critical_params(q.family.n, q.family.k)
-    qab = build_q(cp.a, cp.b)
-    index = {lab: i for i, lab in enumerate(qab.labels)}
+def _anchored_copy(f: _Frame, anchor: int) -> list[tuple[int, int]]:
+    """The (position, Q(a,b) id) pairs of the critical copy anchored at anchor."""
+    cp, index = f.cp, f.qab_index
     pairs = []
-    for xi, w in _window_labels(q, cp, anchor):
+    for xi, w in _window_labels(f.q, cp, anchor):
         t = index.get(w)
         if t is None:
             raise AssertionError(f"window label {w} is not a rotation on ({cp.a},{cp.b})")
         pairs.append((xi, t))
     if len({t for _, t in pairs}) != cp.a:
         raise AssertionError("window labels collide")
-    return cp, qab, pairs
+    return pairs
 
 
 def _checked_map(m: VertexMap) -> VertexMap:
@@ -206,10 +267,9 @@ def find_subgraph_qab(n: int, k: int) -> VertexMap:
     """Embed the critical rotation graph induced on a window of consecutive
     positions starting at position 0."""
     _require_coprime(n, k, strict=True)
-    qnk = build_q(n, k)
-    _, qab, pairs = _anchored_copy(qnk, 0)
-    mapping = {t: xi for xi, t in pairs}
-    return _checked_map(VertexMap(qab, qnk, mapping, MapKind.EMBEDDING))
+    f = _frame(n, k)
+    mapping = {t: xi for xi, t in _anchored_copy(f, 0)}
+    return _checked_map(VertexMap(f.qab, f.q, mapping, MapKind.EMBEDDING))
 
 
 def vertex_deleted_retraction(n: int, k: int, deleted: int) -> VertexMap:
@@ -218,16 +278,20 @@ def vertex_deleted_retraction(n: int, k: int, deleted: int) -> VertexMap:
     _require_coprime(n, k, strict=True)
     if not (0 <= deleted < n):
         raise InvalidParams(f"vertex {deleted} out of range 0..{n - 1}")
-    qnk = build_q(n, k)
-    cp, qab, pairs = _anchored_copy(qnk, (deleted - 1) % n)
+    return _vertex_deleted_retraction(_frame(n, k), deleted)
+
+
+def _vertex_deleted_retraction(f: _Frame, deleted: int) -> VertexMap:
+    n, a = f.n, f.cp.a
+    pairs = _anchored_copy(f, (deleted - 1) % n)
     targets = [t for _, t in pairs]
     mapping = {}
     for i in range(n - 1):
         pos = (deleted - 1 - i) % n
-        mapping[pos] = targets[i % cp.a]
+        mapping[pos] = targets[i % a]
     section = {t: xi for xi, t in pairs}
     return _checked_map(
-        VertexMap(qnk, qab, mapping, MapKind.HOMOMORPHISM,
+        VertexMap(f.q, f.qab, mapping, MapKind.HOMOMORPHISM,
                   excluded_vertex=deleted, section=section)
     )
 
@@ -237,16 +301,21 @@ def edge_deleted_retraction(n: int, k: int, edge: tuple[int, int]) -> VertexMap:
     critical copy anchored at the edge's lower endpoint."""
     _require_coprime(n, k, strict=True)
     _check_edge_endpoints(n, edge)
-    qnk = build_q(n, k)
-    p = _cycle_edge_base(qnk, edge)
-    cp, qab, pairs = _anchored_copy(qnk, p)
+    f = _frame(n, k)
+    return _edge_deleted_retraction(f, _cycle_edge_base(f.q, edge))
+
+
+def _edge_deleted_retraction(f: _Frame, p: int) -> VertexMap:
+    """The retraction of Q(n,k) less the edge {p, p+1}."""
+    n, a = f.n, f.cp.a
+    pairs = _anchored_copy(f, p)
     targets = [t for _, t in pairs]
     mapping = {}
     for i in range(n):
-        mapping[(p - i) % n] = targets[i % cp.a]
+        mapping[(p - i) % n] = targets[i % a]
     section = {t: xi for xi, t in pairs}
     return _checked_map(
-        VertexMap(qnk, qab, mapping, MapKind.HOMOMORPHISM,
+        VertexMap(f.q, f.qab, mapping, MapKind.HOMOMORPHISM,
                   excluded_edge=(p, (p + 1) % n), section=section)
     )
 
@@ -275,8 +344,13 @@ def circular_isomorphism(n: int, k: int) -> VertexMap:
     """Position u of the rotation graph onto residue u*k of the circular
     complete graph; a bijection exactly because gcd(n, k) = 1."""
     _require_coprime(n, k, strict=False)
-    src = build_q(n, k)
-    tgt = build_circular(n, k)
+    return _circular_isomorphism(build_q(n, k), build_circular(n, k))
+
+
+def _circular_isomorphism(src: LabeledGraph, tgt: LabeledGraph) -> VertexMap:
+    """`circular_isomorphism` from src = Q(n,k) onto tgt = circular(n,k),
+    both already built."""
+    n, k = src.family.n, src.family.k
     mapping = {u: (u * k) % n for u in range(n)}
     return _checked_map(VertexMap(src, tgt, mapping, MapKind.ISOMORPHISM))
 

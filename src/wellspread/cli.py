@@ -3,6 +3,10 @@
 Documents go to standard output; diagnostics and progress go to standard
 error.  Exit codes: 0 success, 1 verification or certificate failure,
 2 invalid input, 3 resource cap exceeded.
+
+The argument parser is built on the first call of `main` and reused by every
+later call in the process; nothing else is kept between calls.  The
+verification harness is imported only by `verify-paper`.
 """
 from __future__ import annotations
 
@@ -52,7 +56,6 @@ from .serialize import (
     report_to_document,
     trace_to_document,
 )
-from .verify import run_all, summary_document
 
 _INVARIANTS = {"chi": Invariant.CHI, "chi-f": Invariant.CHI_F, "chi-c": Invariant.CHI_C}
 
@@ -224,6 +227,9 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # imported here: no other command needs the verification harness
+    from .verify import run_all, summary_document
+
     results = run_all(args.max_n, args.mis_cap)
     for r in results:
         for line in r.lines():
@@ -232,8 +238,14 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:  # built on the first call, reused by every later one
+        _parser = _build_parser()
+    args = _parser.parse_args(argv)
     handlers = {
         "build": _cmd_build,
         "invariants": _cmd_invariants,

@@ -34,6 +34,11 @@ other edge leaves n/k.  If any check fails, the solver decides.
 Formula predictions live in the verification harness, which compares them
 against the closed forms and solves every deleted graph itself, so it checks
 the witnesses and the orbit reduction too.
+
+A sweep builds each graph its witnesses read once, not once per orbit: Q(n,k)
+(the swept graph itself when it is Q(n,k)), Q(a,b) and K_{a/b} sit in one
+certificates frame, which every orbit's constructors read; each orbit still
+builds and checks its own pair.
 """
 from __future__ import annotations
 
@@ -44,11 +49,13 @@ from math import gcd
 from typing import Optional
 
 from .certificates import (
-    circular_isomorphism,
-    edge_deleted_coloring,
-    edge_deleted_retraction,
-    vertex_deleted_coloring,
-    vertex_deleted_retraction,
+    _circular_isomorphism,
+    _cycle_edge_base,
+    _edge_deleted_coloring,
+    _edge_deleted_retraction,
+    _Frame,
+    _vertex_deleted_coloring,
+    _vertex_deleted_retraction,
 )
 from .coloring import chromatic_number
 from .cyclic import critical_params
@@ -66,7 +73,7 @@ from .graphs import (
     delete_edge,
     delete_vertex,
     dihedral_automorphisms,
-    is_cycle_edge,
+    label_rotation,
     validate_map,
 )
 from .homomorphism import circular_chromatic_number
@@ -111,13 +118,16 @@ def _edge_image(perm: list[int], e: tuple[int, int]) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def _q_positions(g: LabeledGraph) -> list[int] | None:
-    """g's vertex id of each position of Q(n,k) when the paper's witness pairs
-    apply to g, else None.
+def _q_frame(g: LabeledGraph) -> tuple[list[int], _Frame] | None:
+    """g's vertex id of each position of Q(n,k), and the certificates' frame
+    of Q(n,k), when the paper's witness pairs apply to g; else None.
 
     They apply to the coprime rotation graph with 2k < n, on its own ids, and
-    to circular(n, k) with the same parameters, through the validated
-    `circular_isomorphism`, which sends position u to residue u*k mod n.
+    to circular(n, k) with the same parameters, through the isomorphism
+    Q(n,k) -> g of `circular_isomorphism` (position u to residue u*k mod n),
+    validated against g itself.  A sweep calls this once: the frame holds g
+    itself or the one Q(n,k) built here, and builds Q(a,b) and K_{a/b} at
+    most once.
     """
     fam = g.family
     if fam is None or fam.tag not in ("q", "circular"):
@@ -126,20 +136,21 @@ def _q_positions(g: LabeledGraph) -> list[int] | None:
     if gcd(n, k) != 1 or not 2 * k < n or g.vertex_count != n:
         return None
     if fam.tag == "q":
-        return list(range(n))
-    iso = circular_isomorphism(n, k)
-    return [iso.mapping[u] for u in range(n)]
+        return list(range(n)), _Frame(g, critical_params(n, k))
+    q = build_q(n, k)
+    iso = _circular_isomorphism(q, g)
+    return [iso.mapping[u] for u in range(n)], _Frame(q, critical_params(n, k))
 
 
 def _retraction_witness(g: LabeledGraph, d: LabeledGraph, invariant: Invariant,
                         deletion: int | tuple[int, int],
                         orbit_fc: FractionalColoring | None = None,
-                        positions: list[int] | None = None) -> Fraction | None:
+                        frame: tuple[list[int], _Frame] | None = None) -> Fraction | None:
     """chi_f or chi_c of d, the graph g less one vertex or edge, when the
     paper's witness pair pins it on d; None otherwise.
 
-    g is Q(n,k) or circular(n,k) with gcd(n,k) = 1 and 2k < n; positions is
-    `_q_positions(g)`, computed here when not given.  The deletion moves to Q
+    g is Q(n,k) or circular(n,k) with gcd(n,k) = 1 and 2k < n; frame is
+    `_q_frame(g)`, computed here when not given.  The deletion moves to Q
     positions, the pair is built there and moves back to d's ids:
     - vertex v: the star colouring avoiding v, and the copy of Q(a,b)
       anchored at v-1, with weight 1/b;
@@ -153,22 +164,23 @@ def _retraction_witness(g: LabeledGraph, d: LabeledGraph, invariant: Invariant,
     """
     if invariant is Invariant.CHI:
         return None
-    if positions is None:
-        positions = _q_positions(g)
-        if positions is None:
+    if frame is None:
+        frame = _q_frame(g)
+        if frame is None:
             return None
+    positions, f = frame
     n, k = g.family.n, g.family.k
     where = [0] * n  # g id -> Q position
     for u, x in enumerate(positions):
         where[x] = u
     if isinstance(deletion, int):
-        fc = vertex_deleted_coloring(n, k, where[deletion])
-        retraction = vertex_deleted_retraction(n, k, where[deletion])
+        fc = _vertex_deleted_coloring(f, where[deletion])
+        retraction = _vertex_deleted_retraction(f, where[deletion])
         d_id = lambda u: positions[u] - (positions[u] > deletion)  # delete_vertex compacts
     elif (where[deletion[1]] - where[deletion[0]]) % n in (1, n - 1):
-        e = (where[deletion[0]], where[deletion[1]])
-        fc = edge_deleted_coloring(n, k, e)
-        retraction = edge_deleted_retraction(n, k, e)
+        p = _cycle_edge_base(f.q, (where[deletion[0]], where[deletion[1]]))
+        fc = _edge_deleted_coloring(f, p)
+        retraction = _edge_deleted_retraction(f, p)
         d_id = positions.__getitem__
     elif orbit_fc is not None:
         value = witnessed_value(d, orbit_fc, range(n), k)
@@ -180,11 +192,11 @@ def _retraction_witness(g: LabeledGraph, d: LabeledGraph, invariant: Invariant,
         return None
     # re-indexed without its exclusion, the colouring is checked on d itself
     fc = FractionalColoring(tuple(tuple(map(d_id, s)) for s in fc.sets), fc.weights)
-    cp = critical_params(n, k)
+    cp = f.cp
     value = witnessed_value(d, fc, map(d_id, retraction.section.values()), cp.b)
     if value is None or invariant is Invariant.CHI_F:
         return value
-    to_circular = circular_isomorphism(cp.a, cp.b)
+    to_circular = f.to_circular
     mapping = {d_id(u): to_circular.mapping[t] for u, t in retraction.mapping.items()}
     hom = VertexMap(d, to_circular.target, mapping, MapKind.HOMOMORPHISM)
     if value != Fraction(cp.a, cp.b) or validate_map(hom):
@@ -194,9 +206,9 @@ def _retraction_witness(g: LabeledGraph, d: LabeledGraph, invariant: Invariant,
 
 def _settle(g: LabeledGraph, d: LabeledGraph, invariant: Invariant, deletion,
             orbit_fc: FractionalColoring | None = None,
-            positions: list[int] | None = None) -> Fraction:
+            frame: tuple[list[int], _Frame] | None = None) -> Fraction:
     """The invariant of d = g less the deletion: witness first, then the solver."""
-    value = _retraction_witness(g, d, invariant, deletion, orbit_fc, positions)
+    value = _retraction_witness(g, d, invariant, deletion, orbit_fc, frame)
     return evaluate_invariant(d, invariant) if value is None else value
 
 
@@ -208,10 +220,10 @@ def vertex_criticality(g: LabeledGraph, invariant: Invariant) -> CriticalityRepo
     """
     baseline = evaluate_invariant(g, invariant)
     vertices = range(g.vertex_count)
-    positions = None if invariant is Invariant.CHI else _q_positions(g)
+    frame = None if invariant is Invariant.CHI else _q_frame(g)
     values = _solve_per_orbit(
         vertices, dihedral_automorphisms(g), list.__getitem__,
-        lambda v: _settle(g, delete_vertex(g, v), invariant, v, None, positions))
+        lambda v: _settle(g, delete_vertex(g, v), invariant, v, None, frame))
     rows = []
     for v, val in zip(vertices, values):
         if val > baseline:
@@ -254,15 +266,16 @@ def edge_criticality(q: LabeledGraph) -> CriticalityReport:
         q = build_q(n, k)
     baseline, orbit_fc = fractional_chromatic_number(q)
     edges = q.edges()
-    positions = _q_positions(q)
+    frame = _q_frame(q)
     values = _solve_per_orbit(
         edges, dihedral_automorphisms(q), _edge_image,
-        lambda e: _settle(q, delete_edge(q, *e), Invariant.CHI_F, e, orbit_fc, positions))
+        lambda e: _settle(q, delete_edge(q, *e), Invariant.CHI_F, e, orbit_fc, frame))
+    rot = label_rotation(q)  # labels of consecutive rotations differ by one step
     rows = []
-    for e, val in zip(edges, values):
+    for (u, v), val in zip(edges, values):
         if val > baseline:
-            raise AssertionError(f"deleting edge {e} raised chi_f to {val}")
-        rows.append((e, val, is_cycle_edge(q, *e)))
+            raise AssertionError(f"deleting edge {(u, v)} raised chi_f to {val}")
+        rows.append(((u, v), val, rot[u] == v or rot[v] == u))
     return CriticalityReport(
         q.family, Invariant.CHI_F, baseline, (), tuple(rows),
         _edge_summary(rows, baseline), metadata,
@@ -286,10 +299,10 @@ def circular_edge_corollary(n: int, k: int) -> CriticalityReport:
     baseline = circular_chromatic_number(g)
     orbit_fc = fractional_chromatic_number(g)[1]
     edges = g.edges()
-    positions = _q_positions(g)
+    frame = _q_frame(g)
     values = _solve_per_orbit(
         edges, dihedral_automorphisms(g), _edge_image,
-        lambda e: _settle(g, delete_edge(g, *e), Invariant.CHI_C, e, orbit_fc, positions))
+        lambda e: _settle(g, delete_edge(g, *e), Invariant.CHI_C, e, orbit_fc, frame))
     rows = []
     for e, val in zip(edges, values):
         if val > baseline:

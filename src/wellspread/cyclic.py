@@ -40,24 +40,28 @@ class CyclicSubset:
         return x in self.elements
 
     def rotate(self, t: int) -> "CyclicSubset":
-        """Clockwise rotation: every element shifted by +t mod n.
-
-        The elements from n-t upward wrap to the front, so the sorted tuple is
-        split there instead of sorted again.
-        """
+        """Clockwise rotation: every element shifted by +t mod n
+        (`rotated_residues`)."""
         n = self.modulus
-        t %= n
-        es = self.elements
-        cut = bisect_left(es, n - t)
         out = object.__new__(CyclicSubset)
         object.__setattr__(out, "modulus", n)
-        object.__setattr__(out, "elements",
-                           tuple(map((t - n).__add__, es[cut:])) + tuple(map(t.__add__, es[:cut])))
+        object.__setattr__(out, "elements", rotated_residues(self.elements, n, t))
         return out
 
     def __repr__(self) -> str:
         inner = ",".join(str(x) for x in self.elements)
         return f"{{{inner}}}/Z{self.modulus}"
+
+
+def rotated_residues(es: tuple[int, ...], n: int, t: int) -> tuple[int, ...]:
+    """The sorted residues es of Z_n, each shifted by +t mod n, still sorted.
+
+    The residues from n-t upward wrap to the front, so the tuple is split
+    there instead of sorted again.
+    """
+    t %= n
+    cut = bisect_left(es, n - t)
+    return tuple(map((t - n).__add__, es[cut:])) + tuple(map(t.__add__, es[:cut]))
 
 
 def is_r_separated(s: CyclicSubset, r: int) -> bool:

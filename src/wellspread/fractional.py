@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .cyclic import CyclicSubset
@@ -40,8 +41,9 @@ class FractionalColoring:
     excluded_vertex: int | None = None
     excluded_edge: tuple[int, int] | None = None
 
-    @property
+    @cached_property
     def value(self) -> Fraction:
+        """The total weight, summed on first read."""
         return sum(self.weights, _ZERO)
 
 
@@ -77,23 +79,26 @@ def _coloring_passes(g: LabeledGraph, fc: FractionalColoring,
         adj[a] &= ~(1 << b)
         adj[b] &= ~(1 << a)
     bits = [1 << v for v in range(V)]
-    counts: dict[Fraction, Counter] = {}
+    # members counted per distinct weight, keyed by its lowest terms (a
+    # cheaper hash than a Fraction's)
+    counts: dict[tuple[int, int], Counter] = {}
     for s, w in zip(fc.sets, fc.weights):
-        if w < 0:
-            return False
         if s:
             if min(s) < 0 or max(s) >= V or len(set(s)) != len(s) or excl_v in s:
                 return False
             mask = sum(map(bits.__getitem__, s))  # distinct members, so sum is OR
             if any(map(mask.__and__, map(adj.__getitem__, s))):
                 return False
-        if w not in counts:
-            counts[w] = Counter()
-        counts[w].update(s)
+        key = (w.numerator, w.denominator)
+        if key not in counts:
+            counts[key] = Counter()
+        counts[key].update(s)
+    if any(num < 0 for num, _ in counts):  # the sign of each distinct weight
+        return False
     scale = lcm(*(w.denominator for w in fc.weights))
     cover = [0] * V
-    for w, members in counts.items():
-        units = w.numerator * (scale // w.denominator)
+    for (num, den), members in counts.items():
+        units = num * (scale // den)
         for v, c in members.items():
             cover[v] += c * units
     return all(c >= scale for v, c in enumerate(cover) if v != excl_v)

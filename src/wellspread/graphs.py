@@ -12,13 +12,16 @@ big-int ORs instead of O(V^2) set intersections.  The rotation graph Q(n,k)
 and the circular complete graphs are circulants: every row is row 0 rotated
 within V bits.  Row 0 of Q(n,k) takes one test per rotation offset of the
 canonical set's member mask, so the build costs O(V) big-int operations
-beyond writing the V labels.
+beyond writing the V labels.  The interlacing graph I(n,k) takes the
+Schrijver labels and finds each vertex's neighbours directly: they are the
+ways of choosing one residue strictly inside each cyclic gap of its label, so
+the build costs one index lookup per edge end instead of a test per pair.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, gcd
 from typing import Callable, Iterator
 
@@ -71,14 +74,6 @@ class LabeledGraph:
         return sum(a.bit_count() for a in self.adj) // 2
 
 
-def _graph_from_edges(labels: tuple, edge_pairs, family: FamilyParams | None) -> LabeledGraph:
-    adj = [0] * len(labels)
-    for u, v in edge_pairs:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return LabeledGraph(labels, tuple(adj), family)
-
-
 def _check_cap(count: int, vertex_cap: int, what: str) -> None:
     if count > vertex_cap:
         raise ResourceCap(f"{what} would have {count} vertices, cap is {vertex_cap}")
@@ -111,16 +106,21 @@ def build_kneser(n: int, k: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Labele
     return _disjointness_graph(labels, n, FamilyParams("kneser", n, k))
 
 
-def build_schrijver(n: int, k: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> LabeledGraph:
-    """The 2-separated k-subsets of Z_n in lex order; edges join disjoint pairs."""
+def _separated_labels(n: int, k: int, vertex_cap: int) -> tuple[CyclicSubset, ...]:
+    """The 2-separated k-subsets of Z_n in lex order."""
     if not (1 <= k and 2 * k <= n):
         raise InvalidParams(f"need 1 <= k <= n/2, got n={n} k={k}")
     _check_cap(comb(n, k), vertex_cap, f"schrijver({n},{k}) candidate pool")
-    labels = tuple(
+    return tuple(
         CyclicSubset(n, c)
         for c in combinations(range(n), k)
         if is_r_separated(CyclicSubset(n, c), 2)
     )
+
+
+def build_schrijver(n: int, k: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> LabeledGraph:
+    """The 2-separated k-subsets of Z_n in lex order; edges join disjoint pairs."""
+    labels = _separated_labels(n, k, vertex_cap)
     return _disjointness_graph(labels, n, FamilyParams("sg", n, k))
 
 
@@ -188,16 +188,29 @@ def is_interlacing_edge(x: CyclicSubset, y: CyclicSubset) -> bool:
 
 
 def build_interlacing(n: int, k: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> LabeledGraph:
-    """Same vertices as the 2-separated family; edges join interlacing pairs."""
-    sg = build_schrijver(n, k, vertex_cap)
-    labels = sg.labels
-    edges = [
-        (i, j)
-        for i in range(len(labels))
-        for j in range(i + 1, len(labels))
-        if is_interlacing_edge(labels[i], labels[j])
-    ]
-    return _graph_from_edges(labels, edges, FamilyParams("interlacing", n, k))
+    """Same vertices as the 2-separated family; edges join interlacing pairs.
+
+    y interlaces x exactly when y has one residue strictly inside each cyclic
+    gap of x.  Any such choice is 2-separated (a member of x lies between
+    two picks either way round), so x's neighbours are the product of its
+    gaps, each looked up in the label index.
+    """
+    labels = _separated_labels(n, k, vertex_cap)
+    index = {lab.elements: i for i, lab in enumerate(labels)}
+    adj = []
+    for lab in labels:
+        xs = lab.elements
+        inner = [range(xs[i] + 1, xs[i + 1]) for i in range(k - 1)]
+        high = range(xs[-1] + 1, n)  # the wrapping gap, above the last member
+        low = range(xs[0])  # and below the first
+        row = 0
+        for picks in product(*inner):
+            for c in high:
+                row |= 1 << index[picks + (c,)]
+            for c in low:
+                row |= 1 << index[(c,) + picks]
+        adj.append(row)
+    return LabeledGraph(labels, tuple(adj), FamilyParams("interlacing", n, k))
 
 
 def is_cycle_edge(q: LabeledGraph, u: int, v: int) -> bool:

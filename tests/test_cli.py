@@ -251,6 +251,53 @@ def test_verify_paper_small_run(capsys):
     assert "OK" in err
 
 
+def run_fresh(*argv):
+    """Exit code, stdout and stderr of the command in a new interpreter."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "wellspread.cli", *argv], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+# the failing requests use the valid one's subcommand, so any option value
+# leaking from one call into the next changes its answer
+VALID = ("criticality", "--family", "circular", "--n", "11", "--k", "3", "--edges")
+FAILING = {
+    "argparse": ("criticality", "--family", "circular", "--n", "11", "--k", "x", "--edges",
+                 "--vertex-cap", "2"),
+    "exit 2": ("criticality", "--family", "kneser", "--n", "7", "--k", "2", "--edges",
+               "--invariant", "chi"),
+    "exit 3": ("criticality", "--family", "circular", "--n", "9", "--k", "2", "--edges",
+               "--vertex-cap", "2"),
+}
+
+
+@pytest.mark.parametrize("before", sorted(FAILING))
+def test_reused_parser_answers_as_a_fresh_process(capsys, before):
+    # the parser is built once per process; a failed call leaves nothing behind
+    try:
+        code = main(list(FAILING[before]))
+    except SystemExit as exc:
+        code = exc.code
+    capsys.readouterr()
+    assert code == (2 if before != "exit 3" else 3)
+    assert run(capsys, *VALID) == run_fresh(*VALID)
+
+
+def test_cli_import_leaves_out_the_verification_harness():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, wellspread.cli; sys.exit('wellspread.verify' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0
+    code, out, err = run_fresh("verify-paper", "--max-n", "5")
+    assert code == 0, err
+    assert json.loads(out)["allPassed"] is True
+    assert "OK" in err
+
+
 # sha256 of stdout and the exit code, pinned from the output of the straight
 # (disjointness build, json.dumps, member-by-member check) implementation.
 # The first eight are the benchmark's large-cyclic request shapes.

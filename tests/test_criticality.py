@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -30,13 +31,8 @@ from wellspread import (
     q_equals_schrijver_sweep,
     vertex_criticality,
 )
-from wellspread import criticality, fractional
-from wellspread.certificates import (
-    edge_deleted_coloring,
-    edge_deleted_retraction,
-    vertex_deleted_coloring,
-    vertex_deleted_retraction,
-)
+from wellspread import certificates, criticality, fractional, graphs
+from wellspread.certificates import vertex_deleted_coloring, vertex_deleted_retraction
 from wellspread.cyclic import critical_params
 from wellspread.fractional import FractionalColoring, verify_fractional_coloring, witnessed_value
 from wellspread.graphs import dihedral_automorphisms
@@ -306,6 +302,42 @@ def test_sweeps_solve_once_per_orbit(solver_calls, witnessed, lp_runs):
     assert len(solver_calls) == 1 and len(witnessed) == 1
 
 
+@pytest.fixture
+def builds(monkeypatch):
+    """(builder, n, k) of every build_q / build_circular call, through any module."""
+    calls = []
+    for name in ("build_q", "build_circular"):
+        original = getattr(graphs, name)
+
+        def wrapper(n, k, *args, _name=name, _original=original, **kwargs):
+            calls.append((_name, n, k))
+            return _original(n, k, *args, **kwargs)
+
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("wellspread") and \
+                    vars(mod).get(name) is original:
+                monkeypatch.setattr(mod, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("sweep", ["vertex 29 9 chi_f", "vertex 29 9 chi_c", "edges 27 8"])
+def test_sweeps_build_each_graph_once(builds, witnessed, sweep):
+    # the sweep's frame holds the swept Q(n,k) itself, Q(a,b) and K_{a/b};
+    # no orbit builds them again
+    kind, n, k, *rest = sweep.split()
+    n, k = int(n), int(k)
+    cp = critical_params(n, k)
+    g = build_q(n, k)
+    builds.clear()
+    if kind == "vertex":
+        vertex_criticality(g, Invariant(rest[0]))
+    else:
+        edge_criticality(g)
+    assert witnessed
+    assert ("build_q", cp.a, cp.b) in builds
+    assert len(builds) == len(set(builds)), sorted(builds)
+
+
 def test_sweep_without_a_certified_symmetry_solves_every_deletion(solver_calls):
     # the labels of Q(7,2) minus an edge still rotate onto themselves, but
     # neither the rotation nor the reflection preserves its adjacency
@@ -353,18 +385,18 @@ def test_retraction_witness_matches_the_solvers():
                Invariant.CHI_C: circular_chromatic_number}
     for n, k in coprime_q(17):
         g = build_circular(n, k)
-        positions = criticality._q_positions(g)
+        frame = criticality._q_frame(g)
         orbit_fc = fractional_chromatic_number(g)[1]
         edges = g.edges()
         firsts = set(criticality._solve_per_orbit(
             edges, dihedral_automorphisms(g), criticality._edge_image, lambda e: e))
         for invariant, solve in solvers.items():
             got = [criticality._retraction_witness(
-                g, delete_vertex(g, v), invariant, v, None, positions) for v in range(n)]
+                g, delete_vertex(g, v), invariant, v, None, frame) for v in range(n)]
             assert None not in got and len(set(got)) == 1, (n, k, invariant)
             assert got[0] == solve(delete_vertex(g, 0)), (n, k, invariant)
             got = {e: criticality._retraction_witness(
-                g, delete_edge(g, *e), invariant, e, orbit_fc, positions) for e in edges}
+                g, delete_edge(g, *e), invariant, e, orbit_fc, frame) for e in edges}
             assert None not in got.values(), (n, k, invariant)
             for e in firsts:
                 assert got[e] == solve(delete_edge(g, *e)), (n, k, invariant, e)
@@ -401,14 +433,15 @@ def sweep_without_witnesses(monkeypatch, sweep):
 
 
 def test_tampered_colouring_falls_back_to_the_solver(monkeypatch, solver_calls):
-    def short(n, k, v):
-        fc = vertex_deleted_coloring(n, k, v)
+    # a sweep hands its frame to the constructors' cores, so those are tampered
+    def short(f, v):
+        fc = certificates._vertex_deleted_coloring(f, v)
         return FractionalColoring(fc.sets[:-1], fc.weights[:-1])
 
     q = build_q(13, 5)
     want = sweep_without_witnesses(monkeypatch, lambda: vertex_criticality(q, Invariant.CHI_F))
     solver_calls.clear()
-    monkeypatch.setattr(criticality, "vertex_deleted_coloring", short)
+    monkeypatch.setattr(criticality, "_vertex_deleted_coloring", short)
     assert vertex_criticality(q, Invariant.CHI_F) == want
     assert len(solver_calls) == 1 + 1
 
@@ -425,8 +458,8 @@ def test_chords_of_a_complete_graph_fail_the_dual_check(monkeypatch, solver_call
 
 
 def test_tampered_homomorphism_falls_back_to_the_solver(monkeypatch, solver_calls):
-    def bent(n, k, v):
-        m = vertex_deleted_retraction(n, k, v)
+    def bent(f, v):
+        m = certificates._vertex_deleted_retraction(f, v)
         mapping = dict(m.mapping)
         u = next(iter(mapping))
         mapping[u] = (mapping[u] + 1) % m.target.vertex_count
@@ -435,7 +468,7 @@ def test_tampered_homomorphism_falls_back_to_the_solver(monkeypatch, solver_call
     q = build_q(11, 3)
     want = sweep_without_witnesses(monkeypatch, lambda: vertex_criticality(q, Invariant.CHI_C))
     solver_calls.clear()
-    monkeypatch.setattr(criticality, "vertex_deleted_retraction", bent)
+    monkeypatch.setattr(criticality, "_vertex_deleted_retraction", bent)
     assert vertex_criticality(q, Invariant.CHI_C) == want
     assert len(solver_calls) == 1 + 1
 
@@ -452,20 +485,20 @@ def test_circular_chords_of_a_complete_graph_fail_the_dual_check(
 
 
 def test_tampered_circular_witnesses_fall_back_to_the_solver(monkeypatch, solver_calls):
-    def short(n, k, e):
-        fc = edge_deleted_coloring(n, k, e)
+    def short(f, p):
+        fc = certificates._edge_deleted_coloring(f, p)
         return dataclasses.replace(fc, sets=fc.sets[:-1], weights=fc.weights[:-1])
 
-    def bent(n, k, e):
-        m = edge_deleted_retraction(n, k, e)
+    def bent(f, p):
+        m = certificates._edge_deleted_retraction(f, p)
         mapping = dict(m.mapping)
         u = next(iter(mapping))
         mapping[u] = (mapping[u] + 1) % m.target.vertex_count
         return dataclasses.replace(m, mapping=mapping)
 
     want = sweep_without_witnesses(monkeypatch, lambda: circular_edge_corollary(11, 3))
-    for name, tampered in (("edge_deleted_coloring", short),
-                           ("edge_deleted_retraction", bent)):
+    for name, tampered in (("_edge_deleted_coloring", short),
+                           ("_edge_deleted_retraction", bent)):
         with monkeypatch.context() as m:
             m.setattr(criticality, name, tampered)
             solver_calls.clear()

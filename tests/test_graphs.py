@@ -154,9 +154,17 @@ def test_interlacing_contains_q_and_matches_predicate():
         idx = {lbl.elements: i for i, lbl in enumerate(ig.labels)}
         for u, v in q.edges():
             assert ig.has_edge(idx[q.labels[u].elements], idx[q.labels[v].elements])
-        for u in range(ig.vertex_count):
-            for v in range(u + 1, ig.vertex_count):
-                assert ig.has_edge(u, v) == is_interlacing_edge(ig.labels[u], ig.labels[v])
+    # the gap build against the pairwise oracle, on every valid (n,k) with n <= 12
+    for n in range(2, 13):
+        for k in range(1, n // 2 + 1):
+            ig = build_interlacing(n, k)
+            assert ig.labels == build_schrijver(n, k).labels, (n, k)
+            assert ig.family == FamilyParams("interlacing", n, k)
+            for u in range(ig.vertex_count):
+                assert not ig.has_edge(u, u)
+                for v in range(u + 1, ig.vertex_count):
+                    want = is_interlacing_edge(ig.labels[u], ig.labels[v])
+                    assert ig.has_edge(u, v) == ig.has_edge(v, u) == want, (n, k, u, v)
 
 
 def test_interlacing_edge_predicate_examples():
