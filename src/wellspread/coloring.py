@@ -19,6 +19,12 @@ takes seconds; class branching refutes 5 colors on SG(10,3) and 4 on SG(11,4)
 in a fraction of a second each, where DSATUR takes minutes.  Both searches
 are exhaustive and the memo only skips residuals isomorphic to refuted ones,
 so both directions of every answer are exact.
+
+`rlf_coloring` is a recursive-largest-first greedy coloring (Leighton 1979).
+No decision here uses it: it runs only in the chi vertex sweep
+(`criticality.vertex_criticality`), once per orbit, on the deleted graph D,
+as a witness that counts only once `validate_map` accepts it on D as a map
+into K_{chi-1}; when it fails, `is_t_colorable` decides.
 """
 from __future__ import annotations
 
@@ -85,6 +91,38 @@ def greedy_coloring(g: LabeledGraph) -> list[int]:
             if colors[u] < 0 and not used_next_to[u] & bit:
                 used_next_to[u] |= bit
                 heappush(heap, (-used_next_to[u].bit_count(), -deg[u], u))
+    return colors
+
+
+def rlf_coloring(g: LabeledGraph) -> list[int]:
+    """Recursive-largest-first greedy proper coloring (Leighton 1979).
+
+    Colors one class at a time from the uncolored vertices U.  A class opens
+    with the vertex of most neighbours in U; it then takes, while any is
+    left, the candidate (in U, with no neighbour in the class) with the most
+    neighbours among the vertices of U the class has excluded, then the
+    fewest among the remaining candidates, then the lowest index.  Classes
+    get colors 0, 1, ... in turn.  Iterative, on the bitmask adjacency.
+    """
+    adj = g.adj
+    colors = [-1] * g.vertex_count
+    left = (1 << g.vertex_count) - 1
+    c = 0
+    while left:
+        v = max(iter_bits(left), key=lambda u: (adj[u] & left).bit_count())
+        cls = 1 << v
+        excluded = adj[v] & left
+        cand = left & ~excluded & ~cls
+        while cand:
+            v = max(iter_bits(cand), key=lambda u: ((adj[u] & excluded).bit_count(),
+                                                     -(adj[u] & cand).bit_count()))
+            cls |= 1 << v
+            excluded |= adj[v] & cand
+            cand &= ~(excluded | cls)
+        for u in iter_bits(cls):
+            colors[u] = c
+        left &= ~cls
+        c += 1
     return colors
 
 

@@ -12,6 +12,18 @@ on an orbit: the deleted graph of the orbit's first member is settled and its
 value is reported for every member.  A graph with no certified symmetry gets
 one deleted graph settled per deletion.
 
+chi of a vertex deletion rests on the bracket chi(G) - 1 <= chi(G - v) <=
+chi(G).  The baseline c = chi(G) comes from the exact solver, and each orbit
+asks one question of D = G - v: is it (c-1)-colorable?  A
+recursive-largest-first colouring of D (`coloring.rlf_coloring`) answers yes
+when `validate_map` accepts it on D as a homomorphism into K_{c-1}; otherwise
+`is_t_colorable(D, c - 1)` decides.  The row is c - 1 on yes and c on no.
+One side of each row is checked on D and the other comes from the exact
+baseline: on yes, chi(D) <= c - 1 is checked on D and chi(D) >= c - 1
+follows from chi(G) = c; on no, chi(D) >= c is the exact refutation on D
+and chi(D) <= c follows from G's c-colouring.  Below three colours
+`is_t_colorable` decides by a linear check, so no witness is tried.
+
 On the rotation graph Q(n,k) with gcd(n,k) = 1 and 2k < n, chi_f and chi_c of
 a deleted graph D are first tried through the paper's constructions
 (`certificates`): a fractional colouring of D and the uniform weight 1/b on
@@ -57,7 +69,7 @@ from .certificates import (
     _vertex_deleted_coloring,
     _vertex_deleted_retraction,
 )
-from .coloring import chromatic_number
+from .coloring import chromatic_number, is_t_colorable, rlf_coloring
 from .cyclic import critical_params
 from .errors import InvalidParams
 from .fractional import FractionalColoring, fractional_chromatic_number, witnessed_value
@@ -162,8 +174,6 @@ def _retraction_witness(g: LabeledGraph, d: LabeledGraph, invariant: Invariant,
     copy composed with Q(a,b) ~ K_{a/b}, or, for the other edges, the
     identity into g ~ K_{n/k}.
     """
-    if invariant is Invariant.CHI:
-        return None
     if frame is None:
         frame = _q_frame(g)
         if frame is None:
@@ -204,26 +214,48 @@ def _retraction_witness(g: LabeledGraph, d: LabeledGraph, invariant: Invariant,
     return value
 
 
+def _colorable(d: LabeledGraph, t: int, k_t: LabeledGraph | None) -> bool:
+    """Whether d is t-colorable.  Yes when `rlf_coloring(d)` passes
+    `validate_map` as a homomorphism into k_t = K_t: then it uses at most t
+    colors and no edge of d joins two vertices of one color.  Otherwise, and
+    always when k_t is None, `is_t_colorable` decides."""
+    if k_t is not None:
+        rlf = VertexMap(d, k_t, dict(enumerate(rlf_coloring(d))), MapKind.HOMOMORPHISM)
+        if not validate_map(rlf):
+            return True
+    return is_t_colorable(d, t)
+
+
 def _settle(g: LabeledGraph, d: LabeledGraph, invariant: Invariant, deletion,
             orbit_fc: FractionalColoring | None = None,
             frame: tuple[list[int], _Frame] | None = None) -> Fraction:
-    """The invariant of d = g less the deletion: witness first, then the solver."""
+    """chi_f or chi_c of d = g less the deletion: witness first, then the solver."""
     value = _retraction_witness(g, d, invariant, deletion, orbit_fc, frame)
     return evaluate_invariant(d, invariant) if value is None else value
 
 
 def vertex_criticality(g: LabeledGraph, invariant: Invariant) -> CriticalityReport:
     """The invariant after each single vertex deletion, settled once per
-    certified vertex orbit.
+    certified vertex orbit; for chi, by one colorability question per orbit.
 
     VERTEX_CRITICAL means every deletion strictly lowered the value.
     """
     baseline = evaluate_invariant(g, invariant)
+    if invariant is Invariant.CHI:
+        # chi(g) - 1 <= chi(g - v) <= chi(g): one question per orbit, no
+        # witness below three colors (see the module docstring)
+        t = int(baseline) - 1
+        k_t = build_circular(t, 1) if t > 2 else None
+
+        def settle(v: int) -> Fraction:
+            return Fraction(t if _colorable(delete_vertex(g, v), t, k_t) else t + 1)
+    else:
+        frame = _q_frame(g)
+
+        def settle(v: int) -> Fraction:
+            return _settle(g, delete_vertex(g, v), invariant, v, None, frame)
     vertices = range(g.vertex_count)
-    frame = None if invariant is Invariant.CHI else _q_frame(g)
-    values = _solve_per_orbit(
-        vertices, dihedral_automorphisms(g), list.__getitem__,
-        lambda v: _settle(g, delete_vertex(g, v), invariant, v, None, frame))
+    values = _solve_per_orbit(vertices, dihedral_automorphisms(g), list.__getitem__, settle)
     rows = []
     for v, val in zip(vertices, values):
         if val > baseline:

@@ -486,13 +486,25 @@ def _residue_permutation(g: LabeledGraph,
     return out
 
 
+def _kept(g: LabeledGraph, key: str, compute: Callable[[LabeledGraph], object]):
+    """compute(g), computed once per graph.  A LabeledGraph never changes, so
+    the value is kept in the graph's own attribute dict (outside its fields,
+    so equality and hashing ignore it) and is dropped with the graph."""
+    memo = vars(g)
+    if key not in memo:
+        memo[key] = compute(g)
+    return memo[key]
+
+
 def label_rotation(g: LabeledGraph) -> list[int] | None:
     """Vertex permutation of the label rotation x -> x+1 mod n, or None.
 
-    Nothing here checks that it preserves adjacency; see
-    `is_automorphism`.
+    Computed once per graph; each call returns a fresh list.  Nothing here
+    checks that it preserves adjacency; see `is_automorphism`.
     """
-    return _residue_permutation(g, lambda x, n: (x + 1) % n)
+    perm = _kept(g, "_label_rotation",
+                 lambda g: _residue_permutation(g, lambda x, n: (x + 1) % n))
+    return None if perm is None else list(perm)
 
 
 def is_automorphism(g: LabeledGraph, perm: list[int]) -> bool:
@@ -504,10 +516,14 @@ def dihedral_automorphisms(g: LabeledGraph) -> list[list[int]]:
     """The label rotation and the reflection x -> -x mod n, keeping each only
     when it `is_automorphism` of g.
 
+    Computed and certified once per graph; each call returns fresh lists.
     An empty list means no symmetry is known.
     """
-    perms = (label_rotation(g), _residue_permutation(g, lambda x, n: -x % n))
-    return [perm for perm in perms if perm is not None and is_automorphism(g, perm)]
+    def certified(g: LabeledGraph) -> list[list[int]]:
+        perms = (label_rotation(g), _residue_permutation(g, lambda x, n: -x % n))
+        return [perm for perm in perms if perm is not None and is_automorphism(g, perm)]
+
+    return [list(perm) for perm in _kept(g, "_dihedral", certified)]
 
 
 def _solve_per_orbit(items, generators, act, solve) -> list:

@@ -4,8 +4,10 @@ that runs them in turn, cross-checks."""
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import complete, cycle, mk
 
@@ -23,8 +25,14 @@ from wellspread import (
     is_t_colorable,
 )
 from wellspread import coloring
-from wellspread.coloring import DEFAULT_NODE_BUDGET, _class_colorable, _is_bipartite
-from wellspread.graphs import dihedral_automorphisms
+from wellspread.coloring import (
+    DEFAULT_NODE_BUDGET,
+    _class_colorable,
+    _is_bipartite,
+    greedy_coloring,
+    rlf_coloring,
+)
+from wellspread.graphs import MapKind, VertexMap, dihedral_automorphisms, validate_map
 
 
 def test_chromatic_basics():
@@ -193,3 +201,31 @@ def test_class_branching_decides_when_probe_runs_out(monkeypatch):
     monkeypatch.setattr(coloring, "_class_colorable", recording)
     assert not is_t_colorable(sg, 4)
     assert calls == [(4, sg.vertex_count + coloring._PROBE_NODES)]
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 12), st.randoms(use_true_random=False))
+def test_rlf_coloring_is_a_proper_coloring_into_k_c(n, rng):
+    p = rng.random()
+    g = mk(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+    colors = rlf_coloring(g)
+    # deterministic: the same answer again, and on a fresh copy of the graph
+    assert rlf_coloring(g) == colors
+    assert rlf_coloring(mk(n, g.edges())) == colors
+    assert len(colors) == n
+    c = len(set(colors))
+    assert set(colors) == set(range(c))
+    into = VertexMap(g, complete(c), dict(enumerate(colors)), MapKind.HOMOMORPHISM)
+    assert validate_map(into) == []
+    assert c >= chromatic_number(g)
+
+
+def test_rlf_witness_success_on_schrijver_deletions():
+    # deletions of SG(n,k) colored with chi - 1 = n - 2k + 1 colors, out of
+    # all of them: by RLF, and by the DSATUR greedy coloring for comparison
+    for n, k, by_rlf, by_dsatur in [(10, 2, 35, 3), (10, 3, 20, 4), (9, 3, 16, 11)]:
+        g = build_schrijver(n, k)
+        deleted = [delete_vertex(g, v) for v in range(g.vertex_count)]
+        t = n - 2 * k + 1
+        assert sum(max(rlf_coloring(d)) < t for d in deleted) == by_rlf, (n, k)
+        assert sum(max(greedy_coloring(d)) < t for d in deleted) == by_dsatur, (n, k)

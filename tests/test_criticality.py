@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 import sys
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 import pytest
 
-from conftest import cycle, mk
+from conftest import complete, cycle, mk
 
 from wellspread import (
     InvalidParams,
@@ -31,7 +33,7 @@ from wellspread import (
     q_equals_schrijver_sweep,
     vertex_criticality,
 )
-from wellspread import certificates, criticality, fractional, graphs
+from wellspread import certificates, coloring, criticality, fractional, graphs
 from wellspread.certificates import vertex_deleted_coloring, vertex_deleted_retraction
 from wellspread.cyclic import critical_params
 from wellspread.fractional import FractionalColoring, verify_fractional_coloring, witnessed_value
@@ -183,6 +185,86 @@ def test_vertex_sweep_matches_literal_sweep(tag, invariant):
             if invariant is Invariant.CHI and (tag, n, k) == ("kneser", 9, 3):
                 continue
             assert_vertex_sweep_is_literal(g, invariant)
+
+
+def test_chi_sweep_keeps_the_bracket_at_two_colors_and_below():
+    # chi(g) <= 2 takes no witness: the empty graph, one vertex (whose
+    # deletion leaves the empty graph, chi 0), edgeless and bipartite graphs
+    star = mk(5, [(0, v) for v in range(1, 5)])
+    k23 = mk(5, [(u, v) for u in range(2) for v in range(2, 5)])
+    path = mk(4, [(0, 1), (1, 2), (2, 3)])
+    for g in (mk(0, []), mk(1, []), mk(4, []), mk(2, [(0, 1)]), star, k23, path):
+        assert_vertex_sweep_is_literal(g, Invariant.CHI)
+    rep = vertex_criticality(mk(1, []), Invariant.CHI)
+    assert (rep.baseline, rep.per_vertex) == (1, ((0, 0),))
+    assert vertex_criticality(mk(0, []), Invariant.CHI).per_vertex == ()
+
+
+def test_chi_sweep_matches_literal_sweep_on_random_graphs():
+    # graphs without labels on Z_n: no certified symmetry, one question per vertex
+    rng = random.Random(20261019)
+    for trial in range(200):
+        n = rng.randint(1, 9)
+        p = rng.choice([0.3, 0.5, 0.7, 0.9])
+        g = mk(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+        assert_vertex_sweep_is_literal(g, Invariant.CHI)
+    for g in (complete(5), cycle(7), mk(6, [(i, j) for i in range(6) for j in range(i + 1, 6)
+                                             if (i, j) != (0, 1)])):
+        assert_vertex_sweep_is_literal(g, Invariant.CHI)
+
+
+@pytest.fixture
+def colorability_calls(monkeypatch):
+    """The graph of every is_t_colorable call, from the sweep or from chi."""
+    calls = []
+    decide = coloring.is_t_colorable
+
+    def recording(g, *args, **kwargs):
+        calls.append(g)
+        return decide(g, *args, **kwargs)
+
+    monkeypatch.setattr(coloring, "is_t_colorable", recording)
+    monkeypatch.setattr(criticality, "is_t_colorable", recording)
+    return calls
+
+
+def test_a_failed_rlf_witness_falls_back_to_the_solver(monkeypatch, colorability_calls):
+    def improper(d):
+        return [0] * d.vertex_count  # one color, on a graph with edges
+
+    def too_many(d):
+        return list(range(d.vertex_count))  # proper, but one color per vertex
+
+    # SG(8,3) and SG(9,3) are vertex-critical, KG(7,2) is not critical at all
+    for g in (build_schrijver(8, 3), build_schrijver(9, 3), build_kneser(7, 2)):
+        want = literal_vertex_sweep(g, Invariant.CHI)
+        for tampered in (improper, too_many):
+            monkeypatch.setattr(criticality, "rlf_coloring", tampered)
+            colorability_calls.clear()
+            rep = vertex_criticality(g, Invariant.CHI)
+            assert any(d is not g for d in colorability_calls), (g.family, tampered)
+            assert (rep.baseline, rep.per_vertex, rep.summary) == want, (g.family, tampered)
+
+
+def test_rlf_settles_every_orbit_of_sg_10_2(monkeypatch, colorability_calls):
+    # every orbit's deleted graph is 7-colored by RLF and checked there, so
+    # is_t_colorable runs only inside chromatic_number on the intact graph
+    g = build_schrijver(10, 2)
+    witnesses = []
+    rlf = criticality.rlf_coloring
+
+    def counted(d):
+        witnesses.append(d)
+        return rlf(d)
+
+    monkeypatch.setattr(criticality, "rlf_coloring", counted)
+    rep = vertex_criticality(g, Invariant.CHI)
+    assert rep.baseline == 8 and rep.summary is SweepSummary.VERTEX_CRITICAL
+    assert all(val == 7 for _, val in rep.per_vertex)
+    orbits = set(criticality._solve_per_orbit(
+        range(g.vertex_count), dihedral_automorphisms(g), list.__getitem__, lambda v: v))
+    assert len(witnesses) == len(orbits)
+    assert colorability_calls and all(h is g for h in colorability_calls)
 
 
 def test_vertex_sweep_matches_literal_sweep_after_an_edge_deletion():
