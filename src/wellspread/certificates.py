@@ -25,7 +25,7 @@ from .cyclic import (
     CyclicSubset,
     canonical_well_spread,
     critical_params,
-    rotated_residues,
+    rotations,
 )
 from .errors import InvalidParams, NotAnEdge, NotCoprime, NotCycleEdge
 from .fractional import FractionalColoring, verify_fractional_coloring
@@ -152,7 +152,7 @@ def _vertex_deleted_coloring(f: _Frame, deleted: int) -> FractionalColoring:
     # The rotations hit `deleted` exactly b-1 times; strip it so each set
     # lives in the deleted graph.  Every other vertex keeps coverage b.
     sets = tuple(
-        _without(rotated_residues(f.star, n, delta - j), deleted) for j in range(cp.a)
+        _without(r, deleted) for r in rotations(f.star, n, (delta - j for j in range(cp.a)))
     )
     fc = FractionalColoring(sets, (Fraction(1, cp.b),) * cp.a, excluded_vertex=deleted)
     if fc.value != Fraction(cp.a, cp.b):
@@ -203,12 +203,11 @@ def _edge_deleted_coloring(f: _Frame, p: int) -> FractionalColoring:
         raise AssertionError(f"deficient window at {s0} lacks the boundary structure")
     delta = (p - (s0 - 1)) % n
     # s0 is no star position, so s0 + delta joins the first set as a new member
-    first = rotated_residues(star, n, delta)
+    rots = rotations(star, n, (delta - j for j in range(cp.a)))
+    first = next(rots)
     extra = (s0 + delta) % n
     cut = bisect_left(first, extra)
-    sets = [first[:cut] + (extra,) + first[cut:]]
-    for j in range(1, cp.a):
-        sets.append(rotated_residues(star, n, delta - j))
+    sets = [first[:cut] + (extra,) + first[cut:], *rots]
     fc = FractionalColoring(
         tuple(sets),
         (Fraction(1, cp.b),) * cp.a,
@@ -226,16 +225,25 @@ def _window_labels(q: LabeledGraph, cp: CriticalParams,
     Reading each position's set through the shifted deficient window of the
     anchor's own set yields b residues inside a window of length a; re-based
     to Z_a these are exactly the rotation labels of the critical graph.
+    Each label is cut to the window by bisection, one cut per piece of the
+    window left after wrapping at n, and the offsets come out sorted.
     """
-    n = q.vertex_count
+    n, a = q.vertex_count, cp.a
     anchor_set = frozenset(q.labels[anchor].elements)
-    light = _light_window_start(n, cp.a, cp.b, anchor_set)
+    light = _light_window_start(n, a, cp.b, anchor_set)
     beta = (light + 1) % n
-    offset_of = {(beta + d) % n: d for d in range(cp.a)}
+    residues = tuple(range(n))
+    offset = residues[n - beta:] + residues[:n - beta]  # offset[r] = r - beta mod n
+    end = beta + a
+    pieces = ((beta, end),) if end <= n else ((beta, n), (0, end - n))
     out = []
-    for i in range(cp.a):
+    for i in range(a):
         xi = (anchor - i) % n
-        w = CyclicSubset(cp.a, (offset_of[r] for r in q.labels[xi] if r in offset_of))
+        es = q.labels[xi].elements
+        caught = ()
+        for lo, hi in pieces:
+            caught += es[bisect_left(es, lo):bisect_left(es, hi)]
+        w = CyclicSubset.from_sorted(a, tuple(map(offset.__getitem__, caught)))
         if len(w) != cp.b:
             raise AssertionError(f"window at {xi} caught {len(w)} residues, wanted {cp.b}")
         out.append((xi, w))

@@ -9,6 +9,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .errors import InvalidParams, NotCoprime, NotWellSpread
@@ -39,14 +40,20 @@ class CyclicSubset:
     def __contains__(self, x: int) -> bool:
         return x in self.elements
 
+    @classmethod
+    def from_sorted(cls, modulus: int, elements: tuple[int, ...]) -> "CyclicSubset":
+        """The subset with these residues, which the caller guarantees are
+        sorted, distinct and inside Z_modulus; nothing is checked or sorted."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "modulus", modulus)
+        object.__setattr__(out, "elements", elements)
+        return out
+
     def rotate(self, t: int) -> "CyclicSubset":
         """Clockwise rotation: every element shifted by +t mod n
         (`rotated_residues`)."""
         n = self.modulus
-        out = object.__new__(CyclicSubset)
-        object.__setattr__(out, "modulus", n)
-        object.__setattr__(out, "elements", rotated_residues(self.elements, n, t))
-        return out
+        return CyclicSubset.from_sorted(n, rotated_residues(self.elements, n, t))
 
     def __repr__(self) -> str:
         inner = ",".join(str(x) for x in self.elements)
@@ -62,6 +69,24 @@ def rotated_residues(es: tuple[int, ...], n: int, t: int) -> tuple[int, ...]:
     t %= n
     cut = bisect_left(es, n - t)
     return tuple(map((t - n).__add__, es[cut:])) + tuple(map(t.__add__, es[:cut]))
+
+
+def rotations(es: tuple[int, ...], n: int, shifts: Iterable[int]) -> Iterator[tuple[int, ...]]:
+    """`rotated_residues(es, n, t)` for each t in shifts, in order.
+
+    Every rotation is read from one table of the residues of Z_n, so all of
+    them share n int objects instead of each allocating its own.
+    """
+    table = tuple(range(n)) * 2  # table[t + x] is x + t mod n
+    if len(es) > 1:
+        pick = itemgetter(*es)
+    else:  # itemgetter of one index returns the item, not a 1-tuple
+        pick = lambda row: tuple(map(row.__getitem__, es))
+    for t in shifts:
+        t %= n
+        cut = bisect_left(es, n - t)
+        shifted = pick(table[t:t + n])  # es + t mod n, wrapping before index cut
+        yield shifted[cut:] + shifted[:cut]
 
 
 def is_r_separated(s: CyclicSubset, r: int) -> bool:

@@ -17,7 +17,7 @@ from math import lcm
 
 from .cyclic import CyclicSubset
 from .errors import ResourceCap
-from .graphs import LabeledGraph, label_rotation
+from .graphs import LabeledGraph, _exclusion_violations, label_rotation
 from .independence import (
     alpha_at_most,
     iter_bits,
@@ -52,7 +52,8 @@ def verify_fractional_coloring(g: LabeledGraph, fc: FractionalColoring) -> list[
 
     A quick pass settles a valid coloring with a few whole-set operations per
     set; anything it rejects is walked again member by member, so a
-    violation is always reported by that walk.
+    violation is always reported by that walk.  The exclusions must name one
+    vertex of g or one edge of g, not both.
     """
     if len(fc.sets) != len(fc.weights):
         return ["sets/weights length mismatch"]
@@ -70,10 +71,12 @@ def _coloring_passes(g: LabeledGraph, fc: FractionalColoring,
     """True when fc is valid: each set is in range, has no repeats and misses
     the excluded vertex, no member's adjacency (less the excluded edge) meets
     the set, and coverage counted per weight reaches 1 everywhere else."""
+    if _exclusion_violations(g, fc.excluded_vertex, fc.excluded_edge):
+        return False
     V = g.vertex_count
     excl_v = fc.excluded_vertex
     adj = g.adj
-    if excl_e is not None and 0 <= excl_e[0] and excl_e[1] < V:
+    if excl_e is not None:
         a, b = excl_e
         adj = list(adj)
         adj[a] &= ~(1 << b)
@@ -107,7 +110,9 @@ def _coloring_passes(g: LabeledGraph, fc: FractionalColoring,
 def _coloring_violations(g: LabeledGraph, fc: FractionalColoring,
                          excl_e: tuple[int, int] | None) -> list[str]:
     """Every violation of fc, set by set and member by member."""
-    out: list[str] = []
+    out = _exclusion_violations(g, fc.excluded_vertex, fc.excluded_edge)
+    if out:
+        return out
     V = g.vertex_count
     excl_v = fc.excluded_vertex
     # coverage in integers over the common denominator of the weights

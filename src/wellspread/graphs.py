@@ -16,16 +16,30 @@ beyond writing the V labels.  The interlacing graph I(n,k) takes the
 Schrijver labels and finds each vertex's neighbours directly: they are the
 ways of choosing one residue strictly inside each cyclic gap of its label, so
 the build costs one index lookup per edge end instead of a test per pair.
+Q(n,k) reads its labels from one table of the residues of Z_n, so the V*k
+label entries share n int objects.
+
+`validate_map` settles a valid map by a quick pass of whole-row operations:
+per source vertex, the images of its later neighbours are ORed into one mask
+(by `itertools.compress` over the row's bits, or bit by bit for a short row)
+that must lie inside the target row of its own image.  An embedding or
+isomorphism needs one count more: an injective homomorphism sends distinct
+edges to distinct edges of the image, so it keeps non-edges exactly when the
+source has as many edges (less the exclusions) as the target has on the
+image.  Only a map the quick pass rejects is walked pair by pair, and that
+walk writes every message.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations, product
+from functools import reduce
+from itertools import combinations, compress, product
 from math import comb, gcd
+from operator import or_
 from typing import Callable, Iterator
 
-from .cyclic import CyclicSubset, canonical_well_spread, is_r_separated
+from .cyclic import CyclicSubset, canonical_well_spread, is_r_separated, rotations
 from .errors import InvalidParams, NotAnEdge, ResourceCap
 
 DEFAULT_VERTEX_CAP = 10_000
@@ -138,7 +152,8 @@ def build_q(n: int, k: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> LabeledGrap
     n2 = n // ell
     _check_cap(n2, vertex_cap, f"q({n},{k})")
     canon = canonical_well_spread(n, k)
-    labels = tuple(canon.rotate(u) for u in range(n2))
+    labels = tuple(CyclicSubset.from_sorted(n, es)
+                   for es in rotations(canon.elements, n, range(n2)))
     if len(set(labels)) != n2:
         raise AssertionError(f"rotations of {canon} not distinct over {n2} steps")
     if labels[-1].rotate(1) != labels[0]:
@@ -255,7 +270,8 @@ class VertexMap:
     """A vertex mapping between two graphs with a claimed structural kind.
 
     The source may carry one exclusion (a deleted vertex or edge), in which
-    case the mapping is over the source minus that exclusion.  A map that
+    case the mapping is over the source minus that exclusion; `validate_map`
+    rejects an excluded vertex or edge that the source lacks, or both at once.  A map that
     fixes an embedded copy pointwise may carry a section: target id ->
     source id with mapping[section[t]] == t; present sections are checked.
     """
@@ -275,12 +291,15 @@ def _map_search(adj, target_adj, domains: list[int], node_budget: int, what: str
 
     Every source vertex keeps a bitmask domain of the target vertices it may
     still map to (`domains`, updated in place).  Assigning u to a forward-checks
-    the unassigned vertices: a neighbour of u keeps only the target neighbours
-    of a; with `injective`, every other vertex also loses a, and a non-neighbour
-    keeps only the target non-neighbours of a (an isomorphism, given equal
-    vertex and edge counts).  `pre` lists forced (vertex, image) assignments,
-    checked the same way but not counted as nodes.  A node is one vertex
-    selection; ResourceCap is raised past `node_budget`.
+    the unassigned neighbours of u: each keeps only the target neighbours of a.
+    With `injective`, one mask holds the images already taken, and they are
+    masked out of a vertex's candidates when it is selected; they stay in the
+    other domains and in their sizes, so no assignment touches the
+    non-neighbours.  The caller guarantees equal vertex and edge counts, so an
+    injective homomorphism is an isomorphism: distinct edges map to distinct
+    edges, as many as the target has.  `pre` lists forced (vertex, image)
+    assignments, checked the same way but not counted as nodes.  A node is
+    one vertex selection; ResourceCap is raised past `node_budget`.
 
     Two rules come from the target alone.  Into a complete target, which
     callers start from full domains, unused images are interchangeable: a
@@ -305,12 +324,13 @@ def _map_search(adj, target_adj, domains: list[int], node_budget: int, what: str
     image = [-1] * V
     assigned = 0
     max_used = -1
+    used = 0  # the images of the assigned vertices, kept only when injective
     nodes = 0
     forced = list(reversed(pre))
     # a frame is [vertex, its domain size, untried candidates, trail of the
-    # current candidate, max_used on entry]; forced frames have one candidate
-    # and are no node.  While a frame is on the stack its vertex counts as
-    # assigned and its size is parked.
+    # current candidate, max_used on entry, used on entry]; forced frames have
+    # one candidate and are no node.  While a frame is on the stack its vertex
+    # counts as assigned and its size is parked.
     stack: list[list] = []
     while True:
         if forced:
@@ -332,48 +352,40 @@ def _map_search(adj, target_adj, domains: list[int], node_budget: int, what: str
                     v = max(ties, key=deg.__getitem__)
             else:
                 v = sizes.index(size)
-            cands = domains[v]
+            cands = domains[v] & ~used
             if complete:
                 cands &= (1 << (max_used + 2)) - 1
-        frame = [v, sizes[v], cands, None, max_used]
+        frame = [v, sizes[v], cands, None, max_used, used]
         stack.append(frame)
         sizes[v] = T + 1
         assigned |= 1 << v
         # give the top frame's vertex its next candidate that survives forward
         # checking, popping exhausted frames
         while True:
-            u, _, cands, _, saved = frame
-            nb = adj[u]
-            free = everyone & ~assigned
+            u, _, cands, _, saved, used_on_entry = frame
+            free_nb = adj[u] & everyone & ~assigned
             while cands:
                 a = (cands & -cands).bit_length() - 1
                 cands &= cands - 1
                 keep = target_adj[a]
-                # neighbours keep the target neighbours of a; for an injective
-                # map the rest lose a and the target neighbours of a
-                if injective:
-                    checks = ((nb & free, keep), (free & ~nb, ~(keep | 1 << a)))
-                else:
-                    checks = ((nb & free, keep),)
                 trail = []
-                for m, keep in checks:
-                    while m:
-                        w = (m & -m).bit_length() - 1
-                        m &= m - 1
-                        d = domains[w]
-                        if d & ~keep:
-                            trail.append((w, d, sizes[w]))
-                            domains[w] = d = d & keep
-                            sizes[w] = d.bit_count()
-                            if not d:
-                                break
-                    else:
-                        continue
-                    break  # a domain emptied
+                m = free_nb
+                while m:
+                    w = (m & -m).bit_length() - 1
+                    m &= m - 1
+                    d = domains[w]
+                    if d & ~keep:
+                        trail.append((w, d, sizes[w]))
+                        domains[w] = d = d & keep
+                        sizes[w] = d.bit_count()
+                        if not d:
+                            break  # a domain emptied
                 else:
                     image[u] = a
                     frame[2], frame[3] = cands, trail
                     max_used = a if a > saved else saved
+                    if injective:
+                        used = used_on_entry | 1 << a
                     break
                 for w, d, k in reversed(trail):
                     domains[w], sizes[w] = d, k
@@ -390,12 +402,112 @@ def _map_search(adj, target_adj, domains: list[int], node_budget: int, what: str
             break
 
 
+def _exclusion_violations(g: LabeledGraph, excluded_vertex: int | None,
+                          excluded_edge: tuple[int, int] | None) -> list[str]:
+    """What is wrong with a certificate's exclusions on g: it may exclude one
+    vertex of g or one edge of g, not both."""
+    out = []
+    V = g.vertex_count
+    if excluded_vertex is not None and excluded_edge is not None:
+        out.append("both a vertex and an edge excluded")
+    if excluded_vertex is not None and not 0 <= excluded_vertex < V:
+        out.append(f"excluded vertex {excluded_vertex} out of range 0..{V - 1}")
+    if excluded_edge is not None:
+        a, b = excluded_edge
+        if not (0 <= a < V and 0 <= b < V and g.has_edge(a, b)):
+            out.append(f"excluded edge {{{a},{b}}} is not an edge")
+    return out
+
+
+# bin(row)[:1:-1] lists a row's bits from bit 0 up as the characters 0 and 1;
+# translated, its bytes are 0 and 1, which `compress` reads as selectors
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def validate_map(m: VertexMap) -> list[str]:
-    """Check m against its claimed kind; return human-readable violations."""
-    out: list[str] = []
+    """Check m against its claimed kind; return human-readable violations.
+
+    A quick pass settles a valid map with whole-row operations: for each
+    source vertex u it ORs the images of u's later neighbours (less the
+    exclusions) into one mask, which must lie inside the target row of f(u)
+    less f(u) itself.  An embedding or isomorphism is then settled by one
+    count: an injective homomorphism is induced exactly when the source's
+    edges, less the exclusions, are as many as the target's edges on the
+    image, because distinct source edges map to distinct image edges.
+    Anything the quick pass rejects is walked again pair by pair, so every
+    violation is reported by that walk.
+    """
+    if _map_passes(m):
+        return []
+    return _map_violations(m)
+
+
+def _map_passes(m: VertexMap) -> bool:
+    """True when m is valid: the checks of `_map_violations`, a row at a time."""
+    src, tgt = m.source, m.target
+    sv, tv = src.vertex_count, tgt.vertex_count
+    ev = m.excluded_vertex
+    if _exclusion_violations(src, ev, m.excluded_edge):
+        return False
+    img = list(map(m.mapping.get, range(sv)))
+    images = img  # the images of the domain, the source less the excluded vertex
+    if ev is not None:
+        images = img[:ev] + img[ev + 1:]
+        img[ev] = tv  # a placeholder: no row below selects the excluded vertex
+    if None in images or images and not (min(images) >= 0 and max(images) < tv):
+        return False
+    bit = [1 << t for t in range(tv)] + [0]
+    fbits = list(map(bit.__getitem__, img))
+    # a target row less its own vertex, so an edge onto one image fails
+    allowed = [row & ~b for row, b in zip(tgt.adj, bit)]
+    drop = [0] * sv  # per row, the later source neighbours the exclusions remove
+    if ev is not None:
+        drop = [1 << ev] * sv
+    if m.excluded_edge is not None:
+        lo, hi = sorted(m.excluded_edge)
+        drop[lo] |= 1 << hi
+    edges = 0
+    for u, row in enumerate(src.adj):
+        if u == ev:
+            continue
+        later = row >> (u + 1) << (u + 1) & ~drop[u]
+        count = later.bit_count()
+        edges += count
+        # the images of u's later neighbours; `compress` costs about as much
+        # as walking six bits, plus one per 16 bits of the row's length
+        if 16 * count < later.bit_length() + 96:
+            hit = 0
+            while later:
+                b = later & -later
+                later ^= b
+                hit |= fbits[b.bit_length() - 1]
+        else:
+            hit = reduce(or_, compress(fbits, bin(later)[:1:-1].encode().translate(_BIT_BYTES)))
+        if hit & ~allowed[img[u]]:
+            return False
+    if m.kind is not MapKind.HOMOMORPHISM:
+        if len(set(images)) != len(images):
+            return False
+        on_image = sum(fbits)  # distinct bits, so the sum is their OR
+        rows = map(on_image.__and__, map(allowed.__getitem__, images))
+        if 2 * edges != sum(map(int.bit_count, rows)):
+            return False
+        if m.kind is MapKind.ISOMORPHISM and len(images) != tv:
+            return False
+    if m.section is not None:
+        if list(map(m.mapping.get, map(m.section.get, range(tv)))) != list(range(tv)):
+            return False
+    return True
+
+
+def _map_violations(m: VertexMap) -> list[str]:
+    """Every violation of m, source edge by source edge."""
     src, tgt = m.source, m.target
     sv = src.vertex_count
     excluded_v = m.excluded_vertex
+    out = _exclusion_violations(src, excluded_v, m.excluded_edge)
+    if out:
+        return out
     excl_edge = None
     if m.excluded_edge is not None:
         a, b = m.excluded_edge

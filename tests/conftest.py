@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+from itertools import combinations
+
 from wellspread import LabeledGraph
 
 
@@ -20,3 +23,9 @@ def cycle(n: int) -> LabeledGraph:
 
 def complete(n: int) -> LabeledGraph:
     return mk(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def random_graph(rng: random.Random, n: int, p: float | None = None) -> LabeledGraph:
+    """Each pair of 0..n-1 an edge with probability p (drawn from rng when None)."""
+    p = rng.random() if p is None else p
+    return mk(n, [e for e in combinations(range(n), 2) if rng.random() < p])

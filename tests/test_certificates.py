@@ -8,6 +8,7 @@ from math import gcd
 import pytest
 
 from wellspread import (
+    CyclicSubset,
     InvalidParams,
     MapKind,
     NotAnEdge,
@@ -30,6 +31,14 @@ from wellspread import (
     vertex_deleted_coloring,
     vertex_deleted_retraction,
 )
+from wellspread.certificates import (
+    _edge_deleted_coloring,
+    _frame,
+    _light_window_start,
+    _vertex_deleted_coloring,
+    _window_labels,
+)
+from wellspread.cyclic import canonical_well_spread, rotated_residues
 
 
 def test_star_positions_examples():
@@ -186,3 +195,54 @@ def test_right_neighbors_pairs_adjacent_generally():
 def test_right_neighbors_rejects_non_q_input():
     with pytest.raises(NotCoprime):
         right_j_neighbors(build_q(6, 2), 0)
+
+
+# The label builders read residues from one shared table; the pins below
+# compare them with the direct constructions they replaced.
+COPRIME_GRID = [(n, k) for n in range(3, 32) for k in range(1, (n + 1) // 2) if gcd(n, k) == 1]
+
+
+def test_q_labels_are_the_rotations_of_the_canonical_set():
+    for n in range(2, 41):
+        for k in range(1, n // 2 + 1):
+            q = build_q(n, k)
+            canon = canonical_well_spread(n, k)
+            assert q.labels == tuple(canon.rotate(u) for u in range(n // gcd(n, k))), (n, k)
+
+
+def test_deletion_colorings_match_the_direct_rotations():
+    for n, k in COPRIME_GRID:
+        f = _frame(n, k)
+        a, b = f.cp.a, f.cp.b
+        for x in range(n):
+            delta = (x - f.light) % n
+            want = tuple(tuple(r for r in rotated_residues(f.star, n, delta - j) if r != x)
+                         for j in range(a))
+            assert _vertex_deleted_coloring(f, x).sets == want, (n, k, x)
+            delta = (x - (f.light - 1)) % n
+            first = sorted(rotated_residues(f.star, n, delta) + ((f.light + delta) % n,))
+            want = (tuple(first),) + tuple(rotated_residues(f.star, n, delta - j)
+                                           for j in range(1, a))
+            assert _edge_deleted_coloring(f, x).sets == want, (n, k, x)
+            assert all(w == Fraction(1, b) for w in _edge_deleted_coloring(f, x).weights)
+
+
+def _window_labels_by_residue(q, cp, anchor):
+    """The window labels as first written: every residue of each label is
+    tested against a dict of the window's offsets."""
+    n = q.vertex_count
+    light = _light_window_start(n, cp.a, cp.b, frozenset(q.labels[anchor].elements))
+    beta = (light + 1) % n
+    offset_of = {(beta + d) % n: d for d in range(cp.a)}
+    out = []
+    for i in range(cp.a):
+        xi = (anchor - i) % n
+        out.append((xi, CyclicSubset(cp.a, (offset_of[r] for r in q.labels[xi] if r in offset_of))))
+    return out
+
+
+def test_window_labels_match_the_per_residue_filter():
+    for n, k in COPRIME_GRID:
+        f = _frame(n, k)
+        for anchor in range(n):
+            assert _window_labels(f.q, f.cp, anchor) == _window_labels_by_residue(f.q, f.cp, anchor)

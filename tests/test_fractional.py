@@ -195,6 +195,22 @@ def test_quick_pass_agrees_with_the_member_walk():
     assert accepted > len(cases) and rejected > len(cases)
 
 
+def test_verifier_reports_impossible_exclusions():
+    q = build_q(7, 2)
+    fc = vertex_deleted_coloring(7, 2, 3)
+    assert verify_fractional_coloring(q, replace(fc, excluded_edge=(0, 9))) == [
+        "both a vertex and an edge excluded",
+        "excluded edge {0,9} is not an edge",
+    ]
+    assert verify_fractional_coloring(q, replace(fc, excluded_vertex=5000)) == [
+        "excluded vertex 5000 out of range 0..6"]
+    fc = edge_deleted_coloring(7, 2, (0, 1))
+    assert verify_fractional_coloring(q, replace(fc, excluded_edge=(3, 3))) == [
+        "excluded edge {3,3} is not an edge"]
+    assert verify_fractional_coloring(q, replace(fc, excluded_edge=(0, 3))) == [
+        "excluded edge {0,3} is not an edge"]
+
+
 def test_verifier_honors_exclusions():
     g = cycle(5)
     # minus vertex 0 the 4-path needs only weight 2

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import random
+from dataclasses import replace
+from itertools import combinations
 from math import comb, gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import mk, random_graph
 
 from wellspread import (
     CyclicSubset,
@@ -28,6 +34,7 @@ from wellspread import (
 from wellspread.graphs import (
     FamilyParams,
     _disjointness_graph,
+    _map_violations,
     dihedral_automorphisms,
     label_rotation,
 )
@@ -268,6 +275,132 @@ def test_validate_map_flags_violations():
     minus_edge = VertexMap(c5, c5, {v: v for v in range(5)}, MapKind.ISOMORPHISM,
                            excluded_edge=(0, 1))
     assert validate_map(minus_edge) == ["non-edge {0,1} maps to edge"]
+    # folding an edgeless graph keeps every edge count equal; only the
+    # injectivity test rejects it
+    edgeless = mk(3, [])
+    folded = VertexMap(edgeless, edgeless, {0: 1, 1: 1, 2: 2}, MapKind.EMBEDDING)
+    assert validate_map(folded) == ["mapping not injective"]
+
+
+def test_validate_map_reports_impossible_exclusions():
+    c5 = build_q(5, 2)
+    k3 = build_circular(3, 1)
+    hom = {0: 0, 1: 1, 2: 0, 3: 1, 4: 2}
+    cases = [
+        (dict(excluded_vertex=5), ["excluded vertex 5 out of range 0..4"]),
+        (dict(excluded_vertex=-1), ["excluded vertex -1 out of range 0..4"]),
+        (dict(excluded_edge=(0, 2)), ["excluded edge {0,2} is not an edge"]),
+        (dict(excluded_edge=(3, 3)), ["excluded edge {3,3} is not an edge"]),
+        (dict(excluded_edge=(0, 9)), ["excluded edge {0,9} is not an edge"]),
+        (dict(excluded_vertex=1, excluded_edge=(0, 1)), ["both a vertex and an edge excluded"]),
+    ]
+    for exclusions, want in cases:
+        assert validate_map(VertexMap(c5, k3, hom, MapKind.HOMOMORPHISM, **exclusions)) == want
+
+
+def _random_valid_map(kind: MapKind, rng: random.Random) -> VertexMap:
+    """A map of the given kind that holds by construction: the source edges
+    among the domain are (for a homomorphism, some of) the pairs whose images
+    are adjacent, with an optional excluded vertex, an optional excluded edge
+    whose images are not adjacent, and a section when the map is onto."""
+    n = rng.randint(1, 24)
+    exclusion = rng.choice(["none", "vertex", "edge"])
+    ev = rng.randrange(n) if exclusion == "vertex" else None
+    domain = [u for u in range(n) if u != ev]
+    if kind is MapKind.HOMOMORPHISM:
+        tgt = random_graph(rng, rng.randint(1, 12))
+        images = [rng.randrange(tgt.vertex_count) for _ in domain]
+    else:
+        size = len(domain) + (rng.randint(0, 6) if kind is MapKind.EMBEDDING else 0)
+        tgt = random_graph(rng, size)
+        images = rng.sample(range(size), len(domain))
+    f = dict(zip(domain, images))
+    if ev is not None and rng.random() < 0.5:
+        f[ev] = rng.randrange(-1, tgt.vertex_count + 1)  # ignored: excluded
+    p = rng.random()
+    edges = [(u, v) for u, v in combinations(domain, 2)
+             if tgt.has_edge(f[u], f[v]) and (kind is not MapKind.HOMOMORPHISM or rng.random() < p)]
+    if ev is not None:
+        edges += [(ev, u) for u in domain if rng.random() < p]
+    ee = None
+    if exclusion == "edge":
+        free = [(u, v) for u, v in combinations(domain, 2) if not tgt.has_edge(f[u], f[v])]
+        if free:
+            ee = rng.choice(free)
+            edges.append(ee)
+            if rng.random() < 0.5:
+                ee = ee[::-1]
+    section = None
+    if set(images) == set(range(tgt.vertex_count)) and rng.random() < 0.7:
+        section = {t: u for u, t in f.items() if u != ev}
+    return VertexMap(mk(n, edges), tgt, f, kind, excluded_vertex=ev, excluded_edge=ee,
+                     section=section)
+
+
+def _tamperings(m: VertexMap, rng: random.Random) -> list[VertexMap]:
+    """m with one defect each, any of which may happen to be harmless."""
+    sv, tv = m.source.vertex_count, m.target.vertex_count
+    domain = [u for u in range(sv) if u != m.excluded_vertex]
+    out = []
+    if domain:
+        u = rng.choice(domain)
+        out.append(replace(m, mapping={**m.mapping, u: rng.randrange(-1, tv + 1)}))
+        out.append(replace(m, mapping={w: t for w, t in m.mapping.items() if w != u}))
+        if len(domain) > 1:
+            w = rng.choice([x for x in domain if x != u])
+            out.append(replace(m, mapping={**m.mapping, u: m.mapping[w]}))  # not injective
+    pairs = [(m.mapping[u], m.mapping[w]) for u, w in combinations(domain, 2)
+             if m.mapping[u] != m.mapping[w] and not m.target.has_edge(m.mapping[u], m.mapping[w])]
+    if pairs:  # one more target edge on the image
+        extra = rng.choice(pairs)
+        adj = list(m.target.adj)
+        adj[extra[0]] |= 1 << extra[1]
+        adj[extra[1]] |= 1 << extra[0]
+        out.append(replace(m, target=LabeledGraph(m.target.labels, tuple(adj))))
+    if m.section:
+        t = rng.randrange(tv)
+        broken = dict(m.section)
+        if rng.random() < 0.5:
+            del broken[t]
+        else:
+            broken[t] = rng.randrange(sv)
+        out.append(replace(m, section=broken))
+    u = rng.randrange(-1, sv + 1)
+    out.append(replace(m, excluded_vertex=rng.choice([None, u]), excluded_edge=None))
+    out.append(replace(m, excluded_edge=rng.choice([(u, u), (u, rng.randrange(-1, sv + 2))])))
+    out.append(replace(m, excluded_vertex=rng.randrange(sv), excluded_edge=m.excluded_edge))
+    return out
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(list(MapKind)), st.randoms(use_true_random=False))
+def test_quick_pass_agrees_with_the_edge_walk(kind, rng):
+    # the whole-row pass must accept exactly the maps in which the pair walk
+    # finds no fault, and every rejection is the walk's list, message for message
+    m = _random_valid_map(kind, rng)
+    assert validate_map(m) == _map_violations(m) == [], m
+    for variant in _tamperings(m, rng):
+        assert validate_map(variant) == _map_violations(variant), variant
+
+
+def test_quick_pass_takes_both_row_paths():
+    # dense rows of 40 vertices go through `compress`, sparse ones are walked
+    # bit by bit; both must reject a moved image
+    rng = random.Random(5)
+    for p in (0.05, 0.9):
+        g = random_graph(rng, 40, p)
+        perm = list(range(40))
+        rng.shuffle(perm)
+        adj = [0] * 40
+        for u, v in g.edges():
+            adj[perm[u]] |= 1 << perm[v]
+            adj[perm[v]] |= 1 << perm[u]
+        h = LabeledGraph(tuple(range(40)), tuple(adj))
+        iso = VertexMap(g, h, dict(enumerate(perm)), MapKind.ISOMORPHISM)
+        assert validate_map(iso) == []
+        u = max(range(40), key=g.degree)
+        moved = replace(iso, mapping={**iso.mapping, u: perm[(u + 1) % 40]})
+        assert validate_map(moved) == _map_violations(moved) != []
 
 
 def test_label_rotation_follows_the_labels():

@@ -13,7 +13,7 @@ nx = pytest.importorskip("networkx")
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from conftest import complete, cycle, mk  # noqa: E402
+from conftest import complete, cycle, mk, random_graph  # noqa: E402
 
 from wellspread import (  # noqa: E402
     build_circular,
@@ -31,11 +31,6 @@ from wellspread import (  # noqa: E402
 )
 from wellspread.graphs import iter_bits, label_rotation  # noqa: E402
 from wellspread.independence import alpha_at_most  # noqa: E402
-
-
-def random_graph(rng: random.Random, n: int):
-    p = rng.random()
-    return mk(n, [e for e in combinations(range(n), 2) if rng.random() < p])
 
 
 def to_nx(g):

@@ -19,6 +19,7 @@ from wellspread import (
     build_family,
     build_q,
     canonical_well_spread,
+    circular_isomorphism,
     coloring_from_document,
     coloring_to_document,
     delete_edge,
@@ -40,6 +41,7 @@ from wellspread import (
     trace_from_document,
     trace_to_document,
     vertex_criticality,
+    vertex_deleted_coloring,
     vertex_deleted_retraction,
 )
 from wellspread.criticality import Invariant
@@ -127,6 +129,22 @@ def test_map_documents_round_trip_with_section():
     doc["mapping"][0][1] = (doc["mapping"][0][1] + 1) % 7
     with pytest.raises(InvalidParams):
         map_from_document(doc)
+
+
+def test_documents_with_impossible_exclusions_are_refused():
+    # an excluded vertex outside the graph, an excluded pair that is no edge,
+    # or both exclusions at once
+    bad = [{"excludedVertex": 5000}, {"excludedEdge": [0, 9]}, {"excludedEdge": [3, 3]},
+           {"excludedEdge": [0, 3]}, {"excludedVertex": 3, "excludedEdge": [0, 1]}]
+    for extra in bad:
+        doc = {**map_to_document(circular_isomorphism(7, 2)), **extra}
+        with pytest.raises(InvalidParams):
+            map_from_document(json.loads(dumps(doc)))
+    fp = FamilyParams("q", 7, 2)
+    for extra in bad[:3] + [{"excludedEdge": [0, 1]}]:
+        doc = {**coloring_to_document(vertex_deleted_coloring(7, 2, 3), fp), **extra}
+        with pytest.raises(InvalidParams):
+            coloring_from_document(json.loads(dumps(doc)))
 
 
 def test_trace_documents_round_trip():
