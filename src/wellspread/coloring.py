@@ -8,17 +8,21 @@ K_t: greedy-clique precoloring, forward checking on per-vertex domain masks,
 DSATUR vertex order and first-fresh-color symmetry breaking.  If the probe
 runs out, class branching over maximal independent sets (the shared
 Bron-Kerbosch of `independence`) decides with what is left of the node
-budget, branching on the residual vertex with the fewest class choices and
-deciding the last two colors by a bipartiteness check, which alone decides
-t = 2 before any search.  It memoizes refuted residuals up to the graph's
-certified dihedral symmetry (`graphs.dihedral_automorphisms`), renumbering
-the vertices so that the rotation acts by bit shifts; a graph without one
-keys the memo by the residual itself.  The two searches win on different
-graphs: the probe refutes 3 colors on I(10,3) at once, where class branching
-takes seconds; class branching refutes 5 colors on SG(10,3) and 4 on SG(11,4)
-in a fraction of a second each, where DSATUR takes minutes.  Both searches
-are exhaustive and the memo only skips residuals isomorphic to refuted ones,
-so both directions of every answer are exact.
+budget, branching on the residual vertex with the fewest class choices.  With
+three colors left the class must leave a bipartite rest, so the class
+enumeration is cut wherever the vertices it leaves out already hold an odd
+cycle; the same bipartiteness check alone decides t = 2 before any search.
+It memoizes refuted residuals up to the graph's certified dihedral symmetry
+(`graphs.dihedral_automorphisms`), renumbering the vertices so that the
+rotation acts by bit shifts; a graph without one keys the memo by the
+residual itself.  The two searches win on different graphs: the probe
+refutes 3 colors on I(10,3) in about 0.1 ms and 5 on I(11,2) in about as
+little, where class branching takes 2 ms and 0.35 s; class branching refutes
+5 colors on SG(10,3) and 4 on SG(11,4) in under a tenth of a second each,
+where DSATUR takes minutes.  Both searches are exhaustive, the cut
+drops only classes that leave an odd cycle for two colors, and the memo only
+skips residuals isomorphic to refuted ones, so both directions of every
+answer are exact.
 
 `rlf_coloring` is a recursive-largest-first greedy coloring (Leighton 1979).
 No decision here uses it: it runs only in the chi vertex sweep
@@ -41,9 +45,9 @@ DEFAULT_NODE_BUDGET = 100_000_000
 # DSATUR probe nodes beyond one per vertex, spent before class branching
 _PROBE_NODES = 1000
 
-# class branching stops memoizing refuted residual masks past this many; the
-# largest memo in the acceptance grids and SG sweeps, refuting 5 colors on
-# SG(10,3), holds 384 (refuting 4 colors on SG(11,4) holds 77)
+# class branching stops memoizing refuted residual masks past this many;
+# refuting 5 colors on SG(10,3) leaves 384 entries, 4 on SG(11,4) 77, 4 on
+# KG(9,3) 1,644 and 6 on SG(11,3) 92,406
 _REFUTED_MEMO_CAP = 250_000
 
 
@@ -154,13 +158,17 @@ def find_proper_coloring(g: LabeledGraph, t: int,
 def _is_bipartite(adj: tuple[int, ...], mask: int) -> bool:
     """Whether the subgraph induced on `mask` is 2-colorable: breadth-first
     search one layer mask at a time; an edge inside a layer closes an odd
-    cycle, and without one the layers alternate two colors."""
+    cycle, and without one the layers alternate two colors.  The inner loop
+    of class branching at three colors, so bits are walked inline."""
     while mask:
         layer = seen = mask & -mask
         while layer:
             reach = 0
-            for v in iter_bits(layer):
-                reach |= adj[v]
+            m = layer
+            while m:
+                b = m & -m
+                reach |= adj[b.bit_length() - 1]
+                m ^= b
             if reach & layer:
                 return False
             layer = reach & mask & ~seen
@@ -244,10 +252,13 @@ def _class_colorable(g: LabeledGraph, t: int, node_budget: int, nodes: int) -> b
     is a maximal independent set of the residual graph, so branching over
     those sets is exhaustive for every choice; the vertex with the fewest
     residual non-neighbors (lowest index on ties) has the fewest sets.  Two
-    colors left are decided by `_is_bipartite`, one node.  Much faster than
-    vertex-at-a-time search when the maximal-set families stay small; can
-    blow up when they do not.  `nodes` is the work already spent against
-    `node_budget`.
+    colors left are decided by `_is_bipartite`, one node.  With three left,
+    the class must leave a bipartite rest: each Bron-Kerbosch frame (r, p)
+    only yields sets within r | p, so a frame is cut (one node) when the
+    residual outside r | p is not bipartite, and the first maximal set that
+    passes is a 3-coloring.  Much faster than vertex-at-a-time search when
+    the maximal-set families stay small; can blow up when they do not.
+    `nodes` is the work already spent against `node_budget`.
 
     A residual refuted with c colors is memoized under its least image by
     `_dihedral_frame`: an automorphism maps G[m] onto G[s(m)], so one
@@ -275,12 +286,15 @@ def _class_colorable(g: LabeledGraph, t: int, node_budget: int, nodes: int) -> b
         if colors_left == 2:
             return _is_bipartite(adj, mask)
         v = min(iter_bits(mask), key=lambda u: (mask & nonadj[u]).bit_count())
+        viable = (lambda r, p: _is_bipartite(adj, mask & ~(r | p))) if colors_left == 3 else None
         sols = []
-        for cls in bron_kerbosch(nonadj, 1 << v, mask & nonadj[v]):
+        for cls in bron_kerbosch(nonadj, 1 << v, mask & nonadj[v], viable):
             nodes += 1
             if nodes > node_budget:
                 raise ResourceCap(f"colorability search exceeded {node_budget} nodes")
             if cls:
+                if viable:
+                    return True
                 sols.append(cls)
         sols.sort(key=lambda m: -m.bit_count())
         for cls in sols:

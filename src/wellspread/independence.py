@@ -10,7 +10,7 @@ witnesses.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import ResourceCap
 from .cyclic import CyclicSubset
@@ -20,7 +20,8 @@ from .graphs import (LabeledGraph, MapKind, VertexMap, _residue_permutation, _so
 DEFAULT_MIS_CAP = 200_000
 
 
-def bron_kerbosch(nonadj: list[int], r: int, p: int) -> Iterator[int]:
+def bron_kerbosch(nonadj: list[int], r: int, p: int,
+                  viable: Callable[[int, int], bool] | None = None) -> Iterator[int]:
     """Pivoting Bron-Kerbosch on the complement: the maximal independent sets
     that contain r and lie within r | p, where nonadj[v] masks the vertices
     other than v that are not adjacent to v.
@@ -28,11 +29,17 @@ def bron_kerbosch(nonadj: list[int], r: int, p: int) -> Iterator[int]:
     Depth-first with an explicit stack, in the order of the recursive
     algorithm.  Yields once per expansion, so a caller can count and budget
     the work: the expanded set when it is maximal, else 0.
+
+    Every set a frame (r, p, x) can still yield lies within r | p.  When
+    `viable(r, p)` is given and false, the frame is cut: it yields 0 (one
+    expansion) and none of its sets.  Without `viable` every frame expands.
     """
     x = 0
     stack: list[list[int]] = []
     while True:
-        if p or x:
+        if viable is not None and not viable(r, p):
+            yield 0
+        elif p or x:
             yield 0
             # pivot maximizing |P & nonadj(u)|
             best_u, best_cnt = -1, -1

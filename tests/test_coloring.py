@@ -9,7 +9,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import complete, cycle, mk
+from conftest import complete, cycle, mk, random_graph
 
 from wellspread import (
     ResourceCap,
@@ -24,7 +24,7 @@ from wellspread import (
     find_proper_coloring,
     is_t_colorable,
 )
-from wellspread import coloring
+from wellspread import coloring, independence
 from wellspread.coloring import (
     DEFAULT_NODE_BUDGET,
     _class_colorable,
@@ -120,17 +120,64 @@ def test_class_branching_node_count_on_schrijver_10_3():
 
 
 def test_class_branching_node_counts_with_the_symmetric_memo():
-    # memoizing refuted residuals up to the certified dihedral symmetry
-    # refutes 5 colors on SG(10,3) in 19,373 nodes and 4 on SG(11,4) in
-    # 44,956 (86,117 and 151,441 with the plain memo)
-    assert not _class_colorable(build_schrijver(10, 3), 5, 20_000, 0)
-    assert not _class_colorable(build_schrijver(11, 4), 4, 46_000, 0)
-    # the searches of the SG(10,2) and SG(9,3) chi sweeps, each within the
-    # nodes it took with the plain memo
-    assert not _class_colorable(build_schrijver(10, 2), 7, 5_484, 0)
+    # memoizing refuted residuals up to the certified dihedral symmetry and,
+    # with three colors left, cutting every Bron-Kerbosch frame whose left-out
+    # vertices hold an odd cycle refutes 5 colors on SG(10,3) in 5,383 nodes
+    # and 4 on SG(11,4) in 8,080 (19,373 and 44,956 without the cut; 86,117
+    # and 151,441 with the plain memo)
+    assert not _class_colorable(build_schrijver(10, 3), 5, 5_383, 0)
+    assert not _class_colorable(build_schrijver(11, 4), 4, 8_080, 0)
+    # the searches of the SG(10,2) and SG(9,3) chi sweeps: 697, 167 and 96
+    # nodes (1,499, 275 and 122 without the cut)
+    assert not _class_colorable(build_schrijver(10, 2), 7, 697, 0)
     sg = build_schrijver(9, 3)
-    assert not _class_colorable(sg, 4, 919, 0)
-    assert _class_colorable(delete_vertex(sg, 0), 4, 122, 0)
+    assert not _class_colorable(sg, 4, 167, 0)
+    assert _class_colorable(delete_vertex(sg, 0), 4, 96, 0)
+    # three colors at the root: KG(8,3) in 28 nodes and I(10,3) in 163
+    # (17,004 and 4,535 without the cut)
+    assert not _class_colorable(build_kneser(8, 3), 3, 30, 0)
+    assert not _class_colorable(build_interlacing(10, 3), 3, 170, 0)
+    # KG(9,3) at t = 4 in 43,383 nodes, about half a second; without the cut
+    # the search took over a minute
+    assert not _class_colorable(build_kneser(9, 3), 4, 44_000, 0)
+
+
+def _uncut_bron_kerbosch(nonadj, r, p, viable=None):
+    """The Bron-Kerbosch sets with no frame cut: the predicate only screens
+    each maximal set, as a bipartiteness check per class did before the cut."""
+    for cls in independence.bron_kerbosch(nonadj, r, p):
+        yield cls if not cls or viable is None or viable(cls, 0) else 0
+
+
+def test_odd_cycle_cut_agrees_with_dsatur_and_the_uncut_search(monkeypatch):
+    # average degrees around the 3- and 4-coloring thresholds of random graphs
+    rng = random.Random(20261019)
+    answers = set()
+    for trial in range(150):
+        n = rng.randrange(8, 17)
+        g = random_graph(rng, n, rng.uniform(3.5, 9.0) / (n - 1))
+        for t in (3, 4):
+            cut = _class_colorable(g, t, DEFAULT_NODE_BUDGET, 0)
+            with monkeypatch.context() as m:
+                m.setattr(coloring, "bron_kerbosch", _uncut_bron_kerbosch)
+                uncut = _class_colorable(g, t, DEFAULT_NODE_BUDGET, 0)
+            assert cut == uncut == (find_proper_coloring(g, t) is not None), (trial, t)
+            answers.add((t, cut))
+    assert answers == {(3, False), (3, True), (4, False), (4, True)}
+
+
+def test_bron_kerbosch_predicate_that_always_holds_changes_nothing():
+    rng = random.Random(7)
+    for trial in range(60):
+        n = rng.randrange(0, 16)
+        g = random_graph(rng, n)
+        nonadj = independence.nonadjacency(g)
+        roots = [(0, (1 << n) - 1)] + [(1 << v, nonadj[v]) for v in range(n)]
+        for r, p in roots:
+            plain = list(independence.bron_kerbosch(nonadj, r, p))
+            assert list(independence.bron_kerbosch(nonadj, r, p, lambda r, p: True)) == plain
+            # a cut frame counts as one expansion and yields no set
+            assert list(independence.bron_kerbosch(nonadj, r, p, lambda r, p: False)) == [0]
 
 
 def test_symmetric_memo_agrees_with_plain_memo_and_dsatur(monkeypatch):
