@@ -1,28 +1,32 @@
 """Exact chromatic numbers by a budgeted portfolio of two exhaustive searches.
 
 Every decision "is g t-colorable?" goes through `is_t_colorable`.  After the
-greedy clique and DSATUR-coloring shortcuts, `find_proper_coloring` runs as a
-probe of V + `_PROBE_NODES` nodes, enough to color a graph without
-backtracking.  It is the package's one map search (`graphs._map_search`) into
-K_t: greedy-clique precoloring, forward checking on per-vertex domain masks,
-DSATUR vertex order and first-fresh-color symmetry breaking.  If the probe
-runs out, class branching over maximal independent sets (the shared
-Bron-Kerbosch of `independence`) decides with what is left of the node
-budget, branching on the residual vertex with the fewest class choices.  With
-three colors left the class must leave a bipartite rest, so the class
-enumeration is cut wherever the vertices it leaves out already hold an odd
-cycle; the same bipartiteness check alone decides t = 2 before any search.
-It memoizes refuted residuals up to the graph's certified dihedral symmetry
+greedy clique and DSATUR-coloring shortcuts (each worked out once per graph,
+so `chromatic_number` and every `is_t_colorable` it asks share them),
+`find_proper_coloring` runs as a probe of V + `_PROBE_NODES` nodes, enough to
+color a graph without backtracking.  It is the package's one map search
+(`graphs._map_search`) into K_t: greedy-clique precoloring, forward checking
+on per-vertex domain masks, DSATUR vertex order and first-fresh-color
+symmetry breaking.  If the probe runs out, class branching over maximal
+independent sets (the shared Bron-Kerbosch of `independence`) decides with
+what is left of the node budget, branching on the residual vertex with the
+fewest class choices.  With three colors left the class must leave a
+bipartite rest, so the class enumeration is cut wherever the vertices it
+leaves out already hold an odd cycle.  The left-out set only grows down the
+enumeration, so each frame searches only the components that its newly
+left-out vertices touch; the others passed at the parent frame.  The same
+bipartiteness check alone decides t = 2 before any search.  It memoizes
+refuted residuals up to the graph's certified dihedral symmetry
 (`graphs.dihedral_automorphisms`), renumbering the vertices so that the
-rotation acts by bit shifts; a graph without one keys the memo by the
-residual itself.  The two searches win on different graphs: the probe
-refutes 3 colors on I(10,3) in about 0.1 ms and 5 on I(11,2) in about as
-little, where class branching takes 2 ms and 0.35 s; class branching refutes
-5 colors on SG(10,3) and 4 on SG(11,4) in under a tenth of a second each,
-where DSATUR takes minutes.  Both searches are exhaustive, the cut
-drops only classes that leave an odd cycle for two colors, and the memo only
-skips residuals isomorphic to refuted ones, so both directions of every
-answer are exact.
+rotation acts by bit shifts and the reflection by one table lookup per 4 bits
+of the mask; a graph without one keys the memo by the residual itself.  The
+two searches win on different graphs: the probe refutes 3 colors on I(10,3)
+in about 0.1 ms and 5 on I(11,2) in about as little, where class branching
+takes 2 ms and 0.35 s; class branching refutes 5 colors on SG(10,3) and 4 on
+SG(11,4) in under a tenth of a second each, where DSATUR takes minutes.  Both
+searches are exhaustive, the cut drops only classes that leave an odd cycle
+for two colors, and the memo only skips residuals isomorphic to refuted ones,
+so both directions of every answer are exact.
 
 `rlf_coloring` is a recursive-largest-first greedy coloring (Leighton 1979).
 No decision here uses it: it runs only in the chi vertex sweep
@@ -37,7 +41,7 @@ from math import lcm
 from typing import Callable
 
 from .errors import ResourceCap
-from .graphs import LabeledGraph, _map_search, dihedral_automorphisms
+from .graphs import LabeledGraph, _kept, _map_search, dihedral_automorphisms
 from .independence import bron_kerbosch, iter_bits, nonadjacency
 
 DEFAULT_NODE_BUDGET = 100_000_000
@@ -52,50 +56,62 @@ _REFUTED_MEMO_CAP = 250_000
 
 
 def greedy_clique(g: LabeledGraph) -> list[int]:
-    """A maximal clique grown from the max-degree vertex (chromatic lower bound)."""
-    V = g.vertex_count
-    if V == 0:
-        return []
-    adj = g.adj
-    start = max(range(V), key=lambda v: adj[v].bit_count())
-    clique = [start]
-    cand = adj[start]
-    while cand:
-        best, bestd = -1, -1
-        for v in iter_bits(cand):
-            d = (adj[v] & cand).bit_count()
-            if d > bestd:
-                bestd, best = d, v
-        clique.append(best)
-        cand &= adj[best]
-    return clique
+    """A maximal clique grown from the max-degree vertex (chromatic lower bound).
+
+    Computed once per graph; each call returns a fresh list.
+    """
+    def grow(g: LabeledGraph) -> tuple[int, ...]:
+        V = g.vertex_count
+        if V == 0:
+            return ()
+        adj = g.adj
+        start = max(range(V), key=lambda v: adj[v].bit_count())
+        clique = [start]
+        cand = adj[start]
+        while cand:
+            best, bestd = -1, -1
+            for v in iter_bits(cand):
+                d = (adj[v] & cand).bit_count()
+                if d > bestd:
+                    bestd, best = d, v
+            clique.append(best)
+            cand &= adj[best]
+        return tuple(clique)
+
+    return list(_kept(g, "_greedy_clique", grow))
 
 
 def greedy_coloring(g: LabeledGraph) -> list[int]:
-    """DSATUR greedy proper coloring (upper bound witness)."""
-    V = g.vertex_count
-    adj = g.adj
-    colors = [-1] * V
-    used_next_to = [0] * V  # bitmask of neighbor colors
-    deg = [m.bit_count() for m in adj]
-    # next vertex: max (saturation, degree), lowest index on ties; saturation
-    # only grows and each growth pushes a fresh entry, so stale ones are skipped
-    heap = [(0, -deg[v], v) for v in range(V)]
-    heapify(heap)
-    while heap:
-        neg_sat, _, best = heappop(heap)
-        if colors[best] >= 0 or -neg_sat != used_next_to[best].bit_count():
-            continue
-        c = 0
-        while (used_next_to[best] >> c) & 1:
-            c += 1
-        colors[best] = c
-        bit = 1 << c
-        for u in iter_bits(adj[best]):
-            if colors[u] < 0 and not used_next_to[u] & bit:
-                used_next_to[u] |= bit
-                heappush(heap, (-used_next_to[u].bit_count(), -deg[u], u))
-    return colors
+    """DSATUR greedy proper coloring (upper bound witness).
+
+    Computed once per graph; each call returns a fresh list.
+    """
+    def dsatur(g: LabeledGraph) -> tuple[int, ...]:
+        V = g.vertex_count
+        adj = g.adj
+        colors = [-1] * V
+        used_next_to = [0] * V  # bitmask of neighbor colors
+        deg = [m.bit_count() for m in adj]
+        # next vertex: max (saturation, degree), lowest index on ties; saturation
+        # only grows and each growth pushes a fresh entry, so stale ones are skipped
+        heap = [(0, -deg[v], v) for v in range(V)]
+        heapify(heap)
+        while heap:
+            neg_sat, _, best = heappop(heap)
+            if colors[best] >= 0 or -neg_sat != used_next_to[best].bit_count():
+                continue
+            c = 0
+            while (used_next_to[best] >> c) & 1:
+                c += 1
+            colors[best] = c
+            bit = 1 << c
+            for u in iter_bits(adj[best]):
+                if colors[u] < 0 and not used_next_to[u] & bit:
+                    used_next_to[u] |= bit
+                    heappush(heap, (-used_next_to[u].bit_count(), -deg[u], u))
+        return tuple(colors)
+
+    return list(_kept(g, "_greedy_coloring", dsatur))
 
 
 def rlf_coloring(g: LabeledGraph) -> list[int]:
@@ -155,13 +171,19 @@ def find_proper_coloring(g: LabeledGraph, t: int,
                        pre=[(v, c) for c, v in enumerate(clique)])
 
 
-def _is_bipartite(adj: tuple[int, ...], mask: int) -> bool:
-    """Whether the subgraph induced on `mask` is 2-colorable: breadth-first
-    search one layer mask at a time; an edge inside a layer closes an odd
-    cycle, and without one the layers alternate two colors.  The inner loop
-    of class branching at three colors, so bits are walked inline."""
-    while mask:
-        layer = seen = mask & -mask
+def _is_bipartite(adj: tuple[int, ...], mask: int, new: int = -1) -> bool:
+    """Whether the components of the subgraph induced on `mask` that meet
+    `new` (by default all of them) are 2-colorable: breadth-first search one
+    layer mask at a time from a vertex of `new`; an edge inside a layer
+    closes an odd cycle, and without one the layers alternate two colors.
+
+    With three colors left, class branching checks each Bron-Kerbosch frame
+    this way on the vertices that frame newly left out: the other components
+    are components of the parent frame's left-out set, which passed.  The
+    inner loop there, so bits are walked inline."""
+    new &= mask
+    while new:
+        layer = seen = new & -new
         while layer:
             reach = 0
             m = layer
@@ -173,7 +195,7 @@ def _is_bipartite(adj: tuple[int, ...], mask: int) -> bool:
                 return False
             layer = reach & mask & ~seen
             seen |= layer
-        mask &= ~seen
+        new &= ~seen
     return True
 
 
@@ -187,11 +209,12 @@ def _dihedral_frame(g: LabeledGraph) -> tuple[LabeledGraph, Callable[[int], int]
     form a block of bits, position i of the j-th cycle at bit i*m + j of the
     block, with longer cycles in higher blocks.  The generator then rotates
     each block by m bits, so each of its powers costs one shift per block; the
-    second generator, the reflection, is applied bit by bit.  The key is the
-    least image of the mask and of its reflection under those powers.  Every
-    image is under a composition of certified automorphisms, so two masks with
-    one key induce isomorphic subgraphs.  Blocks compare from the top, so the
-    lower blocks are rotated only by the powers that tie on the top block.
+    second generator, the reflection, is applied by tables built here, one
+    lookup per 4 bits of the mask.  The key is the least image of the mask
+    and of its reflection under those powers.  Every image is under a
+    composition of certified automorphisms, so two masks with one key induce
+    isomorphic subgraphs.  Blocks compare from the top, so the lower blocks
+    are rotated only by the powers that tie on the top block.
     """
     gens = dihedral_automorphisms(g)
     if not gens:
@@ -225,12 +248,28 @@ def _dihedral_frame(g: LabeledGraph) -> tuple[LabeledGraph, Callable[[int], int]
     old = sorted(range(V), key=pos.__getitem__)
     h = LabeledGraph(tuple(g.labels[v] for v in old),
                      tuple(sum(1 << pos[u] for u in iter_bits(g.adj[v])) for v in old))
-    reflected = [1 << pos[rest[0][v]] for v in old] if rest else None
+    # the reflection, one lookup per 4 bits: entry b of the i-th table is the
+    # image of the vertices 4i + j for the bits j of b
+    tables = []
+    if rest:
+        reflected = [1 << pos[rest[0][v]] for v in old]
+        for i in range(0, V, 4):
+            table = [0]
+            for image in reflected[i:i + 4]:
+                table += [x | image for x in table]
+            tables.append(table)
     top, top_double, top_shifts = blocks.pop()
+
+    def reflect(mask: int) -> int:
+        image = 0
+        for table in tables:
+            image |= table[mask & 15]
+            mask >>= 4
+        return image
 
     def least_image(mask: int) -> int:
         best = mask
-        for x in (mask, sum(map(reflected.__getitem__, iter_bits(mask)))) if reflected else (mask,):
+        for x in (mask, reflect(mask)) if tables else (mask,):
             doubled = (x & top) * top_double
             images = [(doubled >> s) & top for s in top_shifts]
             low = min(images)
@@ -256,9 +295,13 @@ def _class_colorable(g: LabeledGraph, t: int, node_budget: int, nodes: int) -> b
     the class must leave a bipartite rest: each Bron-Kerbosch frame (r, p)
     only yields sets within r | p, so a frame is cut (one node) when the
     residual outside r | p is not bipartite, and the first maximal set that
-    passes is a 3-coloring.  Much faster than vertex-at-a-time search when
-    the maximal-set families stay small; can blow up when they do not.
-    `nodes` is the work already spent against `node_budget`.
+    passes is a 3-coloring.  That residual only grows from a frame to its
+    children, so a frame searches only the components that meet the vertices
+    `bron_kerbosch` reports as newly left out; every other component is one
+    of the parent frame's, which passed.  The root frame is checked whole.
+    Much faster than vertex-at-a-time search when the maximal-set families
+    stay small; can blow up when they do not.  `nodes` is the work already
+    spent against `node_budget`.
 
     A residual refuted with c colors is memoized under its least image by
     `_dihedral_frame`: an automorphism maps G[m] onto G[s(m)], so one
@@ -267,6 +310,7 @@ def _class_colorable(g: LabeledGraph, t: int, node_budget: int, nodes: int) -> b
     the mask itself.
     """
     g, least_image = _dihedral_frame(g)
+    V = g.vertex_count
     adj = g.adj
     nonadj = nonadjacency(g)
     refuted: dict[int, int] = {}
@@ -285,8 +329,18 @@ def _class_colorable(g: LabeledGraph, t: int, node_budget: int, nodes: int) -> b
             raise ResourceCap(f"colorability search exceeded {node_budget} nodes")
         if colors_left == 2:
             return _is_bipartite(adj, mask)
-        v = min(iter_bits(mask), key=lambda u: (mask & nonadj[u]).bit_count())
-        viable = (lambda r, p: _is_bipartite(adj, mask & ~(r | p))) if colors_left == 3 else None
+        # the first vertex of fewest residual non-neighbors, in one bit walk
+        fewest = V
+        m = mask
+        while m:
+            b = m & -m
+            u = b.bit_length() - 1
+            c = (mask & nonadj[u]).bit_count()
+            if c < fewest:
+                fewest, v = c, u
+            m ^= b
+        viable = ((lambda r, p, left: _is_bipartite(adj, mask & ~(r | p), left))
+                  if colors_left == 3 else None)
         sols = []
         for cls in bron_kerbosch(nonadj, 1 << v, mask & nonadj[v], viable):
             nodes += 1
@@ -305,7 +359,7 @@ def _class_colorable(g: LabeledGraph, t: int, node_budget: int, nodes: int) -> b
             refuted[key] = colors_left
         return False
 
-    return rec((1 << g.vertex_count) - 1, t)
+    return rec((1 << V) - 1, t)
 
 
 def is_t_colorable(g: LabeledGraph, t: int,

@@ -4,6 +4,7 @@ that runs them in turn, cross-checks."""
 from __future__ import annotations
 
 import random
+from heapq import heapify
 from itertools import combinations
 
 import pytest
@@ -32,7 +33,7 @@ from wellspread.coloring import (
     greedy_coloring,
     rlf_coloring,
 )
-from wellspread.graphs import MapKind, VertexMap, dihedral_automorphisms, validate_map
+from wellspread.graphs import MapKind, VertexMap, dihedral_automorphisms, iter_bits, validate_map
 
 
 def test_chromatic_basics():
@@ -103,6 +104,21 @@ def test_is_bipartite():
     # removing one vertex cuts the odd cycle open into a path
     assert _is_bipartite(g.adj, ((1 << 11) - 1) & ~(1 << 8))
     assert _is_bipartite(cycle(7).adj, (1 << 7) - 2)
+    # only the components that meet `new` are searched
+    assert _is_bipartite(g.adj, (1 << 11) - 1, 1 << 2)
+    assert not _is_bipartite(g.adj, (1 << 11) - 1, (1 << 2) | (1 << 8))
+    # the bipartite left-out set {0, ..., 4} (a path 0 1 2 beside an edge
+    # 3 4) gains 5 and 6.  5 ~ {0, 4} joins 0 and 4, which the two parts'
+    # own colorings, each from its lowest vertex, put on opposite sides; with
+    # 6 ~ {2, 3} as well the cycle 5 0 1 2 6 3 4 has length 7, with 5 ~ {0, 3}
+    # and 6 ~ {2, 3} the cycle 5 0 1 2 6 3 has length 6
+    for joins, bipartite in [([(5, 0), (5, 4)], True),
+                             ([(5, 0), (5, 4), (6, 2), (6, 3)], False),
+                             ([(5, 0), (5, 3), (6, 2), (6, 3)], True)]:
+        h = mk(7, [(0, 1), (1, 2), (3, 4)] + joins)
+        assert _is_bipartite(h.adj, (1 << 5) - 1)
+        assert _is_bipartite(h.adj, (1 << 7) - 1, (1 << 5) | (1 << 6)) == bipartite
+        assert _is_bipartite(h.adj, (1 << 7) - 1) == bipartite
 
 
 def test_schrijver_chromatic_formula_small():
@@ -146,7 +162,7 @@ def _uncut_bron_kerbosch(nonadj, r, p, viable=None):
     """The Bron-Kerbosch sets with no frame cut: the predicate only screens
     each maximal set, as a bipartiteness check per class did before the cut."""
     for cls in independence.bron_kerbosch(nonadj, r, p):
-        yield cls if not cls or viable is None or viable(cls, 0) else 0
+        yield cls if not cls or viable is None or viable(cls, 0, ~cls) else 0
 
 
 def test_odd_cycle_cut_agrees_with_dsatur_and_the_uncut_search(monkeypatch):
@@ -175,9 +191,115 @@ def test_bron_kerbosch_predicate_that_always_holds_changes_nothing():
         roots = [(0, (1 << n) - 1)] + [(1 << v, nonadj[v]) for v in range(n)]
         for r, p in roots:
             plain = list(independence.bron_kerbosch(nonadj, r, p))
-            assert list(independence.bron_kerbosch(nonadj, r, p, lambda r, p: True)) == plain
+            assert list(independence.bron_kerbosch(
+                nonadj, r, p, lambda r, p, left: True)) == plain
             # a cut frame counts as one expansion and yields no set
-            assert list(independence.bron_kerbosch(nonadj, r, p, lambda r, p: False)) == [0]
+            assert list(independence.bron_kerbosch(
+                nonadj, r, p, lambda r, p, left: False)) == [0]
+
+
+def test_incremental_odd_cycle_cut_yields_what_the_full_check_yields():
+    # bron_kerbosch passes the vertices that left r | p since the parent
+    # frame passed; checking only their components must cut exactly the
+    # frames that a full check of the left-out set cuts
+    rng = random.Random(20261020)
+    # from root 3, the frame r = {3, 10} branches on 5, then on 9; 5, tried
+    # before 9 and not adjacent to it, is newly left out in 9's branch and
+    # closes the triangle 2 5 7
+    sibling = mk(12, [(0, 2), (0, 10), (1, 4), (1, 6), (2, 5), (2, 7), (2, 9), (2, 11),
+                      (3, 11), (4, 5), (5, 7), (6, 8), (7, 10), (8, 9), (10, 11)])
+    cases = [(sibling, (1 << 12) - 1)]
+    for trial in range(120):
+        n = rng.randrange(4, 17)
+        g = random_graph(rng, n, rng.uniform(0.1, 0.6))
+        cases.append((g, ((1 << n) - 1) & ~(rng.getrandbits(n) & rng.getrandbits(n))))
+    merges = set()
+    for trial, (g, mask) in enumerate(cases):
+        adj, nonadj = g.adj, independence.nonadjacency(g)
+        roots = [(0, mask)] + [(1 << v, mask & nonadj[v]) for v in iter_bits(mask)]
+        for r, p in roots:
+            def incremental(r, p, left):
+                out = mask & ~(r | p)
+                ok = _is_bipartite(adj, out, left)
+                parents = independence._components(adj, out & ~left)
+                if any(sum(1 for c in parents if adj[w] & c) > 1 for w in iter_bits(out & left)):
+                    merges.add(ok)
+                return ok
+
+            def full(r, p, left):
+                return _is_bipartite(adj, mask & ~(r | p))
+
+            assert (list(independence.bron_kerbosch(nonadj, r, p, incremental))
+                    == list(independence.bron_kerbosch(nonadj, r, p, full))), trial
+    # newly left-out vertices that join two components of the parent's
+    # left-out set, into an odd cycle and into a bipartite graph
+    assert merges == {False, True}
+
+
+def _group(gens):
+    """Every vertex permutation in the group the generators span."""
+    identity = tuple(range(len(gens[0])))
+    group, todo = {identity}, [identity]
+    while todo:
+        x = todo.pop()
+        for s in gens:
+            y = tuple(s[v] for v in x)
+            if y not in group:
+                group.add(y)
+                todo.append(y)
+    return group
+
+
+def test_least_image_is_the_least_image_under_the_certified_symmetry():
+    rng = random.Random(20261021)
+    q = build_q(13, 4)
+    reflection = dihedral_automorphisms(q)[-1]
+    u = next(u for u, v in enumerate(reflection) if q.has_edge(u, v))
+    cases = [
+        (build_schrijver(10, 3), 20),  # rotation and reflection
+        (build_kneser(8, 3), 16),
+        (delete_edge(q, u, reflection[u]), 2),  # the reflection alone
+        (delete_edge(q, 0, 1), 1),  # no certified symmetry
+        (random_graph(rng, 12), 1),
+    ]
+    for g, order in cases:
+        gens = dihedral_automorphisms(g)
+        h, least_image = coloring._dihedral_frame(g)
+        if not gens:
+            assert order == 1 and h is g and least_image is None
+            continue
+        # the generators on h's vertices, which are g's renumbered
+        old = [g.labels.index(lab) for lab in h.labels]
+        pos = {v: i for i, v in enumerate(old)}
+        group = _group([[pos[s[v]] for v in old] for s in gens])
+        assert len(group) == order
+        V = h.vertex_count
+        masks = [0, (1 << V) - 1] + [rng.getrandbits(V) & rng.getrandbits(V) for _ in range(100)]
+        masks += [rng.getrandbits(V) for _ in range(100)]
+        for mask in masks:
+            assert least_image(mask) == min(
+                sum(1 << perm[v] for v in iter_bits(mask)) for perm in group), (order, mask)
+
+
+def test_greedy_bounds_are_worked_out_once_per_graph(monkeypatch):
+    runs = []
+
+    def counting_heapify(heap):
+        runs.append(len(heap))
+        heapify(heap)
+
+    monkeypatch.setattr(coloring, "heapify", counting_heapify)
+    g = build_schrijver(10, 3)
+    assert chromatic_number(g) == 6
+    # one DSATUR pass, although is_t_colorable(g, 5) asks for the bound again
+    assert runs == [g.vertex_count]
+    # each call returns a fresh list
+    colors, clique = greedy_coloring(g), coloring.greedy_clique(g)
+    kept = (list(colors), list(clique))
+    colors.clear()
+    clique.clear()
+    assert (greedy_coloring(g), coloring.greedy_clique(g)) == kept
+    assert runs == [g.vertex_count]
 
 
 def test_symmetric_memo_agrees_with_plain_memo_and_dsatur(monkeypatch):
