@@ -1,15 +1,17 @@
 """Exact independent-set machinery on bitmask adjacency.
 
 One min-degree greedy (`_greedy_independent`) gives the first independent
-set, and one exact search (`_fail_soft_alpha`, neighbourhood branching with
-fail-soft pruning) proves or improves it.  All certificates are exact: the
-ratio bound is only ever returned after its Katona-circle witness passes
-`validate_map` on the graph itself, and the branch-and-bound returns
-witnesses.
+set, and one exact search (`_fail_soft_search`: weighted neighbourhood
+branching with fail-soft pruning, from an explicit stack under a node
+budget) proves or improves it at unit weights and prices LP columns at
+integer weights.  All certificates are exact: the ratio bound is only ever
+returned after its Katona-circle witness passes `validate_map` on the graph
+itself, and the search returns witnesses.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterator
 
 from .errors import ResourceCap
@@ -18,6 +20,7 @@ from .graphs import (LabeledGraph, MapKind, VertexMap, _residue_permutation, _so
                      build_circular, is_automorphism, iter_bits, label_rotation, validate_map)
 
 DEFAULT_MIS_CAP = 200_000
+_NODE_BUDGET = 10_000_000  # nodes of one `_fail_soft_search`
 
 
 def bron_kerbosch(nonadj: list[int], r: int, p: int,
@@ -111,19 +114,21 @@ def _greedy_independent(adj, mask: int) -> int:
     return chosen
 
 
-def _matching_bound(adj, mask: int) -> int:
-    """|mask| minus a greedy maximal matching size: a valid alpha upper bound."""
-    n = mask.bit_count()
+def _matching_bound(adj, mask: int, weight: list[int] | None = None) -> int:
+    """The weight of mask less the lighter end of each edge of a greedy
+    maximal matching: no independent set in mask weighs more.  With unit
+    weights (weight None) this is |mask| minus the matching size."""
     rem = mask
-    msize = 0
+    cut = 0
     while rem:
         v = (rem & -rem).bit_length() - 1
         rem &= rem - 1
         nb = adj[v] & rem
         if nb:
-            rem &= ~(nb & -nb)
-            msize += 1
-    return n - msize
+            b = nb & -nb
+            rem ^= b
+            cut += 1 if weight is None else min(weight[v], weight[b.bit_length() - 1])
+    return (mask.bit_count() if weight is None else sum(weight[v] for v in iter_bits(mask))) - cut
 
 
 def _components(adj, mask: int) -> list[int]:
@@ -183,85 +188,95 @@ def ratio_upper_bound(g: LabeledGraph) -> int | None:
     return V * k // n
 
 
-def _fail_soft_alpha(adj):
-    """Neighborhood branching on the graph with adjacency rows adj.
+def _fail_soft_search(adj, mask: int, need: int, weight: list[int] | None = None) -> tuple[int, int]:
+    """Neighbourhood branching for the heaviest independent set within mask,
+    for non-negative integer weights (unit weights when weight is None).
 
-    The returned solve(mask, need) gives (r, witness): r is exact alpha of
-    G[mask] whenever r > need; any r <= need certifies alpha <= need
-    (fail-soft).
+    Returns (r, witness): r is the maximum weight, and witness a set of that
+    weight, whenever r > need; any r <= need certifies that no independent
+    set within mask weighs more than need (fail-soft).  Weights equal and
+    positive across mask are searched as unit weights and scaled.  Runs from
+    an explicit stack; ResourceCap past `_NODE_BUDGET` nodes.
     """
+    scale = 1
+    if weight is not None:
+        seen = {weight[v] for v in iter_bits(mask)}
+        if len(seen) == 1 and 0 not in seen:
+            (scale,) = seen
+            weight, need = None, need // scale
 
-    def solve(mask: int, need: int) -> tuple[int, int]:
+    def node(mask: int, need: int):
+        # yields each child's (mask, need), is sent its (r, witness)
         total, taken = 0, 0
         while True:
             if mask == 0:
                 return total, taken
+            # take each vertex whose neighbours, at most two, are pairwise
+            # adjacent and none heavier: some heaviest set holds it
             changed = False
             for v in iter_bits(mask):
                 if not (mask >> v) & 1:
                     continue
                 nb = adj[v] & mask
-                d = nb.bit_count()
-                if d == 0:
-                    total += 1
-                    taken |= 1 << v
-                    mask &= ~(1 << v)
-                    changed = True
-                elif d == 1:
-                    total += 1
-                    taken |= 1 << v
-                    mask &= ~(nb | (1 << v))
-                    changed = True
-                elif d == 2:
-                    u1 = (nb & -nb).bit_length() - 1
-                    u2 = (nb & (nb - 1)).bit_length() - 1
-                    if (adj[u1] >> u2) & 1:
-                        total += 1
-                        taken |= 1 << v
-                        mask &= ~(nb | (1 << v))
-                        changed = True
+                if nb & (nb - 1) and (nb.bit_count() > 2 or not adj[(nb & -nb).bit_length() - 1] & nb):
+                    continue
+                if weight is not None and any(weight[u] > weight[v] for u in iter_bits(nb)):
+                    continue
+                total += 1 if weight is None else weight[v]
+                taken |= 1 << v
+                mask &= ~(nb | (1 << v))
+                changed = True
             if not changed:
                 break
-        if mask == 0:
-            return total, taken
 
-        maxd, v = -1, -1
-        for u in iter_bits(mask):
-            d = (adj[u] & mask).bit_count()
-            if d > maxd:
-                maxd, v = d, u
-        if maxd <= 2:
-            # paths and cycles, where the greedy is exact
+        v = max(iter_bits(mask), key=lambda u: (adj[u] & mask).bit_count())
+        if weight is None and (adj[v] & mask).bit_count() <= 2:
+            # paths and cycles, where the greedy is exact at equal weights
             m2 = _greedy_independent(adj, mask)
             return total + m2.bit_count(), taken | m2
 
         comps = _components(adj, mask)
         if len(comps) > 1:
-            comps.sort(key=lambda c: c.bit_count())
+            comps.sort(key=int.bit_count)
             for comp in comps:
-                t2, m2 = solve(comp, 0)  # exact per component
+                t2, m2 = yield comp, -1  # exact per component
                 total += t2
                 taken |= m2
             return total, taken
 
-        ub = _matching_bound(adj, mask)
+        ub = _matching_bound(adj, mask, weight)
         if total + ub <= need:
-            return total + ub, 0  # pruned: value only certifies alpha <= need
-        best, best_mask = 0, 0
-        sub = mask & ~(adj[v] | (1 << v))
-        r, wm = solve(sub, -1)
-        best, best_mask = 1 + r, wm | (1 << v)
+            return total + ub, 0  # pruned: value only certifies the bound
+        # some heaviest set holds v or one of its neighbours
+        w = 1 if weight is None else weight[v]
+        r, wm = yield mask & ~(adj[v] | (1 << v)), -1
+        best, best_mask = w + r, wm | (1 << v)
         excluded = 1 << v
         for u in iter_bits(adj[v] & mask):
             sub = mask & ~(adj[u] | (1 << u) | excluded)
-            if 1 + sub.bit_count() > best or 1 + _matching_bound(adj, sub) > best:
-                r, wm = solve(sub, max(best, need - total) - 1)
-                if 1 + r > best:
-                    best, best_mask = 1 + r, wm | (1 << u)
+            w = 1 if weight is None else weight[u]
+            if w + _matching_bound(adj, sub, weight) > best:
+                r, wm = yield sub, max(best, need - total) - w
+                if w + r > best:
+                    best, best_mask = w + r, wm | (1 << u)
             excluded |= 1 << u
         return total + best, taken | best_mask
 
-    return solve
+    nodes, stack, sent = 1, [node(mask, need)], None
+    while stack:
+        try:
+            child = stack[-1].send(sent)
+        except StopIteration as done:
+            stack.pop()
+            sent = done.value
+            continue
+        nodes += 1
+        if nodes > _NODE_BUDGET:
+            raise ResourceCap(f"independent-set search exceeded {_NODE_BUDGET} nodes")
+        stack.append(node(*child))
+        sent = None
+    r, witness = sent
+    return r * scale, witness
 
 
 def maximum_independent_set(g: LabeledGraph) -> int:
@@ -269,9 +284,9 @@ def maximum_independent_set(g: LabeledGraph) -> int:
 
     Cascade: the min-degree greedy pass, then the matching bound, the
     Katona-circle ratio bound on 40 or more vertices of maximum degree above
-    2, and branch-and-bound pruned below the pass's size.  The greedy set is
-    returned whenever the cascade proves it maximum, and otherwise the
-    larger set branch-and-bound found.
+    2, and `_fail_soft_search` at unit weights pruned below the pass's size
+    (ResourceCap past its node budget).  The greedy set is returned whenever
+    the cascade proves it maximum, and otherwise the larger set found.
     """
     V = g.vertex_count
     if V == 0:
@@ -283,18 +298,18 @@ def maximum_independent_set(g: LabeledGraph) -> int:
     if _matching_bound(adj, full) == lb:
         return first
     # on small graphs, and at maximum degree <= 2 (paths and cycles),
-    # branch-and-bound settles alpha directly
+    # the search settles alpha directly
     if V >= 40 and max(a.bit_count() for a in adj) > 2 and ratio_upper_bound(g) == lb:
         return first
-    r, wit = _fail_soft_alpha(adj)(full, lb - 1)
+    r, wit = _fail_soft_search(adj, full, lb - 1)
     return wit if r > lb else first
 
 
 def alpha_at_most(adj, mask: int, bound: int) -> bool:
     """True when the subgraph induced on mask has no independent set of more
-    than bound vertices; branch-and-bound prunes at bound and computes no
-    maximum set."""
-    return _fail_soft_alpha(adj)(mask, bound)[0] <= bound
+    than bound vertices: `_fail_soft_search` at unit weights prunes at bound
+    and computes no maximum set (ResourceCap past its node budget)."""
+    return _fail_soft_search(adj, mask, bound)[0] <= bound
 
 
 def independence_number(g: LabeledGraph) -> int:
@@ -311,31 +326,12 @@ def max_independent_sets(g: LabeledGraph, mis_cap: int = DEFAULT_MIS_CAP) -> lis
 
 
 def max_weight_independent_set(adj: list[int], weights: list[Fraction]) -> tuple[Fraction, int]:
-    """Exact max-weight independent set on a small graph (used by LP pricing)."""
-    n = len(weights)
-    best_w = Fraction(0)
-    best_mask = 0
-
-    def rec(avail: int, cur_w: Fraction, cur_mask: int) -> None:
-        nonlocal best_w, best_mask
-        rest = cur_w
-        hv, hw = -1, Fraction(0)
-        m = avail
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            wv = weights[v]
-            rest += wv
-            if wv > hw:
-                hw, hv = wv, v
-        if rest <= best_w:
-            return
-        if hv < 0:
-            if cur_w > best_w:
-                best_w, best_mask = cur_w, cur_mask
-            return
-        rec(avail & ~(adj[hv] | (1 << hv)), cur_w + weights[hv], cur_mask | (1 << hv))
-        rec(avail & ~(1 << hv), cur_w, cur_mask)
-
-    rec((1 << n) - 1, Fraction(0), 0)
-    return best_w, best_mask
+    """An exact max-weight independent set and its weight, for LP pricing:
+    `_fail_soft_search` runs exact on the weights scaled by their common
+    denominator, vertices of weight <= 0 left out (ResourceCap past its node
+    budget)."""
+    scale = lcm(*(w.denominator for w in weights))
+    scaled = [w.numerator * (scale // w.denominator) for w in weights]
+    mask = sum(1 << v for v, w in enumerate(scaled) if w > 0)
+    value, witness = _fail_soft_search(adj, mask, -1, scaled)
+    return Fraction(value, scale), witness

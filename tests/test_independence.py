@@ -33,7 +33,8 @@ from wellspread.graphs import (
     is_automorphism,
     label_rotation,
 )
-from wellspread.independence import _greedy_independent, ratio_upper_bound
+from wellspread import independence
+from wellspread.independence import _greedy_independent, alpha_at_most, ratio_upper_bound
 
 
 def test_small_graph_alphas():
@@ -232,3 +233,35 @@ def test_max_weight_oracle_small():
     w = [Fraction(10), Fraction(1), Fraction(1), Fraction(1), Fraction(1)]
     val, _ = max_weight_independent_set(list(g.adj), w)
     assert val == 11
+
+
+def test_max_weight_on_a_long_unit_path():
+    # the search runs from an explicit stack, and equal weights reach the
+    # greedy on paths and cycles: no recursion limit, no exponential search
+    n = 2500
+    g = mk(n, [(i, i + 1) for i in range(n - 1)])
+    val, mask = max_weight_independent_set(list(g.adj), [Fraction(1)] * n)
+    assert val == 1250 and mask.bit_count() == 1250
+    assert all(not g.adj[v] & mask for v in range(n) if mask >> v & 1)
+
+
+def test_components_are_searched_exactly():
+    # two disjoint K4s: each component's matching bound, 2, is at the bound,
+    # but only the sum of exact values may be compared with it
+    g = mk(8, [(i, j) for c in (0, 4) for i in range(c, c + 4) for j in range(i + 1, c + 4)])
+    assert alpha_at_most(g.adj, 0xFF, 2)
+    assert not alpha_at_most(g.adj, 0xFF, 1)
+
+
+def test_node_budget_raises_resource_cap(monkeypatch):
+    g = build_kneser(8, 3)
+    full = (1 << g.vertex_count) - 1
+    weights = [Fraction(1 + v % 3, 2) for v in range(g.vertex_count)]
+    assert not alpha_at_most(g.adj, full, 3)
+    assert max_weight_independent_set(list(g.adj), weights)[0] == 23
+    # both searches take a few hundred nodes or more
+    monkeypatch.setattr(independence, "_NODE_BUDGET", 100)
+    with pytest.raises(ResourceCap):
+        alpha_at_most(g.adj, full, 3)
+    with pytest.raises(ResourceCap):
+        max_weight_independent_set(list(g.adj), weights)

@@ -30,7 +30,7 @@ from wellspread import (  # noqa: E402
     validate_map,
 )
 from wellspread.graphs import iter_bits, label_rotation  # noqa: E402
-from wellspread.independence import alpha_at_most  # noqa: E402
+from wellspread.independence import _fail_soft_search, alpha_at_most  # noqa: E402
 
 
 def to_nx(g):
@@ -133,6 +133,31 @@ def test_max_weight_independent_set_against_brute_force(n, rng):
     assert value == max(weight(m) for m in range(1 << n) if is_independent(g, m))
     assert is_independent(g, mask)
     assert weight(mask) == value
+
+
+@hypothesis.settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@hypothesis.given(st.integers(1, 10), st.randoms(use_true_random=False))
+def test_weighted_fail_soft_search_against_brute_force(n, rng):
+    # r > need: r is the heaviest independent set within mask and the
+    # witness one of that weight; r <= need: none weighs more than need
+    g = random_graph(rng, n)
+    if rng.random() < 0.5:  # equal weights are searched as unit weights, then scaled
+        weights = [rng.randrange(1, 4)] * n
+    else:
+        weights = [rng.choice([0, 0, 1, 2, 3, 5, 8]) for _ in range(n)]
+    mask = rng.getrandbits(n)
+
+    def weight(m):
+        return sum(weights[v] for v in iter_bits(m))
+
+    best = max(weight(m) for m in range(1 << n) if m & ~mask == 0 and is_independent(g, m))
+    need = rng.randrange(-1, best + 2)
+    r, witness = _fail_soft_search(list(g.adj), mask, need, weights)
+    if r > need:
+        assert r == best
+        assert witness & ~mask == 0 and is_independent(g, witness) and weight(witness) == r
+    else:
+        assert best <= need
 
 
 @hypothesis.settings(max_examples=100, derandomize=True, database=None, deadline=None)
