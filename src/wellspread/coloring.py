@@ -1,32 +1,36 @@
-"""Exact chromatic numbers by a budgeted portfolio of two exhaustive searches.
+"""Exact chromatic numbers by two exhaustive searches taking turns.
 
 Every decision "is g t-colorable?" goes through `is_t_colorable`.  After the
 greedy clique and DSATUR-coloring shortcuts (each worked out once per graph,
-so `chromatic_number` and every `is_t_colorable` it asks share them),
-`find_proper_coloring` runs as a probe of V + `_PROBE_NODES` nodes, enough to
-color a graph without backtracking.  It is the package's one map search
-(`graphs._map_search`) into K_t: greedy-clique precoloring, forward checking
-on per-vertex domain masks, DSATUR vertex order and first-fresh-color
-symmetry breaking.  If the probe runs out, class branching over maximal
-independent sets (the shared Bron-Kerbosch of `independence`) decides with
-what is left of the node budget, branching on the residual vertex with the
-fewest class choices.  With three colors left the class must leave a
-bipartite rest, so the class enumeration is cut wherever the vertices it
-leaves out already hold an odd cycle.  The left-out set only grows down the
-enumeration, so each frame searches only the components that its newly
-left-out vertices touch; the others passed at the parent frame.  The same
-bipartiteness check alone decides t = 2 before any search.  It memoizes
-refuted residuals up to the graph's certified dihedral symmetry
+so `chromatic_number` and every `is_t_colorable` it asks share them), two
+exact searches share one node budget.  The DSATUR search is the package's one
+map search (`graphs._map_steps`) into K_t: greedy-clique precoloring, forward
+checking on per-vertex domain masks, DSATUR vertex order and first-fresh-color
+symmetry breaking.  It runs alone for its first V nodes, one greedy descent,
+which colors a graph without backtracking.  Then class branching over maximal
+independent sets (the shared Bron-Kerbosch of `independence`) starts, and
+each of its nodes advances the paused DSATUR search by one node until DSATUR
+has spent V + `_PROBE_NODES`; the first search to answer wins.  Class
+branching branches on the residual vertex with the fewest class choices.
+With three colors left the class must leave a bipartite rest, so the class
+enumeration is cut wherever the vertices it leaves out already hold an odd
+cycle.  The left-out set only grows down the enumeration, so each frame
+searches only the components that its newly left-out vertices touch; the
+others passed at the parent frame.  The same bipartiteness check alone
+decides t = 2 before any search.  Class branching memoizes refuted residuals
+up to the graph's certified dihedral symmetry
 (`graphs.dihedral_automorphisms`), renumbering the vertices so that the
 rotation acts by bit shifts and the reflection by one table lookup per 4 bits
-of the mask; a graph without one keys the memo by the residual itself.  The
-two searches win on different graphs: the probe refutes 3 colors on I(10,3)
-in about 0.1 ms and 5 on I(11,2) in about as little, where class branching
-takes 2 ms and 0.35 s; class branching refutes 5 colors on SG(10,3) and 4 on
-SG(11,4) in under a tenth of a second each, where DSATUR takes minutes.  Both
-searches are exhaustive, the cut drops only classes that leave an odd cycle
-for two colors, and the memo only skips residuals isomorphic to refuted ones,
-so both directions of every answer are exact.
+of the mask; a graph without one keys the memo by the residual itself.
+
+The two searches win on different graphs (the node table in
+`is_t_colorable`): DSATUR refutes 5 colors on I(11,2) in 5 nodes, where class
+branching takes 56,480; class branching refutes 5 colors on SG(10,3) in 5,383,
+where DSATUR takes minutes.  Taking turns bounds the cost to twice the
+winner's nodes plus the DSATUR cap.  Both searches are exhaustive, the cut
+drops only classes that leave an odd cycle for two colors, and the memo only
+skips residuals isomorphic to refuted ones, so both directions of every
+answer are exact.
 
 `rlf_coloring` is a recursive-largest-first greedy coloring (Leighton 1979).
 No decision here uses it: it runs only in the chi vertex sweep
@@ -41,12 +45,12 @@ from math import lcm
 from typing import Callable
 
 from .errors import ResourceCap
-from .graphs import LabeledGraph, _kept, _map_search, dihedral_automorphisms
+from .graphs import LabeledGraph, _kept, _map_search, _map_steps, dihedral_automorphisms
 from .independence import bron_kerbosch, iter_bits, nonadjacency
 
 DEFAULT_NODE_BUDGET = 100_000_000
 
-# DSATUR probe nodes beyond one per vertex, spent before class branching
+# DSATUR nodes beyond one per vertex that is_t_colorable lets the search spend
 _PROBE_NODES = 1000
 
 # class branching stops memoizing refuted residual masks past this many;
@@ -161,14 +165,19 @@ def find_proper_coloring(g: LabeledGraph, t: int,
         return []
     if t == 0:
         return None
-    clique = greedy_clique(g)
-    if len(clique) > t:
+    if len(greedy_clique(g)) > t:
         return None
-    t = min(t, V)  # fresh-color symmetry breaking never reaches color V
+    k_t, domains, pre = _into_k_t(g, t)
+    return _map_search(g.adj, k_t, domains, node_budget, "coloring", pre)
+
+
+def _into_k_t(g: LabeledGraph, t: int) -> tuple[list[int], list[int], list[tuple[int, int]]]:
+    """The map search into K_t, for t at least the greedy clique: the target
+    rows, full domains, and the greedy clique precolored 0, 1, ..."""
+    t = min(t, g.vertex_count)  # fresh-color symmetry breaking never reaches color V
     full_t = (1 << t) - 1
     k_t = [full_t & ~(1 << c) for c in range(t)]
-    return _map_search(g.adj, k_t, [full_t] * V, node_budget, "coloring",
-                       pre=[(v, c) for c, v in enumerate(clique)])
+    return k_t, [full_t] * g.vertex_count, [(v, c) for c, v in enumerate(greedy_clique(g))]
 
 
 def _is_bipartite(adj: tuple[int, ...], mask: int, new: int = -1) -> bool:
@@ -284,7 +293,8 @@ def _dihedral_frame(g: LabeledGraph) -> tuple[LabeledGraph, Callable[[int], int]
     return h, least_image
 
 
-def _class_colorable(g: LabeledGraph, t: int, node_budget: int, nodes: int) -> bool:
+def _class_colorable(g: LabeledGraph, t: int, node_budget: int, nodes: int,
+                     on_node: Callable[[], None] | None = None) -> bool:
     """Exact t-colorability via class branching with residual memoization.
 
     Any coloring can be changed so that the class of a chosen residual vertex
@@ -301,7 +311,8 @@ def _class_colorable(g: LabeledGraph, t: int, node_budget: int, nodes: int) -> b
     of the parent frame's, which passed.  The root frame is checked whole.
     Much faster than vertex-at-a-time search when the maximal-set families
     stay small; can blow up when they do not.  `nodes` is the work already
-    spent against `node_budget`.
+    spent against `node_budget`, and `on_node`, when given, is called once
+    per node (`is_t_colorable` advances the DSATUR search there).
 
     A residual refuted with c colors is memoized under its least image by
     `_dihedral_frame`: an automorphism maps G[m] onto G[s(m)], so one
@@ -327,6 +338,8 @@ def _class_colorable(g: LabeledGraph, t: int, node_budget: int, nodes: int) -> b
         nodes += 1
         if nodes > node_budget:
             raise ResourceCap(f"colorability search exceeded {node_budget} nodes")
+        if on_node is not None:
+            on_node()
         if colors_left == 2:
             return _is_bipartite(adj, mask)
         # the first vertex of fewest residual non-neighbors, in one bit walk
@@ -346,6 +359,8 @@ def _class_colorable(g: LabeledGraph, t: int, node_budget: int, nodes: int) -> b
             nodes += 1
             if nodes > node_budget:
                 raise ResourceCap(f"colorability search exceeded {node_budget} nodes")
+            if on_node is not None:
+                on_node()
             if cls:
                 if viable:
                     return True
@@ -362,15 +377,37 @@ def _class_colorable(g: LabeledGraph, t: int, node_budget: int, nodes: int) -> b
     return rec((1 << V) - 1, t)
 
 
+class _Decided(Exception):
+    """The DSATUR search answered on one of class branching's nodes."""
+
+    def __init__(self, colorable: bool):
+        super().__init__(colorable)
+        self.colorable = colorable
+
+
 def is_t_colorable(g: LabeledGraph, t: int,
                    node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
-    """Exact t-colorability: greedy shortcuts, then a DSATUR probe, then
-    class branching; t = 2 is decided by `_is_bipartite` alone.
+    """Exact t-colorability: greedy shortcuts, then DSATUR and class
+    branching taking turns under one node budget; t = 2 is decided by
+    `_is_bipartite` alone.
 
-    The probe gets V + `_PROBE_NODES` nodes of `node_budget`; if it runs out,
-    class branching decides with the rest.  Either search is exhaustive, so
-    the answer is exact; ResourceCap is raised once the two together spend
-    more than `node_budget` nodes (at once, when the probe spent all of it).
+    The DSATUR search (`graphs._map_steps` into K_t) runs alone for its first
+    V nodes, one greedy descent.  Class branching then starts and advances
+    the paused DSATUR search by one node per class-branching node, until
+    DSATUR has spent V + `_PROBE_NODES`; class branching goes on alone after
+    that.  The first search to answer wins, so the turns cost at most twice
+    the winner's nodes plus the DSATUR cap.  Nodes each search needs, from
+    a survey (DSATUR, class branching):
+
+        I(11,2) at t = 5        5    56,480
+        KG(8,3) at t = 4       81    12,309
+        KG(9,2) at t = 6      279     1,055
+        KG(10,2) - v at t = 7 983    10,148
+
+    so neither search can go first alone, and the DSATUR cap cannot shrink.
+    Either search is exhaustive, so the answer is exact; ResourceCap, naming
+    the nodes each search spent, is raised once the two together spend more
+    than `node_budget` nodes.
     """
     V = g.vertex_count
     if t < 0:
@@ -387,12 +424,46 @@ def is_t_colorable(g: LabeledGraph, t: int,
         return False
     if max(greedy_coloring(g)) + 1 <= t:
         return True
-    probe = min(node_budget, V + _PROBE_NODES)
+    dsatur = _map_steps(g.adj, *_into_k_t(g, t))
+    dsatur_cap = V + _PROBE_NODES
+    dsatur_nodes = class_nodes = 0
+
+    def over_budget() -> ResourceCap:
+        return ResourceCap(f"colorability search exceeded {node_budget} nodes "
+                           f"(DSATUR {dsatur_nodes}, class branching {class_nodes})")
+
+    def dsatur_node() -> bool | None:
+        """One more DSATUR node, or its answer if the search is over."""
+        nonlocal dsatur_nodes
+        try:
+            next(dsatur)
+        except StopIteration as done:
+            return done.value is not None
+        dsatur_nodes += 1
+        if dsatur_nodes + class_nodes > node_budget:
+            raise over_budget()
+        return None
+
+    def turn() -> None:
+        nonlocal class_nodes
+        class_nodes += 1
+        if dsatur_nodes + class_nodes > node_budget:
+            raise over_budget()
+        if dsatur_nodes < dsatur_cap:
+            colorable = dsatur_node()
+            if colorable is not None:
+                raise _Decided(colorable)
+
+    for _ in range(V):
+        colorable = dsatur_node()
+        if colorable is not None:
+            return colorable
     try:
-        return find_proper_coloring(g, t, probe) is not None
-    except ResourceCap:
-        pass  # the probe ran out: class branching decides with the rest
-    return _class_colorable(g, t, node_budget, probe)
+        # turn() keeps the shared budget, so class branching's own count,
+        # which leaves out the DSATUR nodes, never reaches it first
+        return _class_colorable(g, t, node_budget, 0, turn)
+    except _Decided as decided:
+        return decided.colorable
 
 
 def chromatic_number(g: LabeledGraph, node_budget: int = DEFAULT_NODE_BUDGET) -> int:

@@ -1,8 +1,8 @@
 """Exact fractional chromatic numbers with verified certificates.
 
-Main path: column generation whose exact pricing runs on the optimal dual's
-support subgraph only -- sound by weak duality, since y(I) = y(I & supp) for
-every independent set I.  For graphs labelled by residues or subsets of Z_n
+Main path: column generation whose exact pricing searches the optimal dual's
+support only (`max_weight_independent_set` leaves out weights <= 0) -- sound
+by weak duality, since y(I) = y(I & supp) for every independent set I.  For graphs labelled by residues or subsets of Z_n
 (the circular family included) a rotation-orbit certificate built from one
 certified maximum independent set usually pins the value without any LP
 iterations.
@@ -243,23 +243,6 @@ def _orbit_certificate(g: LabeledGraph) -> tuple[Fraction, FractionalColoring] |
     return primal, fc
 
 
-def _support_pricing(g: LabeledGraph, y: list[Fraction]) -> tuple[Fraction, int]:
-    """Exact max-weight independent set restricted to supp(y), as a g-mask."""
-    supp = [v for v in range(g.vertex_count) if y[v] > 0]
-    sadj = [0] * len(supp)
-    for a, va in enumerate(supp):
-        for bidx in range(a + 1, len(supp)):
-            vb = supp[bidx]
-            if (g.adj[va] >> vb) & 1:
-                sadj[a] |= 1 << bidx
-                sadj[bidx] |= 1 << a
-    w, mask = max_weight_independent_set(sadj, [y[v] for v in supp])
-    gmask = 0
-    for i in iter_bits(mask):
-        gmask |= 1 << supp[i]
-    return w, gmask
-
-
 def _greedy_priced_columns(g: LabeledGraph, y: list[Fraction]) -> list[int]:
     """Cheap pricing: weight-greedy independent sets forced through each of
     the heaviest support vertices; returns maximal extensions violating 1."""
@@ -313,7 +296,7 @@ def _column_generation(g: LabeledGraph) -> tuple[Fraction, list[int], list[Fract
                 master.add_constraint(c)
             master.dual_simplex()
             continue
-        best_w, best_mask = _support_pricing(g, y)
+        best_w, best_mask = max_weight_independent_set(adj, y)
         if best_w <= 1:
             keep = [(m, wi) for m, wi in zip(master.pool, w) if wi > 0]
             return value, [m for m, _ in keep], [wi for _, wi in keep]

@@ -37,7 +37,7 @@ from functools import reduce
 from itertools import combinations, compress, product
 from math import comb, gcd
 from operator import or_
-from typing import Callable, Iterator
+from typing import Callable, Generator, Iterator
 
 from .cyclic import CyclicSubset, canonical_well_spread, is_r_separated, rotations
 from .errors import InvalidParams, NotAnEdge, ResourceCap
@@ -287,7 +287,25 @@ class VertexMap:
 
 def _map_search(adj, target_adj, domains: list[int], node_budget: int, what: str,
                 pre=(), injective: bool = False) -> list[int] | None:
-    """Depth-first search for a map from a source graph into a target graph.
+    """`_map_steps` run to its end: the image of every source vertex, or None
+    once the search space is exhausted; ResourceCap past `node_budget` nodes."""
+    steps = _map_steps(adj, target_adj, domains, pre, injective)
+    nodes = 0
+    try:
+        while True:
+            next(steps)
+            nodes += 1
+            if nodes > node_budget:
+                raise ResourceCap(f"{what} search exceeded {node_budget} nodes")
+    except StopIteration as done:
+        return done.value
+
+
+def _map_steps(adj, target_adj, domains: list[int], pre=(),
+               injective: bool = False) -> Generator[None, None, list[int] | None]:
+    """Depth-first search for a map from a source graph into a target graph,
+    paused once per node: it yields as each node begins and returns the
+    image of every source vertex, or None once the search space is exhausted.
 
     Every source vertex keeps a bitmask domain of the target vertices it may
     still map to (`domains`, updated in place).  Assigning u to a forward-checks
@@ -299,7 +317,9 @@ def _map_search(adj, target_adj, domains: list[int], node_budget: int, what: str
     injective homomorphism is an isomorphism: distinct edges map to distinct
     edges, as many as the target has.  `pre` lists forced (vertex, image)
     assignments, checked the same way but not counted as nodes.  A node is
-    one vertex selection; ResourceCap is raised past `node_budget`.
+    one vertex selection.  The caller drives the search and keeps the node
+    budget: `_map_search` runs it alone, and `coloring.is_t_colorable`
+    advances it one node per class-branching node.
 
     Two rules come from the target alone.  Into a complete target, which
     callers start from full domains, unused images are interchangeable: a
@@ -308,8 +328,7 @@ def _map_search(adj, target_adj, domains: list[int], node_budget: int, what: str
     degree).  Into any other target the next vertex has the smallest domain,
     then the highest degree.  Ties go to the lowest id, and the first vertex
     left with one candidate is taken at once.  The stack is explicit, so the
-    depth is not bounded by Python's recursion limit.  Returns the image of
-    every source vertex, or None once the search space is exhausted.
+    depth is not bounded by Python's recursion limit.
     """
     V = len(adj)
     T = len(target_adj)
@@ -325,7 +344,6 @@ def _map_search(adj, target_adj, domains: list[int], node_budget: int, what: str
     assigned = 0
     max_used = -1
     used = 0  # the images of the assigned vertices, kept only when injective
-    nodes = 0
     forced = list(reversed(pre))
     # a frame is [vertex, its domain size, untried candidates, trail of the
     # current candidate, max_used on entry, used on entry]; forced frames have
@@ -339,9 +357,7 @@ def _map_search(adj, target_adj, domains: list[int], node_budget: int, what: str
         elif assigned == everyone:
             return image
         else:
-            nodes += 1
-            if nodes > node_budget:
-                raise ResourceCap(f"{what} search exceeded {node_budget} nodes")
+            yield
             size = min(sizes)
             # the first vertex of least size wins unless a tie-break can differ
             if size > 1 and (complete or not regular):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .errors import ResourceCap
 from .cyclic import CyclicSubset
@@ -325,7 +325,8 @@ def max_independent_sets(g: LabeledGraph, mis_cap: int = DEFAULT_MIS_CAP) -> lis
     return [s for s in fam if len(s) == top]
 
 
-def max_weight_independent_set(adj: list[int], weights: list[Fraction]) -> tuple[Fraction, int]:
+def max_weight_independent_set(adj: Sequence[int],
+                               weights: list[Fraction]) -> tuple[Fraction, int]:
     """An exact max-weight independent set and its weight, for LP pricing:
     `_fail_soft_search` runs exact on the weights scaled by their common
     denominator, vertices of weight <= 0 left out (ResourceCap past its node

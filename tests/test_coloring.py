@@ -350,26 +350,77 @@ def test_node_budget_trips():
     g = build_kneser(8, 3)
     with pytest.raises(ResourceCap):
         chromatic_number(g, node_budget=5)
-    # the probe's nodes count against the budget: when the probe spends all
-    # of it, class branching gets none
-    sg = build_schrijver(9, 3)
-    with pytest.raises(ResourceCap):
-        is_t_colorable(sg, 4, node_budget=sg.vertex_count + coloring._PROBE_NODES)
+    # the message names the nodes each search spent: here DSATUR alone, which
+    # refutes 3 colors on I(10,3) in 9 nodes
+    with pytest.raises(ResourceCap, match=r"exceeded 8 nodes \(DSATUR 9, class branching 0\)"):
+        is_t_colorable(build_interlacing(10, 3), 3, node_budget=8)
 
 
-def test_class_branching_decides_when_probe_runs_out(monkeypatch):
-    sg = build_schrijver(9, 3)  # chi = 5
-    with pytest.raises(ResourceCap):
-        find_proper_coloring(sg, 4, sg.vertex_count + coloring._PROBE_NODES)
-    calls = []
+def _record_class_branching(monkeypatch) -> list[str]:
+    """How each `_class_colorable` call of `is_t_colorable` ended: 'answered'
+    when class branching decided, else the exception that ended it."""
+    ends = []
 
-    def recording(g, t, node_budget, nodes):
-        calls.append((t, nodes))
-        return _class_colorable(g, t, node_budget, nodes)
+    def recording(*args):
+        try:
+            colorable = _class_colorable(*args)
+        except Exception as e:
+            ends.append(type(e).__name__)
+            raise
+        ends.append("answered")
+        return colorable
 
     monkeypatch.setattr(coloring, "_class_colorable", recording)
-    assert not is_t_colorable(sg, 4)
-    assert calls == [(4, sg.vertex_count + coloring._PROBE_NODES)]
+    return ends
+
+
+@pytest.mark.parametrize("g,t,colorable,dsatur,classes,winner", [
+    # class branching refutes in 167 nodes while DSATUR, which needs 8,980
+    # alone, has spent 197 of them
+    (build_schrijver(9, 3), 4, False, 197, 167, "answered"),
+    # DSATUR refutes in 279 nodes, on class branching's 244th of 1,055
+    (build_kneser(9, 2), 6, False, 279, 244, "_Decided"),
+], ids=["SG(9,3) t=4", "KG(9,2) t=6"])
+def test_the_two_searches_take_turns_under_one_budget(monkeypatch, g, t, colorable, dsatur,
+                                                      classes, winner):
+    total = dsatur + classes
+    with pytest.raises(ResourceCap, match=rf"exceeded {total - 1} nodes "
+                                          rf"\(DSATUR {dsatur}, class branching {classes}\)"):
+        is_t_colorable(g, t, node_budget=total - 1)
+    ends = _record_class_branching(monkeypatch)
+    assert is_t_colorable(g, t, node_budget=total) == colorable
+    assert ends == [winner]
+
+
+def test_dsatur_decides_inside_its_first_descent(monkeypatch):
+    # 3 colors on I(10,3) are refuted in 9 DSATUR nodes, fewer than its 50
+    # vertices, so class branching never starts
+    ends = _record_class_branching(monkeypatch)
+    assert not is_t_colorable(build_interlacing(10, 3), 3, node_budget=9)
+    assert ends == []
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 12), st.integers(1, 6), st.randoms(use_true_random=False))
+def test_is_t_colorable_agrees_with_each_search_alone(n, t, rng):
+    g = random_graph(rng, n)
+    colorable = find_proper_coloring(g, t) is not None
+    assert _class_colorable(g, t, DEFAULT_NODE_BUDGET, 0) == colorable
+    assert is_t_colorable(g, t) == colorable
+
+
+def test_turns_agree_with_each_search_alone(monkeypatch):
+    # DSATUR decides graphs of up to 12 vertices inside its first descent;
+    # from 25 to 32 vertices, below the greedy bound, some reach the turns
+    ends = _record_class_branching(monkeypatch)
+    rng = random.Random(20261019)
+    for trial in range(150):
+        g = random_graph(rng, rng.randint(25, 32), rng.choice([0.3, 0.5, 0.7]))
+        for t in range(3, max(greedy_coloring(g)) + 1):
+            colorable = find_proper_coloring(g, t) is not None
+            assert _class_colorable(g, t, DEFAULT_NODE_BUDGET, 0) == colorable, (trial, t)
+            assert is_t_colorable(g, t) == colorable, (trial, t)
+    assert ends.count("answered") >= 5 and ends.count("_Decided") >= 5, ends
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)

@@ -21,8 +21,8 @@ from wellspread import (
 from wellspread.homomorphism import _hom_search
 
 # (search, nodes it needs, whether it finds a map).  A change of vertex order,
-# candidate order or symmetry breaking moves these counts; the colouring probe
-# in `is_t_colorable` and the chi_c cost depend on them.
+# candidate order or symmetry breaking moves these counts; the DSATUR turns in
+# `is_t_colorable` and the chi_c cost depend on them.
 PINS = [
     ("hom Q(17,8) -> K_{17/8}", lambda b: _hom_search(build_q(17, 8), build_circular(17, 8), b),
      8208, True),
