@@ -307,22 +307,3 @@ def _column_generation(g: LabeledGraph) -> tuple[Fraction, list[int], list[Fract
         master.add_constraint(col)
         master.dual_simplex()
     raise ResourceCap(f"column generation exceeded {_ROUND_CAP} rounds")
-
-
-def covering_lp_over_pool(g: LabeledGraph,
-                          pool: list[tuple[int, ...]]) -> tuple[Fraction, list[Fraction]]:
-    """Exact optimum of the covering LP restricted to the given sets.
-
-    Small-graph oracle used to cross-check column generation; the pool must
-    cover every vertex.
-    """
-    V = g.vertex_count
-    master = PackingMaster(V)
-    for s in pool:
-        mask = 0
-        for v in s:
-            mask |= 1 << v
-        master.add_constraint(mask)
-    master.primal_simplex()
-    value, _y, w = master.solution()
-    return value, w

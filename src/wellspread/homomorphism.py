@@ -106,15 +106,11 @@ def find_isomorphism(g: LabeledGraph, h: LabeledGraph,
     return out
 
 
-def circular_candidates(lo: Fraction, hi: Fraction, max_q: int) -> list[Fraction]:
-    """Reduced fractions in [lo, hi] with denominator <= max_q, ascending."""
-    return list(_ascending_candidates(lo, hi, max_q))
-
-
 def _ascending_candidates(lo: Fraction, hi: Fraction, max_q: int) -> Iterator[Fraction]:
-    """`circular_candidates`, made one at a time: a heap merge of the least
-    unused numerator p per denominator q, keeping p/q reduced so that every
-    fraction comes once, from its own denominator."""
+    """The reduced fractions in [lo, hi] with denominator <= max_q, ascending,
+    made one at a time: a heap merge of the least unused numerator p per
+    denominator q, keeping p/q reduced so that every fraction comes once, from
+    its own denominator."""
     heap = []
     for q in range(1, max_q + 1):
         p = -(-lo.numerator * q // lo.denominator)

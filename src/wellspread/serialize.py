@@ -8,12 +8,16 @@ travel as "p/q" strings, never floats.
 
 `dumps` writes exactly the bytes of `json.dumps(doc, indent=2,
 sort_keys=True)` plus a newline, without going through json's pure-Python
-indenting encoder.  A small recursive writer handles dicts with string keys,
-lists, tuples, strings (through json's own `encode_basestring_ascii`), ints,
-bools and None; a flat list of ints, and a list of int lists such as vertex
-labels, edges and colour classes, is written with one `str.join` over its
-rows.  Anything else (floats, subclasses, non-string keys) is handed to
-`json.dumps` and re-indented.
+indenting encoder.  A small recursive writer appends the document's pieces
+to one list, which is joined once, so no subtree is copied into its parent's
+text.  It handles dicts with string keys, lists, tuples, strings (through
+json's own `encode_basestring_ascii`), ints, bools and None; a flat list of
+ints is one piece, and a list of int lists such as vertex labels, edges and
+colour classes is one piece per row.  Anything else (floats, subclasses,
+non-string keys) is handed to `json.dumps` and re-indented.  Documents refer
+to the label and colour-class tuples they are built from instead of copying
+them, so loaders compare rows as tuples, whether a document holds lists or
+tuples.
 """
 from __future__ import annotations
 
@@ -66,9 +70,18 @@ def fraction_from_str(s: str) -> Fraction:
 
 
 def _label_json(label) -> Any:
+    """A label as a document holds it: a subset's own residue tuple, or an int."""
     if isinstance(label, CyclicSubset):
-        return list(label.elements)
+        return label.elements
     return int(label)
+
+
+def _same_rows(got, want: list) -> bool:
+    """got, a document's list of labels or rows, equals want, whose rows are
+    tuples; list and tuple rows compare alike, since they print alike."""
+    if type(got) is not list and type(got) is not tuple:
+        return False
+    return [tuple(x) if type(x) is list or type(x) is tuple else x for x in got] == want
 
 
 def _family_json(fp: FamilyParams) -> dict:
@@ -105,8 +118,8 @@ def graph_to_document(
     doc: dict[str, Any] = {
         "schemaVersion": SCHEMA_VERSION,
         "family": _family_json(fp),
-        "vertices": [_label_json(l) for l in g.labels],
-        "edges": [[u, v] for u, v in g.edges()],
+        "vertices": list(map(_label_json, g.labels)),
+        "edges": g.edges(),
     }
     if deleted_vertex is not None:
         doc["deletedVertex"] = deleted_vertex
@@ -127,32 +140,31 @@ def graph_from_document(doc: dict) -> LabeledGraph:
     if "deletedEdge" in doc:
         u, v = (int(x) for x in doc["deletedEdge"])
         g = delete_edge(g, u, v)
-    want_vertices = [_label_json(l) for l in g.labels]
-    want_edges = [[u, v] for u, v in g.edges()]
-    if doc.get("vertices") != want_vertices:
+    if not _same_rows(doc.get("vertices"), [_label_json(l) for l in g.labels]):
         raise InvalidParams("vertex list disagrees with the rebuilt family")
-    if doc.get("edges") != want_edges:
+    if not _same_rows(doc.get("edges"), g.edges()):
         raise InvalidParams("edge list disagrees with the rebuilt family")
     return g
-
-
-def _label_text(label) -> str:
-    if isinstance(label, CyclicSubset):
-        return "{" + ",".join(map(str, label.elements)) + "}"
-    return str(label)
 
 
 def graph_to_dot(g: LabeledGraph, family: Optional[FamilyParams] = None) -> str:
     """Undirected DOT text with set-literal labels; byte-stable."""
     fp = family if family is not None else g.family
     name = f"{fp.tag}_{fp.n}_{fp.k}" if fp is not None else "g"
+    # the residue strings of the largest modulus, made once for every label
+    n = max((l.modulus for l in g.labels if isinstance(l, CyclicSubset)), default=0)
+    residue = list(map(str, range(n))).__getitem__
     lines = [f"graph {name} {{"]
-    for v in range(g.vertex_count):
-        lines.append(f'  {v} [label="{_label_text(g.labels[v])}"];')
+    for v, label in enumerate(g.labels):
+        if isinstance(label, CyclicSubset):
+            text = "{" + ",".join(map(residue, label.elements)) + "}"
+        else:
+            text = str(label)
+        lines.append(f'  {v} [label="{text}"];')
     for u, v in g.edges():
         lines.append(f"  {u} -- {v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines.append("}\n")
+    return "\n".join(lines)
 
 
 def coloring_to_document(
@@ -162,7 +174,7 @@ def coloring_to_document(
         "schemaVersion": SCHEMA_VERSION,
         "kind": "FRACTIONAL_COLORING",
         "family": _family_json(family),
-        "sets": [list(s) for s in fc.sets],
+        "sets": fc.sets,
         "weights": [fraction_to_str(w) for w in fc.weights],
         "value": fraction_to_str(fc.value),
     }
@@ -356,50 +368,67 @@ def boundary_from_document(doc: dict) -> BoundaryReport:
 
 def dumps(doc: dict) -> str:
     """`json.dumps(doc, indent=2, sort_keys=True)` plus a newline, byte for byte."""
-    return _encode(doc, "\n") + "\n"
+    out: list[str] = []
+    _write(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
-def _encode(o, nl: str) -> str:
-    """o as json's indent=2, sort_keys=True encoder writes it; nl is a newline
-    followed by the indent of the line o starts on."""
+def _write(o, nl: str, out: list[str]) -> None:
+    """Append to out the pieces of o as json's indent=2, sort_keys=True
+    encoder writes it; nl is a newline followed by the indent of the line o
+    starts on."""
     t = type(o)
     if t is str:
-        return encode_basestring_ascii(o)
-    if t is int:
-        return str(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if t is list or t is tuple:
+        out.append(encode_basestring_ascii(o))
+    elif t is int:
+        out.append(str(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif t is list or t is tuple:
         if not o:
-            return "[]"
+            out.append("[]")
+            return
         inner = nl + "  "
         sep = "," + inner
         kinds = set(map(type, o))
         if kinds == {int}:
-            body = sep.join(map(str, o))
-        elif kinds <= {list, tuple} and set(map(type, chain.from_iterable(o))) <= {int}:
+            out.append(f"[{inner}{sep.join(map(str, o))}{nl}]")
+            return
+        lead = "[" + inner
+        if kinds <= {list, tuple} and set(map(type, chain.from_iterable(o))) <= {int}:
             inner2 = inner + "  "
             sep2 = "," + inner2
             close = inner + "]"
             text = _int_text(o)
-            body = sep.join("[" + inner2 + sep2.join(map(text, row)) + close if row else "[]"
-                            for row in o)
+            for row in o:
+                out.append(f"{lead}[{inner2}{sep2.join(map(text, row))}{close}"
+                           if row else lead + "[]")
+                lead = sep
         else:
-            body = sep.join(_encode(x, inner) for x in o)
-        return "[" + inner + body + nl + "]"
-    if t is dict and all(type(key) is str for key in o):
+            for x in o:
+                out.append(lead)
+                _write(x, inner, out)
+                lead = sep
+        out.append(nl + "]")
+    elif t is dict and all(type(key) is str for key in o):
         if not o:
-            return "{}"
+            out.append("{}")
+            return
         inner = nl + "  "
-        return "{" + inner + ("," + inner).join(
-            encode_basestring_ascii(key) + ": " + _encode(o[key], inner) for key in sorted(o)
-        ) + nl + "}"
-    # floats, subclasses and non-string keys: json itself, re-indented
-    return json.dumps(o, indent=2, sort_keys=True).replace("\n", nl)
+        lead = "{" + inner
+        for key in sorted(o):
+            out.append(f"{lead}{encode_basestring_ascii(key)}: ")
+            _write(o[key], inner, out)
+            lead = "," + inner
+        out.append(nl + "}")
+    else:
+        # floats, subclasses and non-string keys: json itself, re-indented
+        out.append(json.dumps(o, indent=2, sort_keys=True).replace("\n", nl))
 
 
 def _int_text(rows) -> Callable[[int], str]:

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 from wellspread import LabeledGraph
+from wellspread.simplex import PackingMaster
 
 
 def mk(n: int, edges) -> LabeledGraph:
@@ -29,3 +31,18 @@ def random_graph(rng: random.Random, n: int, p: float | None = None) -> LabeledG
     """Each pair of 0..n-1 an edge with probability p (drawn from rng when None)."""
     p = rng.random() if p is None else p
     return mk(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+
+
+def covering_lp_over_pool(g: LabeledGraph,
+                          pool: list[tuple[int, ...]]) -> tuple[Fraction, list[Fraction]]:
+    """Exact optimum of the covering LP restricted to the given sets, an
+    oracle for column generation; the pool must cover every vertex."""
+    master = PackingMaster(g.vertex_count)
+    for s in pool:
+        mask = 0
+        for v in s:
+            mask |= 1 << v
+        master.add_constraint(mask)
+    master.primal_simplex()
+    value, _y, w = master.solution()
+    return value, w

@@ -7,7 +7,10 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
-from conftest import complete, cycle, mk
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import complete, covering_lp_over_pool, cycle, mk
 
 from wellspread import (
     FractionalColoring,
@@ -15,7 +18,6 @@ from wellspread import (
     build_kneser,
     build_q,
     build_schrijver,
-    covering_lp_over_pool,
     delete_vertex,
     edge_deleted_coloring,
     enumerate_maximal_independent_sets,
@@ -25,6 +27,7 @@ from wellspread import (
     vertex_deleted_coloring,
 )
 from wellspread.fractional import _coloring_passes, _coloring_violations
+from wellspread.graphs import iter_bits
 
 
 def chi_f(g):
@@ -193,6 +196,63 @@ def test_quick_pass_agrees_with_the_member_walk():
             accepted += not want
             rejected += bool(want)
     assert accepted > len(cases) and rejected > len(cases)
+
+
+_DEFECTS = ["repeat", "negative", "at least V", "excluded vertex", "neighbour"]
+
+
+@st.composite
+def _certified(draw):
+    """A graph and a valid coloring of it: a deletion certificate of a small
+    Q(n,k), whose sets are maximal, or the singletons of a random graph less
+    an optional vertex, whose sets leave room for a defect that no other
+    test of the quick pass would catch."""
+    if draw(st.booleans()):
+        n, k = draw(st.sampled_from([(7, 2), (11, 4), (13, 5), (17, 5)]))
+        v = draw(st.integers(0, n - 1))
+        if draw(st.booleans()):
+            return build_q(n, k), edge_deleted_coloring(n, k, (v, (v + 1) % n))
+        return build_q(n, k), vertex_deleted_coloring(n, k, v)
+    V = draw(st.integers(2, 9))
+    pairs = list(combinations(range(V), 2))
+    g = mk(V, draw(st.lists(st.sampled_from(pairs), unique=True)))
+    ev = draw(st.none() | st.integers(0, V - 1))
+    kept = [u for u in range(V) if u != ev]
+    return g, FractionalColoring(tuple((u,) for u in kept), (Fraction(1),) * len(kept),
+                                 excluded_vertex=ev)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(_certified(), st.data())
+def test_quick_pass_agrees_with_the_walk_on_each_kind_of_defect(certified, data):
+    # each defect the quick pass finds by a whole-set test (a repeat, a
+    # negative member, a member >= V, the excluded vertex, an edge by the
+    # adjacency masks), put into one or more sets of a valid coloring at a
+    # drawn position
+    g, fc = certified
+    V = g.vertex_count
+    excl_e = None if fc.excluded_edge is None else tuple(sorted(fc.excluded_edge))
+    excluded = [fc.excluded_vertex] if fc.excluded_vertex is not None else list(excl_e or ())
+    sets = [list(s) for s in fc.sets]
+    for _ in range(data.draw(st.integers(1, 3), label="defects")):
+        s = sets[data.draw(st.integers(0, len(sets) - 1), label="set")]
+        kind = data.draw(st.sampled_from(_DEFECTS), label="kind")
+        if kind == "repeat":
+            x = data.draw(st.sampled_from(s), label="member")
+        elif kind == "negative":
+            x = data.draw(st.integers(-2 * V, -1), label="member")
+        elif kind == "at least V":
+            x = data.draw(st.integers(V, 2 * V), label="member")
+        elif kind == "excluded vertex":
+            x = data.draw(st.sampled_from(excluded or range(V)), label="member")
+        else:
+            u = data.draw(st.sampled_from(s), label="member")
+            x = data.draw(st.sampled_from(list(iter_bits(g.adj[u])) or [u]), label="neighbour")
+        s.insert(data.draw(st.integers(0, len(s)), label="position"), x)
+    tampered = replace(fc, sets=tuple(map(tuple, sets)))
+    want = _coloring_violations(g, tampered, excl_e)
+    assert _coloring_passes(g, tampered, excl_e) == (not want), (tampered, want)
+    assert verify_fractional_coloring(g, tampered) == want
 
 
 def test_verifier_reports_impossible_exclusions():

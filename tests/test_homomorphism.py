@@ -15,7 +15,6 @@ from wellspread import (
     build_kneser,
     build_q,
     chromatic_number,
-    circular_candidates,
     circular_chromatic_number,
     delete_edge,
     delete_vertex,
@@ -83,6 +82,11 @@ def test_circular_complete_graphs_attain_n_over_k():
 def test_chord_deletion_drops_circular_number():
     g = delete_edge(build_circular(7, 2), 0, 2)
     assert circular_chromatic_number(g) == 3
+
+
+def circular_candidates(lo: Fraction, hi: Fraction, max_q: int) -> list[Fraction]:
+    """Reduced fractions in [lo, hi] with denominator <= max_q, ascending."""
+    return list(homomorphism._ascending_candidates(lo, hi, max_q))
 
 
 def test_circular_candidates_enumeration():

@@ -13,12 +13,11 @@ nx = pytest.importorskip("networkx")
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from conftest import complete, cycle, mk, random_graph  # noqa: E402
+from conftest import complete, covering_lp_over_pool, cycle, mk, random_graph  # noqa: E402
 
 from wellspread import (  # noqa: E402
     build_circular,
     circular_chromatic_number,
-    covering_lp_over_pool,
     enumerate_maximal_independent_sets,
     find_homomorphism,
     find_isomorphism,

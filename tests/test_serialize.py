@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -79,6 +80,48 @@ def test_graph_documents_record_deletions():
     doc["deletedEdge"] = [99, 0]
     with pytest.raises(InvalidParams):
         graph_from_document(doc)
+
+
+def test_in_memory_documents_refer_to_label_and_set_tuples():
+    q = build_q(13, 5)
+    doc = graph_to_document(q)
+    assert all(row is label.elements for row, label in zip(doc["vertices"], q.labels))
+    assert graph_from_document(doc).labels == q.labels
+    doc["vertices"][2] = list(doc["vertices"][2])  # lists and tuples compare alike
+    graph_from_document(doc)
+    doc["vertices"] = tuple(doc["vertices"])
+    graph_from_document(doc)
+    doc = graph_to_document(q)
+    doc["vertices"][4] = q.labels[5].elements
+    with pytest.raises(InvalidParams):
+        graph_from_document(doc)
+    doc = graph_to_document(q)
+    doc["vertices"][4] = q.labels[4].elements[:-1] + (12,)
+    with pytest.raises(InvalidParams):
+        graph_from_document(doc)
+    doc = graph_to_document(q)
+    doc["edges"][1] = list(doc["edges"][1])
+    graph_from_document(doc)
+    doc["edges"][0] = (doc["edges"][0][0], doc["edges"][0][1] + 1)
+    with pytest.raises(InvalidParams):
+        graph_from_document(doc)
+    fc = vertex_deleted_coloring(13, 5, 2)
+    doc = coloring_to_document(fc, q.family)
+    assert doc["sets"] is fc.sets
+    assert coloring_from_document(doc) == fc
+
+
+def test_dumps_peak_memory_is_near_the_output_size():
+    # the pieces are joined once, so the peak is about the rows' text plus
+    # the output itself
+    g = build_q(601, 300)
+    tracemalloc.start()
+    try:
+        text = dumps(graph_to_document(g))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * len(text), peak / len(text)
 
 
 def test_graph_document_tampering_is_caught():
