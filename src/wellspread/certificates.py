@@ -10,7 +10,10 @@ returning; a violation is an internal error, never a returned value.
 The light-window machinery: with (a, b) the least solution of a*k = b*n - 1,
 the n windows of a consecutive positions each contain b members of any
 rotated star except for exactly one window with b-1.  All constructions below
-conjugate that one deficient window onto the requested deletion.
+conjugate that one deficient window onto the requested deletion.  The
+critical copy on a window is Q(a,b), isomorphic to K_{a/b}: its ids are
+computed from the positions by arithmetic, not read from labels, and
+`validate_map` checks every map built from them.
 """
 from __future__ import annotations
 
@@ -106,10 +109,6 @@ class _Frame:
     @cached_property
     def qab(self) -> LabeledGraph:
         return build_q(self.cp.a, self.cp.b)
-
-    @cached_property
-    def qab_index(self) -> dict[CyclicSubset, int]:
-        return {lab: i for i, lab in enumerate(self.qab.labels)}
 
     @cached_property
     def to_circular(self) -> VertexMap:
@@ -218,50 +217,18 @@ def _edge_deleted_coloring(f: _Frame, p: int) -> FractionalColoring:
     return _checked_coloring(f.q, fc)
 
 
-def _window_labels(q: LabeledGraph, cp: CriticalParams,
-                   anchor: int) -> list[tuple[int, CyclicSubset]]:
-    """Positions anchor, anchor-1, ..., anchor-a+1 with their reduced labels.
-
-    Reading each position's set through the shifted deficient window of the
-    anchor's own set yields b residues inside a window of length a; re-based
-    to Z_a these are exactly the rotation labels of the critical graph.
-    Each label is cut to the window by bisection, one cut per piece of the
-    window left after wrapping at n, and the offsets come out sorted.
-    """
-    n, a = q.vertex_count, cp.a
-    anchor_set = frozenset(q.labels[anchor].elements)
-    light = _light_window_start(n, a, cp.b, anchor_set)
-    beta = (light + 1) % n
-    residues = tuple(range(n))
-    offset = residues[n - beta:] + residues[:n - beta]  # offset[r] = r - beta mod n
-    end = beta + a
-    pieces = ((beta, end),) if end <= n else ((beta, n), (0, end - n))
-    out = []
-    for i in range(a):
-        xi = (anchor - i) % n
-        es = q.labels[xi].elements
-        caught = ()
-        for lo, hi in pieces:
-            caught += es[bisect_left(es, lo):bisect_left(es, hi)]
-        w = CyclicSubset.from_sorted(a, tuple(map(offset.__getitem__, caught)))
-        if len(w) != cp.b:
-            raise AssertionError(f"window at {xi} caught {len(w)} residues, wanted {cp.b}")
-        out.append((xi, w))
-    return out
-
-
 def _anchored_copy(f: _Frame, anchor: int) -> list[tuple[int, int]]:
-    """The (position, Q(a,b) id) pairs of the critical copy anchored at anchor."""
-    cp, index = f.cp, f.qab_index
-    pairs = []
-    for xi, w in _window_labels(f.q, cp, anchor):
-        t = index.get(w)
-        if t is None:
-            raise AssertionError(f"window label {w} is not a rotation on ({cp.a},{cp.b})")
-        pairs.append((xi, t))
-    if len({t for _, t in pairs}) != cp.a:
-        raise AssertionError("window labels collide")
-    return pairs
+    """The (position, Q(a,b) id) pairs of the critical copy anchored at anchor.
+
+    Position (anchor - i) mod n goes to vertex a - 1 - i of Q(a,b), for
+    i < a: the a consecutive positions ending at the anchor, read through
+    the anchor's deficient window, carry Q(a,b)'s labels in base-cycle
+    order.  The ids come from this arithmetic, not from the labels; every
+    retraction, section and embedding built from them is checked by
+    `validate_map`.
+    """
+    n, a = f.n, f.cp.a
+    return [((anchor - i) % n, a - 1 - i) for i in range(a)]
 
 
 def _checked_map(m: VertexMap) -> VertexMap:

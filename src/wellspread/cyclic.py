@@ -1,4 +1,5 @@
-"""Subsets of the cyclic group Z_n: separation, well-spread tests, reduction.
+"""Subsets of the cyclic group Z_n: separation, well-spread tests, reduction,
+and the rotations of the canonical well-spread set made on demand.
 
 Residues are 0-based throughout; "clockwise" means +1 mod n.  An arc of
 length L starting at s is the residue window {s, s+1, ..., s+L-1} mod n.
@@ -6,6 +7,7 @@ length L starting at s is the residue window {s, s+1, ..., s+L-1} mod n.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -172,6 +174,107 @@ def canonical_well_spread(n: int, k: int) -> CyclicSubset:
     if len(s) != k or not is_well_spread(s):
         raise NotWellSpread(f"canonical construction failed for n={n} k={k}: {s}")
     return s
+
+
+def _prime_divisors(m: int) -> list[int]:
+    out, p = [], 2
+    while p * p <= m:
+        if m % p == 0:
+            out.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    return out + [m] if m > 1 else out
+
+
+class CanonicalRotations(Sequence):
+    """The distinct rotations of the canonical well-spread k-subset of Z_n,
+    1 <= k < n, as an immutable sequence: item u is the canonical set
+    rotated by u, for u < n/gcd(n,k).  They are the labels of Q(n,k).
+
+    An item is made the first time it is read and then kept, so every read
+    returns the same object; iterating makes all missing items in one
+    `rotations` pass.  The sequence equals the tuple of its items in length,
+    indexing, slices (which return tuples), iteration order, == either way
+    round, and hash.
+    """
+
+    __slots__ = ("canon", "_made", "_missing")
+
+    def __init__(self, n: int, k: int):
+        canon = self.canon = canonical_well_spread(n, k)
+        count = n // gcd(n, k)
+        # the rotations are distinct over count steps and the last one plus
+        # one step is the first exactly when canon's least period is count:
+        # count is a period and count/p is none for any prime p dividing it
+        # (the periods are the multiples of the least one)
+        es = canon.elements
+        if rotated_residues(es, n, count) != es:
+            raise AssertionError("base-cycle order broken: final rotation misses the start")
+        if any(rotated_residues(es, n, count // p) == es for p in _prime_divisors(count)):
+            raise AssertionError(f"rotations of {canon} not distinct over {count} steps")
+        self._made: list[CyclicSubset | None] = [None] * count
+        self._missing = count
+
+    def __len__(self) -> int:
+        return len(self._made)
+
+    def __getitem__(self, i):
+        made = self._made
+        if isinstance(i, slice):
+            return tuple(self._filled(range(*i.indices(len(made)))))
+        lab = made[i]
+        if lab is None:
+            n = self.canon.modulus
+            es = rotated_residues(self.canon.elements, n, i % len(made))
+            lab = made[i] = CyclicSubset.from_sorted(n, es)
+            self._missing -= 1
+        return lab
+
+    def __iter__(self) -> Iterator[CyclicSubset]:
+        return iter(self._filled(range(len(self._made))))
+
+    def _filled(self, ids: range) -> list[CyclicSubset]:
+        """The items of ids, making the missing ones in one pass."""
+        made = self._made
+        todo = [u for u in ids if made[u] is None] if self._missing else ()
+        if todo:
+            n = self.canon.modulus
+            for u, es in zip(todo, rotations(self.canon.elements, n, todo)):
+                made[u] = CyclicSubset.from_sorted(n, es)
+            self._missing -= len(todo)
+        return made if ids == range(len(made)) else list(map(made.__getitem__, ids))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, CanonicalRotations):  # the items follow from these two
+            return self.canon == other.canon and len(self) == len(other)
+        if isinstance(other, tuple):
+            return len(other) == len(self) and tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"CanonicalRotations({self.canon.modulus}, {len(self.canon)})"
+
+    def rotation_of(self, es: tuple[int, ...]) -> int | None:
+        """The u whose item has the sorted residues es, or None; O(k).
+
+        The canonical set {floor(i*n/k)} holds x exactly when
+        (x*k - 1) mod n >= n - k.  So item u holds the residues x whose
+        x*k mod n runs over the multiples of gcd(n,k) from u*k - k + gcd(n,k)
+        up to u*k, mod n.  The top of that run gives u, and one comparison
+        confirms it.
+        """
+        n, k, count = self.canon.modulus, len(self.canon), len(self._made)
+        ell = n // count
+        phases = {x * k % n for x in es}
+        tops = [p for p in phases if (p + ell) % n not in phases]
+        if len(tops) != 1:
+            return None
+        u = tops[0] // ell * pow(k // ell, -1, count) % count
+        return u if rotated_residues(self.canon.elements, n, u) == es else None
 
 
 @dataclass(frozen=True)

@@ -11,13 +11,17 @@ everything outside the holders of its own residues, so a build costs O(V*k)
 big-int ORs instead of O(V^2) set intersections.  The rotation graph Q(n,k)
 and the circular complete graphs are circulants: every row is row 0 rotated
 within V bits.  Row 0 of Q(n,k) takes one test per rotation offset of the
-canonical set's member mask, so the build costs O(V) big-int operations
-beyond writing the V labels.  The interlacing graph I(n,k) takes the
+canonical set's member mask, so the build costs O(V) big-int operations.
+Q(n,k)'s labels are a `cyclic.CanonicalRotations` sequence: label u, the
+canonical set rotated by u, is made the first time it is read, and a full
+iteration makes every missing label from one table of the residues of Z_n,
+so those label entries share n int objects.  The dihedral maps of Q(n,k) are
+computed from vertex ids: an affine residue map sends label u to the image
+of the canonical set rotated by a multiple of u, and that image is located
+among the rotations by arithmetic.  The interlacing graph I(n,k) takes the
 Schrijver labels and finds each vertex's neighbours directly: they are the
 ways of choosing one residue strictly inside each cyclic gap of its label, so
 the build costs one index lookup per edge end instead of a test per pair.
-Q(n,k) reads its labels from one table of the residues of Z_n, so the V*k
-label entries share n int objects.
 
 `validate_map` settles a valid map by a quick pass of whole-row operations:
 per source vertex, the images of its later neighbours are ORed into one mask
@@ -31,6 +35,7 @@ walk writes every message.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
@@ -39,7 +44,7 @@ from math import comb, gcd
 from operator import or_
 from typing import Callable, Generator, Iterator
 
-from .cyclic import CyclicSubset, canonical_well_spread, is_r_separated, rotations
+from .cyclic import CanonicalRotations, CyclicSubset, is_r_separated
 from .errors import InvalidParams, NotAnEdge, ResourceCap
 
 DEFAULT_VERTEX_CAP = 10_000
@@ -61,7 +66,7 @@ class FamilyParams:
 
 @dataclass(frozen=True)
 class LabeledGraph:
-    labels: tuple
+    labels: Sequence  # a tuple, or Q(n,k)'s `CanonicalRotations`
     adj: tuple[int, ...]
     family: FamilyParams | None = None
 
@@ -142,22 +147,18 @@ def build_q(n: int, k: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> LabeledGrap
     """Rotations of the canonical well-spread k-subset, in base-cycle order.
 
     Vertex u carries rotate(canonical, u); there are n/gcd(n,k) distinct
-    rotations, and consecutive vertices differ by a +1 rotation.  Whether u
-    and v are adjacent depends only on v - u mod n/gcd(n,k), so the graph is
-    a circulant built from row 0.
+    rotations, and consecutive vertices differ by a +1 rotation.  The labels
+    are a `CanonicalRotations` sequence, each made on its first read.
+    Whether u and v are adjacent depends only on v - u mod n/gcd(n,k), so
+    the graph is a circulant built from row 0.
     """
     if not (1 <= k and 2 * k <= n):
         raise InvalidParams(f"need 1 <= k <= n/2, got n={n} k={k}")
     ell = gcd(n, k)
     n2 = n // ell
     _check_cap(n2, vertex_cap, f"q({n},{k})")
-    canon = canonical_well_spread(n, k)
-    labels = tuple(CyclicSubset.from_sorted(n, es)
-                   for es in rotations(canon.elements, n, range(n2)))
-    if len(set(labels)) != n2:
-        raise AssertionError(f"rotations of {canon} not distinct over {n2} steps")
-    if labels[-1].rotate(1) != labels[0]:
-        raise AssertionError("base-cycle order broken: final rotation misses the start")
+    labels = CanonicalRotations(n, k)
+    canon = labels.canon
     # v is adjacent to 0 when the canonical set rotated by v misses it; the
     # rotations repeat with period n2, so every row is row 0 rotated by u
     full_n = (1 << n) - 1
@@ -592,16 +593,31 @@ def _residue_permutation(g: LabeledGraph,
     onto themselves.
 
     Labels are residues for the circular family and k-subsets of Z_n
-    otherwise; any other labelling has no such permutation.
+    otherwise; any other labelling has no such permutation.  On the
+    `CanonicalRotations` of Q(n,k) an affine map x -> s*x + c sends label u,
+    the canonical set plus u, to (s*canon + c) + s*u, so the permutation is
+    u -> t + s*u with t located by `CanonicalRotations.rotation_of`; any
+    other map, and any other labels, are walked label by label.
     """
     labels = g.labels
     if g.family is not None and g.family.tag == "circular":
         n = g.family.n
         return [residue_map(i, n) for i in range(n)]
-    if not labels or not all(isinstance(lab, CyclicSubset) for lab in labels):
+    rotating = isinstance(labels, CanonicalRotations)
+    if rotating:
+        n = labels.canon.modulus
+    elif labels and all(isinstance(lab, CyclicSubset) for lab in labels):
+        n = labels[0].modulus
+    else:
         return None
-    n = labels[0].modulus
     image = [residue_map(x, n) for x in range(n)]
+    if rotating:  # n >= 2, since 1 <= k < n
+        s, c = image[1] - image[0], image[0]
+        if image == [(s * x + c) % n for x in range(n)]:
+            moved = tuple(sorted(map(image.__getitem__, labels.canon.elements)))
+            t = labels.rotation_of(moved)
+            V = len(labels)
+            return None if t is None else [(t + s * u) % V for u in range(V)]
     index = {lab: i for i, lab in enumerate(labels)}
     out = []
     for lab in labels:

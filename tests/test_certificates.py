@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd
 
@@ -35,8 +36,8 @@ from wellspread.certificates import (
     _edge_deleted_coloring,
     _frame,
     _light_window_start,
+    _anchored_copy,
     _vertex_deleted_coloring,
-    _window_labels,
 )
 from wellspread.cyclic import canonical_well_spread, rotated_residues
 
@@ -227,6 +228,33 @@ def test_deletion_colorings_match_the_direct_rotations():
             assert all(w == Fraction(1, b) for w in _edge_deleted_coloring(f, x).weights)
 
 
+def _window_labels(q, cp, anchor):
+    """Positions anchor, anchor-1, ..., anchor-a+1 with their reduced labels.
+
+    Reading each position's set through the shifted deficient window of the
+    anchor's own set yields b residues inside a window of length a; re-based
+    to Z_a these are the rotation labels of the critical graph.  Each label
+    is cut to the window by bisection, one cut per piece of the window left
+    after wrapping at n, and the offsets come out sorted.
+    """
+    n, a = q.vertex_count, cp.a
+    light = _light_window_start(n, a, cp.b, frozenset(q.labels[anchor].elements))
+    beta = (light + 1) % n
+    residues = tuple(range(n))
+    offset = residues[n - beta:] + residues[:n - beta]  # offset[r] = r - beta mod n
+    end = beta + a
+    pieces = ((beta, end),) if end <= n else ((beta, n), (0, end - n))
+    out = []
+    for i in range(a):
+        xi = (anchor - i) % n
+        es = q.labels[xi].elements
+        caught = ()
+        for lo, hi in pieces:
+            caught += es[bisect_left(es, lo):bisect_left(es, hi)]
+        out.append((xi, CyclicSubset.from_sorted(a, tuple(map(offset.__getitem__, caught)))))
+    return out
+
+
 def _window_labels_by_residue(q, cp, anchor):
     """The window labels as first written: every residue of each label is
     tested against a dict of the window's offsets."""
@@ -241,8 +269,15 @@ def _window_labels_by_residue(q, cp, anchor):
     return out
 
 
-def test_window_labels_match_the_per_residue_filter():
+def test_anchored_copy_matches_the_window_labels():
+    # the copy's ids are arithmetic; the window labels, looked up among
+    # Q(a,b)'s labels, are the construction they stand for
     for n, k in COPRIME_GRID:
         f = _frame(n, k)
+        index = {lab: t for t, lab in enumerate(f.qab.labels)}
         for anchor in range(n):
-            assert _window_labels(f.q, f.cp, anchor) == _window_labels_by_residue(f.q, f.cp, anchor)
+            windows = _window_labels(f.q, f.cp, anchor)
+            assert windows == _window_labels_by_residue(f.q, f.cp, anchor), (n, k, anchor)
+            pairs = _anchored_copy(f, anchor)
+            assert [(xi, index.get(w)) for xi, w in windows] == pairs, (n, k, anchor)
+            assert len({t for _, t in pairs}) == f.cp.a, (n, k, anchor)

@@ -31,10 +31,12 @@ from wellspread import (
     is_interlacing_edge,
     validate_map,
 )
+from wellspread.cyclic import canonical_well_spread, rotations
 from wellspread.graphs import (
     FamilyParams,
     _disjointness_graph,
     _map_violations,
+    _residue_permutation,
     dihedral_automorphisms,
     label_rotation,
 )
@@ -126,6 +128,74 @@ def test_q_vertices_are_rotations_in_natural_order():
     assert build_q(6, 2).vertex_count == 3
     assert build_q(12, 4).vertex_count == 3
     assert build_q(10, 4).vertex_count == 5
+
+
+def _walked_permutation(labels, residue_map):
+    """The residue map's vertex permutation, by looking each label's image up
+    among the labels; None when some image is no label."""
+    n = labels[0].modulus
+    index = {lab: i for i, lab in enumerate(labels)}
+    perm = [index.get(CyclicSubset(n, (residue_map(x, n) for x in lab))) for lab in labels]
+    return None if None in perm else perm
+
+
+RESIDUE_MAPS = [
+    lambda x, n: (x + 1) % n,  # the rotation
+    lambda x, n: -x % n,  # the reflection
+    lambda x, n: (3 * x + 1) % n,
+    lambda x, n: 2 * x % n,
+    lambda x, n: 1 - x if x < 2 else x,  # the transposition (0 1), not affine
+]
+
+
+def test_q_label_view_equals_the_eager_tuple():
+    for n in range(2, 31):
+        for k in range(1, n // 2 + 1):
+            canon = canonical_well_spread(n, k)
+            V = n // gcd(n, k)
+            want = tuple(CyclicSubset.from_sorted(n, es)
+                         for es in rotations(canon.elements, n, range(V)))
+            q = build_q(n, k)
+            labels = q.labels
+            # single reads first, then slices, then a full iteration
+            assert len(labels) == V
+            assert [labels[i] for i in range(-V, V)] == list(want * 2), (n, k)
+            for i in (V, -V - 1):
+                with pytest.raises(IndexError):
+                    labels[i]
+            for sl in (slice(None), slice(1, None), slice(None, None, -1), slice(-3, V + 5, 2),
+                       slice(V, 0, -2), slice(2, 1)):
+                assert labels[sl] == want[sl] and type(labels[sl]) is tuple, (n, k, sl)
+            assert list(labels) == list(want)
+            assert all(a is b for a, b in zip(labels, labels))
+            fresh = build_q(n, k).labels
+            assert list(fresh) == list(want)  # iteration before any read
+            assert labels == want and want == labels and not labels != want
+            assert fresh == labels and hash(fresh) == hash(labels) == hash(want)
+            assert labels != want[:-1] and want[1:] + want[:1] != labels
+            assert labels != list(want) and build_q(n + 1, k).labels != labels
+            for v in range(V):
+                assert delete_vertex(build_q(n, k), v).labels == want[:v] + want[v + 1:]
+            for u, v in q.edges()[:5]:
+                assert delete_edge(q, u, v).labels == want
+            for u in range(V):
+                assert labels.rotation_of(want[u].elements) == u, (n, k, u)
+            arc = CyclicSubset(n, range(k))  # a label only when k = 1 or n = 2k
+            assert labels.rotation_of(arc.elements) == (want.index(arc) if arc in want else None)
+            assert labels.rotation_of(want[0].elements[:-1]) is None
+            # the arithmetic permutations equal the label walk, on the view
+            # and on the deleted graphs that keep it
+            assert label_rotation(q) == _walked_permutation(want, RESIDUE_MAPS[0])
+            for m in RESIDUE_MAPS:
+                walked = _walked_permutation(want, m)
+                assert _residue_permutation(q, m) == walked, (n, k)
+                d = delete_edge(q, *q.edges()[0])
+                assert _residue_permutation(d, m) == walked, (n, k)
+            # tuple labels tagged "q", in another order, take the label walk
+            shuffled = want[1::2] + want[::2]
+            h = LabeledGraph(shuffled, q.adj, FamilyParams("q", n, k))
+            for m in RESIDUE_MAPS:
+                assert _residue_permutation(h, m) == _walked_permutation(shuffled, m), (n, k)
 
 
 def test_q_degree_and_cycle_edges():
