@@ -3,16 +3,18 @@
 Every decision "is g t-colorable?" goes through `is_t_colorable`.  After the
 greedy clique and DSATUR-coloring shortcuts (each worked out once per graph,
 so `chromatic_number` and every `is_t_colorable` it asks share them), two
-exact searches share one node budget.  The DSATUR search is the package's one
-map search (`graphs._map_steps`) into K_t: greedy-clique precoloring, forward
-checking on per-vertex domain masks, DSATUR vertex order and first-fresh-color
-symmetry breaking.  It runs alone for its first V nodes, one greedy descent,
-which colors a graph without backtracking.  Then class branching over maximal
-independent sets (the shared Bron-Kerbosch of `independence`) starts, and
-each of its nodes advances the paused DSATUR search by one node until DSATUR
-has spent V + `_PROBE_NODES`; the first search to answer wins.  Class
-branching branches on the residual vertex with the fewest class choices.
-With three colors left the class must leave a bipartite rest, so the class
+exact searches share one node budget, `graphs.NODE_BUDGET`.  Both are
+generators that pause once per node, so one loop steps them in turn.  The
+DSATUR search is the package's one map search (`graphs._map_steps`) into K_t:
+greedy-clique precoloring, forward checking on per-vertex domain masks,
+DSATUR vertex order and first-fresh-color symmetry breaking.  It runs alone
+for its first V nodes, one greedy descent, which colors a graph without
+backtracking.  Then class branching over maximal independent sets
+(`_class_steps`, on the shared Bron-Kerbosch of `independence`) starts, and
+one class-branching node and one DSATUR node alternate until DSATUR has spent
+V + `_PROBE_NODES`; the first search to answer wins.  Class branching
+branches on the residual vertex with the fewest class choices.  With three
+colors left the class must leave a bipartite rest, so the class
 enumeration is cut wherever the vertices it leaves out already hold an odd
 cycle.  The left-out set only grows down the enumeration, so each frame
 searches only the components that its newly left-out vertices touch; the
@@ -41,14 +43,14 @@ into K_{chi-1}; when it fails, `is_t_colorable` decides.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from itertools import chain, repeat
 from math import lcm
-from typing import Callable
+from typing import Callable, Generator
 
+from . import graphs
 from .errors import ResourceCap
-from .graphs import LabeledGraph, _kept, _map_search, _map_steps, dihedral_automorphisms
+from .graphs import LabeledGraph, _kept, _map_steps, _run_search, dihedral_automorphisms
 from .independence import bron_kerbosch, iter_bits, nonadjacency
-
-DEFAULT_NODE_BUDGET = 100_000_000
 
 # DSATUR nodes beyond one per vertex that is_t_colorable lets the search spend
 _PROBE_NODES = 1000
@@ -150,8 +152,7 @@ def rlf_coloring(g: LabeledGraph) -> list[int]:
     return colors
 
 
-def find_proper_coloring(g: LabeledGraph, t: int,
-                         node_budget: int = DEFAULT_NODE_BUDGET) -> list[int] | None:
+def find_proper_coloring(g: LabeledGraph, t: int) -> list[int] | None:
     """Exact decision: a proper t-coloring, or None after exhaustive refutation.
 
     A t-coloring is a homomorphism into K_t: the map search runs with the
@@ -168,7 +169,7 @@ def find_proper_coloring(g: LabeledGraph, t: int,
     if len(greedy_clique(g)) > t:
         return None
     k_t, domains, pre = _into_k_t(g, t)
-    return _map_search(g.adj, k_t, domains, node_budget, "coloring", pre)
+    return _run_search(_map_steps(g.adj, k_t, domains, pre), "coloring")
 
 
 def _into_k_t(g: LabeledGraph, t: int) -> tuple[list[int], list[int], list[tuple[int, int]]]:
@@ -293,9 +294,10 @@ def _dihedral_frame(g: LabeledGraph) -> tuple[LabeledGraph, Callable[[int], int]
     return h, least_image
 
 
-def _class_colorable(g: LabeledGraph, t: int, node_budget: int, nodes: int,
-                     on_node: Callable[[], None] | None = None) -> bool:
-    """Exact t-colorability via class branching with residual memoization.
+def _class_steps(g: LabeledGraph, t: int) -> Generator[None, None, bool]:
+    """Exact t-colorability via class branching with residual memoization,
+    paused once per node: it yields as each node begins and returns whether
+    g is t-colorable.
 
     Any coloring can be changed so that the class of a chosen residual vertex
     is a maximal independent set of the residual graph, so branching over
@@ -310,9 +312,8 @@ def _class_colorable(g: LabeledGraph, t: int, node_budget: int, nodes: int,
     `bron_kerbosch` reports as newly left out; every other component is one
     of the parent frame's, which passed.  The root frame is checked whole.
     Much faster than vertex-at-a-time search when the maximal-set families
-    stay small; can blow up when they do not.  `nodes` is the work already
-    spent against `node_budget`, and `on_node`, when given, is called once
-    per node (`is_t_colorable` advances the DSATUR search there).
+    stay small; can blow up when they do not.  A node is a residual past
+    the memo, or one Bron-Kerbosch expansion.
 
     A residual refuted with c colors is memoized under its least image by
     `_dihedral_frame`: an automorphism maps G[m] onto G[s(m)], so one
@@ -326,8 +327,7 @@ def _class_colorable(g: LabeledGraph, t: int, node_budget: int, nodes: int,
     nonadj = nonadjacency(g)
     refuted: dict[int, int] = {}
 
-    def rec(mask: int, colors_left: int) -> bool:
-        nonlocal nodes
+    def rec(mask: int, colors_left: int) -> Generator[None, None, bool]:
         if mask == 0:
             return True
         if colors_left == 0:
@@ -335,11 +335,7 @@ def _class_colorable(g: LabeledGraph, t: int, node_budget: int, nodes: int,
         key = least_image(mask) if least_image and colors_left > 2 else mask
         if refuted.get(key, 0) >= colors_left:
             return False
-        nodes += 1
-        if nodes > node_budget:
-            raise ResourceCap(f"colorability search exceeded {node_budget} nodes")
-        if on_node is not None:
-            on_node()
+        yield
         if colors_left == 2:
             return _is_bipartite(adj, mask)
         # the first vertex of fewest residual non-neighbors, in one bit walk
@@ -356,44 +352,31 @@ def _class_colorable(g: LabeledGraph, t: int, node_budget: int, nodes: int,
                   if colors_left == 3 else None)
         sols = []
         for cls in bron_kerbosch(nonadj, 1 << v, mask & nonadj[v], viable):
-            nodes += 1
-            if nodes > node_budget:
-                raise ResourceCap(f"colorability search exceeded {node_budget} nodes")
-            if on_node is not None:
-                on_node()
+            yield
             if cls:
                 if viable:
                     return True
                 sols.append(cls)
         sols.sort(key=lambda m: -m.bit_count())
         for cls in sols:
-            if rec(mask & ~cls, colors_left - 1):
+            if (yield from rec(mask & ~cls, colors_left - 1)):
                 return True
         if colors_left > refuted.get(key, 0) and (
                 key in refuted or len(refuted) < _REFUTED_MEMO_CAP):
             refuted[key] = colors_left
         return False
 
-    return rec((1 << V) - 1, t)
+    return (yield from rec((1 << V) - 1, t))
 
 
-class _Decided(Exception):
-    """The DSATUR search answered on one of class branching's nodes."""
-
-    def __init__(self, colorable: bool):
-        super().__init__(colorable)
-        self.colorable = colorable
-
-
-def is_t_colorable(g: LabeledGraph, t: int,
-                   node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
+def is_t_colorable(g: LabeledGraph, t: int) -> bool:
     """Exact t-colorability: greedy shortcuts, then DSATUR and class
-    branching taking turns under one node budget; t = 2 is decided by
-    `_is_bipartite` alone.
+    branching taking turns under `graphs.NODE_BUDGET` nodes; t = 2 is
+    decided by `_is_bipartite` alone.
 
     The DSATUR search (`graphs._map_steps` into K_t) runs alone for its first
-    V nodes, one greedy descent.  Class branching then starts and advances
-    the paused DSATUR search by one node per class-branching node, until
+    V nodes, one greedy descent.  Class branching (`_class_steps`) then
+    starts, and one class-branching node and one DSATUR node alternate until
     DSATUR has spent V + `_PROBE_NODES`; class branching goes on alone after
     that.  The first search to answer wins, so the turns cost at most twice
     the winner's nodes plus the DSATUR cap.  Nodes each search needs, from
@@ -407,7 +390,7 @@ def is_t_colorable(g: LabeledGraph, t: int,
     so neither search can go first alone, and the DSATUR cap cannot shrink.
     Either search is exhaustive, so the answer is exact; ResourceCap, naming
     the nodes each search spent, is raised once the two together spend more
-    than `node_budget` nodes.
+    than the budget.
     """
     V = g.vertex_count
     if t < 0:
@@ -424,49 +407,25 @@ def is_t_colorable(g: LabeledGraph, t: int,
         return False
     if max(greedy_coloring(g)) + 1 <= t:
         return True
-    dsatur = _map_steps(g.adj, *_into_k_t(g, t))
-    dsatur_cap = V + _PROBE_NODES
-    dsatur_nodes = class_nodes = 0
-
-    def over_budget() -> ResourceCap:
-        return ResourceCap(f"colorability search exceeded {node_budget} nodes "
-                           f"(DSATUR {dsatur_nodes}, class branching {class_nodes})")
-
-    def dsatur_node() -> bool | None:
-        """One more DSATUR node, or its answer if the search is over."""
-        nonlocal dsatur_nodes
-        try:
-            next(dsatur)
-        except StopIteration as done:
-            return done.value is not None
-        dsatur_nodes += 1
-        if dsatur_nodes + class_nodes > node_budget:
-            raise over_budget()
-        return None
-
-    def turn() -> None:
-        nonlocal class_nodes
-        class_nodes += 1
-        if dsatur_nodes + class_nodes > node_budget:
-            raise over_budget()
-        if dsatur_nodes < dsatur_cap:
-            colorable = dsatur_node()
-            if colorable is not None:
-                raise _Decided(colorable)
-
-    for _ in range(V):
-        colorable = dsatur_node()
-        if colorable is not None:
-            return colorable
+    budget = graphs.NODE_BUDGET
+    searches = (_map_steps(g.adj, *_into_k_t(g, t)), _class_steps(g, t))
+    spent = [0, 0]  # DSATUR, class branching
+    # DSATUR alone for V nodes, then class branching and DSATUR one node each
+    # in turn, then class branching alone
+    turns = chain(repeat(0, V), chain.from_iterable(repeat((1, 0), _PROBE_NODES)), repeat(1))
     try:
-        # turn() keeps the shared budget, so class branching's own count,
-        # which leaves out the DSATUR nodes, never reaches it first
-        return _class_colorable(g, t, node_budget, 0, turn)
-    except _Decided as decided:
-        return decided.colorable
+        for i in turns:
+            next(searches[i])
+            spent[i] += 1
+            if spent[0] + spent[1] > budget:
+                raise ResourceCap(f"colorability search exceeded {budget} nodes "
+                                  f"(DSATUR {spent[0]}, class branching {spent[1]})")
+    except StopIteration as done:
+        # DSATUR returns a coloring or None, class branching a bool
+        return done.value if i else done.value is not None
 
 
-def chromatic_number(g: LabeledGraph, node_budget: int = DEFAULT_NODE_BUDGET) -> int:
+def chromatic_number(g: LabeledGraph) -> int:
     """Exact chromatic number: descend from the DSATUR bound, refute below."""
     V = g.vertex_count
     if V == 0:
@@ -477,7 +436,7 @@ def chromatic_number(g: LabeledGraph, node_budget: int = DEFAULT_NODE_BUDGET) ->
     lb = max(2, len(greedy_clique(g)))
     chi = ub
     for t in range(ub - 1, lb - 1, -1):
-        if not is_t_colorable(g, t, node_budget):
+        if not is_t_colorable(g, t):
             return chi
         chi = t
     return chi

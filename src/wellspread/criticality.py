@@ -58,7 +58,7 @@ import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Optional
+from typing import Callable, Optional
 
 from .certificates import (
     _circular_isomorphism,
@@ -271,12 +271,29 @@ def vertex_criticality(g: LabeledGraph, invariant: Invariant) -> CriticalityRepo
     return CriticalityReport(g.family, invariant, baseline, tuple(rows), (), summary)
 
 
-def _edge_summary(rows, baseline) -> SweepSummary:
-    drops = sum(1 for _, val, _ in rows if val < baseline)
-    if drops == 0:
-        return SweepSummary.NOT_CRITICAL
-    clean = all((val < baseline) == bool(flag) for _, val, flag in rows)
-    return SweepSummary.EDGE_CLASSIFICATION if clean else SweepSummary.MIXED
+def _edge_sweep(g: LabeledGraph, invariant: Invariant, baseline: Fraction,
+                orbit_fc: FractionalColoring, flag: Callable[[tuple[int, int]], bool],
+                metadata: dict) -> CriticalityReport:
+    """`invariant` of g after each single edge deletion, settled once per
+    certified edge orbit, each row tagged with flag(edge).  No deletion may
+    raise the value above `baseline`."""
+    edges = g.edges()
+    frame = _q_frame(g)
+    values = _solve_per_orbit(
+        edges, dihedral_automorphisms(g), _edge_image,
+        lambda e: _settle(g, delete_edge(g, *e), invariant, e, orbit_fc, frame))
+    rows = []
+    for e, val in zip(edges, values):
+        if val > baseline:
+            raise AssertionError(f"deleting edge {e} raised {invariant.value} to {val}")
+        rows.append((e, val, flag(e)))
+    if all(val >= baseline for _, val, _ in rows):
+        summary = SweepSummary.NOT_CRITICAL
+    elif all((val < baseline) == flagged for _, val, flagged in rows):
+        summary = SweepSummary.EDGE_CLASSIFICATION
+    else:
+        summary = SweepSummary.MIXED
+    return CriticalityReport(g.family, invariant, baseline, (), tuple(rows), summary, metadata)
 
 
 def edge_criticality(q: LabeledGraph) -> CriticalityReport:
@@ -297,21 +314,9 @@ def edge_criticality(q: LabeledGraph) -> CriticalityReport:
         n, k = n // g, k // g
         q = build_q(n, k)
     baseline, orbit_fc = fractional_chromatic_number(q)
-    edges = q.edges()
-    frame = _q_frame(q)
-    values = _solve_per_orbit(
-        edges, dihedral_automorphisms(q), _edge_image,
-        lambda e: _settle(q, delete_edge(q, *e), Invariant.CHI_F, e, orbit_fc, frame))
     rot = label_rotation(q)  # labels of consecutive rotations differ by one step
-    rows = []
-    for (u, v), val in zip(edges, values):
-        if val > baseline:
-            raise AssertionError(f"deleting edge {(u, v)} raised chi_f to {val}")
-        rows.append(((u, v), val, rot[u] == v or rot[v] == u))
-    return CriticalityReport(
-        q.family, Invariant.CHI_F, baseline, (), tuple(rows),
-        _edge_summary(rows, baseline), metadata,
-    )
+    return _edge_sweep(q, Invariant.CHI_F, baseline, orbit_fc,
+                       lambda e: rot[e[0]] == e[1] or rot[e[1]] == e[0], metadata)
 
 
 def circular_edge_corollary(n: int, k: int) -> CriticalityReport:
@@ -330,22 +335,9 @@ def circular_edge_corollary(n: int, k: int) -> CriticalityReport:
     g = build_circular(n, k)
     baseline = circular_chromatic_number(g)
     orbit_fc = fractional_chromatic_number(g)[1]
-    edges = g.edges()
-    frame = _q_frame(g)
-    values = _solve_per_orbit(
-        edges, dihedral_automorphisms(g), _edge_image,
-        lambda e: _settle(g, delete_edge(g, *e), Invariant.CHI_C, e, orbit_fc, frame))
-    rows = []
-    for e, val in zip(edges, values):
-        if val > baseline:
-            raise AssertionError(f"deleting edge {e} raised chi_c to {val}")
-        d = (e[1] - e[0]) % n
-        rows.append((e, val, min(d, n - d) == k))
-    return CriticalityReport(
-        g.family, Invariant.CHI_C, baseline, (), tuple(rows),
-        _edge_summary(rows, baseline),
-        {"critical_value": critical_params(n, k).as_fraction()},
-    )
+    return _edge_sweep(g, Invariant.CHI_C, baseline, orbit_fc,
+                       lambda e: min((e[1] - e[0]) % n, (e[0] - e[1]) % n) == k,
+                       {"critical_value": critical_params(n, k).as_fraction()})
 
 
 @dataclass(frozen=True)

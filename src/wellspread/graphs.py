@@ -42,7 +42,7 @@ from functools import reduce
 from itertools import combinations, compress, product
 from math import comb, gcd
 from operator import or_
-from typing import Callable, Generator, Iterator
+from typing import Callable, Generator, Iterator, TypeVar
 
 from .cyclic import CanonicalRotations, CyclicSubset, is_r_separated
 from .errors import InvalidParams, NotAnEdge, ResourceCap
@@ -286,20 +286,26 @@ class VertexMap:
     section: dict[int, int] | None = None
 
 
-def _map_search(adj, target_adj, domains: list[int], node_budget: int, what: str,
-                pre=(), injective: bool = False) -> list[int] | None:
-    """`_map_steps` run to its end: the image of every source vertex, or None
-    once the search space is exhausted; ResourceCap past `node_budget` nodes."""
-    steps = _map_steps(adj, target_adj, domains, pre, injective)
-    nodes = 0
+# nodes one exact search may spend, read at each call; the independent-set
+# search keeps its own, smaller `independence._NODE_BUDGET`
+NODE_BUDGET = 100_000_000
+
+_Result = TypeVar("_Result")
+
+
+def _run_search(steps: Generator[None, None, _Result], what: str,
+                budget: int | None = None) -> _Result:
+    """Run `steps`, a search that yields once as each node begins, to its end
+    and return its result.  ResourceCap, naming `what`, as node `budget` + 1
+    begins (by default `NODE_BUDGET`, read at each call)."""
+    if budget is None:
+        budget = NODE_BUDGET
     try:
-        while True:
+        for _ in range(budget + 1):
             next(steps)
-            nodes += 1
-            if nodes > node_budget:
-                raise ResourceCap(f"{what} search exceeded {node_budget} nodes")
     except StopIteration as done:
         return done.value
+    raise ResourceCap(f"{what} search exceeded {budget} nodes")
 
 
 def _map_steps(adj, target_adj, domains: list[int], pre=(),
@@ -318,9 +324,8 @@ def _map_steps(adj, target_adj, domains: list[int], pre=(),
     injective homomorphism is an isomorphism: distinct edges map to distinct
     edges, as many as the target has.  `pre` lists forced (vertex, image)
     assignments, checked the same way but not counted as nodes.  A node is
-    one vertex selection.  The caller drives the search and keeps the node
-    budget: `_map_search` runs it alone, and `coloring.is_t_colorable`
-    advances it one node per class-branching node.
+    one vertex selection.  `_run_search` drives it under the node budget,
+    and `coloring.is_t_colorable` steps it in turn with class branching.
 
     Two rules come from the target alone.  Into a complete target, which
     callers start from full domains, unused images are interchangeable: a

@@ -1,9 +1,11 @@
 """Homomorphism and isomorphism search, and circular chromatic numbers.
 
-Both searches set up the package's one map search (`graphs._map_search`),
-the same kernel that colors graphs as maps into K_t: a homomorphism search
-starts every domain full, an isomorphism search starts from joint
-neighbourhood-refinement classes and runs injective, with non-edges kept.
+Both searches set up the package's one map search (`graphs._map_steps`),
+the same kernel that colors graphs as maps into K_t, and run it under
+`graphs.NODE_BUDGET` nodes by the one search driver (`graphs._run_search`):
+a homomorphism search starts every domain full, an isomorphism search starts
+from joint neighbourhood-refinement classes and runs injective, with
+non-edges kept.
 Circular chromatic numbers are computed by scanning reduced fractions p/q
 (p bounded by the vertex count, which always holds for the answer) upward
 from the fractional chromatic number; hom-existence into circular complete
@@ -24,29 +26,25 @@ from typing import Iterator
 from .coloring import chromatic_number
 from .fractional import fractional_chromatic_number
 from .graphs import (
-    LabeledGraph, MapKind, VertexMap, _map_search, build_circular, is_automorphism,
-    label_rotation, validate_map,
+    LabeledGraph, MapKind, VertexMap, _map_steps, _run_search, build_circular,
+    is_automorphism, label_rotation, validate_map,
 )
 from .independence import iter_bits
 
-DEFAULT_NODE_BUDGET = 100_000_000
 
-
-def _hom_search(g: LabeledGraph, h: LabeledGraph,
-                node_budget: int) -> dict[int, int] | None:
+def _hom_search(g: LabeledGraph, h: LabeledGraph) -> dict[int, int] | None:
     Vg, Vh = g.vertex_count, h.vertex_count
     if Vg == 0:
         return {}
     if Vh == 0:
         return None
-    image = _map_search(g.adj, h.adj, [(1 << Vh) - 1] * Vg, node_budget, "homomorphism")
+    image = _run_search(_map_steps(g.adj, h.adj, [(1 << Vh) - 1] * Vg), "homomorphism")
     return None if image is None else dict(enumerate(image))
 
 
-def find_homomorphism(g: LabeledGraph, h: LabeledGraph,
-                      node_budget: int = DEFAULT_NODE_BUDGET) -> VertexMap | None:
+def find_homomorphism(g: LabeledGraph, h: LabeledGraph) -> VertexMap | None:
     """An edge-preserving vertex map g -> h, validated, or None (exhaustive)."""
-    mapping = _hom_search(g, h, node_budget)
+    mapping = _hom_search(g, h)
     if mapping is None:
         return None
     out = VertexMap(g, h, mapping, MapKind.HOMOMORPHISM)
@@ -80,8 +78,7 @@ def _wl_colors(g: LabeledGraph, h: LabeledGraph) -> tuple[list[int], list[int]] 
     return cg, ch
 
 
-def find_isomorphism(g: LabeledGraph, h: LabeledGraph,
-                     node_budget: int = DEFAULT_NODE_BUDGET) -> VertexMap | None:
+def find_isomorphism(g: LabeledGraph, h: LabeledGraph) -> VertexMap | None:
     """A structure-preserving bijection g -> h, validated, or None (exact)."""
     Vg, Vh = g.vertex_count, h.vertex_count
     if Vg != Vh or g.edge_count() != h.edge_count():
@@ -96,7 +93,7 @@ def find_isomorphism(g: LabeledGraph, h: LabeledGraph,
     for v in range(Vh):
         class_mask[ch[v]] = class_mask.get(ch[v], 0) | (1 << v)
     domains = [class_mask.get(cg[u], 0) for u in range(Vg)]
-    image = _map_search(g.adj, h.adj, domains, node_budget, "isomorphism", injective=True)
+    image = _run_search(_map_steps(g.adj, h.adj, domains, injective=True), "isomorphism")
     if image is None:
         return None
     out = VertexMap(g, h, dict(enumerate(image)), MapKind.ISOMORPHISM)
@@ -164,8 +161,7 @@ def _rotation_probe(g: LabeledGraph, steps: list[int], p: int, q: int) -> int | 
     return None
 
 
-def circular_chromatic_number(g: LabeledGraph,
-                              node_budget: int = DEFAULT_NODE_BUDGET) -> Fraction:
+def circular_chromatic_number(g: LabeledGraph) -> Fraction:
     """Least p/q (p <= |V|) whose circular complete graph admits g, exact.
 
     chi_c is attained by some p/q with p <= |V| (Zhu 2001), so candidates
@@ -176,7 +172,7 @@ def circular_chromatic_number(g: LabeledGraph,
         return Fraction(0)
     if g.edge_count() == 0:
         return Fraction(1)
-    chi = chromatic_number(g, node_budget)
+    chi = chromatic_number(g)
     if chi <= 2:
         return Fraction(chi)
     chif, _ = fractional_chromatic_number(g)
@@ -194,6 +190,6 @@ def circular_chromatic_number(g: LabeledGraph,
             if bad:
                 raise AssertionError(f"rotation probe produced an invalid homomorphism: {bad[:3]}")
             return cand
-        if _hom_search(g, target, node_budget) is not None:
+        if _hom_search(g, target) is not None:
             return cand
     raise AssertionError("no circular target admitted the graph up to its chromatic number")

@@ -16,8 +16,9 @@ from typing import Callable, Iterator, Sequence
 
 from .errors import ResourceCap
 from .cyclic import CyclicSubset
-from .graphs import (LabeledGraph, MapKind, VertexMap, _residue_permutation, _solve_per_orbit,
-                     build_circular, is_automorphism, iter_bits, label_rotation, validate_map)
+from .graphs import (LabeledGraph, MapKind, VertexMap, _residue_permutation, _run_search,
+                     _solve_per_orbit, build_circular, is_automorphism, iter_bits,
+                     label_rotation, validate_map)
 
 DEFAULT_MIS_CAP = 200_000
 _NODE_BUDGET = 10_000_000  # nodes of one `_fail_soft_search`
@@ -196,7 +197,8 @@ def _fail_soft_search(adj, mask: int, need: int, weight: list[int] | None = None
     weight, whenever r > need; any r <= need certifies that no independent
     set within mask weighs more than need (fail-soft).  Weights equal and
     positive across mask are searched as unit weights and scaled.  Runs from
-    an explicit stack; ResourceCap past `_NODE_BUDGET` nodes.
+    an explicit stack, driven by `graphs._run_search`; ResourceCap past
+    `_NODE_BUDGET` nodes.
     """
     scale = 1
     if weight is not None:
@@ -262,20 +264,23 @@ def _fail_soft_search(adj, mask: int, need: int, weight: list[int] | None = None
             excluded |= 1 << u
         return total + best, taken | best_mask
 
-    nodes, stack, sent = 1, [node(mask, need)], None
-    while stack:
-        try:
-            child = stack[-1].send(sent)
-        except StopIteration as done:
-            stack.pop()
-            sent = done.value
-            continue
-        nodes += 1
-        if nodes > _NODE_BUDGET:
-            raise ResourceCap(f"independent-set search exceeded {_NODE_BUDGET} nodes")
-        stack.append(node(*child))
-        sent = None
-    r, witness = sent
+    def steps():
+        # one pause per node, as the node begins
+        yield
+        stack, sent = [node(mask, need)], None
+        while stack:
+            try:
+                child = stack[-1].send(sent)
+            except StopIteration as done:
+                stack.pop()
+                sent = done.value
+                continue
+            yield
+            stack.append(node(*child))
+            sent = None
+        return sent
+
+    r, witness = _run_search(steps(), "independent-set", _NODE_BUDGET)
     return r * scale, witness
 
 

@@ -80,6 +80,17 @@ def test_vertex_cap_exit_3(capsys):
     assert "cap" in err
 
 
+def test_node_budget_exit_3(capsys, monkeypatch):
+    # DSATUR refutes 3 colours on I(10,3) in 9 nodes, one past the budget
+    monkeypatch.setattr("wellspread.graphs.NODE_BUDGET", 8)
+    code, out, err = run(capsys, "invariants", "--family", "interlacing", "--n", "10",
+                         "--k", "3", "--chi")
+    assert code == 3
+    assert out == ""
+    assert err == ("resource cap: colorability search exceeded 8 nodes "
+                   "(DSATUR 9, class branching 0)\n")
+
+
 def test_invariants_selected_and_full(capsys):
     code, out, _ = run(capsys, "invariants", "--family", "sg", "--n", "7", "--k", "2",
                        "--chi-f")
@@ -368,6 +379,23 @@ GOLDEN = [
      "91060c46fa81038474a713914b39874ab05c0a7705392ea5f79f8d53b3d77e18"),
     ("criticality --family q --n 7 --k 1 --edges", 0,
      "30abe9030c034c7993be4a4d3ef356abb2447cf25e99aa39caba959d2379671d"),
+    # Colouring requests of the schrijver-chi and circular-targets workloads,
+    # decided by DSATUR and class branching taking turns or by a homomorphism
+    # search per chi_c candidate.
+    ("invariants --family sg --n 10 --k 3 --chi", 0,
+     "800fdc15aba37705342ef76311034dcd0ee66ff92db6b1cac0098842b0f0ba09"),
+    ("criticality --family sg --n 10 --k 2 --invariant chi", 0,
+     "ca2c06363ef43ffe95472a18fab3781e49dfa6805c613a4f09394b79359ee9bc"),
+    ("criticality --family sg --n 9 --k 3 --invariant chi", 0,
+     "a0890669c13c4ba80fa4ad88d083e36919e6cfb4a1f0c67d03dc64954c9fe3d6"),
+    ("invariants --family interlacing --n 10 --k 3 --chi", 0,
+     "546a5b403eead4080ab2aa7fca87396c91f969ba9f8bdb0036af9670918cb971"),
+    ("invariants --family q --n 23 --k 11 --chi-c", 0,
+     "2e3c64895c41a73867be5104b368041bedb0d66116c83d39b2ae92773c2cc4d1"),
+    ("invariants --family q --n 29 --k 9 --chi-c", 0,
+     "61bb0aa54a1b15116a6449c7c467816f9d3e06051cc1e1d42d22d9207e4ba3b8"),
+    ("criticality --family circular --n 17 --k 5 --edges", 0,
+     "98b021bfbaedca6687b20da1826a69e9ba186af75979f291bdc2ce35d55ca8ba"),
 ]
 
 

@@ -26,14 +26,20 @@ from wellspread import (
     is_t_colorable,
 )
 from wellspread import coloring, independence
-from wellspread.coloring import (
-    DEFAULT_NODE_BUDGET,
-    _class_colorable,
-    _is_bipartite,
-    greedy_coloring,
-    rlf_coloring,
+from wellspread.coloring import _class_steps, _is_bipartite, greedy_coloring, rlf_coloring
+from wellspread.graphs import (
+    MapKind,
+    VertexMap,
+    _run_search,
+    dihedral_automorphisms,
+    iter_bits,
+    validate_map,
 )
-from wellspread.graphs import MapKind, VertexMap, dihedral_automorphisms, iter_bits, validate_map
+
+
+def class_branching(g, t, budget=None):
+    """Class branching alone, run by the search driver."""
+    return _run_search(_class_steps(g, t), "class branching", budget)
 
 
 def test_chromatic_basics():
@@ -86,7 +92,7 @@ def test_class_branching_agrees_with_dsatur_on_random_graphs():
         assert _is_bipartite(g.adj, (1 << n) - 1) == (
             find_proper_coloring(g, 2) is not None), trial
         for t in range(1, 6):
-            by_classes = _class_colorable(g, t, DEFAULT_NODE_BUDGET, 0)
+            by_classes = class_branching(g, t)
             assert by_classes == (find_proper_coloring(g, t) is not None), (trial, n, t)
             assert is_t_colorable(g, t) == by_classes, (trial, n, t)
 
@@ -132,7 +138,7 @@ def test_class_branching_node_count_on_schrijver_10_3():
     # branching on the vertex with the fewest class choices and deciding two
     # colors by bipartiteness refutes 5 colors on SG(10,3) in 86,117 nodes;
     # branching on the lowest-index vertex down to one color took 3,019,976
-    assert not _class_colorable(build_schrijver(10, 3), 5, 100_000, 0)
+    assert not class_branching(build_schrijver(10, 3), 5, 100_000)
 
 
 def test_class_branching_node_counts_with_the_symmetric_memo():
@@ -141,21 +147,21 @@ def test_class_branching_node_counts_with_the_symmetric_memo():
     # vertices hold an odd cycle refutes 5 colors on SG(10,3) in 5,383 nodes
     # and 4 on SG(11,4) in 8,080 (19,373 and 44,956 without the cut; 86,117
     # and 151,441 with the plain memo)
-    assert not _class_colorable(build_schrijver(10, 3), 5, 5_383, 0)
-    assert not _class_colorable(build_schrijver(11, 4), 4, 8_080, 0)
+    assert not class_branching(build_schrijver(10, 3), 5, 5_383)
+    assert not class_branching(build_schrijver(11, 4), 4, 8_080)
     # the searches of the SG(10,2) and SG(9,3) chi sweeps: 697, 167 and 96
     # nodes (1,499, 275 and 122 without the cut)
-    assert not _class_colorable(build_schrijver(10, 2), 7, 697, 0)
+    assert not class_branching(build_schrijver(10, 2), 7, 697)
     sg = build_schrijver(9, 3)
-    assert not _class_colorable(sg, 4, 167, 0)
-    assert _class_colorable(delete_vertex(sg, 0), 4, 96, 0)
+    assert not class_branching(sg, 4, 167)
+    assert class_branching(delete_vertex(sg, 0), 4, 96)
     # three colors at the root: KG(8,3) in 28 nodes and I(10,3) in 163
     # (17,004 and 4,535 without the cut)
-    assert not _class_colorable(build_kneser(8, 3), 3, 30, 0)
-    assert not _class_colorable(build_interlacing(10, 3), 3, 170, 0)
+    assert not class_branching(build_kneser(8, 3), 3, 30)
+    assert not class_branching(build_interlacing(10, 3), 3, 170)
     # KG(9,3) at t = 4 in 43,383 nodes, about half a second; without the cut
     # the search took over a minute
-    assert not _class_colorable(build_kneser(9, 3), 4, 44_000, 0)
+    assert not class_branching(build_kneser(9, 3), 4, 44_000)
 
 
 def _uncut_bron_kerbosch(nonadj, r, p, viable=None):
@@ -173,10 +179,10 @@ def test_odd_cycle_cut_agrees_with_dsatur_and_the_uncut_search(monkeypatch):
         n = rng.randrange(8, 17)
         g = random_graph(rng, n, rng.uniform(3.5, 9.0) / (n - 1))
         for t in (3, 4):
-            cut = _class_colorable(g, t, DEFAULT_NODE_BUDGET, 0)
+            cut = class_branching(g, t)
             with monkeypatch.context() as m:
                 m.setattr(coloring, "bron_kerbosch", _uncut_bron_kerbosch)
-                uncut = _class_colorable(g, t, DEFAULT_NODE_BUDGET, 0)
+                uncut = class_branching(g, t)
             assert cut == uncut == (find_proper_coloring(g, t) is not None), (trial, t)
             answers.add((t, cut))
     assert answers == {(3, False), (3, True), (4, False), (4, True)}
@@ -326,10 +332,10 @@ def test_symmetric_memo_agrees_with_plain_memo_and_dsatur(monkeypatch):
         symmetries.add(len(dihedral_automorphisms(g)))
         chi = chromatic_number(g)
         for t in range(1, chi + 1):
-            symmetric = _class_colorable(g, t, DEFAULT_NODE_BUDGET, 0)
+            symmetric = class_branching(g, t)
             with monkeypatch.context() as m:
                 m.setattr(coloring, "dihedral_automorphisms", lambda g: [])
-                plain = _class_colorable(g, t, DEFAULT_NODE_BUDGET, 0)
+                plain = class_branching(g, t)
             by_dsatur = find_proper_coloring(g, t) is not None
             assert symmetric == plain == by_dsatur == (t == chi)
     # graphs with no certified generator, with the reflection alone, and with both
@@ -346,57 +352,60 @@ def test_interlacing_needs_ceil_n_over_k():
         assert chromatic_number(build_interlacing(n, k)) == -(-n // k)
 
 
-def test_node_budget_trips():
+def test_node_budget_trips(monkeypatch):
     g = build_kneser(8, 3)
+    monkeypatch.setattr("wellspread.graphs.NODE_BUDGET", 5)
     with pytest.raises(ResourceCap):
-        chromatic_number(g, node_budget=5)
+        chromatic_number(g)
     # the message names the nodes each search spent: here DSATUR alone, which
     # refutes 3 colors on I(10,3) in 9 nodes
+    monkeypatch.setattr("wellspread.graphs.NODE_BUDGET", 8)
     with pytest.raises(ResourceCap, match=r"exceeded 8 nodes \(DSATUR 9, class branching 0\)"):
-        is_t_colorable(build_interlacing(10, 3), 3, node_budget=8)
+        is_t_colorable(build_interlacing(10, 3), 3)
 
 
 def _record_class_branching(monkeypatch) -> list[str]:
-    """How each `_class_colorable` call of `is_t_colorable` ended: 'answered'
-    when class branching decided, else the exception that ended it."""
+    """Which search answered each `is_t_colorable` call that reached the
+    turns and returned: 'class branching' when its steps ran to their end,
+    else 'DSATUR'."""
     ends = []
 
-    def recording(*args):
-        try:
-            colorable = _class_colorable(*args)
-        except Exception as e:
-            ends.append(type(e).__name__)
-            raise
-        ends.append("answered")
+    def recording(g, t):
+        ends.append("DSATUR")
+        colorable = yield from _class_steps(g, t)
+        ends[-1] = "class branching"
         return colorable
 
-    monkeypatch.setattr(coloring, "_class_colorable", recording)
+    monkeypatch.setattr(coloring, "_class_steps", recording)
     return ends
 
 
 @pytest.mark.parametrize("g,t,colorable,dsatur,classes,winner", [
     # class branching refutes in 167 nodes while DSATUR, which needs 8,980
     # alone, has spent 197 of them
-    (build_schrijver(9, 3), 4, False, 197, 167, "answered"),
+    (build_schrijver(9, 3), 4, False, 197, 167, "class branching"),
     # DSATUR refutes in 279 nodes, on class branching's 244th of 1,055
-    (build_kneser(9, 2), 6, False, 279, 244, "_Decided"),
+    (build_kneser(9, 2), 6, False, 279, 244, "DSATUR"),
 ], ids=["SG(9,3) t=4", "KG(9,2) t=6"])
 def test_the_two_searches_take_turns_under_one_budget(monkeypatch, g, t, colorable, dsatur,
                                                       classes, winner):
     total = dsatur + classes
+    monkeypatch.setattr("wellspread.graphs.NODE_BUDGET", total - 1)
     with pytest.raises(ResourceCap, match=rf"exceeded {total - 1} nodes "
                                           rf"\(DSATUR {dsatur}, class branching {classes}\)"):
-        is_t_colorable(g, t, node_budget=total - 1)
+        is_t_colorable(g, t)
+    monkeypatch.setattr("wellspread.graphs.NODE_BUDGET", total)
     ends = _record_class_branching(monkeypatch)
-    assert is_t_colorable(g, t, node_budget=total) == colorable
+    assert is_t_colorable(g, t) == colorable
     assert ends == [winner]
 
 
 def test_dsatur_decides_inside_its_first_descent(monkeypatch):
     # 3 colors on I(10,3) are refuted in 9 DSATUR nodes, fewer than its 50
     # vertices, so class branching never starts
+    monkeypatch.setattr("wellspread.graphs.NODE_BUDGET", 9)
     ends = _record_class_branching(monkeypatch)
-    assert not is_t_colorable(build_interlacing(10, 3), 3, node_budget=9)
+    assert not is_t_colorable(build_interlacing(10, 3), 3)
     assert ends == []
 
 
@@ -405,7 +414,7 @@ def test_dsatur_decides_inside_its_first_descent(monkeypatch):
 def test_is_t_colorable_agrees_with_each_search_alone(n, t, rng):
     g = random_graph(rng, n)
     colorable = find_proper_coloring(g, t) is not None
-    assert _class_colorable(g, t, DEFAULT_NODE_BUDGET, 0) == colorable
+    assert class_branching(g, t) == colorable
     assert is_t_colorable(g, t) == colorable
 
 
@@ -418,9 +427,9 @@ def test_turns_agree_with_each_search_alone(monkeypatch):
         g = random_graph(rng, rng.randint(25, 32), rng.choice([0.3, 0.5, 0.7]))
         for t in range(3, max(greedy_coloring(g)) + 1):
             colorable = find_proper_coloring(g, t) is not None
-            assert _class_colorable(g, t, DEFAULT_NODE_BUDGET, 0) == colorable, (trial, t)
+            assert class_branching(g, t) == colorable, (trial, t)
             assert is_t_colorable(g, t) == colorable, (trial, t)
-    assert ends.count("answered") >= 5 and ends.count("_Decided") >= 5, ends
+    assert ends.count("class branching") >= 5 and ends.count("DSATUR") >= 5, ends
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)

@@ -11,10 +11,11 @@ from wellspread import homomorphism
 from wellspread import (
     CyclicSubset,
     LabeledGraph,
+    ResourceCap,
     build_circular,
+    build_interlacing,
     build_kneser,
     build_q,
-    chromatic_number,
     circular_chromatic_number,
     delete_edge,
     delete_vertex,
@@ -98,18 +99,13 @@ def test_circular_candidates_enumeration():
     assert all(Fraction(5, 2) <= c <= 3 for c in got)
 
 
-def test_circular_chromatic_number_passes_its_budget_to_chi(monkeypatch):
-    from wellspread import homomorphism
-
-    budgets = []
-
-    def recording(g, node_budget=homomorphism.DEFAULT_NODE_BUDGET):
-        budgets.append(node_budget)
-        return chromatic_number(g, node_budget)
-
-    monkeypatch.setattr(homomorphism, "chromatic_number", recording)
-    assert circular_chromatic_number(cycle(7), node_budget=12_345) == Fraction(7, 3)
-    assert budgets == [12_345]
+def test_circular_chromatic_number_runs_chi_under_the_node_budget(monkeypatch):
+    # chi_c starts from chi, whose turns stop at the shared node budget:
+    # DSATUR refutes 3 colours on I(10,3) in 9 nodes
+    monkeypatch.setattr("wellspread.graphs.NODE_BUDGET", 8)
+    with pytest.raises(ResourceCap) as exc:
+        circular_chromatic_number(build_interlacing(10, 3))
+    assert str(exc.value) == "colorability search exceeded 8 nodes (DSATUR 9, class branching 0)"
 
 
 def test_candidate_iterator_matches_the_sorted_enumeration():
@@ -203,9 +199,9 @@ def test_chi_c_searches_only_targets_with_at_most_v_vertices(monkeypatch):
     calls = []
     search = homomorphism._hom_search
 
-    def recording(g, h, node_budget):
+    def recording(g, h):
         calls.append(h.vertex_count)
-        return search(g, h, node_budget)
+        return search(g, h)
 
     monkeypatch.setattr(homomorphism, "_hom_search", recording)
     g = build_kneser(5, 2)

@@ -1,5 +1,6 @@
 """The map search behind colouring, homomorphism and isomorphism search:
-its search order, pinned by exact node counts, and its depth."""
+its search order, pinned by exact node counts, and its depth; and the node
+budget that the one search driver keeps for every exact search."""
 
 from __future__ import annotations
 
@@ -17,35 +18,63 @@ from wellspread import (
     find_homomorphism,
     find_isomorphism,
     find_proper_coloring,
+    is_t_colorable,
+    maximum_independent_set,
 )
+from wellspread import graphs
 from wellspread.homomorphism import _hom_search
 
 # (search, nodes it needs, whether it finds a map).  A change of vertex order,
 # candidate order or symmetry breaking moves these counts; the DSATUR turns in
 # `is_t_colorable` and the chi_c cost depend on them.
 PINS = [
-    ("hom Q(17,8) -> K_{17/8}", lambda b: _hom_search(build_q(17, 8), build_circular(17, 8), b),
+    ("hom Q(17,8) -> K_{17/8}", lambda: _hom_search(build_q(17, 8), build_circular(17, 8)),
      8208, True),
-    ("hom Q(13,5) -> K_{5/2}", lambda b: _hom_search(build_q(13, 5), build_circular(5, 2), b),
+    ("hom Q(13,5) -> K_{5/2}", lambda: _hom_search(build_q(13, 5), build_circular(5, 2)),
      116, False),
-    ("4-colour SG(9,3)", lambda b: find_proper_coloring(build_schrijver(9, 3), 4, b),
-     8980, False),
-    ("3-colour I(10,3)", lambda b: find_proper_coloring(build_interlacing(10, 3), 3, b),
-     9, False),
-    ("5-colour KG(7,2)", lambda b: find_proper_coloring(build_kneser(7, 2), 5, b),
-     18, True),
-    ("iso Q(14,4) -> K_{7/2}", lambda b: find_isomorphism(build_q(14, 4), build_circular(7, 2), b),
+    ("4-colour SG(9,3)", lambda: find_proper_coloring(build_schrijver(9, 3), 4), 8980, False),
+    ("3-colour I(10,3)", lambda: find_proper_coloring(build_interlacing(10, 3), 3), 9, False),
+    ("5-colour KG(7,2)", lambda: find_proper_coloring(build_kneser(7, 2), 5), 18, True),
+    ("iso Q(14,4) -> K_{7/2}", lambda: find_isomorphism(build_q(14, 4), build_circular(7, 2)),
      7, True),
-    ("iso Q(13,4) -> K_{13/4}", lambda b: find_isomorphism(build_q(13, 4), build_circular(13, 4), b),
+    ("iso Q(13,4) -> K_{13/4}", lambda: find_isomorphism(build_q(13, 4), build_circular(13, 4)),
      13, True),
 ]
 
 
 @pytest.mark.parametrize("search,nodes,found", [p[1:] for p in PINS], ids=[p[0] for p in PINS])
-def test_search_order_pins(search, nodes, found):
-    assert (search(nodes) is not None) == found
+def test_search_order_pins(monkeypatch, search, nodes, found):
+    monkeypatch.setattr(graphs, "NODE_BUDGET", nodes)
+    assert (search() is not None) == found
+    monkeypatch.setattr(graphs, "NODE_BUDGET", nodes - 1)
     with pytest.raises(ResourceCap):
-        search(nodes - 1)
+        search()
+
+
+@pytest.mark.parametrize("budget,nodes,search,message", [
+    ("wellspread.graphs.NODE_BUDGET", 100,
+     lambda: find_proper_coloring(build_schrijver(9, 3), 4),
+     "coloring search exceeded 100 nodes"),
+    ("wellspread.graphs.NODE_BUDGET", 100,
+     lambda: find_homomorphism(build_q(13, 5), build_circular(5, 2)),
+     "homomorphism search exceeded 100 nodes"),
+    ("wellspread.graphs.NODE_BUDGET", 12,
+     lambda: find_isomorphism(build_q(13, 4), build_circular(13, 4)),
+     "isomorphism search exceeded 12 nodes"),
+    ("wellspread.graphs.NODE_BUDGET", 100,
+     lambda: is_t_colorable(build_schrijver(9, 3), 4),
+     "colorability search exceeded 100 nodes (DSATUR 65, class branching 36)"),
+    ("wellspread.independence._NODE_BUDGET", 100,
+     lambda: maximum_independent_set(build_interlacing(10, 3)),
+     "independent-set search exceeded 100 nodes"),
+], ids=["coloring", "homomorphism", "isomorphism", "colorability", "independent set"])
+def test_every_search_stops_at_its_node_budget(monkeypatch, budget, nodes, search, message):
+    # one driver keeps the budget of every exact search, read at each call;
+    # the turns of `is_t_colorable` name the nodes each of their searches spent
+    monkeypatch.setattr(budget, nodes)
+    with pytest.raises(ResourceCap) as exc:
+        search()
+    assert str(exc.value) == message
 
 
 def test_isomorphism_deeper_than_the_recursion_limit():
