@@ -9,11 +9,11 @@ iterations.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from math import lcm
+from operator import itemgetter, or_
 
 from .cyclic import CyclicSubset
 from .errors import ResourceCap
@@ -43,8 +43,10 @@ class FractionalColoring:
 
     @cached_property
     def value(self) -> Fraction:
-        """The total weight, summed on first read."""
-        return sum(self.weights, _ZERO)
+        """The total weight, summed on first read in integers over the
+        common denominator."""
+        scale = lcm(*(w.denominator for w in self.weights))
+        return Fraction(sum(w.numerator * (scale // w.denominator) for w in self.weights), scale)
 
 
 def verify_fractional_coloring(g: LabeledGraph, fc: FractionalColoring) -> list[str]:
@@ -68,42 +70,67 @@ def verify_fractional_coloring(g: LabeledGraph, fc: FractionalColoring) -> list[
 
 def _coloring_passes(g: LabeledGraph, fc: FractionalColoring,
                      excl_e: tuple[int, int] | None) -> bool:
-    """True when fc is valid: each set is in range, has no repeats and misses
-    the excluded vertex, no member's adjacency (less the excluded edge) meets
-    the set, and coverage counted per weight reaches 1 everywhere else."""
+    """True when fc is valid, by a few whole-set operations per set.
+
+    Each set's members are read from two tables by one `itemgetter`: single
+    bits, which sum to the set's mask, and the rows of g less the excluded
+    edge, which OR to the set's neighbourhood.  Index V reads a 0 from both,
+    so that a one-member set reads a tuple too.  The least member is checked
+    non-negative first; a member above V raises IndexError, and a member
+    equal to V or a repeat leaves the mask with fewer bits than the set has
+    members (a repeat carries).  One bit test finds the excluded vertex, and
+    the neighbourhood must miss the mask.
+
+    Coverage is counted per distinct weight in bit-sliced counters: slice i
+    holds bit i of every vertex's count, and a set's mask is added by
+    rippling its carry through the slices.  The counts are read back from the
+    slices, and coverage in integers over the common denominator must reach
+    1 on every vertex but the excluded one.
+    """
     if _exclusion_violations(g, fc.excluded_vertex, fc.excluded_edge):
         return False
     V = g.vertex_count
     excl_v = fc.excluded_vertex
-    adj = g.adj
+    bits = [1 << v for v in range(V)] + [0]
+    rows = [*g.adj, 0]
     if excl_e is not None:
         a, b = excl_e
-        adj = list(adj)
-        adj[a] &= ~(1 << b)
-        adj[b] &= ~(1 << a)
-    bits = [1 << v for v in range(V)]
-    # members counted per distinct weight, keyed by its lowest terms (a
-    # cheaper hash than a Fraction's)
-    counts: dict[tuple[int, int], Counter] = {}
+        rows[a] &= ~bits[b]
+        rows[b] &= ~bits[a]
+    excl_bit = 0 if excl_v is None else bits[excl_v]
+    # the slices per distinct weight, keyed by its lowest terms (a cheaper
+    # hash than a Fraction's)
+    slices: dict[tuple[int, int], list[int]] = {}
     for s, w in zip(fc.sets, fc.weights):
-        if s:
-            if min(s) < 0 or max(s) >= V or len(set(s)) != len(s) or excl_v in s:
-                return False
-            mask = sum(map(bits.__getitem__, s))  # distinct members, so sum is OR
-            if any(map(mask.__and__, map(adj.__getitem__, s))):
-                return False
-        key = (w.numerator, w.denominator)
-        if key not in counts:
-            counts[key] = Counter()
-        counts[key].update(s)
-    if any(num < 0 for num, _ in counts):  # the sign of each distinct weight
+        counter = slices.setdefault((w.numerator, w.denominator), [])
+        if not s:
+            continue
+        if min(s) < 0:
+            return False
+        pick = itemgetter(*s, V)
+        try:
+            mask = sum(pick(bits))
+        except IndexError:  # a member above V
+            return False
+        if mask.bit_count() != len(s) or mask & excl_bit or reduce(or_, pick(rows)) & mask:
+            return False
+        carry = mask
+        for i, c in enumerate(counter):
+            counter[i] = c ^ carry
+            carry &= c
+            if not carry:
+                break
+        else:
+            counter.append(carry)
+    if any(num < 0 for num, _ in slices):  # the sign of each distinct weight
         return False
-    scale = lcm(*(w.denominator for w in fc.weights))
+    scale = lcm(*(den for _, den in slices))
     cover = [0] * V
-    for (num, den), members in counts.items():
+    for (num, den), counter in slices.items():
         units = num * (scale // den)
-        for v, c in members.items():
-            cover[v] += c * units
+        for i, c in enumerate(counter):
+            for v in iter_bits(c):
+                cover[v] += units << i
     return all(c >= scale for v, c in enumerate(cover) if v != excl_v)
 
 

@@ -102,16 +102,37 @@ def enumerate_maximal_independent_sets(g: LabeledGraph,
 def _greedy_independent(adj, mask: int) -> int:
     """Min-degree greedy on the subgraph induced on mask: take the first
     vertex of least degree in what is left, drop it and its neighbours, and
-    repeat.  On paths and cycles this is a maximum independent set."""
+    repeat.  On paths and cycles this is a maximum independent set.
+
+    Vertices wait in buckets by degree, each a bitmask.  A vertex whose
+    degree falls joins its new bucket and stays in its old one, where it
+    lies at a degree above the least; so the vertices left in the lowest
+    bucket that holds any are exactly those of least degree, and the first of
+    them is its lowest bit.  Each pick updates only the vertices next to
+    what it drops.
+    """
+    deg = {v: (adj[v] & mask).bit_count() for v in iter_bits(mask)}
+    buckets = [0] * (max(deg.values(), default=0) + 1)
+    for v, d in deg.items():
+        buckets[d] |= 1 << v
     chosen = 0
+    low = 0
     while mask:
-        best, bestd = -1, mask.bit_count()
-        for v in iter_bits(mask):
-            d = (adj[v] & mask).bit_count()
-            if d < bestd:
-                bestd, best = d, v
-        chosen |= 1 << best
-        mask &= ~(adj[best] | (1 << best))
+        while not buckets[low] & mask:
+            low += 1
+        b = buckets[low] & mask
+        b &= -b
+        chosen |= b
+        gone = adj[b.bit_length() - 1] & mask | b
+        mask ^= gone
+        touched = 0
+        for u in iter_bits(gone):
+            touched |= adj[u]
+        for w in iter_bits(touched & mask):
+            d = deg[w] = deg[w] - (adj[w] & gone).bit_count()
+            buckets[d] |= 1 << w
+            if d < low:
+                low = d
     return chosen
 
 

@@ -13,11 +13,15 @@ to one list, which is joined once, so no subtree is copied into its parent's
 text.  It handles dicts with string keys, lists, tuples, strings (through
 json's own `encode_basestring_ascii`), ints, bools and None; a flat list of
 ints is one piece, and a list of int lists such as vertex labels, edges and
-colour classes is one piece per row.  Anything else (floats, subclasses,
-non-string keys) is handed to `json.dumps` and re-indented.  Documents refer
-to the label and colour-class tuples they are built from instead of copying
-them, so loaders compare rows as tuples, whether a document holds lists or
-tuples.
+colour classes is one piece per row.  Such a list's ints are read, one
+`itemgetter` per row, from a table of their texts, made once per list when
+the largest int in size is below the number of ints, as vertex ids are.  The
+table ends in Nones, so that a negative id reads a None, which fails the
+row's join; the list's pieces are then dropped and it is written again with
+`str`.  Anything else (floats, subclasses, non-string keys) is handed to
+`json.dumps` and re-indented.  Documents refer to the label and colour-class
+tuples they are built from instead of copying them, so loaders compare rows
+as tuples, whether a document holds lists or tuples.
 """
 from __future__ import annotations
 
@@ -25,7 +29,8 @@ import json
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Optional
+from operator import itemgetter
+from typing import Any, Optional
 
 from .criticality import BoundaryEntry, BoundaryReport, CriticalityReport, Invariant, SweepSummary
 from .cyclic import CyclicSubset, ReductionTrace, euclid_reduce
@@ -399,17 +404,15 @@ def _write(o, nl: str, out: list[str]) -> None:
         if kinds == {int}:
             out.append(f"[{inner}{sep.join(map(str, o))}{nl}]")
             return
-        lead = "[" + inner
         if kinds <= {list, tuple} and set(map(type, chain.from_iterable(o))) <= {int}:
-            inner2 = inner + "  "
-            sep2 = "," + inner2
-            close = inner + "]"
-            text = _int_text(o)
-            for row in o:
-                out.append(f"{lead}[{inner2}{sep2.join(map(text, row))}{close}"
-                           if row else lead + "[]")
-                lead = sep
+            start = len(out)
+            try:
+                _write_int_rows(o, inner, _id_table(o), out)
+            except TypeError:  # a negative id read a None of the table
+                del out[start:]
+                _write_int_rows(o, inner, None, out)
         else:
+            lead = "[" + inner
             for x in o:
                 out.append(lead)
                 _write(x, inner, out)
@@ -431,12 +434,33 @@ def _write(o, nl: str, out: list[str]) -> None:
         out.append(json.dumps(o, indent=2, sort_keys=True).replace("\n", nl))
 
 
-def _int_text(rows) -> Callable[[int], str]:
-    """str for the ints in rows: a table lookup when they are non-negative and
-    the largest is below their count, as vertex ids are."""
-    full = [row for row in rows if row]
-    if full and min(map(min, full)) >= 0:
-        top = max(map(max, full))
-        if top < sum(map(len, full)):
-            return list(map(str, range(top + 1))).__getitem__
-    return str
+def _write_int_rows(rows, nl: str, table: list | None, out: list[str]) -> None:
+    """Append the items of a list of int rows whose items start on nl, each
+    int read from table, or made by str when table is None."""
+    inner = nl + "  "
+    sep = "," + inner
+    close = nl + "]"
+    lead, next_lead = "[" + nl, "," + nl
+    for row in rows:
+        if not row:
+            out.append(lead + "[]")
+        else:
+            if table is None:
+                texts = map(str, row)
+            elif len(row) > 1:
+                texts = itemgetter(*row)(table)
+            else:  # itemgetter of one index gives the text itself, not a tuple
+                texts = (table[row[0]],)
+            out.append(f"{lead}[{inner}{sep.join(texts)}{close}")
+        lead = next_lead
+
+
+def _id_table(rows) -> list | None:
+    """The text of each int from 0 up to the largest in size, m, at its own
+    index, then m Nones, so that a negative id reads a None, which no join
+    accepts; None unless m is below the number of ints, as for vertex ids,
+    so that no table outgrows the rows it serves."""
+    top = max(map(abs, chain.from_iterable(rows)), default=0)
+    if top < sum(map(len, rows)):
+        return list(map(str, range(top + 1))) + [None] * top
+    return None

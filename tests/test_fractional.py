@@ -255,6 +255,56 @@ def test_quick_pass_agrees_with_the_walk_on_each_kind_of_defect(certified, data)
     assert verify_fractional_coloring(g, tampered) == want
 
 
+_WEIGHTS = st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3),
+                            Fraction(2, 3), Fraction(3, 2), Fraction(-1, 2), Fraction(-1)])
+
+
+@st.composite
+def _random_coloring(draw):
+    """A random simple graph on at most 8 vertices and a random coloring of it:
+    an optional cover by singletons, one to three times over (so that valid
+    colorings are common and counts reach 3), then sets whose members may
+    repeat, fall outside 0..V-1 on either side or be the excluded vertex,
+    empty sets, the two ends of the excluded edge, and zero, negative and
+    mixed weights, in a drawn order."""
+    V = draw(st.integers(1, 8))
+    edges = draw(st.lists(st.sampled_from(list(combinations(range(V), 2))),
+                          unique=True)) if V > 1 else []
+    g = mk(V, edges)
+    ev = ee = None
+    kind = draw(st.sampled_from(["none", "vertex", "edge"] * 3 + ["bad"]))
+    if kind == "vertex":
+        ev = draw(st.integers(0, V - 1))
+    elif kind == "edge" and edges:
+        ee = draw(st.sampled_from(edges))
+        ee = ee[::-1] if draw(st.booleans()) else ee
+    elif kind == "bad":  # an exclusion that no certificate may make
+        ev = draw(st.sampled_from([-1, V]))
+    copies = draw(st.integers(0, 3))  # of a cover by singletons, each of weight 1/copies
+    pairs = [((u,), Fraction(1, copies)) for _ in range(copies) for u in range(V) if u != ev]
+    if not draw(st.integers(0, 2)):  # any member and any weight
+        member, weight = st.integers(-V - 2, V + 2), _WEIGHTS
+    else:  # members in range, weights not negative
+        member, weight = st.integers(0, V - 1), _WEIGHTS.filter(lambda w: w >= 0)
+    pairs += draw(st.lists(st.tuples(st.lists(member, max_size=4).map(tuple), weight),
+                           max_size=4))
+    if ee is not None and draw(st.booleans()):
+        pairs.append((ee, draw(_WEIGHTS)))
+    pairs = draw(st.permutations(pairs))
+    return g, FractionalColoring(tuple(s for s, _ in pairs), tuple(w for _, w in pairs),
+                                 excluded_vertex=ev, excluded_edge=ee)
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(_random_coloring())
+def test_quick_pass_holds_exactly_when_the_walk_finds_nothing(case):
+    # the oracle: the member-by-member walk, on random graphs and colorings
+    g, fc = case
+    excl_e = None if fc.excluded_edge is None else tuple(sorted(fc.excluded_edge))
+    want = _coloring_violations(g, fc, excl_e)
+    assert _coloring_passes(g, fc, excl_e) == (want == []), want
+
+
 def test_verifier_reports_impossible_exclusions():
     q = build_q(7, 2)
     fc = vertex_deleted_coloring(7, 2, 3)

@@ -31,6 +31,7 @@ from wellspread.graphs import (
     _disjointness_graph,
     _residue_permutation,
     is_automorphism,
+    iter_bits,
     label_rotation,
 )
 from wellspread import independence
@@ -143,6 +144,43 @@ def test_greedy_witness_is_independent_and_bounded():
         for i, u in enumerate(members):
             for v in members[i + 1:]:
                 assert not g.has_edge(u, v)
+
+
+def _rescanning_greedy(adj, mask):
+    """The min-degree greedy by a rescan of every vertex left per pick: the
+    oracle for the bucket queue of `_greedy_independent`."""
+    chosen = 0
+    while mask:
+        best, bestd = -1, mask.bit_count()
+        for v in iter_bits(mask):
+            d = (adj[v] & mask).bit_count()
+            if d < bestd:
+                bestd, best = d, v
+        chosen |= 1 << best
+        mask &= ~(adj[best] | (1 << best))
+    return chosen
+
+
+def test_greedy_buckets_pick_what_the_rescan_picks():
+    # the same set, so the same tie rule (the first vertex of least degree):
+    # random graphs and masks, degree ties everywhere on the families, and
+    # the paths and cycles that branch-and-bound hands to the greedy
+    rng = random.Random(29)
+    for trial in range(3000):
+        V = rng.randrange(0, 24)
+        p = rng.random()
+        g = mk(V, [e for e in combinations(range(V), 2) if rng.random() < p])
+        full = (1 << V) - 1
+        for mask in (full, full & rng.getrandbits(V + 1)):
+            assert _greedy_independent(g.adj, mask) == _rescanning_greedy(g.adj, mask), (trial, mask)
+    for g in (build_q(101, 50), build_q(59, 20), build_circular(41, 10), build_kneser(8, 3),
+              build_schrijver(10, 3), delete_vertex(build_q(43, 13), 5)):
+        full = (1 << g.vertex_count) - 1
+        for mask in (full, full & rng.getrandbits(g.vertex_count)):
+            assert _greedy_independent(g.adj, mask) == _rescanning_greedy(g.adj, mask), g.family
+    for _ in range(300):
+        adj, mask, _ = _paths_and_cycles(rng)
+        assert _greedy_independent(adj, mask) == _rescanning_greedy(adj, mask)
 
 
 def test_maximum_independent_set_returns_witness():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import tracemalloc
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -230,6 +231,37 @@ def test_dumps_is_deterministic():
     assert text == dumps(json.loads(text))
     assert text.endswith("\n")
     assert json.loads(text)["schemaVersion"] == "1"
+
+
+class _Colour(IntEnum):
+    RED = 1
+    BLUE = 12
+
+
+# lists of int rows that the id table must not misprint, each with whether the
+# table is built for them (None: the type scan turns them away first)
+_ROW_TRAPS = [
+    ([[0, 1, 2, 3], [-1, 2]], True),  # -1 reads the table's padding
+    ([[0, 1, 2, 3, 4, 5], [-6, 0]], True),  # the most negative id it can meet
+    ([[5], [-5], [0, 1, 2, 3]], True),  # a negative one-element row
+    ([[3, 0], [1]], False),  # an id equal to the number of ids
+    ([[7, 0], [1]], False),  # an id above it
+    ([[2**80, 0, 1]], False),  # never sizes a table
+    ([[-2**80, 0, 1], [2]], False),
+    ([[True, 0, 1], [False], [1, True]], None),
+    ([[_Colour.BLUE, 0], [_Colour.RED], [2, 3]], None),
+    ([[12], [10], list(range(13))], True),  # one index gives the text itself
+    ([[], [0, 1], [], (2,)], True),
+    ([[], []], False),
+]
+
+
+@pytest.mark.parametrize("rows, tabled", _ROW_TRAPS)
+def test_dumps_int_rows_match_json_on_the_table_traps(rows, tabled):
+    if tabled is not None:
+        assert (serialize._id_table(rows) is not None) == tabled
+    for doc in (rows, tuple(rows), {"sets": rows, "v": [rows]}):
+        assert dumps(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 # one document of every kind the command line prints
