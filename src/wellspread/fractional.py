@@ -1,11 +1,13 @@
 """Exact fractional chromatic numbers with verified certificates.
 
-Main path: column generation whose exact pricing searches the optimal dual's
-support only (`max_weight_independent_set` leaves out weights <= 0) -- sound
-by weak duality, since y(I) = y(I & supp) for every independent set I.  For graphs labelled by residues or subsets of Z_n
-(the circular family included) a rotation-orbit certificate built from one
-certified maximum independent set usually pins the value without any LP
-iterations.
+Main path: column generation on the integer tableau of `simplex`, each round
+priced by one exact max-weight independent set over the optimal dual's
+support (`max_weight_independent_set` leaves out weights <= 0), sound by
+weak duality since y(I) = y(I & supp) for every independent set I.  The
+covering and the final y are both checked.  For graphs labelled by residues
+or subsets of Z_n (the circular family included) a rotation-orbit
+certificate built from one certified maximum independent set usually pins
+the value without any LP iterations.
 """
 from __future__ import annotations
 
@@ -26,10 +28,7 @@ from .independence import (
 )
 from .simplex import PackingMaster
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 _ROUND_CAP = 5_000
-_PRICE_BATCH = 8
 
 
 @dataclass(frozen=True)
@@ -270,40 +269,32 @@ def _orbit_certificate(g: LabeledGraph) -> tuple[Fraction, FractionalColoring] |
     return primal, fc
 
 
-def _greedy_priced_columns(g: LabeledGraph, y: list[Fraction]) -> list[int]:
-    """Cheap pricing: weight-greedy independent sets forced through each of
-    the heaviest support vertices; returns maximal extensions violating 1."""
-    V = g.vertex_count
-    supp = sorted((v for v in range(V) if y[v] > 0), key=lambda u: (-y[u], u))
-    cols = []
-    for force in supp[:_PRICE_BATCH]:
-        chosen = _greedy_extend(g.adj, 1 << force, supp)
-        if sum(map(y.__getitem__, iter_bits(chosen)), _ZERO) > 1:
-            cols.append(_greedy_extend(g.adj, chosen, range(V)))
-    return cols
-
-
 def fractional_chromatic_number(g: LabeledGraph) -> tuple[Fraction, FractionalColoring]:
     """Exact chi_f with a verified covering certificate."""
     V = g.vertex_count
     if V == 0:
-        return _ZERO, FractionalColoring((), ())
+        return Fraction(0), FractionalColoring((), ())
     if g.edge_count() == 0:
-        fc = FractionalColoring((tuple(range(V)),), (_ONE,))
-        return _ONE, fc
+        return Fraction(1), FractionalColoring((tuple(range(V)),), (Fraction(1),))
     pinned = _orbit_certificate(g)
     if pinned is not None:
         return pinned
-    value, masks, weights = _column_generation(g)
+    value, y, masks, weights = _column_generation(g)
     sets = tuple(tuple(iter_bits(m)) for m in masks)
     fc = FractionalColoring(sets, tuple(weights))
     bad = verify_fractional_coloring(g, fc)
     if bad or fc.value != value:
         raise AssertionError(f"LP certificate failed verification: {bad[:3]}")
+    # exact pricing proved y(I) <= 1 for every independent set I, so y >= 0
+    # summing to the value is a fractional clique: the lower bound, checked
+    if min(y) < 0 or sum(y) != value:
+        raise AssertionError(f"LP dual weights fail: min {min(y)}, sum {sum(y)}, value {value}")
     return value, fc
 
 
-def _column_generation(g: LabeledGraph) -> tuple[Fraction, list[int], list[Fraction]]:
+def _column_generation(
+        g: LabeledGraph) -> tuple[Fraction, list[Fraction], list[int], list[Fraction]]:
+    """(chi_f, the optimal dual y, the pooled sets of positive weight, their weights)."""
     V = g.vertex_count
     adj = g.adj
     master = PackingMaster(V)
@@ -316,17 +307,10 @@ def _column_generation(g: LabeledGraph) -> tuple[Fraction, list[int], list[Fract
     master.primal_simplex()
     for _ in range(_ROUND_CAP):
         value, y, w = master.solution()
-        cols = [c for c in _greedy_priced_columns(g, y) if c not in seen]
-        if cols:
-            for c in cols:
-                seen.add(c)
-                master.add_constraint(c)
-            master.dual_simplex()
-            continue
         best_w, best_mask = max_weight_independent_set(adj, y)
         if best_w <= 1:
             keep = [(m, wi) for m, wi in zip(master.pool, w) if wi > 0]
-            return value, [m for m, _ in keep], [wi for _, wi in keep]
+            return value, y, [m for m, _ in keep], [wi for _, wi in keep]
         col = _greedy_extend(adj, best_mask, range(V))
         if col in seen:
             col = best_mask  # the violated set itself is necessarily new

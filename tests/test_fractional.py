@@ -7,6 +7,7 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -340,8 +341,10 @@ def test_verifier_honors_exclusions():
 
 
 def test_column_generation_pivot_count(monkeypatch):
-    # SG(10,3) minus a vertex has no rotation, so column generation solves it;
-    # the sparse row update must leave the pivot sequence unchanged
+    # SG(10,3) and KG(7,3) minus a vertex have no rotation, so column
+    # generation solves them; the integer tableau must keep the pivot
+    # sequence of the Fraction tableau it replaced (186 and 943 pivots under
+    # exact pricing alone)
     from wellspread import simplex
 
     pivots = []
@@ -353,7 +356,26 @@ def test_column_generation_pivot_count(monkeypatch):
 
     monkeypatch.setattr(simplex.PackingMaster, "_pivot", counted)
     assert chi_f(delete_vertex(build_schrijver(10, 3), 0)) == Fraction(10, 3)
-    assert len(pivots) == 90
+    assert len(pivots) == 186
+    pivots.clear()
+    assert chi_f(delete_vertex(build_kneser(7, 3), 0)) == Fraction(7, 3)
+    assert len(pivots) == 943
+
+
+def test_lp_dual_weights_are_checked(monkeypatch):
+    # the optimal dual y is the lower-bound witness: a y that no longer sums
+    # to the value is refused like a failing covering
+    from wellspread import simplex
+
+    solution = simplex.PackingMaster.solution
+
+    def scaled_down(self):
+        value, y, w = solution(self)
+        return value, [x / 2 for x in y], w
+
+    monkeypatch.setattr(simplex.PackingMaster, "solution", scaled_down)
+    with pytest.raises(AssertionError, match="LP dual weights fail"):
+        fractional_chromatic_number(cycle(7))
 
 
 def test_relabeled_copy_agrees_without_family_fast_path():

@@ -30,6 +30,7 @@ from wellspread import (  # noqa: E402
 )
 from wellspread.graphs import iter_bits, label_rotation  # noqa: E402
 from wellspread.independence import _fail_soft_search, alpha_at_most  # noqa: E402
+from wellspread.simplex import PackingMaster  # noqa: E402
 
 
 def to_nx(g):
@@ -167,6 +168,46 @@ def test_fractional_chromatic_number_against_the_maximal_pool(n, rng):
     assert label_rotation(g) is None
     want, _ = covering_lp_over_pool(g, enumerate_maximal_independent_sets(g))
     assert fractional_chromatic_number(g)[0] == want
+
+
+def _random_independent_set(g, rng, mask: int) -> int:
+    """mask extended by the vertices of a random order that keep it independent."""
+    order = list(range(g.vertex_count))
+    rng.shuffle(order)
+    for v in order:
+        if rng.random() < 0.7 and not (g.adj[v] & mask or mask >> v & 1):
+            mask |= 1 << v
+    return mask
+
+
+@hypothesis.settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@hypothesis.given(st.integers(1, 9), st.randoms(use_true_random=False))
+def test_packing_master_solutions_are_primal_dual_pairs(n, rng):
+    # a feasible covering w, a feasible packing y and sum(w) = sum(y) prove
+    # both optimal by LP duality, without a second LP solver: a covering pool
+    # is solved by the primal simplex, then sets that the current y violates
+    # (when there are any) and random sets by the dual simplex
+    g = random_graph(rng, n)
+    pool = [_random_independent_set(g, rng, 1 << v) for v in range(n)]
+    master = PackingMaster(n)
+    for mask in pool:
+        master.add_constraint(mask)
+    master.primal_simplex()
+    for _ in range(rng.randrange(4)):
+        more = [_random_independent_set(g, rng, 0),
+                max_weight_independent_set(list(g.adj), master.solution()[1])[1]]
+        for mask in more:
+            master.add_constraint(mask)
+        master.dual_simplex()
+        pool += more
+    value, y, w = master.solution()
+    assert len(y) == n and len(w) == len(pool)
+    assert min(w) >= 0 and min(y) >= 0
+    for v in range(n):
+        assert sum((wi for mask, wi in zip(pool, w) if mask >> v & 1), Fraction(0)) >= 1
+    for mask in pool:
+        assert sum((y[v] for v in iter_bits(mask)), Fraction(0)) <= 1
+    assert sum(w) == sum(y) == value
 
 
 @hypothesis.settings(max_examples=150, derandomize=True, database=None, deadline=None)
