@@ -205,6 +205,21 @@ def _greedy_extend(adj, chosen: int, order) -> int:
     return chosen
 
 
+def _independent_stars(g: LabeledGraph) -> list[int]:
+    """The stars {v : i in label(v)} of subset labels of Z_n, i = 0..n-1,
+    that are independent in g, as masks; none for other labels.  A star is
+    kept when it meets none of its members' neighbourhoods."""
+    labels = g.labels
+    if not labels or not isinstance(labels[0], CyclicSubset):
+        return []
+    stars = [0] * labels[0].modulus
+    for v, label in enumerate(labels):
+        for i in label.elements:
+            stars[i] |= 1 << v
+    adj = g.adj
+    return [s for s in stars if not s & reduce(or_, map(adj.__getitem__, iter_bits(s)), 0)]
+
+
 def _orbit_certificate(g: LabeledGraph) -> tuple[Fraction, FractionalColoring] | None:
     """Try the rotation-orbit coloring of one maximum independent set.
 
@@ -294,16 +309,27 @@ def fractional_chromatic_number(g: LabeledGraph) -> tuple[Fraction, FractionalCo
 
 def _column_generation(
         g: LabeledGraph) -> tuple[Fraction, list[Fraction], list[int], list[Fraction]]:
-    """(chi_f, the optimal dual y, the pooled sets of positive weight, their weights)."""
+    """(chi_f, the optimal dual y, the pooled sets of positive weight, their weights).
+
+    On subset labels the pool starts from the stars {v : i in label(v)},
+    each kept if it is independent and greedily extended.  A vertex with a
+    k-subset label lies in k of them, so with weight 1/k they colour at
+    n/k, and the first solve is often optimal.  One greedy set per vertex
+    follows."""
     V = g.vertex_count
     adj = g.adj
     master = PackingMaster(V)
     seen: set[int] = set()
-    for v in range(V):
-        col = _greedy_extend(adj, 1 << v, range(V))
+
+    def pool(col: int) -> None:
         if col not in seen:
             seen.add(col)
             master.add_constraint(col)
+
+    for star in _independent_stars(g):
+        pool(_greedy_extend(adj, star, range(V)))
+    for v in range(V):
+        pool(_greedy_extend(adj, 1 << v, range(V)))
     master.primal_simplex()
     for _ in range(_ROUND_CAP):
         value, y, w = master.solution()
@@ -314,7 +340,6 @@ def _column_generation(
         col = _greedy_extend(adj, best_mask, range(V))
         if col in seen:
             col = best_mask  # the violated set itself is necessarily new
-        seen.add(col)
-        master.add_constraint(col)
+        pool(col)
         master.dual_simplex()
     raise ResourceCap(f"column generation exceeded {_ROUND_CAP} rounds")

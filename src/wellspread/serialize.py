@@ -12,24 +12,25 @@ indenting encoder.  A small recursive writer appends the document's pieces
 to one list, which is joined once, so no subtree is copied into its parent's
 text.  It handles dicts with string keys, lists, tuples, strings (through
 json's own `encode_basestring_ascii`), ints, bools and None; a flat list of
-ints is one piece, and a list of int lists such as vertex labels, edges and
-colour classes is one piece per row.  Such a list's ints are read, one
-`itemgetter` per row, from a table of their texts, made once per list when
-the largest int in size is below the number of ints, as vertex ids are.  The
-table ends in Nones, so that a negative id reads a None, which fails the
-row's join; the list's pieces are then dropped and it is written again with
-`str`.  Anything else (floats, subclasses, non-string keys) is handed to
-`json.dumps` and re-indented.  Documents refer to the label and colour-class
-tuples they are built from instead of copying them, so loaders compare rows
-as tuples, whether a document holds lists or tuples.
+ints is one piece.  The package's own rows of ids (subset labels, edges,
+colour classes, map pairs) travel as `_IdRows`, a list that carries the
+bound its ids lie below, and are written one piece per row, each row's ints
+read by one `itemgetter` from `_id_texts(bound)`, with no pass over the ints
+beforehand.  That table is keyed by the ids in range(bound), so any other
+int raises KeyError instead of being misprinted.  Every other list is
+written by the recursive writer.  Anything else (floats, other subclasses,
+non-string keys) is handed to `json.dumps` and re-indented.
+Documents refer to the label and colour-class tuples they are built from
+instead of copying them, so loaders compare rows as tuples, whether a
+document holds lists or tuples.
 """
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import chain
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from math import comb, gcd
+from operator import attrgetter, itemgetter
 from typing import Any, Optional
 
 from .criticality import BoundaryEntry, BoundaryReport, CriticalityReport, Invariant, SweepSummary
@@ -74,6 +75,32 @@ def fraction_from_str(s: str) -> Fraction:
         raise InvalidParams(f"bad rational literal {s!r}") from exc
 
 
+class _IdRows(list):
+    """Rows of plain ints in range(bound), such as vertex ids or the residues
+    of subset labels, that `dumps` writes from one table of id texts.  Only
+    plain ints belong in them: True or 2.0 would read the texts of 1 and 2."""
+
+    __slots__ = ("bound",)
+
+    def __init__(self, rows, bound: int):
+        super().__init__(rows)
+        self.bound = bound
+
+
+def _id_texts(bound: int) -> dict[int, str]:
+    """The text of each id in range(bound), keyed by the id: any other int
+    raises KeyError, where a list would read a negative id from its end."""
+    return dict(enumerate(map(str, range(bound))))
+
+
+def _row_texts(row, table: dict[int, str]):
+    """The texts of a row's ids, read from table by one `itemgetter`."""
+    if len(row) > 1:
+        return itemgetter(*row)(table)
+    # itemgetter of one index gives the text itself, not a tuple
+    return (table[row[0]],) if row else ()
+
+
 def _label_json(label) -> Any:
     """A label as a document holds it: a subset's own residue tuple, or an int."""
     if isinstance(label, CyclicSubset):
@@ -84,13 +111,28 @@ def _label_json(label) -> Any:
 def _same_rows(got, want: list) -> bool:
     """got, a document's list of labels or rows, equals want, whose rows are
     tuples; list and tuple rows compare alike, since they print alike."""
-    if type(got) is not list and type(got) is not tuple:
+    if type(got) not in (list, tuple, _IdRows):
         return False
     return [tuple(x) if type(x) is list or type(x) is tuple else x for x in got] == want
 
 
 def _family_json(fp: FamilyParams) -> dict:
     return {"tag": fp.tag, "n": fp.n, "k": fp.k}
+
+
+def _vertex_count(fp: FamilyParams) -> int:
+    """The number of vertices of the family's graph, without building it."""
+    n, k = fp.n, fp.k
+    if fp.tag == "q":
+        return n // gcd(n, k)
+    if fp.tag == "circular":
+        return n
+    if fp.tag == "kneser":
+        return comb(n, k)
+    if fp.tag in ("sg", "interlacing"):
+        # the k-subsets of Z_n with no two members cyclically adjacent
+        return n * comb(n - k - 1, k - 1) // k
+    raise InvalidParams(f"unknown family tag {fp.tag!r}")
 
 
 def _family_from_json(d: dict) -> FamilyParams:
@@ -120,11 +162,16 @@ def graph_to_document(
     fp = family if family is not None else g.family
     if fp is None:
         raise InvalidParams("graph documents need family parameters")
+    labels = g.labels
+    if labels and isinstance(labels[0], CyclicSubset):
+        vertices = _IdRows(map(attrgetter("elements"), labels), labels[0].modulus)
+    else:
+        vertices = list(map(_label_json, labels))
     doc: dict[str, Any] = {
         "schemaVersion": SCHEMA_VERSION,
         "family": _family_json(fp),
-        "vertices": list(map(_label_json, g.labels)),
-        "edges": g.edges(),
+        "vertices": vertices,
+        "edges": _IdRows(g.edges(), g.vertex_count),
     }
     if deleted_vertex is not None:
         doc["deletedVertex"] = deleted_vertex
@@ -156,13 +203,13 @@ def graph_to_dot(g: LabeledGraph, family: Optional[FamilyParams] = None) -> str:
     """Undirected DOT text with set-literal labels; byte-stable."""
     fp = family if family is not None else g.family
     name = f"{fp.tag}_{fp.n}_{fp.k}" if fp is not None else "g"
-    # the residue strings of the largest modulus, made once for every label
+    # the residue texts of the largest modulus, made once for every label
     n = max((l.modulus for l in g.labels if isinstance(l, CyclicSubset)), default=0)
-    residue = list(map(str, range(n))).__getitem__
+    residues = _id_texts(n)
     lines = [f"graph {name} {{"]
     for v, label in enumerate(g.labels):
         if isinstance(label, CyclicSubset):
-            text = "{" + ",".join(map(residue, label.elements)) + "}"
+            text = "{" + ",".join(_row_texts(label.elements, residues)) + "}"
         else:
             text = str(label)
         lines.append(f'  {v} [label="{text}"];')
@@ -179,7 +226,7 @@ def coloring_to_document(
         "schemaVersion": SCHEMA_VERSION,
         "kind": "FRACTIONAL_COLORING",
         "family": _family_json(family),
-        "sets": fc.sets,
+        "sets": _IdRows(fc.sets, _vertex_count(family)),
         "weights": [fraction_to_str(w) for w in fc.weights],
         "value": fraction_to_str(fc.value),
     }
@@ -213,20 +260,21 @@ def coloring_from_document(doc: dict) -> FractionalColoring:
 def map_to_document(m: VertexMap) -> dict:
     if m.source.family is None or m.target.family is None:
         raise InvalidParams("map documents need family-built endpoints")
+    bound = max(m.source.vertex_count, m.target.vertex_count)
     doc: dict[str, Any] = {
         "schemaVersion": SCHEMA_VERSION,
         "kind": "VERTEX_MAP",
         "mapKind": m.kind.name,
         "source": _family_json(m.source.family),
         "target": _family_json(m.target.family),
-        "mapping": [[u, m.mapping[u]] for u in sorted(m.mapping)],
+        "mapping": _IdRows([[u, m.mapping[u]] for u in sorted(m.mapping)], bound),
     }
     if m.excluded_vertex is not None:
         doc["excludedVertex"] = m.excluded_vertex
     if m.excluded_edge is not None:
         doc["excludedEdge"] = list(m.excluded_edge)
     if m.section is not None:
-        doc["section"] = [[t, s] for t, s in sorted(m.section.items())]
+        doc["section"] = _IdRows([[t, s] for t, s in sorted(m.section.items())], bound)
     return doc
 
 
@@ -400,24 +448,20 @@ def _write(o, nl: str, out: list[str]) -> None:
             return
         inner = nl + "  "
         sep = "," + inner
-        kinds = set(map(type, o))
-        if kinds == {int}:
+        if set(map(type, o)) == {int}:
             out.append(f"[{inner}{sep.join(map(str, o))}{nl}]")
             return
-        if kinds <= {list, tuple} and set(map(type, chain.from_iterable(o))) <= {int}:
-            start = len(out)
-            try:
-                _write_int_rows(o, inner, _id_table(o), out)
-            except TypeError:  # a negative id read a None of the table
-                del out[start:]
-                _write_int_rows(o, inner, None, out)
-        else:
-            lead = "[" + inner
-            for x in o:
-                out.append(lead)
-                _write(x, inner, out)
-                lead = sep
+        lead = "[" + inner
+        for x in o:
+            out.append(lead)
+            _write(x, inner, out)
+            lead = sep
         out.append(nl + "]")
+    elif t is _IdRows:
+        if not o:
+            out.append("[]")
+            return
+        _write_id_rows(o, nl, out)
     elif t is dict and all(type(key) is str for key in o):
         if not o:
             out.append("{}")
@@ -434,33 +478,19 @@ def _write(o, nl: str, out: list[str]) -> None:
         out.append(json.dumps(o, indent=2, sort_keys=True).replace("\n", nl))
 
 
-def _write_int_rows(rows, nl: str, table: list | None, out: list[str]) -> None:
-    """Append the items of a list of int rows whose items start on nl, each
-    int read from table, or made by str when table is None."""
-    inner = nl + "  "
+def _write_id_rows(rows: _IdRows, nl: str, out: list[str]) -> None:
+    """Append the pieces of a non-empty `_IdRows` that starts on nl, each
+    row's ints read from one `_id_texts` table, so that an id outside
+    range(rows.bound) raises KeyError."""
+    table = _id_texts(rows.bound)
+    inner = nl + "    "
     sep = "," + inner
-    close = nl + "]"
-    lead, next_lead = "[" + nl, "," + nl
+    close = nl + "  ]"
+    lead, next_lead = "[" + nl + "  ", "," + nl + "  "
     for row in rows:
-        if not row:
-            out.append(lead + "[]")
+        if row:
+            out.append(f"{lead}[{inner}{sep.join(_row_texts(row, table))}{close}")
         else:
-            if table is None:
-                texts = map(str, row)
-            elif len(row) > 1:
-                texts = itemgetter(*row)(table)
-            else:  # itemgetter of one index gives the text itself, not a tuple
-                texts = (table[row[0]],)
-            out.append(f"{lead}[{inner}{sep.join(texts)}{close}")
+            out.append(lead + "[]")
         lead = next_lead
-
-
-def _id_table(rows) -> list | None:
-    """The text of each int from 0 up to the largest in size, m, at its own
-    index, then m Nones, so that a negative id reads a None, which no join
-    accepts; None unless m is below the number of ints, as for vertex ids,
-    so that no table outgrows the rows it serves."""
-    top = max(map(abs, chain.from_iterable(rows)), default=0)
-    if top < sum(map(len, rows)):
-        return list(map(str, range(top + 1))) + [None] * top
-    return None
+    out.append(nl + "]")

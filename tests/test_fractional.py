@@ -342,9 +342,9 @@ def test_verifier_honors_exclusions():
 
 def test_column_generation_pivot_count(monkeypatch):
     # SG(10,3) and KG(7,3) minus a vertex have no rotation, so column
-    # generation solves them; the integer tableau must keep the pivot
-    # sequence of the Fraction tableau it replaced (186 and 943 pivots under
-    # exact pricing alone)
+    # generation solves them, from a pool seeded with the label stars; the
+    # integer tableau must keep the pivot sequence of the Fraction tableau it
+    # replaced (186 and 943 pivots without the seeds)
     from wellspread import simplex
 
     pivots = []
@@ -356,10 +356,10 @@ def test_column_generation_pivot_count(monkeypatch):
 
     monkeypatch.setattr(simplex.PackingMaster, "_pivot", counted)
     assert chi_f(delete_vertex(build_schrijver(10, 3), 0)) == Fraction(10, 3)
-    assert len(pivots) == 186
+    assert len(pivots) == 27
     pivots.clear()
     assert chi_f(delete_vertex(build_kneser(7, 3), 0)) == Fraction(7, 3)
-    assert len(pivots) == 943
+    assert len(pivots) == 176
 
 
 def test_lp_dual_weights_are_checked(monkeypatch):

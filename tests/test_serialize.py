@@ -6,6 +6,7 @@ import json
 import tracemalloc
 from enum import IntEnum
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given
@@ -108,7 +109,8 @@ def test_in_memory_documents_refer_to_label_and_set_tuples():
         graph_from_document(doc)
     fc = vertex_deleted_coloring(13, 5, 2)
     doc = coloring_to_document(fc, q.family)
-    assert doc["sets"] is fc.sets
+    assert len(doc["sets"]) == len(fc.sets)
+    assert all(row is s for row, s in zip(doc["sets"], fc.sets))
     assert coloring_from_document(doc) == fc
 
 
@@ -238,15 +240,18 @@ class _Colour(IntEnum):
     BLUE = 12
 
 
-# lists of int rows that the id table must not misprint, each with whether the
-# table is built for them (None: the type scan turns them away first)
+# lists of int rows that an id table could misprint, each with whether every
+# id's size is below the number of ids, as vertex ids are (None: not all plain
+# ints).  The plain writer prints each as json does, and an `_IdRows` of them
+# with any bound up to just past the number of ids either prints them so too
+# or, when some id lies outside range(bound), raises
 _ROW_TRAPS = [
-    ([[0, 1, 2, 3], [-1, 2]], True),  # -1 reads the table's padding
-    ([[0, 1, 2, 3, 4, 5], [-6, 0]], True),  # the most negative id it can meet
+    ([[0, 1, 2, 3], [-1, 2]], True),  # -1 reads a list's last entry
+    ([[0, 1, 2, 3, 4, 5], [-6, 0]], True),  # below -bound for every bound up to 5
     ([[5], [-5], [0, 1, 2, 3]], True),  # a negative one-element row
     ([[3, 0], [1]], False),  # an id equal to the number of ids
     ([[7, 0], [1]], False),  # an id above it
-    ([[2**80, 0, 1]], False),  # never sizes a table
+    ([[2**80, 0, 1]], False),
     ([[-2**80, 0, 1], [2]], False),
     ([[True, 0, 1], [False], [1, True]], None),
     ([[_Colour.BLUE, 0], [_Colour.RED], [2, 3]], None),
@@ -256,12 +261,41 @@ _ROW_TRAPS = [
 ]
 
 
-@pytest.mark.parametrize("rows, tabled", _ROW_TRAPS)
-def test_dumps_int_rows_match_json_on_the_table_traps(rows, tabled):
-    if tabled is not None:
-        assert (serialize._id_table(rows) is not None) == tabled
+@pytest.mark.parametrize("rows, small", _ROW_TRAPS)
+def test_dumps_int_rows_match_json_on_the_table_traps(rows, small):
     for doc in (rows, tuple(rows), {"sets": rows, "v": [rows]}):
         assert dumps(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if small is None:
+        return
+    ids = list(chain.from_iterable(rows))
+    assert (max(map(abs, ids), default=0) < len(ids)) == small
+    for bound in range(len(ids) + 2):
+        doc = {"sets": serialize._IdRows(rows, bound), "v": [rows]}
+        if all(0 <= x < bound for x in ids):
+            assert dumps(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        else:
+            with pytest.raises(KeyError):
+                dumps(doc)
+
+
+def test_id_rows_refuse_ids_outside_their_bound():
+    # an id at the bound, at -1, and at -7, which a list of 5 texts padded
+    # with 5 Nones would read as "3"; one-element rows read alone
+    for rows in ([[0, 5]], [[5]], [[-1, 0]], [[-1]], [[0, 1], [-7, 2]]):
+        with pytest.raises(KeyError):
+            dumps({"edges": serialize._IdRows(rows, 5)})
+    assert dumps(serialize._IdRows([[4], [], [0, 3]], 5)) == json.dumps(
+        [[4], [], [0, 3]], indent=2) + "\n"
+
+
+def test_family_vertex_counts_match_the_builders():
+    for tag in ("kneser", "sg", "q", "circular", "interlacing"):
+        for n in range(2, 13):
+            for k in range(1, n // 2 + 1):
+                fp = FamilyParams(tag, n, k)
+                assert serialize._vertex_count(fp) == build_family(fp).vertex_count, fp
+    with pytest.raises(InvalidParams):
+        serialize._vertex_count(FamilyParams("petersen", 5, 2))
 
 
 # one document of every kind the command line prints
@@ -299,6 +333,47 @@ def test_dumps_matches_json_on_every_cli_document(cmd, monkeypatch, capsys):
     assert cli.main(cmd.split()) == 0
     (doc,) = docs
     assert capsys.readouterr().out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _id_rows_in(o):
+    """Every `_IdRows` in a document tree."""
+    if type(o) is serialize._IdRows:
+        yield o
+    elif type(o) is dict:
+        for x in o.values():
+            yield from _id_rows_in(x)
+    elif type(o) is list or type(o) is tuple:
+        for x in o:
+            yield from _id_rows_in(x)
+
+
+@pytest.mark.parametrize("cmd", CLI_DOCUMENTS)
+def test_cli_id_rows_hold_plain_ints_below_their_bound(cmd, monkeypatch, capsys):
+    # the writer trusts an `_IdRows` to hold plain ints (True or 2.0 would
+    # read the texts of 1 and 2), and only `_IdRows` are written from a table
+    docs = []
+    tables = []
+    id_texts = serialize._id_texts
+
+    def recording(doc):
+        docs.append(doc)
+        return serialize.dumps(doc)
+
+    def counted(bound):
+        tables.append(bound)
+        return id_texts(bound)
+
+    monkeypatch.setattr(cli, "dumps", recording)
+    monkeypatch.setattr(serialize, "_id_texts", counted)
+    assert cli.main(cmd.split()) == 0
+    (doc,) = docs
+    id_rows = list(_id_rows_in(doc))
+    for rows in id_rows:
+        assert type(rows.bound) is int
+        for row in rows:
+            assert type(row) is list or type(row) is tuple
+            assert all(type(x) is int and 0 <= x < rows.bound for x in row)
+    assert sorted(tables) == sorted(rows.bound for rows in id_rows if rows)
 
 
 _TEXT = st.text() | st.text(st.characters(max_codepoint=0x2F)) | st.sampled_from(
