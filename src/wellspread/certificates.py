@@ -4,8 +4,10 @@ isomorphisms.
 
 Positions are vertex ids of the rotation graph, i.e. rotation offsets of the
 canonical well-spread set (position 0 carries the canonical set itself).
-Every constructor validates its output through the generic checkers before
-returning; a violation is an internal error, never a returned value.
+Every public constructor validates its output through the generic checkers
+before returning; a violation is an internal error, never a returned value.
+The private cores behind them return unchecked results, and a deletion sweep
+checks what it reads of them itself (`criticality`).
 
 The light-window machinery: with (a, b) the least solution of a*k = b*n - 1,
 the n windows of a consecutive positions each contain b members of any
@@ -87,7 +89,7 @@ class _Frame:
 
     A constructor builds one frame per call; a deletion sweep builds one and
     hands it to the certificates of every orbit, so a colouring never builds
-    Q(a,b) and a sweep builds it once.
+    Q(a,b) and a chi_c sweep builds it once.
     """
 
     q: LabeledGraph
@@ -142,7 +144,8 @@ def vertex_deleted_coloring(n: int, k: int, deleted: int) -> FractionalColoring:
     _require_coprime(n, k, strict=False)
     if not (0 <= deleted < n):
         raise InvalidParams(f"vertex {deleted} out of range 0..{n - 1}")
-    return _vertex_deleted_coloring(_frame(n, k), deleted)
+    f = _frame(n, k)
+    return _checked_coloring(f.q, _vertex_deleted_coloring(f, deleted))
 
 
 def _vertex_deleted_coloring(f: _Frame, deleted: int) -> FractionalColoring:
@@ -153,10 +156,7 @@ def _vertex_deleted_coloring(f: _Frame, deleted: int) -> FractionalColoring:
     sets = tuple(
         _without(r, deleted) for r in rotations(f.star, n, (delta - j for j in range(cp.a)))
     )
-    fc = FractionalColoring(sets, (Fraction(1, cp.b),) * cp.a, excluded_vertex=deleted)
-    if fc.value != Fraction(cp.a, cp.b):
-        raise AssertionError(f"total weight {fc.value} != {cp.a}/{cp.b}")
-    return _checked_coloring(f.q, fc)
+    return FractionalColoring(sets, (Fraction(1, cp.b),) * cp.a, excluded_vertex=deleted)
 
 
 def _check_edge_endpoints(n: int, edge: tuple[int, int]) -> None:
@@ -189,7 +189,7 @@ def edge_deleted_coloring(n: int, k: int, edge: tuple[int, int]) -> FractionalCo
     _require_coprime(n, k, strict=False)
     _check_edge_endpoints(n, edge)
     f = _frame(n, k)
-    return _edge_deleted_coloring(f, _cycle_edge_base(f.q, edge))
+    return _checked_coloring(f.q, _edge_deleted_coloring(f, _cycle_edge_base(f.q, edge)))
 
 
 def _edge_deleted_coloring(f: _Frame, p: int) -> FractionalColoring:
@@ -206,15 +206,8 @@ def _edge_deleted_coloring(f: _Frame, p: int) -> FractionalColoring:
     first = next(rots)
     extra = (s0 + delta) % n
     cut = bisect_left(first, extra)
-    sets = [first[:cut] + (extra,) + first[cut:], *rots]
-    fc = FractionalColoring(
-        tuple(sets),
-        (Fraction(1, cp.b),) * cp.a,
-        excluded_edge=(p, (p + 1) % n),
-    )
-    if fc.value != Fraction(cp.a, cp.b):
-        raise AssertionError(f"total weight {fc.value} != {cp.a}/{cp.b}")
-    return _checked_coloring(f.q, fc)
+    sets = (first[:cut] + (extra,) + first[cut:], *rots)
+    return FractionalColoring(sets, (Fraction(1, cp.b),) * cp.a, excluded_edge=(p, (p + 1) % n))
 
 
 def _anchored_copy(f: _Frame, anchor: int) -> list[tuple[int, int]]:
@@ -253,7 +246,7 @@ def vertex_deleted_retraction(n: int, k: int, deleted: int) -> VertexMap:
     _require_coprime(n, k, strict=True)
     if not (0 <= deleted < n):
         raise InvalidParams(f"vertex {deleted} out of range 0..{n - 1}")
-    return _vertex_deleted_retraction(_frame(n, k), deleted)
+    return _checked_map(_vertex_deleted_retraction(_frame(n, k), deleted))
 
 
 def _vertex_deleted_retraction(f: _Frame, deleted: int) -> VertexMap:
@@ -265,10 +258,8 @@ def _vertex_deleted_retraction(f: _Frame, deleted: int) -> VertexMap:
         pos = (deleted - 1 - i) % n
         mapping[pos] = targets[i % a]
     section = {t: xi for xi, t in pairs}
-    return _checked_map(
-        VertexMap(f.q, f.qab, mapping, MapKind.HOMOMORPHISM,
-                  excluded_vertex=deleted, section=section)
-    )
+    return VertexMap(f.q, f.qab, mapping, MapKind.HOMOMORPHISM,
+                     excluded_vertex=deleted, section=section)
 
 
 def edge_deleted_retraction(n: int, k: int, edge: tuple[int, int]) -> VertexMap:
@@ -277,7 +268,7 @@ def edge_deleted_retraction(n: int, k: int, edge: tuple[int, int]) -> VertexMap:
     _require_coprime(n, k, strict=True)
     _check_edge_endpoints(n, edge)
     f = _frame(n, k)
-    return _edge_deleted_retraction(f, _cycle_edge_base(f.q, edge))
+    return _checked_map(_edge_deleted_retraction(f, _cycle_edge_base(f.q, edge)))
 
 
 def _edge_deleted_retraction(f: _Frame, p: int) -> VertexMap:
@@ -289,10 +280,8 @@ def _edge_deleted_retraction(f: _Frame, p: int) -> VertexMap:
     for i in range(n):
         mapping[(p - i) % n] = targets[i % a]
     section = {t: xi for xi, t in pairs}
-    return _checked_map(
-        VertexMap(f.q, f.qab, mapping, MapKind.HOMOMORPHISM,
-                  excluded_edge=(p, (p + 1) % n), section=section)
-    )
+    return VertexMap(f.q, f.qab, mapping, MapKind.HOMOMORPHISM,
+                     excluded_edge=(p, (p + 1) % n), section=section)
 
 
 def scaling_isomorphism(n: int, k: int, ell: int) -> VertexMap:

@@ -1,12 +1,13 @@
 """Deletion sweeps: how chromatic invariants respond to removing one vertex
 or one edge, and where the rotation and 2-separated families coincide.
 
-Every reported value is checked on the literally deleted graph: it comes
-either from a witness pair checked there or from an exact solver.  A sweep
-first takes the graph's certified dihedral symmetries
-(`graphs.dihedral_automorphisms`: the label rotation and reflection, each kept
-only once `validate_map` accepts it as an automorphism) and closes the
-vertices or edges into orbits under them.  An automorphism s gives G-v
+Every reported value is exact.  chi is decided on the deleted graph; chi_f
+and chi_c come from a witness pair checked on the intact graph with the
+deletion as its exclusion, or else from an exact solver run on the deleted
+graph, which is built only then.  A sweep first takes the graph's certified
+dihedral symmetries (`graphs.dihedral_automorphisms`: the label rotation and
+reflection, each kept only once `validate_map` accepts it as an automorphism)
+and closes the vertices or edges into orbits under them.  An automorphism s gives G-v
 isomorphic to G-s(v) and G-e to G-s(e), so chi, chi_f and chi_c are constant
 on an orbit: the deleted graph of the orbit's first member is settled and its
 value is reported for every member.  A graph with no certified symmetry gets
@@ -25,32 +26,33 @@ and chi(D) <= c follows from G's c-colouring.  Below three colours
 `is_t_colorable` decides by a linear check, so no witness is tried.
 
 On the rotation graph Q(n,k) with gcd(n,k) = 1 and 2k < n, chi_f and chi_c of
-a deleted graph D are first tried through the paper's constructions
-(`certificates`): a fractional colouring of D and the uniform weight 1/b on
-the embedded copy S of Q(a,b).  `fractional.witnessed_value` verifies the
-colouring on D and proves alpha(D[S]) <= b by branch-and-bound, and weak
-duality then pins chi_f(D) = a/b.  For chi_c the retraction onto that copy, composed
-with Q(a,b) ~ K_{a/b}, must also pass `validate_map` as a homomorphism of D,
-so chi_f(D) <= chi_c(D) <= a/b.  An edge that joins no consecutive rotations
-keeps chi_f(D) = n/k: the intact graph's own colouring stays valid on D, and
-weight 1/k on every vertex is a fractional clique once branch-and-bound
-proves alpha(D) <= k; for chi_c the identity D -> K_{n/k} is validated too.
+D = Q(n,k) less a vertex or a consecutive-rotation edge are first tried
+through the paper's witness pair (`certificates`), stated on Q(n,k) with the
+deletion as its exclusion and checked there once: a fractional colouring,
+and weight 1/b on the a positions S of the embedded copy of Q(a,b).
+`fractional.witnessed_value` verifies the colouring, checks that S holds
+neither the excluded vertex nor both ends of the excluded edge, so that
+D[S] = Q(n,k)[S], and proves alpha(D[S]) <= b; weak duality then pins
+chi_f(D) = a/b.  For chi_c the retraction onto the copy, composed with
+Q(a,b) ~ K_{a/b}, must also pass `validate_map` under the same exclusion.
+Any other edge keeps chi_f(D) = chi_c(D) = n/k once branch-and-bound proves
+alpha(D) <= k, as the exact baseline n/k bounds D from above: deleting an
+edge raises neither invariant.
 
 The circular complete graph K_{n/k} with the same parameters gets the same
 witnesses: `certificates.circular_isomorphism` (validated) sends position u
-of Q(n,k) to residue u*k mod n, so a deletion moves to Q positions by k^-1
-mod n, the pair is built there, and its sets, section and retraction move
-back to D's ids, where every check runs.  This settles the paper's corollary
+of Q(n,k) to residue u*k mod n, so a deletion moves to Q positions through
+it and its pair is checked on Q(n,k).  This settles the paper's corollary
 that deleting an edge at circular distance k lowers chi_c to a/b and any
-other edge leaves n/k.  If any check fails, the solver decides.
-Formula predictions live in the verification harness, which compares them
-against the closed forms and solves every deleted graph itself, so it checks
-the witnesses and the orbit reduction too.
+other edge leaves n/k.  If any check fails, the deleted graph is built and
+the solver decides.  Formula predictions live in the verification harness,
+which compares them against the closed forms and solves every deleted graph
+itself, so it checks the witnesses and the orbit reduction too.
 
 A sweep builds each graph its witnesses read once, not once per orbit: Q(n,k)
-(the swept graph itself when it is Q(n,k)), Q(a,b) and K_{a/b} sit in one
-certificates frame, which every orbit's constructors read; each orbit still
-builds and checks its own pair.
+(the swept graph itself when it is Q(n,k)) sits in one certificates frame,
+which builds Q(a,b) and K_{a/b} on first use, and only chi_c uses them.  Each
+orbit builds its own pair from the frame and checks it.
 """
 from __future__ import annotations
 
@@ -58,11 +60,11 @@ import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .certificates import (
+    _anchored_copy,
     _circular_isomorphism,
-    _cycle_edge_base,
     _edge_deleted_coloring,
     _edge_deleted_retraction,
     _Frame,
@@ -72,7 +74,7 @@ from .certificates import (
 from .coloring import chromatic_number, is_t_colorable, rlf_coloring
 from .cyclic import critical_params
 from .errors import InvalidParams
-from .fractional import FractionalColoring, fractional_chromatic_number, witnessed_value
+from .fractional import fractional_chromatic_number, witnessed_value
 from .graphs import (
     FamilyParams,
     LabeledGraph,
@@ -89,6 +91,7 @@ from .graphs import (
     validate_map,
 )
 from .homomorphism import circular_chromatic_number
+from .independence import alpha_at_most
 
 
 class Invariant(enum.Enum):
@@ -130,9 +133,9 @@ def _edge_image(perm: list[int], e: tuple[int, int]) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def _q_frame(g: LabeledGraph) -> tuple[list[int], _Frame] | None:
-    """g's vertex id of each position of Q(n,k), and the certificates' frame
-    of Q(n,k), when the paper's witness pairs apply to g; else None.
+def _q_frame(g: LabeledGraph) -> tuple[Sequence[int], _Frame] | None:
+    """The Q(n,k) position of each vertex id of g, and the certificates'
+    frame of Q(n,k), when the paper's witness pairs apply to g; else None.
 
     They apply to the coprime rotation graph with 2k < n, on its own ids, and
     to circular(n, k) with the same parameters, through the isomorphism
@@ -148,70 +151,62 @@ def _q_frame(g: LabeledGraph) -> tuple[list[int], _Frame] | None:
     if gcd(n, k) != 1 or not 2 * k < n or g.vertex_count != n:
         return None
     if fam.tag == "q":
-        return list(range(n)), _Frame(g, critical_params(n, k))
+        return range(n), _Frame(g, critical_params(n, k))
     q = build_q(n, k)
-    iso = _circular_isomorphism(q, g)
-    return [iso.mapping[u] for u in range(n)], _Frame(q, critical_params(n, k))
+    where = [0] * n
+    for u, x in _circular_isomorphism(q, g).mapping.items():
+        where[x] = u
+    return where, _Frame(q, critical_params(n, k))
 
 
-def _retraction_witness(g: LabeledGraph, d: LabeledGraph, invariant: Invariant,
-                        deletion: int | tuple[int, int],
-                        orbit_fc: FractionalColoring | None = None,
-                        frame: tuple[list[int], _Frame] | None = None) -> Fraction | None:
-    """chi_f or chi_c of d, the graph g less one vertex or edge, when the
-    paper's witness pair pins it on d; None otherwise.
+def _retraction_witness(g: LabeledGraph, invariant: Invariant,
+                        deletion: int | tuple[int, int], baseline: Fraction,
+                        frame: tuple[Sequence[int], _Frame] | None) -> Fraction | None:
+    """chi_f or chi_c of D, the graph g less one vertex or edge, when the
+    paper's witness pair pins it; None otherwise.
 
-    g is Q(n,k) or circular(n,k) with gcd(n,k) = 1 and 2k < n; frame is
-    `_q_frame(g)`, computed here when not given.  The deletion moves to Q
-    positions, the pair is built there and moves back to d's ids:
-    - vertex v: the star colouring avoiding v, and the copy of Q(a,b)
-      anchored at v-1, with weight 1/b;
-    - consecutive-rotation edge (circular distance k): the star colouring less
-      that edge and the copy anchored at the edge's lower endpoint;
-    - any other edge: orbit_fc, g's own colouring, which stays valid, and
-      weight 1/k on every vertex.
-    chi_c also needs a validated homomorphism of d: the retraction onto the
-    copy composed with Q(a,b) ~ K_{a/b}, or, for the other edges, the
-    identity into g ~ K_{n/k}.
+    frame is `_q_frame(g)`, and baseline the invariant of g.  The deletion
+    moves to Q positions, and the pair is checked on Q(n,k) with the
+    deletion as its exclusion:
+    - vertex p: the star colouring avoiding p, and the copy of Q(a,b)
+      anchored at p-1, with weight 1/b;
+    - consecutive-rotation edge {p, p+1}: the star colouring less that edge
+      and the copy anchored at p;
+    - any other edge: n/k when the baseline is n/k and alpha(D) <= k.
+    chi_c also needs a validated homomorphism of D: the retraction onto the
+    copy composed with Q(a,b) ~ K_{a/b}.
     """
     if frame is None:
-        frame = _q_frame(g)
-        if frame is None:
-            return None
-    positions, f = frame
-    n, k = g.family.n, g.family.k
-    where = [0] * n  # g id -> Q position
-    for u, x in enumerate(positions):
-        where[x] = u
-    if isinstance(deletion, int):
-        fc = _vertex_deleted_coloring(f, where[deletion])
-        retraction = _vertex_deleted_retraction(f, where[deletion])
-        d_id = lambda u: positions[u] - (positions[u] > deletion)  # delete_vertex compacts
-    elif (where[deletion[1]] - where[deletion[0]]) % n in (1, n - 1):
-        p = _cycle_edge_base(f.q, (where[deletion[0]], where[deletion[1]]))
-        fc = _edge_deleted_coloring(f, p)
-        retraction = _edge_deleted_retraction(f, p)
-        d_id = positions.__getitem__
-    elif orbit_fc is not None:
-        value = witnessed_value(d, orbit_fc, range(n), k)
-        if value is None or invariant is Invariant.CHI_F:
-            return value
-        identity = VertexMap(d, g, {u: u for u in range(n)}, MapKind.HOMOMORPHISM)
-        return None if validate_map(identity) else value
-    else:
         return None
-    # re-indexed without its exclusion, the colouring is checked on d itself
-    fc = FractionalColoring(tuple(tuple(map(d_id, s)) for s in fc.sets), fc.weights)
-    cp = f.cp
-    value = witnessed_value(d, fc, map(d_id, retraction.section.values()), cp.b)
+    where, f = frame
+    n = f.n
+    if isinstance(deletion, int):
+        p = where[deletion]
+        anchor, excluded = (p - 1) % n, (p, None)
+        fc, retraction = _vertex_deleted_coloring(f, p), _vertex_deleted_retraction
+    else:
+        u, v = map(where.__getitem__, deletion)
+        if (v - u) % n not in (1, n - 1):
+            k = f.q.family.k
+            adj = list(g.adj)
+            x, y = deletion
+            adj[x] &= ~(1 << y)
+            adj[y] &= ~(1 << x)
+            pinned = baseline == Fraction(n, k) and alpha_at_most(adj, (1 << n) - 1, k)
+            return baseline if pinned else None
+        p = u if (v - u) % n == 1 else v
+        anchor, excluded = p, (None, (p, (p + 1) % n))
+        fc, retraction = _edge_deleted_coloring(f, p), _edge_deleted_retraction
+    if (fc.excluded_vertex, fc.excluded_edge) != excluded:
+        return None
+    support = (x for x, _ in _anchored_copy(f, anchor))
+    value = witnessed_value(f.q, fc, support, f.cp.b)
     if value is None or invariant is Invariant.CHI_F:
         return value
     to_circular = f.to_circular
-    mapping = {d_id(u): to_circular.mapping[t] for u, t in retraction.mapping.items()}
-    hom = VertexMap(d, to_circular.target, mapping, MapKind.HOMOMORPHISM)
-    if value != Fraction(cp.a, cp.b) or validate_map(hom):
-        return None
-    return value
+    mapping = {u: to_circular.mapping[t] for u, t in retraction(f, p).mapping.items()}
+    hom = VertexMap(f.q, to_circular.target, mapping, MapKind.HOMOMORPHISM, *excluded)
+    return None if validate_map(hom) else value
 
 
 def _colorable(d: LabeledGraph, t: int, k_t: LabeledGraph | None) -> bool:
@@ -226,12 +221,15 @@ def _colorable(d: LabeledGraph, t: int, k_t: LabeledGraph | None) -> bool:
     return is_t_colorable(d, t)
 
 
-def _settle(g: LabeledGraph, d: LabeledGraph, invariant: Invariant, deletion,
-            orbit_fc: FractionalColoring | None = None,
-            frame: tuple[list[int], _Frame] | None = None) -> Fraction:
-    """chi_f or chi_c of d = g less the deletion: witness first, then the solver."""
-    value = _retraction_witness(g, d, invariant, deletion, orbit_fc, frame)
-    return evaluate_invariant(d, invariant) if value is None else value
+def _settle(g: LabeledGraph, invariant: Invariant, deletion, baseline: Fraction,
+            frame: tuple[Sequence[int], _Frame] | None) -> Fraction:
+    """chi_f or chi_c of g less the deletion: the witness pair first, then
+    the solver on the deleted graph, built only then."""
+    value = _retraction_witness(g, invariant, deletion, baseline, frame)
+    if value is not None:
+        return value
+    d = delete_vertex(g, deletion) if isinstance(deletion, int) else delete_edge(g, *deletion)
+    return evaluate_invariant(d, invariant)
 
 
 def vertex_criticality(g: LabeledGraph, invariant: Invariant) -> CriticalityReport:
@@ -253,7 +251,7 @@ def vertex_criticality(g: LabeledGraph, invariant: Invariant) -> CriticalityRepo
         frame = _q_frame(g)
 
         def settle(v: int) -> Fraction:
-            return _settle(g, delete_vertex(g, v), invariant, v, None, frame)
+            return _settle(g, invariant, v, baseline, frame)
     vertices = range(g.vertex_count)
     values = _solve_per_orbit(vertices, dihedral_automorphisms(g), list.__getitem__, settle)
     rows = []
@@ -272,8 +270,7 @@ def vertex_criticality(g: LabeledGraph, invariant: Invariant) -> CriticalityRepo
 
 
 def _edge_sweep(g: LabeledGraph, invariant: Invariant, baseline: Fraction,
-                orbit_fc: FractionalColoring, flag: Callable[[tuple[int, int]], bool],
-                metadata: dict) -> CriticalityReport:
+                flag: Callable[[tuple[int, int]], bool], metadata: dict) -> CriticalityReport:
     """`invariant` of g after each single edge deletion, settled once per
     certified edge orbit, each row tagged with flag(edge).  No deletion may
     raise the value above `baseline`."""
@@ -281,7 +278,7 @@ def _edge_sweep(g: LabeledGraph, invariant: Invariant, baseline: Fraction,
     frame = _q_frame(g)
     values = _solve_per_orbit(
         edges, dihedral_automorphisms(g), _edge_image,
-        lambda e: _settle(g, delete_edge(g, *e), invariant, e, orbit_fc, frame))
+        lambda e: _settle(g, invariant, e, baseline, frame))
     rows = []
     for e, val in zip(edges, values):
         if val > baseline:
@@ -313,9 +310,9 @@ def edge_criticality(q: LabeledGraph) -> CriticalityReport:
         metadata["original_params"] = (n, k)
         n, k = n // g, k // g
         q = build_q(n, k)
-    baseline, orbit_fc = fractional_chromatic_number(q)
+    baseline = fractional_chromatic_number(q)[0]
     rot = label_rotation(q)  # labels of consecutive rotations differ by one step
-    return _edge_sweep(q, Invariant.CHI_F, baseline, orbit_fc,
+    return _edge_sweep(q, Invariant.CHI_F, baseline,
                        lambda e: rot[e[0]] == e[1] or rot[e[1]] == e[0], metadata)
 
 
@@ -334,8 +331,7 @@ def circular_edge_corollary(n: int, k: int) -> CriticalityReport:
         raise InvalidParams(f"need gcd(n,k)=1, got gcd({n},{k})={gcd(n, k)}")
     g = build_circular(n, k)
     baseline = circular_chromatic_number(g)
-    orbit_fc = fractional_chromatic_number(g)[1]
-    return _edge_sweep(g, Invariant.CHI_C, baseline, orbit_fc,
+    return _edge_sweep(g, Invariant.CHI_C, baseline,
                        lambda e: min((e[1] - e[0]) % n, (e[0] - e[1]) % n) == k,
                        {"critical_value": critical_params(n, k).as_fraction()})
 

@@ -352,7 +352,8 @@ def euclid_reduce(s: CyclicSubset) -> ReductionTrace:
             terminal = CyclicSubset(m2, cur_relabeled)
             steps.append(ReductionStep(m, kk, q, r, terminal))
             break
-        nxt = CyclicSubset(m2, (i for i in range(m2) if i not in set(cur_relabeled)))
+        kept = set(cur_relabeled)
+        nxt = CyclicSubset(m2, (i for i in range(m2) if i not in kept))
         if not is_well_spread(nxt):
             raise AssertionError(f"surviving set {nxt} lost well-spreadness")
         steps.append(ReductionStep(m, kk, q, r, nxt))

@@ -171,13 +171,15 @@ def _coloring_violations(g: LabeledGraph, fc: FractionalColoring,
 
 def witnessed_value(g: LabeledGraph, fc: FractionalColoring, support,
                     b: int) -> Fraction | None:
-    """chi_f(g) = |support|/b when fc and the uniform weight 1/b on support
-    pin it, else None.
+    """chi_f(D) = |support|/b, where D is g less fc's exclusion, when fc and
+    the uniform weight 1/b on support pin it, else None.
 
-    fc must pass `verify_fractional_coloring(g, fc)` with value |support|/b,
-    and branch-and-bound must prove alpha(g[support]) <= b, which makes the
-    weights a fractional clique.  Weak duality then gives
-    |support|/b <= chi_f(g) <= fc.value.
+    fc must pass `verify_fractional_coloring(g, fc)` with value |support|/b.
+    The support must lie in D, holding neither the excluded vertex nor both
+    ends of the excluded edge, so that D[support] = g[support]; then
+    branch-and-bound must prove alpha(g[support]) <= b, which makes the
+    weights a fractional clique of D.  Weak duality then gives
+    |support|/b <= chi_f(D) <= fc.value.
     """
     mask = 0
     for v in support:
@@ -186,6 +188,10 @@ def witnessed_value(g: LabeledGraph, fc: FractionalColoring, support,
         mask |= 1 << v
     value = Fraction(mask.bit_count(), b)
     if fc.value != value or verify_fractional_coloring(g, fc):
+        return None
+    # verified, fc excludes at most one vertex or one edge of g
+    ends = (fc.excluded_vertex,) if fc.excluded_vertex is not None else fc.excluded_edge
+    if ends and all(mask >> v & 1 for v in ends):
         return None
     if not alpha_at_most(g.adj, mask, b):
         return None

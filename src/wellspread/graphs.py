@@ -150,13 +150,14 @@ def build_q(n: int, k: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> LabeledGrap
     rotations, and consecutive vertices differ by a +1 rotation.  The labels
     are a `CanonicalRotations` sequence, each made on its first read.
     Whether u and v are adjacent depends only on v - u mod n/gcd(n,k), so
-    the graph is a circulant built from row 0.
+    the graph is a circulant built from row 0.  The modulus n, which bounds
+    the vertex count, must be within vertex_cap.
     """
     if not (1 <= k and 2 * k <= n):
         raise InvalidParams(f"need 1 <= k <= n/2, got n={n} k={k}")
-    ell = gcd(n, k)
-    n2 = n // ell
-    _check_cap(n2, vertex_cap, f"q({n},{k})")
+    if n > vertex_cap:
+        raise ResourceCap(f"q({n},{k}) is built on Z_{n}, cap is {vertex_cap}")
+    n2 = n // gcd(n, k)
     labels = CanonicalRotations(n, k)
     canon = labels.canon
     # v is adjacent to 0 when the canonical set rotated by v misses it; the

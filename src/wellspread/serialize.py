@@ -4,7 +4,8 @@ Graphs round-trip losslessly: a graph document names its family, the loader
 rebuilds the graph from those parameters and refuses documents whose vertex
 or edge lists disagree with the reconstruction.  Certificates self-validate
 on load through the same checkers used at construction time.  Rationals
-travel as "p/q" strings, never floats.
+travel as "p/q" strings, never floats.  Every loader raises InvalidParams on a
+malformed document: a missing key, or a value of the wrong type or shape.
 
 `dumps` writes exactly the bytes of `json.dumps(doc, indent=2,
 sort_keys=True)` plus a newline, without going through json's pure-Python
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import wraps
 from json.encoder import encode_basestring_ascii
 from math import comb, gcd
 from operator import attrgetter, itemgetter
@@ -116,6 +118,19 @@ def _same_rows(got, want: list) -> bool:
     return [tuple(x) if type(x) is list or type(x) is tuple else x for x in got] == want
 
 
+def _loader(load):
+    """load, with the KeyError, TypeError, ValueError, AttributeError or
+    IndexError of a malformed document raised as InvalidParams."""
+    @wraps(load)
+    def checked(doc):
+        try:
+            return load(doc)
+        except (KeyError, TypeError, ValueError, AttributeError, IndexError) as exc:
+            raise InvalidParams(f"malformed document: {exc!r}") from exc
+
+    return checked
+
+
 def _family_json(fp: FamilyParams) -> dict:
     return {"tag": fp.tag, "n": fp.n, "k": fp.k}
 
@@ -180,6 +195,7 @@ def graph_to_document(
     return doc
 
 
+@_loader
 def graph_from_document(doc: dict) -> LabeledGraph:
     """Rebuild from the named family, reapply any recorded deletion, and
     check the result against the document's own vertex and edge lists."""
@@ -237,6 +253,7 @@ def coloring_to_document(
     return doc
 
 
+@_loader
 def coloring_from_document(doc: dict) -> FractionalColoring:
     if doc.get("kind") != "FRACTIONAL_COLORING":
         raise InvalidParams("not a fractional-coloring document")
@@ -278,6 +295,7 @@ def map_to_document(m: VertexMap) -> dict:
     return doc
 
 
+@_loader
 def map_from_document(doc: dict) -> VertexMap:
     if doc.get("kind") != "VERTEX_MAP":
         raise InvalidParams("not a vertex-map document")
@@ -328,6 +346,7 @@ def trace_to_document(s: CyclicSubset, trace: ReductionTrace) -> dict:
     }
 
 
+@_loader
 def trace_from_document(doc: dict) -> ReductionTrace:
     """Re-run the reduction on the recorded set; the document must agree."""
     if doc.get("kind") != "REDUCTION_TRACE":
@@ -365,6 +384,7 @@ def report_to_document(r: CriticalityReport) -> dict:
     return doc
 
 
+@_loader
 def report_from_document(doc: dict) -> CriticalityReport:
     """Structural re-validation: monotonicity against the baseline and
     agreement between the summary and the recorded rows."""
@@ -407,6 +427,7 @@ def boundary_to_document(b: BoundaryReport) -> dict:
     }
 
 
+@_loader
 def boundary_from_document(doc: dict) -> BoundaryReport:
     if doc.get("kind") != "REPORT" or doc.get("reportType") != "boundary":
         raise InvalidParams("not a boundary report document")

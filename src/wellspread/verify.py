@@ -184,8 +184,10 @@ def check_independence(
             )
     for k in (2, 3):
         n = 2 * k + 2
+        if n > max_n_schrijver:
+            continue
         sg = build_schrijver(n, k)
-        sets = max_independent_sets(sg)
+        sets = max_independent_sets(sg, mis_cap)
         nonstars = sum(1 for s in sets if not _is_star(sg.labels, s))
         cases.append(
             CaseResult(

@@ -8,6 +8,8 @@ are no tolerances to tune.
 
 from __future__ import annotations
 
+import re
+
 from wellspread import build_q
 from wellspread.verify import (
     check_certificates,
@@ -20,6 +22,7 @@ from wellspread.verify import (
     check_rotation_structure,
     check_vertex_criticality,
     check_well_spread,
+    run_all,
 )
 
 
@@ -76,3 +79,12 @@ def test_criterion_10_detail_counts_edges():
     for n, k in [(5, 2), (7, 2), (7, 3)]:
         want = f"all {build_q(n, k).edge_count()} edges present"
         assert details[f"Q({n},{k}) edges in I({n},{k})"] == want
+
+
+def test_run_all_clamps_every_case_to_max_n():
+    # every case label names the n of its graphs: SG(8,3), K_7/2, Z_7, n<=7
+    pattern = re.compile(r"(?:[A-Z]\(|[ZK]_|n<=)(\d+)")
+    ns = {c.label: list(map(int, pattern.findall(c.label)))
+          for r in run_all(max_n=7) for c in r.cases}
+    assert ns and all(ns.values())
+    assert [label for label, found in ns.items() if max(found) > 7] == []

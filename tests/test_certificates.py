@@ -32,6 +32,7 @@ from wellspread import (
     vertex_deleted_coloring,
     vertex_deleted_retraction,
 )
+from wellspread import certificates
 from wellspread.certificates import (
     _edge_deleted_coloring,
     _frame,
@@ -40,6 +41,7 @@ from wellspread.certificates import (
     _vertex_deleted_coloring,
 )
 from wellspread.cyclic import canonical_well_spread, rotated_residues
+from wellspread.fractional import FractionalColoring
 
 
 def test_star_positions_examples():
@@ -106,6 +108,33 @@ def test_edge_deleted_coloring_rejects():
         edge_deleted_coloring(7, 2, (0, 0))
     with pytest.raises(InvalidParams):
         edge_deleted_coloring(7, 2, (0, 9))
+
+
+def test_public_constructors_check_their_cores(monkeypatch):
+    # the cores return unchecked results; each public constructor checks its core's
+    def short(core):
+        def tampered(f, x):
+            fc = core(f, x)
+            return FractionalColoring(fc.sets[1:], fc.weights[1:], fc.excluded_vertex,
+                                      fc.excluded_edge)
+        return tampered
+
+    def bent(core):
+        def tampered(f, x):
+            m = core(f, x)
+            m.mapping = {u: (t + 1) % m.target.vertex_count for u, t in m.mapping.items()}
+            return m
+        return tampered
+
+    calls = [("_vertex_deleted_coloring", short, lambda: vertex_deleted_coloring(13, 5, 4)),
+             ("_edge_deleted_coloring", short, lambda: edge_deleted_coloring(13, 5, (4, 5))),
+             ("_vertex_deleted_retraction", bent, lambda: vertex_deleted_retraction(13, 5, 4)),
+             ("_edge_deleted_retraction", bent, lambda: edge_deleted_retraction(13, 5, (4, 5)))]
+    for name, tamper, construct in calls:
+        with monkeypatch.context() as m:
+            m.setattr(certificates, name, tamper(getattr(certificates, name)))
+            with pytest.raises(AssertionError, match="constructed"):
+                construct()
 
 
 def test_window_embedding_worked_example():

@@ -80,6 +80,18 @@ def test_vertex_cap_exit_3(capsys):
     assert "cap" in err
 
 
+def test_q_modulus_cap_exit_3(capsys):
+    # Q(n,k) has n/gcd(n,k) vertices but is built on Z_n, so n is capped too
+    code, _, err = run(capsys, "certify", "iso-scaling", "--n", "7", "--k", "2",
+                       "--l", "100000000000")
+    assert code == 3 and "cap" in err
+    code, _, err = run(capsys, "build", "--family", "q", "--n", "20000", "--k", "10000")
+    assert code == 3 and "cap" in err
+    code, out, _ = run(capsys, "build", "--family", "q", "--n", "20000", "--k", "10000",
+                       "--vertex-cap", "20000")
+    assert code == 0 and len(json.loads(out)["vertices"]) == 2
+
+
 def test_node_budget_exit_3(capsys, monkeypatch):
     # DSATUR refutes 3 colours on I(10,3) in 9 nodes, one past the budget
     monkeypatch.setattr("wellspread.graphs.NODE_BUDGET", 8)

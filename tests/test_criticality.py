@@ -34,7 +34,11 @@ from wellspread import (
     vertex_criticality,
 )
 from wellspread import certificates, coloring, criticality, fractional, graphs
-from wellspread.certificates import vertex_deleted_coloring, vertex_deleted_retraction
+from wellspread.certificates import (
+    edge_deleted_coloring,
+    vertex_deleted_coloring,
+    vertex_deleted_retraction,
+)
 from wellspread.cyclic import critical_params
 from wellspread.fractional import FractionalColoring, verify_fractional_coloring, witnessed_value
 from wellspread.graphs import dihedral_automorphisms
@@ -333,10 +337,10 @@ def witnessed(monkeypatch):
     hits = []
     witness = criticality._retraction_witness
 
-    def wrapper(q, d, *args, **kwargs):
-        value = witness(q, d, *args, **kwargs)
+    def wrapper(g, invariant, deletion, *args, **kwargs):
+        value = witness(g, invariant, deletion, *args, **kwargs)
         if value is not None:
-            hits.append(d)
+            hits.append(deletion)
         return value
 
     monkeypatch.setattr(criticality, "_retraction_witness", wrapper)
@@ -360,8 +364,7 @@ def test_sweeps_solve_once_per_orbit(solver_calls, witnessed, lp_runs):
     # Q(n,k) and circular(n,k) are vertex-transitive and have (n-2k+1)/2
     # dihedral edge orbits.  Each orbit is settled once, by a witness pair on
     # coprime Q(n,k) and circular(n,k) and by the solver elsewhere; the
-    # baseline is always the solver's (circular(n,k) adds the chi_f that
-    # supplies the chords' colouring), and it pins through the rotation orbit
+    # baseline is always the solver's, and it pins through the rotation orbit
     # without the LP.
     rep = edge_criticality(build_q(23, 7))
     assert len(rep.per_edge) == 115
@@ -371,7 +374,7 @@ def test_sweeps_solve_once_per_orbit(solver_calls, witnessed, lp_runs):
     witnessed.clear()
     rep = circular_edge_corollary(17, 5)
     assert len(rep.per_edge) == 68
-    assert (len(solver_calls), len(witnessed)) == (2, 4) and lp_runs == []
+    assert (len(solver_calls), len(witnessed)) == (1, 4) and lp_runs == []
     solver_calls.clear()
     witnessed.clear()
     rep = vertex_criticality(build_q(29, 9), Invariant.CHI_F)
@@ -402,22 +405,44 @@ def builds(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("sweep", ["vertex 29 9 chi_f", "vertex 29 9 chi_c", "edges 27 8"])
-def test_sweeps_build_each_graph_once(builds, witnessed, sweep):
-    # the sweep's frame holds the swept Q(n,k) itself, Q(a,b) and K_{a/b};
-    # no orbit builds them again
+@pytest.fixture
+def deletions(monkeypatch):
+    """The arguments of every delete_vertex / delete_edge call of a sweep."""
+    calls = []
+    for name in ("delete_vertex", "delete_edge"):
+        original = getattr(criticality, name)
+
+        def wrapper(g, *args, _original=original):
+            calls.append(args)
+            return _original(g, *args)
+
+        monkeypatch.setattr(criticality, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("sweep", ["vertex 29 9 chi_f", "vertex 29 9 chi_c", "edges 27 8",
+                                   "edges 23 7"])
+def test_sweeps_build_each_graph_once(builds, deletions, witnessed, sweep):
+    # the sweep's frame holds the swept Q(n,k) itself, and only chi_c reads
+    # Q(a,b) and K_{a/b}, built once; an orbit settled by its witness builds
+    # no deleted graph
     kind, n, k, *rest = sweep.split()
     n, k = int(n), int(k)
     cp = critical_params(n, k)
     g = build_q(n, k)
     builds.clear()
     if kind == "vertex":
-        vertex_criticality(g, Invariant(rest[0]))
+        invariant = Invariant(rest[0])
+        vertex_criticality(g, invariant)
     else:
+        invariant = Invariant.CHI_F
         edge_criticality(g)
-    assert witnessed
-    assert ("build_q", cp.a, cp.b) in builds
-    assert len(builds) == len(set(builds)), sorted(builds)
+    assert witnessed and deletions == []
+    if invariant is Invariant.CHI_F:
+        assert builds == []
+    else:
+        assert ("build_q", cp.a, cp.b) in builds
+        assert len(builds) == len(set(builds)), sorted(builds)
 
 
 def test_sweep_without_a_certified_symmetry_solves_every_deletion(solver_calls):
@@ -440,48 +465,81 @@ def test_retraction_witness_matches_the_solvers():
     # every deletion has a witness pair; one deletion per orbit is solved too
     for n, k in coprime_q(17):
         q = build_q(n, k)
-        orbit_fc = fractional_chromatic_number(q)[1]
+        frame = criticality._q_frame(q)
+        baseline = Fraction(n, k)
         autos = dihedral_automorphisms(q)
         for v in range(n):
-            d = delete_vertex(q, v)
-            got = criticality._retraction_witness(q, d, Invariant.CHI_F, v)
+            got = criticality._retraction_witness(q, Invariant.CHI_F, v, baseline, frame)
             assert got is not None, (n, k, v)
             if v == 0:
-                assert got == fractional_chromatic_number(d)[0]
+                assert got == fractional_chromatic_number(delete_vertex(q, v))[0]
         edges = q.edges()
-        got = {e: criticality._retraction_witness(
-            q, delete_edge(q, *e), Invariant.CHI_F, e, orbit_fc) for e in edges}
+        got = {e: criticality._retraction_witness(q, Invariant.CHI_F, e, baseline, frame)
+               for e in edges}
         assert None not in got.values(), (n, k)
         firsts = criticality._solve_per_orbit(
             edges, autos, criticality._edge_image, lambda e: e)
         for e in set(firsts):
             assert got[e] == fractional_chromatic_number(delete_edge(q, *e))[0]
         if n <= 13:
-            d = delete_vertex(q, 0)
-            got = criticality._retraction_witness(q, d, Invariant.CHI_C, 0)
-            assert got is not None and got == circular_chromatic_number(d), (n, k)
+            got = criticality._retraction_witness(q, Invariant.CHI_C, 0, baseline, frame)
+            assert got is not None and got == circular_chromatic_number(delete_vertex(q, 0))
             assert all(criticality._retraction_witness(
-                q, delete_vertex(q, v), Invariant.CHI_C, v) == got for v in range(1, n))
+                q, Invariant.CHI_C, v, baseline, frame) == got for v in range(1, n)), (n, k)
     # circular(n,k) gets the same pairs through circular(n,k) ~ Q(n,k)
     solvers = {Invariant.CHI_F: lambda h: fractional_chromatic_number(h)[0],
                Invariant.CHI_C: circular_chromatic_number}
     for n, k in coprime_q(17):
         g = build_circular(n, k)
         frame = criticality._q_frame(g)
-        orbit_fc = fractional_chromatic_number(g)[1]
+        baseline = Fraction(n, k)
         edges = g.edges()
         firsts = set(criticality._solve_per_orbit(
             edges, dihedral_automorphisms(g), criticality._edge_image, lambda e: e))
         for invariant, solve in solvers.items():
-            got = [criticality._retraction_witness(
-                g, delete_vertex(g, v), invariant, v, None, frame) for v in range(n)]
+            got = [criticality._retraction_witness(g, invariant, v, baseline, frame)
+                   for v in range(n)]
             assert None not in got and len(set(got)) == 1, (n, k, invariant)
             assert got[0] == solve(delete_vertex(g, 0)), (n, k, invariant)
-            got = {e: criticality._retraction_witness(
-                g, delete_edge(g, *e), invariant, e, orbit_fc, frame) for e in edges}
+            got = {e: criticality._retraction_witness(g, invariant, e, baseline, frame)
+                   for e in edges}
             assert None not in got.values(), (n, k, invariant)
             for e in firsts:
                 assert got[e] == solve(delete_edge(g, *e)), (n, k, invariant, e)
+    # a chord's value rests on the exact baseline n/k; any other baseline
+    # leaves it to the solver
+    q = build_q(7, 2)
+    frame = criticality._q_frame(q)
+    chord = next(e for e in q.edges() if not is_cycle_edge(q, *e))
+    assert criticality._retraction_witness(
+        q, Invariant.CHI_F, chord, Fraction(7, 2), frame) == Fraction(7, 2)
+    assert criticality._retraction_witness(q, Invariant.CHI_F, chord, Fraction(4), frame) is None
+    assert criticality._retraction_witness(q, Invariant.CHI_F, 0, Fraction(7, 2), None) is None
+
+
+def test_witnessed_value_checks_the_exclusion():
+    # the Q(13,5) - 4 pair on Q(13,5) itself, with vertex 4 as the exclusion
+    q = build_q(13, 5)
+    b = critical_params(13, 5).b
+    fc = vertex_deleted_coloring(13, 5, 4)
+    support = list(vertex_deleted_retraction(13, 5, 4).section.values())
+    assert witnessed_value(q, fc, support, b) == Fraction(5, 2)
+    # every window of 5 positions is a copy of Q(5,2) with alpha 2; the one
+    # anchored at 4 holds the excluded vertex, so it is no clique of Q(13,5) - 4
+    f = certificates._frame(13, 5)
+
+    def window(anchor):
+        return [x for x, _ in certificates._anchored_copy(f, anchor)]
+
+    assert sorted(window(3)) == sorted(support)
+    assert 4 in window(4) and witnessed_value(q, fc, window(4), b) is None
+    # an edge-deleted pair: a support may hold one end of the excluded edge, not both
+    fc = edge_deleted_coloring(13, 5, (4, 5))
+    assert 4 in window(4) and 5 not in window(4)
+    assert witnessed_value(q, fc, window(4), b) == Fraction(5, 2)
+    assert {4, 5} <= set(window(5)) and witnessed_value(q, fc, window(5), b) is None
+    # without its exclusion the colouring does not cover the edge's ends
+    assert witnessed_value(q, dataclasses.replace(fc, excluded_edge=None), window(4), b) is None
 
 
 def test_witnessed_value_rejects_tampered_pairs():
@@ -518,14 +576,19 @@ def test_tampered_colouring_falls_back_to_the_solver(monkeypatch, solver_calls):
     # a sweep hands its frame to the constructors' cores, so those are tampered
     def short(f, v):
         fc = certificates._vertex_deleted_coloring(f, v)
-        return FractionalColoring(fc.sets[:-1], fc.weights[:-1])
+        return dataclasses.replace(fc, sets=fc.sets[:-1], weights=fc.weights[:-1])
+
+    def elsewhere(f, v):  # a valid colouring, of another deletion
+        return certificates._vertex_deleted_coloring(f, (v + 1) % f.n)
 
     q = build_q(13, 5)
     want = sweep_without_witnesses(monkeypatch, lambda: vertex_criticality(q, Invariant.CHI_F))
-    solver_calls.clear()
-    monkeypatch.setattr(criticality, "_vertex_deleted_coloring", short)
-    assert vertex_criticality(q, Invariant.CHI_F) == want
-    assert len(solver_calls) == 1 + 1
+    for tampered in (short, elsewhere):
+        with monkeypatch.context() as m:
+            m.setattr(criticality, "_vertex_deleted_coloring", tampered)
+            solver_calls.clear()
+            assert vertex_criticality(q, Invariant.CHI_F) == want
+            assert len(solver_calls) == 1 + 1
 
 
 def test_chords_of_a_complete_graph_fail_the_dual_check(monkeypatch, solver_calls, witnessed):
@@ -563,7 +626,7 @@ def test_circular_chords_of_a_complete_graph_fail_the_dual_check(
     solver_calls.clear()
     assert circular_edge_corollary(7, 1) == want
     assert len(witnessed) == 1
-    assert len(solver_calls) == 2 + 2
+    assert len(solver_calls) == 1 + 2
 
 
 def test_tampered_circular_witnesses_fall_back_to_the_solver(monkeypatch, solver_calls):
@@ -585,7 +648,7 @@ def test_tampered_circular_witnesses_fall_back_to_the_solver(monkeypatch, solver
             m.setattr(criticality, name, tampered)
             solver_calls.clear()
             assert circular_edge_corollary(11, 3) == want, name
-            assert len(solver_calls) == 2 + 1, name
+            assert len(solver_calls) == 1 + 1, name
 
 
 @pytest.mark.parametrize("n,k", [(29, 9), (41, 13)])

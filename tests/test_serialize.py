@@ -227,6 +227,50 @@ def test_boundary_documents_round_trip():
     assert back.all_match == rep.all_match
 
 
+def _malformed(to_document, **changes):
+    """A document made by to_document(), read back through JSON, with each
+    key of changes set to its value, or dropped where the value is None."""
+    doc = json.loads(dumps(to_document()))
+    for key, value in changes.items():
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+    return doc
+
+
+def _reduction_document():
+    s = canonical_well_spread(11, 4)
+    return trace_to_document(s, euclid_reduce(s))
+
+
+@pytest.mark.parametrize("load,make", [
+    (report_from_document,
+     lambda: _malformed(lambda: report_to_document(edge_criticality(build_q(7, 2))),
+                        baseline=None)),
+    (trace_from_document, lambda: _malformed(_reduction_document, modulus=None)),
+    (coloring_from_document,
+     lambda: _malformed(lambda: coloring_to_document(vertex_deleted_coloring(7, 2, 3),
+                                                     FamilyParams("q", 7, 2)), sets=[["a"]])),
+    (coloring_from_document,
+     lambda: _malformed(lambda: coloring_to_document(vertex_deleted_coloring(7, 2, 3),
+                                                     FamilyParams("q", 7, 2)), weights=[1, 1, 1])),
+    (map_from_document,
+     lambda: _malformed(lambda: map_to_document(circular_isomorphism(7, 2)), mapping=[[0]])),
+    (boundary_from_document,
+     lambda: _malformed(lambda: boundary_to_document(q_equals_schrijver_sweep(5)),
+                        entries=[[5, 2]])),
+    (graph_from_document,
+     lambda: _malformed(lambda: graph_to_document(build_q(7, 2)), deletedVertex="a")),
+    (map_from_document, lambda: ["not", "a", "document"]),
+], ids=["report-without-baseline", "trace-without-modulus", "coloring-set-of-a-letter",
+        "coloring-int-weight", "map-one-item-pair", "boundary-two-item-entry",
+        "graph-letter-vertex", "map-not-a-dict"])
+def test_malformed_documents_raise_invalid_params(load, make):
+    with pytest.raises(InvalidParams, match="malformed document"):
+        load(make())
+
+
 def test_dumps_is_deterministic():
     doc = graph_to_document(build_q(5, 2))
     text = dumps(doc)
