@@ -45,6 +45,8 @@ from .graphs import FamilyParams, delete_edge, delete_vertex
 from .homomorphism import circular_chromatic_number
 from .independence import DEFAULT_MIS_CAP, independence_number
 from .serialize import (
+    SCHEMA_VERSION,
+    _family_json,
     boundary_to_document,
     build_family,
     coloring_to_document,
@@ -160,8 +162,8 @@ def _cmd_invariants(args) -> int:
     if not any(which.values()):
         which = dict.fromkeys(which, True)
     doc = {
-        "schemaVersion": "1",
-        "family": {"tag": fp.tag, "n": fp.n, "k": fp.k},
+        "schemaVersion": SCHEMA_VERSION,
+        "family": _family_json(fp),
     }
     if which["alpha"]:
         doc["alpha"] = independence_number(g)
@@ -192,7 +194,7 @@ def _cmd_criticality(args) -> int:
     elif fp.tag == "q":
         rep = edge_criticality(g)
     else:
-        rep = circular_edge_corollary(fp.n, fp.k)
+        rep = circular_edge_corollary(g)
     sys.stdout.write(dumps(report_to_document(rep)))
     return 0
 

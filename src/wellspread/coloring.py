@@ -4,7 +4,8 @@ Every decision "is g t-colorable?" goes through `is_t_colorable`.  After the
 greedy clique and DSATUR-coloring shortcuts (each worked out once per graph,
 so `chromatic_number` and every `is_t_colorable` it asks share them), two
 exact searches share one node budget, `graphs.NODE_BUDGET`.  Both are
-generators that pause once per node, so one loop steps them in turn.  The
+generators that pause once per node, so one loop steps them in turn, and
+class branching recurses on the explicit stack of `graphs._tree_steps`.  The
 DSATUR search is the package's one map search (`graphs._map_steps`) into K_t:
 greedy-clique precoloring, forward checking on per-vertex domain masks,
 DSATUR vertex order and first-fresh-color symmetry breaking.  It runs alone
@@ -327,7 +328,7 @@ def _class_steps(g: LabeledGraph, t: int) -> Generator[None, None, bool]:
     nonadj = nonadjacency(g)
     refuted: dict[int, int] = {}
 
-    def rec(mask: int, colors_left: int) -> Generator[None, None, bool]:
+    def rec(mask: int, colors_left: int) -> Generator[Generator | None, bool | None, bool]:
         if mask == 0:
             return True
         if colors_left == 0:
@@ -359,14 +360,14 @@ def _class_steps(g: LabeledGraph, t: int) -> Generator[None, None, bool]:
                 sols.append(cls)
         sols.sort(key=lambda m: -m.bit_count())
         for cls in sols:
-            if (yield from rec(mask & ~cls, colors_left - 1)):
+            if (yield rec(mask & ~cls, colors_left - 1)):
                 return True
         if colors_left > refuted.get(key, 0) and (
                 key in refuted or len(refuted) < _REFUTED_MEMO_CAP):
             refuted[key] = colors_left
         return False
 
-    return (yield from rec((1 << V) - 1, t))
+    return (yield from graphs._tree_steps(rec((1 << V) - 1, t)))
 
 
 def is_t_colorable(g: LabeledGraph, t: int) -> bool:

@@ -152,7 +152,7 @@ def _q_frame(g: LabeledGraph) -> tuple[Sequence[int], _Frame] | None:
         return None
     if fam.tag == "q":
         return range(n), _Frame(g, critical_params(n, k))
-    q = build_q(n, k)
+    q = build_q(n, k, vertex_cap=n)
     where = [0] * n
     for u, x in _circular_isomorphism(q, g).mapping.items():
         where[x] = u
@@ -316,20 +316,21 @@ def edge_criticality(q: LabeledGraph) -> CriticalityReport:
                        lambda e: rot[e[0]] == e[1] or rot[e[1]] == e[0], metadata)
 
 
-def circular_edge_corollary(n: int, k: int) -> CriticalityReport:
-    """Circular chromatic number of the circular complete graph after each
-    single edge deletion, settled once per certified edge orbit: by the
-    paper's witness pairs, moved across circular(n,k) ~ Q(n,k), or else by
-    the solver.
+def circular_edge_corollary(g: LabeledGraph) -> CriticalityReport:
+    """Circular chromatic number of g = circular(n,k), gcd(n,k) = 1 and
+    2k <= n, after each single edge deletion, settled once per certified
+    edge orbit: by the paper's witness pairs, moved across circular(n,k) ~
+    Q(n,k), or else by the solver.
 
     The flag on each edge {i,j} marks circular distance exactly k, i.e. the
     image of a consecutive-rotation edge under the position-times-k bijection.
     """
-    if not (1 <= k and 2 * k <= n):
-        raise InvalidParams(f"need 1 <= k <= n/2, got n={n} k={k}")
+    fam = g.family
+    if fam is None or fam.tag != "circular" or not 1 <= fam.k <= fam.n // 2:
+        raise InvalidParams("the circular edge sweep needs circular(n,k) with 1 <= k <= n/2")
+    n, k = fam.n, fam.k
     if gcd(n, k) != 1:
         raise InvalidParams(f"need gcd(n,k)=1, got gcd({n},{k})={gcd(n, k)}")
-    g = build_circular(n, k)
     baseline = circular_chromatic_number(g)
     return _edge_sweep(g, Invariant.CHI_C, baseline,
                        lambda e: min((e[1] - e[0]) % n, (e[0] - e[1]) % n) == k,

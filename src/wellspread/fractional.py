@@ -198,13 +198,13 @@ def witnessed_value(g: LabeledGraph, fc: FractionalColoring, support,
     return value
 
 
-def _greedy_extend(adj, chosen: int, order) -> int:
-    """The independent set chosen, extended by each vertex of order, in
-    turn, that is not chosen and has no chosen neighbour."""
+def _greedy_extend(adj, chosen: int) -> int:
+    """The independent set chosen, extended by each vertex in id order that
+    is not chosen and has no chosen neighbour."""
     blocked = chosen
     for v in iter_bits(chosen):
         blocked |= adj[v]
-    for v in order:
+    for v in range(len(adj)):
         if not (blocked >> v) & 1:
             chosen |= 1 << v
             blocked |= adj[v] | (1 << v)
@@ -230,11 +230,13 @@ def _orbit_certificate(g: LabeledGraph) -> tuple[Fraction, FractionalColoring] |
     """Try the rotation-orbit coloring of one maximum independent set.
 
     The rotation is the label rotation x -> x+1 of Z_n (`label_rotation`),
-    taken n times.  Succeeds when every rotated set is again an independent
-    set of g and the orbit covers all vertices equally often, and the
-    resulting primal value matches the dual bound |V| / alpha.  Then chi_f is
-    pinned exactly.  The rotation need not be an automorphism: the rotated
-    sets and the certificate are checked here.
+    taken n times.  The orbit's n sets, each of weight 1/c for c = n*alpha/|V|
+    (None unless that is an integer), are checked once by
+    `verify_fractional_coloring`.  They hold n*alpha = c*|V| memberships, so
+    they reach c on every vertex only when the cover is uniform; then their
+    value n/c meets the dual bound |V|/alpha and chi_f is pinned exactly.
+    The rotation need not be an automorphism: the check covers the rotated
+    sets.
     """
     rotation = label_rotation(g)
     if rotation is None:
@@ -244,8 +246,11 @@ def _orbit_certificate(g: LabeledGraph) -> tuple[Fraction, FractionalColoring] |
     n = labels[0].modulus if subsets else g.vertex_count
     best_mask = maximum_independent_set(g)
     alpha = best_mask.bit_count()
-    base = list(iter_bits(best_mask))
     V = g.vertex_count
+    c, rem = divmod(n * alpha, V)
+    if rem:
+        return None
+    base = list(iter_bits(best_mask))
     # a maximum residue-star, when one exists, always rotates onto stars and
     # covers uniformly; prefer it over an arbitrary solver witness (subset
     # labels only: a residue label holds no residues)
@@ -253,41 +258,21 @@ def _orbit_certificate(g: LabeledGraph) -> tuple[Fraction, FractionalColoring] |
         star = [v for v in range(V) if i in labels[v]]
         if len(star) != alpha:
             continue
-        mask = 0
-        for v in star:
-            if g.adj[v] & mask:
-                mask = -1
-                break
-            mask |= 1 << v
-        if mask != -1:
+        mask = sum(1 << v for v in star)
+        if not any(g.adj[v] & mask for v in star):
             base = star
             break
-    cover = [0] * V
     orbit_sets: dict[tuple[int, ...], int] = {}
     members = base
     for _ in range(n):
-        mask = 0
-        for v in members:
-            if g.adj[v] & mask:
-                return None  # rotation is not an automorphism here
-            mask |= 1 << v
         key = tuple(sorted(members))
         orbit_sets[key] = orbit_sets.get(key, 0) + 1
-        for v in members:
-            cover[v] += 1
         members = [rotation[v] for v in members]
-    c = cover[0]
-    if c == 0 or any(x != c for x in cover):
-        return None
-    primal = Fraction(n, c)
-    if primal != Fraction(V, alpha):
-        return None
     sets = tuple(sorted(orbit_sets))
-    weights = tuple(Fraction(orbit_sets[s], c) for s in sets)
-    fc = FractionalColoring(sets, weights)
-    if verify_fractional_coloring(g, fc) or fc.value != primal:
+    fc = FractionalColoring(sets, tuple(Fraction(orbit_sets[s], c) for s in sets))
+    if verify_fractional_coloring(g, fc):
         return None
-    return primal, fc
+    return Fraction(V, alpha), fc
 
 
 def fractional_chromatic_number(g: LabeledGraph) -> tuple[Fraction, FractionalColoring]:
@@ -333,9 +318,9 @@ def _column_generation(
             master.add_constraint(col)
 
     for star in _independent_stars(g):
-        pool(_greedy_extend(adj, star, range(V)))
+        pool(_greedy_extend(adj, star))
     for v in range(V):
-        pool(_greedy_extend(adj, 1 << v, range(V)))
+        pool(_greedy_extend(adj, 1 << v))
     master.primal_simplex()
     for _ in range(_ROUND_CAP):
         value, y, w = master.solution()
@@ -343,7 +328,7 @@ def _column_generation(
         if best_w <= 1:
             keep = [(m, wi) for m, wi in zip(master.pool, w) if wi > 0]
             return value, y, [m for m, _ in keep], [wi for _, wi in keep]
-        col = _greedy_extend(adj, best_mask, range(V))
+        col = _greedy_extend(adj, best_mask)
         if col in seen:
             col = best_mask  # the violated set itself is necessarily new
         pool(col)

@@ -42,7 +42,7 @@ from functools import reduce
 from itertools import combinations, compress, product
 from math import comb, gcd
 from operator import or_
-from typing import Callable, Generator, Iterator, TypeVar
+from typing import Any, Callable, Generator, Iterator, TypeVar
 
 from .cyclic import CanonicalRotations, CyclicSubset, is_r_separated
 from .errors import InvalidParams, NotAnEdge, ResourceCap
@@ -298,7 +298,8 @@ def _run_search(steps: Generator[None, None, _Result], what: str,
                 budget: int | None = None) -> _Result:
     """Run `steps`, a search that yields once as each node begins, to its end
     and return its result.  ResourceCap, naming `what`, as node `budget` + 1
-    begins (by default `NODE_BUDGET`, read at each call)."""
+    begins (by default `NODE_BUDGET`, read at each call).  A recursive search
+    reaches it through `_tree_steps`."""
     if budget is None:
         budget = NODE_BUDGET
     try:
@@ -307,6 +308,29 @@ def _run_search(steps: Generator[None, None, _Result], what: str,
     except StopIteration as done:
         return done.value
     raise ResourceCap(f"{what} search exceeded {budget} nodes")
+
+
+def _tree_steps(root: Generator[Any, Any, _Result]) -> Generator[None, None, _Result]:
+    """Run a tree of node generators depth-first on one explicit stack, so
+    its depth is not bounded by Python's recursion limit, and return the
+    root's value.  A node yields None to spend one node, a pause passed on;
+    or it yields a child node generator, which runs to its end and whose
+    return value is sent back to the node."""
+    stack, send, value = [root], root.send, None
+    while True:
+        try:
+            child = send(value)
+            while child is None:
+                yield
+                child = send(None)
+        except StopIteration as done:
+            stack.pop()
+            if not stack:
+                return done.value
+            send, value = stack[-1].send, done.value
+        else:
+            stack.append(child)
+            send, value = child.send, None
 
 
 def _map_steps(adj, target_adj, domains: list[int], pre=(),

@@ -2,11 +2,11 @@
 
 One min-degree greedy (`_greedy_independent`) gives the first independent
 set, and one exact search (`_fail_soft_search`: weighted neighbourhood
-branching with fail-soft pruning, from an explicit stack under a node
-budget) proves or improves it at unit weights and prices LP columns at
-integer weights.  All certificates are exact: the ratio bound is only ever
-returned after its Katona-circle witness passes `validate_map` on the graph
-itself, and the search returns witnesses.
+branching with fail-soft pruning, on the stack of `graphs._tree_steps`
+under a node budget) proves or improves it at unit weights and prices LP
+columns at integer weights.  All certificates are exact: the ratio bound is
+only ever returned after its Katona-circle witness passes `validate_map` on
+the graph itself, and the search returns witnesses.
 """
 from __future__ import annotations
 
@@ -17,8 +17,8 @@ from typing import Callable, Iterator, Sequence
 from .errors import ResourceCap
 from .cyclic import CyclicSubset
 from .graphs import (LabeledGraph, MapKind, VertexMap, _residue_permutation, _run_search,
-                     _solve_per_orbit, build_circular, is_automorphism, iter_bits,
-                     label_rotation, validate_map)
+                     _solve_per_orbit, _tree_steps, build_circular, is_automorphism,
+                     iter_bits, label_rotation, validate_map)
 
 DEFAULT_MIS_CAP = 200_000
 _NODE_BUDGET = 10_000_000  # nodes of one `_fail_soft_search`
@@ -217,9 +217,9 @@ def _fail_soft_search(adj, mask: int, need: int, weight: list[int] | None = None
     Returns (r, witness): r is the maximum weight, and witness a set of that
     weight, whenever r > need; any r <= need certifies that no independent
     set within mask weighs more than need (fail-soft).  Weights equal and
-    positive across mask are searched as unit weights and scaled.  Runs from
-    an explicit stack, driven by `graphs._run_search`; ResourceCap past
-    `_NODE_BUDGET` nodes.
+    positive across mask are searched as unit weights and scaled.  Each
+    node is a generator that `graphs._tree_steps` runs on one explicit
+    stack, under `graphs._run_search`; ResourceCap past `_NODE_BUDGET` nodes.
     """
     scale = 1
     if weight is not None:
@@ -229,7 +229,8 @@ def _fail_soft_search(adj, mask: int, need: int, weight: list[int] | None = None
             weight, need = None, need // scale
 
     def node(mask: int, need: int):
-        # yields each child's (mask, need), is sent its (r, witness)
+        # pauses as it begins, yields each child node and is sent its (r, witness)
+        yield
         total, taken = 0, 0
         while True:
             if mask == 0:
@@ -262,7 +263,7 @@ def _fail_soft_search(adj, mask: int, need: int, weight: list[int] | None = None
         if len(comps) > 1:
             comps.sort(key=int.bit_count)
             for comp in comps:
-                t2, m2 = yield comp, -1  # exact per component
+                t2, m2 = yield node(comp, -1)  # exact per component
                 total += t2
                 taken |= m2
             return total, taken
@@ -272,36 +273,20 @@ def _fail_soft_search(adj, mask: int, need: int, weight: list[int] | None = None
             return total + ub, 0  # pruned: value only certifies the bound
         # some heaviest set holds v or one of its neighbours
         w = 1 if weight is None else weight[v]
-        r, wm = yield mask & ~(adj[v] | (1 << v)), -1
+        r, wm = yield node(mask & ~(adj[v] | (1 << v)), -1)
         best, best_mask = w + r, wm | (1 << v)
         excluded = 1 << v
         for u in iter_bits(adj[v] & mask):
             sub = mask & ~(adj[u] | (1 << u) | excluded)
             w = 1 if weight is None else weight[u]
             if w + _matching_bound(adj, sub, weight) > best:
-                r, wm = yield sub, max(best, need - total) - w
+                r, wm = yield node(sub, max(best, need - total) - w)
                 if w + r > best:
                     best, best_mask = w + r, wm | (1 << u)
             excluded |= 1 << u
         return total + best, taken | best_mask
 
-    def steps():
-        # one pause per node, as the node begins
-        yield
-        stack, sent = [node(mask, need)], None
-        while stack:
-            try:
-                child = stack[-1].send(sent)
-            except StopIteration as done:
-                stack.pop()
-                sent = done.value
-                continue
-            yield
-            stack.append(node(*child))
-            sent = None
-        return sent
-
-    r, witness = _run_search(steps(), "independent-set", _NODE_BUDGET)
+    r, witness = _run_search(_tree_steps(node(mask, need)), "independent-set", _NODE_BUDGET)
     return r * scale, witness
 
 

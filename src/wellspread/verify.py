@@ -44,6 +44,7 @@ from .graphs import (
 )
 from .homomorphism import circular_chromatic_number, find_isomorphism
 from .independence import DEFAULT_MIS_CAP, independence_number, max_independent_sets
+from .serialize import SCHEMA_VERSION
 
 
 @dataclass(frozen=True)
@@ -541,7 +542,7 @@ def run_all(max_n: int | None = None, mis_cap: int = DEFAULT_MIS_CAP) -> list[Cr
 
 def summary_document(results: list[CriterionResult]) -> dict:
     return {
-        "schemaVersion": "1",
+        "schemaVersion": SCHEMA_VERSION,
         "kind": "REPORT",
         "reportType": "verification",
         "criteria": [

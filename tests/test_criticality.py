@@ -33,12 +33,13 @@ from wellspread import (
     q_equals_schrijver_sweep,
     vertex_criticality,
 )
-from wellspread import certificates, coloring, criticality, fractional, graphs
+from wellspread import certificates, coloring, criticality, fractional, graphs, serialize
 from wellspread.certificates import (
     edge_deleted_coloring,
     vertex_deleted_coloring,
     vertex_deleted_retraction,
 )
+from wellspread.cli import main
 from wellspread.cyclic import critical_params
 from wellspread.fractional import FractionalColoring, verify_fractional_coloring, witnessed_value
 from wellspread.graphs import dihedral_automorphisms
@@ -107,7 +108,7 @@ def test_edge_criticality_rejects_other_families():
 
 
 def test_circular_corollary_7_2():
-    rep = circular_edge_corollary(7, 2)
+    rep = circular_edge_corollary(build_circular(7, 2))
     assert rep.baseline == Fraction(7, 2)
     assert rep.summary is SweepSummary.EDGE_CLASSIFICATION
     crit = [(e, v) for e, v, f in rep.per_edge if f]
@@ -119,14 +120,21 @@ def test_circular_corollary_7_2():
 
 
 def test_circular_corollary_5_2():
-    rep = circular_edge_corollary(5, 2)
+    rep = circular_edge_corollary(build_circular(5, 2))
     assert all(flag for _, _, flag in rep.per_edge)
     assert all(v == 2 for _, v, _ in rep.per_edge)
 
 
 def test_circular_corollary_rejects_non_coprime():
     with pytest.raises(Exception):
-        circular_edge_corollary(6, 2)
+        circular_edge_corollary(build_circular(6, 2))
+
+
+def test_circular_corollary_rejects_other_families():
+    with pytest.raises(InvalidParams):
+        circular_edge_corollary(build_q(7, 2))
+    with pytest.raises(InvalidParams):
+        circular_edge_corollary(delete_vertex(build_circular(7, 2), 0))
 
 
 def test_boundary_sweep_matches_prediction():
@@ -300,8 +308,8 @@ def test_circular_edge_corollary_matches_literal_sweep():
         for k in range(1, n // 2 + 1):
             if gcd(n, k) != 1:
                 continue
-            rep = circular_edge_corollary(n, k)
             g = build_circular(n, k)
+            rep = circular_edge_corollary(g)
             baseline = circular_chromatic_number(g)
             rows = []
             for e in g.edges():
@@ -372,7 +380,7 @@ def test_sweeps_solve_once_per_orbit(solver_calls, witnessed, lp_runs):
     assert len(solver_calls) == 1 and lp_runs == []
     solver_calls.clear()
     witnessed.clear()
-    rep = circular_edge_corollary(17, 5)
+    rep = circular_edge_corollary(build_circular(17, 5))
     assert len(rep.per_edge) == 68
     assert (len(solver_calls), len(witnessed)) == (1, 4) and lp_runs == []
     solver_calls.clear()
@@ -389,9 +397,10 @@ def test_sweeps_solve_once_per_orbit(solver_calls, witnessed, lp_runs):
 
 @pytest.fixture
 def builds(monkeypatch):
-    """(builder, n, k) of every build_q / build_circular call, through any module."""
+    """(builder, n, k) of every build_q / build_circular call, through any
+    module or the CLI's family table."""
     calls = []
-    for name in ("build_q", "build_circular"):
+    for name, tag in (("build_q", "q"), ("build_circular", "circular")):
         original = getattr(graphs, name)
 
         def wrapper(n, k, *args, _name=name, _original=original, **kwargs):
@@ -402,6 +411,7 @@ def builds(monkeypatch):
             if getattr(mod, "__name__", "").startswith("wellspread") and \
                     vars(mod).get(name) is original:
                 monkeypatch.setattr(mod, name, wrapper)
+        monkeypatch.setitem(serialize._BUILDERS, tag, wrapper)
     return calls
 
 
@@ -443,6 +453,22 @@ def test_sweeps_build_each_graph_once(builds, deletions, witnessed, sweep):
     else:
         assert ("build_q", cp.a, cp.b) in builds
         assert len(builds) == len(set(builds)), sorted(builds)
+
+
+def test_circular_edge_sweep_reads_the_graph_the_request_built(builds, capsys):
+    # the sweep reads the graph the request built; the chi_c baseline builds
+    # circular(17,5) once more, as the target K_{17/5} of its map search
+    assert main(["criticality", "--family", "circular", "--n", "17", "--k", "5", "--edges"]) == 0
+    assert builds.count(("build_circular", 17, 5)) == 2
+    assert builds.count(("build_q", 17, 5)) == 1
+
+
+def test_q_frame_of_a_circular_graph_above_the_default_cap():
+    # the frame's Q(n,k) is built at the cap the swept graph was built under
+    g = build_circular(10001, 5000, vertex_cap=20000)
+    where, frame = criticality._q_frame(g)
+    assert frame.q.family == graphs.FamilyParams("q", 10001, 5000)
+    assert len(where) == 10001 and where[5000] == 1
 
 
 def test_sweep_without_a_certified_symmetry_solves_every_deletion(solver_calls):
@@ -622,9 +648,10 @@ def test_circular_chords_of_a_complete_graph_fail_the_dual_check(
         monkeypatch, solver_calls, witnessed):
     # circular(7,1) is K_7: deleting a chord leaves alpha = 2 > k, so its
     # orbits fall to the solver, while the distance-1 orbit keeps its witness
-    want = sweep_without_witnesses(monkeypatch, lambda: circular_edge_corollary(7, 1))
+    g = build_circular(7, 1)
+    want = sweep_without_witnesses(monkeypatch, lambda: circular_edge_corollary(g))
     solver_calls.clear()
-    assert circular_edge_corollary(7, 1) == want
+    assert circular_edge_corollary(g) == want
     assert len(witnessed) == 1
     assert len(solver_calls) == 1 + 2
 
@@ -641,20 +668,21 @@ def test_tampered_circular_witnesses_fall_back_to_the_solver(monkeypatch, solver
         mapping[u] = (mapping[u] + 1) % m.target.vertex_count
         return dataclasses.replace(m, mapping=mapping)
 
-    want = sweep_without_witnesses(monkeypatch, lambda: circular_edge_corollary(11, 3))
+    g = build_circular(11, 3)
+    want = sweep_without_witnesses(monkeypatch, lambda: circular_edge_corollary(g))
     for name, tampered in (("_edge_deleted_coloring", short),
                            ("_edge_deleted_retraction", bent)):
         with monkeypatch.context() as m:
             m.setattr(criticality, name, tampered)
             solver_calls.clear()
-            assert circular_edge_corollary(11, 3) == want, name
+            assert circular_edge_corollary(g) == want, name
             assert len(solver_calls) == 1 + 1, name
 
 
 @pytest.mark.parametrize("n,k", [(29, 9), (41, 13)])
 def test_circular_edge_corollary_closed_form(n, k):
     # past the reach of a per-orbit solver: (29,9) took about a minute that way
-    rep = circular_edge_corollary(n, k)
+    rep = circular_edge_corollary(build_circular(n, k))
     cp = critical_params(n, k)
     assert rep.baseline == Fraction(n, k)
     assert len(rep.per_edge) == n * (n - 2 * k + 1) // 2

@@ -4,6 +4,9 @@ budget that the one search driver keeps for every exact search."""
 
 from __future__ import annotations
 
+import inspect
+import sys
+
 import pytest
 
 from wellspread import (
@@ -22,6 +25,8 @@ from wellspread import (
     maximum_independent_set,
 )
 from wellspread import graphs
+from wellspread.coloring import _class_steps
+from wellspread.graphs import _run_search
 from wellspread.homomorphism import _hom_search
 
 # (search, nodes it needs, whether it finds a map).  A change of vertex order,
@@ -90,3 +95,39 @@ def test_homomorphism_deeper_than_the_recursion_limit():
 def test_maximal_sets_deeper_than_the_recursion_limit():
     edgeless = LabeledGraph(labels=tuple(range(1500)), adj=(0,) * 1500)
     assert enumerate_maximal_independent_sets(edgeless) == [tuple(range(1500))]
+
+
+def test_class_branching_deeper_than_the_recursion_limit():
+    # circular(401, 2) takes 201 colours, one class-branching level each;
+    # the levels live on the search-tree driver's stack, not Python's
+    g = build_circular(401, 2)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        assert _run_search(_class_steps(g, 201), "class branching")
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_tree_steps_pauses_once_per_none_and_sends_child_values_back():
+    def leaf(value):
+        return value  # returns before its first yield
+        yield
+
+    def node(depth):
+        yield
+        if depth == 0:
+            return 1
+        below = yield node(depth - 1)
+        yield
+        return below + (yield leaf(10))
+
+    # node(d) pauses 2d + 1 times and returns 10d + 1
+    assert _run_search(graphs._tree_steps(node(3)), "toy", 7) == 31
+    with pytest.raises(ResourceCap):
+        _run_search(graphs._tree_steps(node(3)), "toy", 6)
+    steps = graphs._tree_steps(node(0))
+    assert next(steps) is None
+    with pytest.raises(StopIteration) as done:
+        next(steps)
+    assert done.value.value == 1
