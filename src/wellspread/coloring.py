@@ -10,30 +10,31 @@ DSATUR search is the package's one map search (`graphs._map_steps`) into K_t:
 greedy-clique precoloring, forward checking on per-vertex domain masks,
 DSATUR vertex order and first-fresh-color symmetry breaking.  It runs alone
 for its first V nodes, one greedy descent, which colors a graph without
-backtracking.  Then class branching over maximal independent sets
-(`_class_steps`, on the shared Bron-Kerbosch of `independence`) starts, and
-one class-branching node and one DSATUR node alternate until DSATUR has spent
+backtracking.  Then class branching (`_class_steps`) starts, and one
+class-branching node and one DSATUR node alternate until DSATUR has spent
 V + `_PROBE_NODES`; the first search to answer wins.  Class branching
-branches on the residual vertex with the fewest class choices.  With three
-colors left the class must leave a bipartite rest, so the class
-enumeration is cut wherever the vertices it leaves out already hold an odd
-cycle.  The left-out set only grows down the enumeration, so each frame
-searches only the components that its newly left-out vertices touch; the
-others passed at the parent frame.  The same bipartiteness check alone
-decides t = 2 before any search.  Class branching memoizes refuted residuals
-up to the graph's certified dihedral symmetry
+branches on the residual vertex with the fewest class choices, over the
+maximal independent sets of the shared Bron-Kerbosch of `independence` while
+four or more colors are left.  With three left it lists no classes: the
+class must leave a bipartite rest, and `_forcing_steps` searches for one
+directly.  It grows the class from that vertex, forces into it every
+undecided vertex next to both sides of one component of the left-out
+vertices, and branches only when nothing is forced.  One breadth-first
+helper, `_odd_closers`, two-colors those components and finds the vertices
+they force; alone it decides t = 2 before any search.  Class branching
+memoizes refuted residuals up to the graph's certified dihedral symmetry
 (`graphs.dihedral_automorphisms`), renumbering the vertices so that the
 rotation acts by bit shifts and the reflection by one table lookup per 4 bits
 of the mask; a graph without one keys the memo by the residual itself.
 
 The two searches win on different graphs (the node table in
 `is_t_colorable`): DSATUR refutes 5 colors on I(11,2) in 5 nodes, where class
-branching takes 56,480; class branching refutes 5 colors on SG(10,3) in 5,383,
+branching takes 56,480; class branching refutes 5 colors on SG(10,3) in 3,249,
 where DSATUR takes minutes.  Taking turns bounds the cost to twice the
-winner's nodes plus the DSATUR cap.  Both searches are exhaustive, the cut
-drops only classes that leave an odd cycle for two colors, and the memo only
-skips residuals isomorphic to refuted ones, so both directions of every
-answer are exact.
+winner's nodes plus the DSATUR cap.  Both searches are exhaustive, forcing
+moves only vertices that no 3-coloring of the residual puts elsewhere, and
+the memo only skips residuals isomorphic to refuted ones, so both directions
+of every answer are exact.
 
 `rlf_coloring` is a recursive-largest-first greedy coloring (Leighton 1979).
 No decision here uses it: it runs only in the chi vertex sweep
@@ -58,7 +59,9 @@ _PROBE_NODES = 1000
 
 # class branching stops memoizing refuted residual masks past this many;
 # refuting 5 colors on SG(10,3) leaves 384 entries, 4 on SG(11,4) 77, 4 on
-# KG(9,3) 1,644 and 6 on SG(11,3) 92,406
+# KG(9,3) 1,644 and 6 on SG(11,3) 92,406.  Most are residuals that the
+# forcing search refuted with three colors left; with no memo, 4 colors on
+# SG(11,4) take 8,476 nodes instead of 3,238
 _REFUTED_MEMO_CAP = 250_000
 
 
@@ -182,19 +185,22 @@ def _into_k_t(g: LabeledGraph, t: int) -> tuple[list[int], list[int], list[tuple
     return k_t, [full_t] * g.vertex_count, [(v, c) for c, v in enumerate(greedy_clique(g))]
 
 
-def _is_bipartite(adj: tuple[int, ...], mask: int, new: int = -1) -> bool:
-    """Whether the components of the subgraph induced on `mask` that meet
-    `new` (by default all of them) are 2-colorable: breadth-first search one
-    layer mask at a time from a vertex of `new`; an edge inside a layer
-    closes an odd cycle, and without one the layers alternate two colors.
+def _odd_closers(adj: tuple[int, ...], mask: int, new: int = -1) -> int | None:
+    """The vertices adjacent to both sides of a component of the subgraph
+    induced on `mask` that meets `new` (by default of every component), or
+    None when such a component holds an odd cycle.
 
-    With three colors left, class branching checks each Bron-Kerbosch frame
-    this way on the vertices that frame newly left out: the other components
-    are components of the parent frame's left-out set, which passed.  The
-    inner loop there, so bits are walked inline."""
+    Breadth-first search one layer mask at a time from a vertex of `new`: an
+    edge inside a layer closes an odd cycle, and without one the layers
+    alternate two sides.  A vertex outside `mask` next to both sides of one
+    component closes an odd cycle through it, whatever else joins `mask`
+    later.  The inner loop of the forcing search, so bits are walked inline.
+    """
     new &= mask
+    closers = 0
     while new:
         layer = seen = new & -new
+        near = far = 0  # the neighbours of the two sides, alternating
         while layer:
             reach = 0
             m = layer
@@ -203,11 +209,103 @@ def _is_bipartite(adj: tuple[int, ...], mask: int, new: int = -1) -> bool:
                 reach |= adj[b.bit_length() - 1]
                 m ^= b
             if reach & layer:
-                return False
+                return None
+            near, far = far, near | reach
             layer = reach & mask & ~seen
             seen |= layer
+        closers |= near & far
         new &= ~seen
-    return True
+    return closers
+
+
+def _is_bipartite(adj: tuple[int, ...], mask: int, new: int = -1) -> bool:
+    """Whether the components of the subgraph induced on `mask` that meet
+    `new` (by default all of them) are 2-colorable, by `_odd_closers`."""
+    return _odd_closers(adj, mask, new) is not None
+
+
+def _fewest_non_neighbours(nonadj: list[int], mask: int) -> int:
+    """The first vertex of `mask` with the fewest non-neighbours in `mask`,
+    in one bit walk."""
+    fewest = mask.bit_count()
+    m = mask
+    while m:
+        b = m & -m
+        u = b.bit_length() - 1
+        c = (mask & nonadj[u]).bit_count()
+        if c < fewest:
+            fewest, v = c, u
+        m ^= b
+    return v
+
+
+def _force(adj: tuple[int, ...], cls: int, left: int, undecided: int,
+           new: int) -> tuple[int, int, int] | None:
+    """Propagate a partial 3-coloring split: the independent class `cls`, the
+    vertices `left` out of it for two colors, and the vertices `undecided`,
+    none of them next to `cls`.  `new` masks the vertices of `left` whose
+    components may have changed; every other component of `left` has no
+    undecided vertex next to both of its sides.
+
+    An undecided vertex next to both sides of one component of `left` cannot
+    join it, so it is forced into `cls`, and its undecided neighbours leave
+    for `left`; this repeats until nothing is forced.  Returns the split then
+    reached, or None when `left` holds an odd cycle or two forced vertices
+    are adjacent.  Each pass searches only the components that meet the
+    vertices it moved into `left`.
+    """
+    while True:
+        closers = _odd_closers(adj, left, new)
+        if closers is None:
+            return None
+        forced = closers & undecided
+        if not forced:
+            return cls, left, undecided
+        near = 0
+        m = forced
+        while m:
+            b = m & -m
+            near |= adj[b.bit_length() - 1]
+            m ^= b
+        if near & forced:
+            return None
+        cls |= forced
+        new = near & undecided
+        left |= new
+        undecided &= ~(forced | new)
+
+
+def _forcing_steps(adj: tuple[int, ...], nonadj: list[int], mask: int,
+                   v: int) -> Generator[None, None, bool]:
+    """Whether the residual `mask` is 3-colorable, paused once per node: a
+    search for an independent class holding v that leaves a bipartite rest.
+
+    The class starts as {v} and v's neighbours are left out.  Each node runs
+    `_force`, which fails on an odd cycle among the left-out vertices or on
+    forced vertices that are adjacent, and answers True once no vertex is
+    undecided.  Otherwise it branches on the undecided vertex with the fewest
+    undecided non-neighbours (lowest index on ties): into the class first,
+    its undecided neighbours then left out, and else left out itself.  Any
+    3-coloring can be renamed so that v's color is the class, and forcing
+    only moves vertices that no completion puts elsewhere, so the search is
+    exhaustive.  The nodes wait on one explicit stack.
+    """
+    left = adj[v] & mask
+    stack = [(1 << v, left, mask & nonadj[v], left)]
+    while stack:
+        yield
+        split = _force(adj, *stack.pop())
+        if split is None:
+            continue
+        cls, left, undecided = split
+        if not undecided:
+            return True
+        u = _fewest_non_neighbours(nonadj, undecided)
+        pick = 1 << u
+        out = adj[u] & undecided
+        stack.append((cls, left | pick, undecided ^ pick, pick))
+        stack.append((cls | pick, left | out, undecided & ~(out | pick), out))
+    return False
 
 
 def _dihedral_frame(g: LabeledGraph) -> tuple[LabeledGraph, Callable[[int], int] | None]:
@@ -305,16 +403,13 @@ def _class_steps(g: LabeledGraph, t: int) -> Generator[None, None, bool]:
     those sets is exhaustive for every choice; the vertex with the fewest
     residual non-neighbors (lowest index on ties) has the fewest sets.  Two
     colors left are decided by `_is_bipartite`, one node.  With three left,
-    the class must leave a bipartite rest: each Bron-Kerbosch frame (r, p)
-    only yields sets within r | p, so a frame is cut (one node) when the
-    residual outside r | p is not bipartite, and the first maximal set that
-    passes is a 3-coloring.  That residual only grows from a frame to its
-    children, so a frame searches only the components that meet the vertices
-    `bron_kerbosch` reports as newly left out; every other component is one
-    of the parent frame's, which passed.  The root frame is checked whole.
-    Much faster than vertex-at-a-time search when the maximal-set families
-    stay small; can blow up when they do not.  A node is a residual past
-    the memo, or one Bron-Kerbosch expansion.
+    `_forcing_steps` searches for a class holding that vertex that leaves a
+    bipartite rest, and no classes are listed.  Much faster than
+    vertex-at-a-time search when the maximal-set families stay small; can
+    blow up when they do not.  A node is a residual past the memo, one
+    Bron-Kerbosch expansion or one node of the forcing search.  A child
+    residual that is empty, has no color left or is refuted already is
+    decided where it is made, without a node.
 
     A residual refuted with c colors is memoized under its least image by
     `_dihedral_frame`: an automorphism maps G[m] onto G[s(m)], so one
@@ -328,46 +423,42 @@ def _class_steps(g: LabeledGraph, t: int) -> Generator[None, None, bool]:
     nonadj = nonadjacency(g)
     refuted: dict[int, int] = {}
 
-    def rec(mask: int, colors_left: int) -> Generator[Generator | None, bool | None, bool]:
-        if mask == 0:
-            return True
-        if colors_left == 0:
-            return False
-        key = least_image(mask) if least_image and colors_left > 2 else mask
-        if refuted.get(key, 0) >= colors_left:
-            return False
+    def rec(mask: int, colors_left: int, key: int) -> Generator[Generator | None, bool | None, bool]:
+        # a residual that is not empty, has a color left and is not refuted
         yield
         if colors_left == 2:
             return _is_bipartite(adj, mask)
-        # the first vertex of fewest residual non-neighbors, in one bit walk
-        fewest = V
-        m = mask
-        while m:
-            b = m & -m
-            u = b.bit_length() - 1
-            c = (mask & nonadj[u]).bit_count()
-            if c < fewest:
-                fewest, v = c, u
-            m ^= b
-        viable = ((lambda r, p, left: _is_bipartite(adj, mask & ~(r | p), left))
-                  if colors_left == 3 else None)
-        sols = []
-        for cls in bron_kerbosch(nonadj, 1 << v, mask & nonadj[v], viable):
-            yield
-            if cls:
-                if viable:
-                    return True
-                sols.append(cls)
-        sols.sort(key=lambda m: -m.bit_count())
-        for cls in sols:
-            if (yield rec(mask & ~cls, colors_left - 1)):
+        v = _fewest_non_neighbours(nonadj, mask)
+        if colors_left == 3:
+            if (yield from _forcing_steps(adj, nonadj, mask, v)):
                 return True
+        else:
+            sols = []
+            for cls in bron_kerbosch(nonadj, 1 << v, mask & nonadj[v]):
+                yield
+                if cls:
+                    sols.append(cls)
+            sols.sort(key=lambda m: -m.bit_count())
+            below = colors_left - 1
+            for cls in sols:
+                rest = mask & ~cls
+                if not rest:
+                    return True
+                # no child for a residual with no color left or refuted already
+                sub = least_image(rest) if least_image and below > 2 else rest
+                if refuted.get(sub, 0) < below and (yield rec(rest, below, sub)):
+                    return True
         if colors_left > refuted.get(key, 0) and (
                 key in refuted or len(refuted) < _REFUTED_MEMO_CAP):
             refuted[key] = colors_left
         return False
 
-    return (yield from graphs._tree_steps(rec((1 << V) - 1, t)))
+    if V == 0:
+        return True
+    if t == 0:
+        return False
+    full = (1 << V) - 1
+    return (yield from graphs._tree_steps(rec(full, t, full)))
 
 
 def is_t_colorable(g: LabeledGraph, t: int) -> bool:
@@ -376,17 +467,18 @@ def is_t_colorable(g: LabeledGraph, t: int) -> bool:
     decided by `_is_bipartite` alone.
 
     The DSATUR search (`graphs._map_steps` into K_t) runs alone for its first
-    V nodes, one greedy descent.  Class branching (`_class_steps`) then
-    starts, and one class-branching node and one DSATUR node alternate until
-    DSATUR has spent V + `_PROBE_NODES`; class branching goes on alone after
-    that.  The first search to answer wins, so the turns cost at most twice
-    the winner's nodes plus the DSATUR cap.  Nodes each search needs, from
-    a survey (DSATUR, class branching):
+    V nodes, one greedy descent.  Class branching (`_class_steps`, with the
+    forcing search at three colors left) then starts, and one class-branching
+    node and one DSATUR node alternate until DSATUR has spent
+    V + `_PROBE_NODES`; class branching goes on alone after that.  The first
+    search to answer wins, so the turns cost at most twice the winner's nodes
+    plus the DSATUR cap.  Nodes each search needs, from a survey (DSATUR,
+    class branching):
 
         I(11,2) at t = 5        5    56,480
-        KG(8,3) at t = 4       81    12,309
-        KG(9,2) at t = 6      279     1,055
-        KG(10,2) - v at t = 7 983    10,148
+        KG(8,3) at t = 4       81    12,303
+        KG(9,2) at t = 6      279     1,051
+        KG(10,2) - v at t = 7 983    10,139
 
     so neither search can go first alone, and the DSATUR cap cannot shrink.
     Either search is exhaustive, so the answer is exact; ResourceCap, naming

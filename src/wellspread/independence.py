@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import ResourceCap
 from .cyclic import CyclicSubset
@@ -24,31 +24,20 @@ DEFAULT_MIS_CAP = 200_000
 _NODE_BUDGET = 10_000_000  # nodes of one `_fail_soft_search`
 
 
-def bron_kerbosch(nonadj: list[int], r: int, p: int,
-                  viable: Callable[[int, int, int], bool] | None = None) -> Iterator[int]:
+def bron_kerbosch(nonadj: list[int], r: int, p: int) -> Iterator[int]:
     """Pivoting Bron-Kerbosch on the complement: the maximal independent sets
     that contain r and lie within r | p, where nonadj[v] masks the vertices
     other than v that are not adjacent to v.
 
     Depth-first with an explicit stack, in the order of the recursive
     algorithm.  Yields once per expansion, so a caller can count and budget
-    the work: the expanded set when it is maximal, else 0.
-
-    Every set a frame (r, p, x) can still yield lies within r | p.  When
-    `viable(r, p, left)` is given and false, the frame is cut: it yields 0
-    (one expansion) and none of its sets.  `left` masks the vertices that
-    have left r | p since the parent frame passed `viable`; r | p only
-    shrinks down the tree, so a caller can check the rest incrementally.  At
-    the root, whose parent is notional, `left` is ~(r | p): every vertex
-    outside r | p.  Without `viable` every frame expands.
+    the work: the expanded set when it is maximal, else 0.  Class branching
+    enumerates its classes here while four or more colors are left.
     """
     x = 0
-    left = ~(r | p)
     stack: list[list[int]] = []
     while True:
-        if viable is not None and not viable(r, p, left):
-            yield 0
-        elif p or x:
+        if p or x:
             yield 0
             # pivot maximizing |P & nonadj(u)|
             best_u, best_cnt = -1, -1
@@ -59,19 +48,18 @@ def bron_kerbosch(nonadj: list[int], r: int, p: int,
                 c = (p & nonadj[u]).bit_count()
                 if c > best_cnt:
                     best_cnt, best_u = c, u
-            stack.append([r, p, x, p & ~nonadj[best_u], r | p])
+            stack.append([r, p, x, p & ~nonadj[best_u]])
         else:
             yield r
         # descend into the next untried branch, popping finished frames
         while stack:
             top = stack[-1]
-            r, p, x, cand, held = top
+            r, p, x, cand = top
             if cand:
                 bv = cand & -cand
                 v = bv.bit_length() - 1
                 top[1], top[2], top[3] = p & ~bv, x | bv, cand ^ bv
                 r, p, x = r | bv, p & nonadj[v], x & nonadj[v]
-                left = held & ~(r | p)
                 break
             stack.pop()
         else:

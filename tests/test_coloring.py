@@ -143,103 +143,141 @@ def test_class_branching_node_count_on_schrijver_10_3():
 
 def test_class_branching_node_counts_with_the_symmetric_memo():
     # memoizing refuted residuals up to the certified dihedral symmetry and,
-    # with three colors left, cutting every Bron-Kerbosch frame whose left-out
-    # vertices hold an odd cycle refutes 5 colors on SG(10,3) in 5,383 nodes
-    # and 4 on SG(11,4) in 8,080 (19,373 and 44,956 without the cut; 86,117
-    # and 151,441 with the plain memo)
-    assert not class_branching(build_schrijver(10, 3), 5, 5_383)
-    assert not class_branching(build_schrijver(11, 4), 4, 8_080)
-    # the searches of the SG(10,2) and SG(9,3) chi sweeps: 697, 167 and 96
-    # nodes (1,499, 275 and 122 without the cut)
-    assert not class_branching(build_schrijver(10, 2), 7, 697)
+    # with three colors left, the forcing search refute 5 colors on SG(10,3)
+    # in 3,249 nodes and 4 on SG(11,4) in 3,238 (5,383 and 8,080 when
+    # Bron-Kerbosch listed three-color classes, cut at odd cycles; 86,117 and
+    # 151,441 with the plain memo and no cut)
+    assert not class_branching(build_schrijver(10, 3), 5, 3_249)
+    assert not class_branching(build_schrijver(11, 4), 4, 3_238)
+    # the searches of the SG(10,2) and SG(9,3) chi sweeps: 690, 128 and 91
+    # nodes (697, 167 and 96 with the cut classes)
+    assert not class_branching(build_schrijver(10, 2), 7, 690)
     sg = build_schrijver(9, 3)
-    assert not class_branching(sg, 4, 167)
-    assert class_branching(delete_vertex(sg, 0), 4, 96)
-    # three colors at the root: KG(8,3) in 28 nodes and I(10,3) in 163
-    # (17,004 and 4,535 without the cut)
-    assert not class_branching(build_kneser(8, 3), 3, 30)
-    assert not class_branching(build_interlacing(10, 3), 3, 170)
-    # KG(9,3) at t = 4 in 43,383 nodes, about half a second; without the cut
-    # the search took over a minute
-    assert not class_branching(build_kneser(9, 3), 4, 44_000)
+    assert not class_branching(sg, 4, 128)
+    assert class_branching(delete_vertex(sg, 0), 4, 91)
+    # three colors at the root: KG(8,3) in 28 nodes and I(10,3) in 2 (28 and
+    # 163 with the cut classes)
+    assert not class_branching(build_kneser(8, 3), 3, 28)
+    assert not class_branching(build_interlacing(10, 3), 3, 2)
+    # KG(9,3) at t = 4 in 34,158 nodes (43,383 with the cut classes)
+    assert not class_branching(build_kneser(9, 3), 4, 34_158)
 
 
-def _uncut_bron_kerbosch(nonadj, r, p, viable=None):
-    """The Bron-Kerbosch sets with no frame cut: the predicate only screens
-    each maximal set, as a bipartiteness check per class did before the cut."""
-    for cls in independence.bron_kerbosch(nonadj, r, p):
-        yield cls if not cls or viable is None or viable(cls, 0, ~cls) else 0
-
-
-def test_odd_cycle_cut_agrees_with_dsatur_and_the_uncut_search(monkeypatch):
-    # average degrees around the 3- and 4-coloring thresholds of random graphs
-    rng = random.Random(20261019)
-    answers = set()
-    for trial in range(150):
-        n = rng.randrange(8, 17)
-        g = random_graph(rng, n, rng.uniform(3.5, 9.0) / (n - 1))
-        for t in (3, 4):
-            cut = class_branching(g, t)
-            with monkeypatch.context() as m:
-                m.setattr(coloring, "bron_kerbosch", _uncut_bron_kerbosch)
-                uncut = class_branching(g, t)
-            assert cut == uncut == (find_proper_coloring(g, t) is not None), (trial, t)
-            answers.add((t, cut))
-    assert answers == {(3, False), (3, True), (4, False), (4, True)}
-
-
-def test_bron_kerbosch_predicate_that_always_holds_changes_nothing():
-    rng = random.Random(7)
-    for trial in range(60):
-        n = rng.randrange(0, 16)
-        g = random_graph(rng, n)
-        nonadj = independence.nonadjacency(g)
-        roots = [(0, (1 << n) - 1)] + [(1 << v, nonadj[v]) for v in range(n)]
-        for r, p in roots:
-            plain = list(independence.bron_kerbosch(nonadj, r, p))
-            assert list(independence.bron_kerbosch(
-                nonadj, r, p, lambda r, p, left: True)) == plain
-            # a cut frame counts as one expansion and yields no set
-            assert list(independence.bron_kerbosch(
-                nonadj, r, p, lambda r, p, left: False)) == [0]
-
-
-def test_incremental_odd_cycle_cut_yields_what_the_full_check_yields():
-    # bron_kerbosch passes the vertices that left r | p since the parent
-    # frame passed; checking only their components must cut exactly the
-    # frames that a full check of the left-out set cuts
+def test_odd_closers_agree_with_a_direct_two_coloring():
+    # per component of the subgraph on mask that meets new: None on an odd
+    # cycle, else the vertices next to both of its sides
     rng = random.Random(20261020)
-    # from root 3, the frame r = {3, 10} branches on 5, then on 9; 5, tried
-    # before 9 and not adjacent to it, is newly left out in 9's branch and
-    # closes the triangle 2 5 7
-    sibling = mk(12, [(0, 2), (0, 10), (1, 4), (1, 6), (2, 5), (2, 7), (2, 9), (2, 11),
-                      (3, 11), (4, 5), (5, 7), (6, 8), (7, 10), (8, 9), (10, 11)])
-    cases = [(sibling, (1 << 12) - 1)]
-    for trial in range(120):
-        n = rng.randrange(4, 17)
-        g = random_graph(rng, n, rng.uniform(0.1, 0.6))
-        cases.append((g, ((1 << n) - 1) & ~(rng.getrandbits(n) & rng.getrandbits(n))))
-    merges = set()
-    for trial, (g, mask) in enumerate(cases):
-        adj, nonadj = g.adj, independence.nonadjacency(g)
-        roots = [(0, mask)] + [(1 << v, mask & nonadj[v]) for v in iter_bits(mask)]
-        for r, p in roots:
-            def incremental(r, p, left):
-                out = mask & ~(r | p)
-                ok = _is_bipartite(adj, out, left)
-                parents = independence._components(adj, out & ~left)
-                if any(sum(1 for c in parents if adj[w] & c) > 1 for w in iter_bits(out & left)):
-                    merges.add(ok)
-                return ok
+    seen = set()
+    for trial in range(300):
+        n = rng.randrange(1, 15)
+        g = random_graph(rng, n, rng.uniform(0.05, 0.4))
+        mask = rng.getrandbits(n)
+        new = rng.getrandbits(n) if rng.random() < 0.7 else -1
+        expected = 0
+        for comp in independence._components(g.adj, mask):
+            if not comp & new:
+                continue
+            first = (comp & -comp).bit_length() - 1
+            side = {first: 0}
+            todo = [first]
+            while todo:
+                u = todo.pop()
+                for w in iter_bits(g.adj[u] & comp):
+                    if w not in side:
+                        side[w] = 1 - side[u]
+                        todo.append(w)
+                    elif side[w] == side[u]:
+                        expected = None
+            if expected is None:
+                break
+            for x in range(n):
+                if {side[w] for w in iter_bits(g.adj[x] & comp)} == {0, 1}:
+                    expected |= 1 << x
+        assert coloring._odd_closers(g.adj, mask, new) == expected, trial
+        seen.add("odd" if expected is None else "closers" if expected else "none")
+    assert seen == {"odd", "closers", "none"}
 
-            def full(r, p, left):
-                return _is_bipartite(adj, mask & ~(r | p))
 
-            assert (list(independence.bron_kerbosch(nonadj, r, p, incremental))
-                    == list(independence.bron_kerbosch(nonadj, r, p, full))), trial
-    # newly left-out vertices that join two components of the parent's
-    # left-out set, into an odd cycle and into a bipartite graph
-    assert merges == {False, True}
+def forcing_search(g, v, budget):
+    """The three-color search of class branching on all of g, its class
+    started from v, run by the search driver."""
+    steps = coloring._forcing_steps(g.adj, independence.nonadjacency(g),
+                                    (1 << g.vertex_count) - 1, v)
+    return _run_search(steps, "forcing search", budget)
+
+
+def _forced(g, cls, left, undecided):
+    """`_force` from a class, the vertices left out of it and the undecided
+    ones, all given as vertex lists; the split reached as lists, or None."""
+    def bits(vs):
+        return sum(1 << v for v in vs)
+
+    split = coloring._force(g.adj, bits(cls), bits(left), bits(undecided), bits(left))
+    return None if split is None else tuple(list(iter_bits(m)) for m in split)
+
+
+def test_forcing_moves_a_vertex_next_to_both_sides_of_one_component():
+    # 0's neighbours 1 and 2 are left out, adjacent, so on opposite sides; 3
+    # sees both of them, so no 2-coloring of the left-out set takes 3
+    g = mk(5, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 4)])
+    assert _forced(g, [0], [1, 2], [3, 4]) == ([0, 3], [1, 2, 4], [])
+    # the search from the class {0} answers at its first node, by forcing alone
+    assert forcing_search(g, 0, 1)
+
+
+def test_forcing_leaves_a_vertex_next_to_two_components_undecided():
+    # the left-out set is the edges 1-2 and 3-4; 5 sees 1 and 4, which lie on
+    # opposite sides when each component is 2-colored from its lowest vertex,
+    # but the components can flip, so 5 is not forced.  6 sees both sides of
+    # the edge 1-2 and is forced; 5, its neighbour, then joins the left-out
+    # path 2 1 5 4 3, and {0, 6} is the third color class
+    g = mk(7, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4),
+               (5, 1), (5, 4), (6, 1), (6, 2), (6, 5)])
+    assert _forced(g, [0], [1, 2, 3, 4], [5]) == ([0], [1, 2, 3, 4], [5])
+    assert _forced(g, [0], [1, 2, 3, 4], [5, 6]) == ([0, 6], [1, 2, 3, 4, 5], [])
+    assert find_proper_coloring(g, 3) is not None
+    assert forcing_search(g, 0, 1)
+    assert class_branching(g, 3)
+
+
+def test_forcing_refutes_an_adjacent_forced_pair():
+    # 3 and 4 each see both sides of the left-out edge 1-2, and 3 ~ 4: the
+    # vertices 1 2 3 4 form a K4
+    g = mk(5, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4)])
+    assert _forced(g, [0], [1, 2], [3, 4]) is None
+    assert find_proper_coloring(g, 3) is None
+    assert not forcing_search(g, 0, 1)
+    assert not class_branching(g, 3)
+
+
+def test_forcing_search_agrees_with_dsatur_on_random_graphs(monkeypatch):
+    # average degrees around the 3- and 4-coloring thresholds of random
+    # graphs; every answer is checked against the DSATUR search, and some
+    # run of `_force` must move a vertex into the class
+    answers = set()
+    fired = []
+    force = coloring._force
+
+    def recording(adj, cls, left, undecided, new):
+        split = force(adj, cls, left, undecided, new)
+        if split is not None and split[0] != cls:
+            fired.append(1)
+        return split
+
+    monkeypatch.setattr(coloring, "_force", recording)
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(st.integers(8, 16), st.integers(30, 90), st.randoms(use_true_random=False))
+    def agrees(n, degree, rng):
+        g = random_graph(rng, n, degree / 10 / (n - 1))
+        for t in (3, 4):
+            colorable = class_branching(g, t)
+            assert colorable == (find_proper_coloring(g, t) is not None), t
+            answers.add((t, colorable))
+
+    agrees()
+    assert answers == {(3, False), (3, True), (4, False), (4, True)}
+    assert fired
 
 
 def _group(gens):
@@ -381,10 +419,10 @@ def _record_class_branching(monkeypatch) -> list[str]:
 
 
 @pytest.mark.parametrize("g,t,colorable,dsatur,classes,winner", [
-    # class branching refutes in 167 nodes while DSATUR, which needs 8,980
-    # alone, has spent 197 of them
-    (build_schrijver(9, 3), 4, False, 197, 167, "class branching"),
-    # DSATUR refutes in 279 nodes, on class branching's 244th of 1,055
+    # class branching refutes in 128 nodes while DSATUR, which needs 8,980
+    # alone, has spent 158 of them
+    (build_schrijver(9, 3), 4, False, 158, 128, "class branching"),
+    # DSATUR refutes in 279 nodes, on class branching's 244th of 1,051
     (build_kneser(9, 2), 6, False, 279, 244, "DSATUR"),
 ], ids=["SG(9,3) t=4", "KG(9,2) t=6"])
 def test_the_two_searches_take_turns_under_one_budget(monkeypatch, g, t, colorable, dsatur,
