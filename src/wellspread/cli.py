@@ -43,7 +43,7 @@ from .errors import (
 from .fractional import fractional_chromatic_number
 from .graphs import FamilyParams, delete_edge, delete_vertex
 from .homomorphism import circular_chromatic_number
-from .independence import DEFAULT_MIS_CAP, independence_number
+from .independence import independence_number
 from .serialize import (
     SCHEMA_VERSION,
     _family_json,
@@ -127,7 +127,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-paper", help="run the full verification grid")
     p.add_argument("--max-n", type=int, metavar="N",
                    help="clamp every sweep to n <= N")
-    p.add_argument("--mis-cap", type=int, default=DEFAULT_MIS_CAP, metavar="N")
     return parser
 
 
@@ -232,7 +231,7 @@ def _cmd_verify(args) -> int:
     # imported here: no other command needs the verification harness
     from .verify import run_all, summary_document
 
-    results = run_all(args.max_n, args.mis_cap)
+    results = run_all(args.max_n)
     for r in results:
         for line in r.lines():
             print(line, file=sys.stderr)

@@ -218,10 +218,9 @@ def _odd_closers(adj: tuple[int, ...], mask: int, new: int = -1) -> int | None:
     return closers
 
 
-def _is_bipartite(adj: tuple[int, ...], mask: int, new: int = -1) -> bool:
-    """Whether the components of the subgraph induced on `mask` that meet
-    `new` (by default all of them) are 2-colorable, by `_odd_closers`."""
-    return _odd_closers(adj, mask, new) is not None
+def _is_bipartite(adj: tuple[int, ...], mask: int) -> bool:
+    """Whether the subgraph induced on `mask` is 2-colorable, by `_odd_closers`."""
+    return _odd_closers(adj, mask) is not None
 
 
 def _fewest_non_neighbours(nonadj: list[int], mask: int) -> int:

@@ -13,8 +13,9 @@ graphs is monotone in p/q, so the first admitting target is the exact value.
 Each candidate is first tried with the maps v -> s*x(v) mod p that commute
 with a certified label rotation (v is the rotation applied x(v) times to
 vertex 0); a hit is validated and admits the candidate, a miss falls through
-to one homomorphism search into K_{p/q}, so every candidate below the answer
-is still refuted by the full search.
+to one homomorphism search into K_{p/q} (`find_homomorphism`, which validates
+its hit too), so every candidate below the answer is still refuted by the full
+search.  A circular graph K_{p/q} is its own target at p/q.
 """
 from __future__ import annotations
 
@@ -26,28 +27,19 @@ from typing import Iterator
 from .coloring import chromatic_number
 from .fractional import fractional_chromatic_number
 from .graphs import (
-    LabeledGraph, MapKind, VertexMap, _map_steps, _run_search, build_circular,
-    is_automorphism, label_rotation, validate_map,
+    FamilyParams, LabeledGraph, MapKind, VertexMap, _map_steps, _run_search,
+    build_circular, is_automorphism, label_rotation, validate_map,
 )
 from .independence import iter_bits
 
 
-def _hom_search(g: LabeledGraph, h: LabeledGraph) -> dict[int, int] | None:
-    Vg, Vh = g.vertex_count, h.vertex_count
-    if Vg == 0:
-        return {}
-    if Vh == 0:
-        return None
-    image = _run_search(_map_steps(g.adj, h.adj, [(1 << Vh) - 1] * Vg), "homomorphism")
-    return None if image is None else dict(enumerate(image))
-
-
 def find_homomorphism(g: LabeledGraph, h: LabeledGraph) -> VertexMap | None:
     """An edge-preserving vertex map g -> h, validated, or None (exhaustive)."""
-    mapping = _hom_search(g, h)
-    if mapping is None:
+    domains = [(1 << h.vertex_count) - 1] * g.vertex_count
+    image = _run_search(_map_steps(g.adj, h.adj, domains), "homomorphism")
+    if image is None:
         return None
-    out = VertexMap(g, h, mapping, MapKind.HOMOMORPHISM)
+    out = VertexMap(g, h, dict(enumerate(image)), MapKind.HOMOMORPHISM)
     bad = validate_map(out)
     if bad:
         raise AssertionError(f"search produced an invalid homomorphism: {bad[:3]}")
@@ -181,7 +173,8 @@ def circular_chromatic_number(g: LabeledGraph) -> Fraction:
         p, q = cand.numerator, cand.denominator
         if cand < 2 or p > V:
             continue
-        target = build_circular(p, q, vertex_cap=max(p, 1))
+        target = (g if g.family == FamilyParams("circular", p, q)
+                  else build_circular(p, q, vertex_cap=p))
         s = None if steps is None else _rotation_probe(g, steps, p, q)
         if s is not None:
             m = VertexMap(g, target, {v: s * x % p for v, x in enumerate(steps)},
@@ -190,6 +183,6 @@ def circular_chromatic_number(g: LabeledGraph) -> Fraction:
             if bad:
                 raise AssertionError(f"rotation probe produced an invalid homomorphism: {bad[:3]}")
             return cand
-        if _hom_search(g, target) is not None:
+        if find_homomorphism(g, target) is not None:
             return cand
     raise AssertionError("no circular target admitted the graph up to its chromatic number")

@@ -20,7 +20,7 @@ from .graphs import (LabeledGraph, MapKind, VertexMap, _residue_permutation, _ru
                      _solve_per_orbit, _tree_steps, build_circular, is_automorphism,
                      iter_bits, label_rotation, validate_map)
 
-DEFAULT_MIS_CAP = 200_000
+_MIS_CAP = 200_000  # sets of one `enumerate_maximal_independent_sets`
 _NODE_BUDGET = 10_000_000  # nodes of one `_fail_soft_search`
 
 
@@ -72,18 +72,17 @@ def nonadjacency(g: LabeledGraph) -> list[int]:
     return [full & ~a & ~(1 << v) for v, a in enumerate(g.adj)]
 
 
-def enumerate_maximal_independent_sets(g: LabeledGraph,
-                                       mis_cap: int = DEFAULT_MIS_CAP) -> list[tuple[int, ...]]:
+def enumerate_maximal_independent_sets(g: LabeledGraph) -> list[tuple[int, ...]]:
     """All maximal independent sets, lex-sorted, via pivoting Bron-Kerbosch
-    on the complement.  Raises ResourceCap when the family outgrows mis_cap."""
+    on the complement.  Raises ResourceCap past `_MIS_CAP` sets."""
     V = g.vertex_count
     out: list[int] = []
     if V:
         for r in bron_kerbosch(nonadjacency(g), 0, (1 << V) - 1):
             if r:
                 out.append(r)
-                if len(out) > mis_cap:
-                    raise ResourceCap(f"more than {mis_cap} maximal independent sets")
+                if len(out) > _MIS_CAP:
+                    raise ResourceCap(f"more than {_MIS_CAP} maximal independent sets")
     return sorted(tuple(iter_bits(m)) for m in out)
 
 
@@ -315,9 +314,9 @@ def independence_number(g: LabeledGraph) -> int:
     return maximum_independent_set(g).bit_count()
 
 
-def max_independent_sets(g: LabeledGraph, mis_cap: int = DEFAULT_MIS_CAP) -> list[tuple[int, ...]]:
+def max_independent_sets(g: LabeledGraph) -> list[tuple[int, ...]]:
     """All maximum independent sets (lex-sorted), by filtering the maximal family."""
-    fam = enumerate_maximal_independent_sets(g, mis_cap)
+    fam = enumerate_maximal_independent_sets(g)
     if not fam:
         return []
     top = max(len(s) for s in fam)

@@ -4,6 +4,9 @@ Each criterion sweeps a parameter grid, recomputes the claimed quantity with
 the exact solvers, and compares against the closed-form prediction.  Nothing
 here trusts the certificate constructors: colorings and maps are re-validated
 and their values cross-checked against independent LP or search oracles.
+
+Every `check_*` takes one argument, `max_n`, and `_cap` clamps each of its own
+grid sizes to n <= max_n; a max_n below `_MIN_MAX_N` raises InvalidParams.
 """
 from __future__ import annotations
 
@@ -30,6 +33,7 @@ from .cyclic import (
     is_well_spread,
     is_well_spread_dual,
 )
+from .errors import InvalidParams
 from .fractional import fractional_chromatic_number, verify_fractional_coloring
 from .graphs import (
     build_circular,
@@ -43,7 +47,7 @@ from .graphs import (
     validate_map,
 )
 from .homomorphism import circular_chromatic_number, find_isomorphism
-from .independence import DEFAULT_MIS_CAP, independence_number, max_independent_sets
+from .independence import independence_number, max_independent_sets
 from .serialize import SCHEMA_VERSION
 
 
@@ -95,6 +99,21 @@ def _is_subgraph(h, g) -> bool:
     return all(g.has_edge(m[u], m[v]) for u, v in h.edges())
 
 
+# criterion 9's graphs K_{n/k}: below their least n it checks no case, so that
+# n is the least max_n accepted (every other criterion has a case by n = 4)
+_CIRCULAR_PAIRS = ((5, 2), (7, 2), (7, 3), (8, 3), (9, 4), (11, 3))
+_MIN_MAX_N = min(n for n, _ in _CIRCULAR_PAIRS)
+
+
+def _cap(default: int, max_n: int | None) -> int:
+    """A grid's largest n: default, clamped to max_n when one is given."""
+    if max_n is None:
+        return default
+    if max_n < _MIN_MAX_N:
+        raise InvalidParams(f"max-n {max_n} leaves a criterion empty; the least is {_MIN_MAX_N}")
+    return min(default, max_n)
+
+
 def _grid(max_n: int, strict: bool = False, coprime: bool = False):
     for n in range(2, max_n + 1):
         top = (n - 1) // 2 if strict else n // 2
@@ -104,7 +123,7 @@ def _grid(max_n: int, strict: bool = False, coprime: bool = False):
             yield n, k
 
 
-def check_chromatic_law(max_n: int = 10, deletion_max_n: int = 8) -> CriterionResult:
+def check_chromatic_law(max_n: int | None = None) -> CriterionResult:
     """chi of both set families equals n-2k+2; every single vertex deletion
     of the 2-separated family drops it to n-2k+1.
 
@@ -114,7 +133,7 @@ def check_chromatic_law(max_n: int = 10, deletion_max_n: int = 8) -> CriterionRe
     number is sandwiched.
     """
     cases = []
-    for n, k in _grid(max_n):
+    for n, k in _grid(_cap(10, max_n)):
         t = n - 2 * k + 2
         sg = build_schrijver(n, k)
         ok_sg, got_sg = _chi_equals(sg, t)
@@ -129,7 +148,7 @@ def check_chromatic_law(max_n: int = 10, deletion_max_n: int = 8) -> CriterionRe
             else f"{t}-colorable={colored}, subgraph={contained}, sg pinned={ok_sg}"
         )
         cases.append(CaseResult(f"KG({n},{k})", detail, ok_kg))
-        if n <= deletion_max_n:
+        if n <= _cap(8, max_n):
             bad = []
             for v in range(sg.vertex_count):
                 ok_v, _ = _chi_equals(delete_vertex(sg, v), t - 1)
@@ -156,15 +175,12 @@ def _is_star(labels, vertices) -> bool:
     return True
 
 
-def check_independence(
-    max_n_kneser: int = 9,
-    max_n_schrijver: int = 11,
-    mis_cap: int = DEFAULT_MIS_CAP,
-) -> CriterionResult:
+def check_independence(max_n: int | None = None) -> CriterionResult:
     """alpha formulas for both families, plus the maximum-set structure of
     the 2-separated family: all stars away from n = 2k+2, a non-star at it."""
     cases = []
-    for n, k in _grid(max_n_kneser):
+    max_n_schrijver = _cap(11, max_n)
+    for n, k in _grid(_cap(9, max_n)):
         want = comb(n - 1, k - 1)
         got = independence_number(build_kneser(n, k))
         cases.append(CaseResult(f"KG({n},{k})", f"alpha={got} want {want}", got == want))
@@ -174,7 +190,7 @@ def check_independence(
         got = independence_number(sg)
         cases.append(CaseResult(f"SG({n},{k})", f"alpha={got} want {want}", got == want))
         if n > 2 * k and n != 2 * k + 2:
-            sets = max_independent_sets(sg, mis_cap)
+            sets = max_independent_sets(sg)
             stars = sum(1 for s in sets if _is_star(sg.labels, s))
             cases.append(
                 CaseResult(
@@ -188,7 +204,7 @@ def check_independence(
         if n > max_n_schrijver:
             continue
         sg = build_schrijver(n, k)
-        sets = max_independent_sets(sg, mis_cap)
+        sets = max_independent_sets(sg)
         nonstars = sum(1 for s in sets if not _is_star(sg.labels, s))
         cases.append(
             CaseResult(
@@ -200,27 +216,27 @@ def check_independence(
     return CriterionResult(2, "independence-numbers", tuple(cases))
 
 
-def check_fractional_law(max_n_set: int = 10, max_n_q: int = 20) -> CriterionResult:
+def check_fractional_law(max_n: int | None = None) -> CriterionResult:
     """chi_f equals n/k on all three families."""
     cases = []
-    for n, k in _grid(max_n_set):
+    for n, k in _grid(_cap(10, max_n)):
         want = Fraction(n, k)
         for tag, g in (("KG", build_kneser(n, k)), ("SG", build_schrijver(n, k))):
             got = fractional_chromatic_number(g)[0]
             cases.append(
                 CaseResult(f"{tag}({n},{k})", f"chi_f={got} want {want}", got == want)
             )
-    for n, k in _grid(max_n_q, coprime=True):
+    for n, k in _grid(_cap(20, max_n), coprime=True):
         want = Fraction(n, k)
         got = fractional_chromatic_number(build_q(n, k))[0]
         cases.append(CaseResult(f"Q({n},{k})", f"chi_f={got} want {want}", got == want))
     return CriterionResult(3, "fractional-law", tuple(cases))
 
 
-def check_vertex_criticality(max_n: int = 14) -> CriterionResult:
+def check_vertex_criticality(max_n: int | None = None) -> CriterionResult:
     """LP value after every single vertex deletion of the rotation graph."""
     cases = []
-    for n, k in _grid(max_n, strict=True, coprime=True):
+    for n, k in _grid(_cap(14, max_n), strict=True, coprime=True):
         want = critical_params(n, k).as_fraction()
         q = build_q(n, k)
         got = {fractional_chromatic_number(delete_vertex(q, v))[0] for v in range(n)}
@@ -235,14 +251,14 @@ def check_vertex_criticality(max_n: int = 14) -> CriterionResult:
     return CriterionResult(4, "vertex-criticality", tuple(cases))
 
 
-def check_edge_classification(max_n: int = 14) -> CriterionResult:
+def check_edge_classification(max_n: int | None = None) -> CriterionResult:
     """Two-sided edge test: deletion drops chi_f to a/b exactly on
     consecutive-rotation edges and leaves n/k otherwise.
 
     Every edge-deleted graph is solved here, independently of the
     orbit-reduced sweep in `criticality`."""
     cases = []
-    for n, k in _grid(max_n, strict=True, coprime=True):
+    for n, k in _grid(_cap(14, max_n), strict=True, coprime=True):
         want_drop = critical_params(n, k).as_fraction()
         want_keep = Fraction(n, k)
         q = build_q(n, k)
@@ -277,11 +293,11 @@ def check_edge_classification(max_n: int = 14) -> CriterionResult:
     return CriterionResult(5, "edge-classification", tuple(cases))
 
 
-def check_certificates(max_n: int = 14, scaling_max_n: int = 8) -> CriterionResult:
+def check_certificates(max_n: int | None = None) -> CriterionResult:
     """Every explicit construction validates, and every certificate coloring
     value matches an independent LP solve on the literally deleted graph."""
     cases = []
-    for n, k in _grid(max_n, strict=True, coprime=True):
+    for n, k in _grid(_cap(14, max_n), strict=True, coprime=True):
         q = build_q(n, k)
         problems = []
 
@@ -312,7 +328,7 @@ def check_certificates(max_n: int = 14, scaling_max_n: int = 8) -> CriterionResu
                 not problems,
             )
         )
-    for n, k in _grid(scaling_max_n):
+    for n, k in _grid(_cap(8, max_n)):
         problems = []
         for ell in (2, 3):
             try:
@@ -348,17 +364,13 @@ def _coloring_matches_lp(q, fc) -> None:
         raise AssertionError(f"certificate value {fc.value} but LP gives {lp}")
 
 
-def check_rotation_structure(
-    max_n_degree: int = 30,
-    max_n_chi: int = 14,
-    max_n_boundary: int = 12,
-    max_n_iso: int = 14,
-) -> CriterionResult:
+def check_rotation_structure(max_n: int | None = None) -> CriterionResult:
     """Vertex count and regular degree, chi = ceil(n/k), the equality
     boundary with the 2-separated family, and independent isomorphism to the
     circular complete graph on reduced parameters."""
     cases = []
-    for n, k in _grid(max_n_degree, coprime=True):
+    max_n_boundary = _cap(12, max_n)
+    for n, k in _grid(_cap(30, max_n), coprime=True):
         q = build_q(n, k)
         degs = {q.degree(v) for v in range(q.vertex_count)}
         ok = q.vertex_count == n and degs == {n - 2 * k + 1}
@@ -369,7 +381,7 @@ def check_rotation_structure(
                 ok,
             )
         )
-    for n, k in _grid(max_n_chi, coprime=True):
+    for n, k in _grid(_cap(14, max_n), coprime=True):
         t = ceil(Fraction(n, k))
         ok, got = _chi_equals(build_q(n, k), t)
         cases.append(CaseResult(f"Q({n},{k})", f"chi={got} want {t}", ok))
@@ -384,7 +396,7 @@ def check_rotation_structure(
             not mism,
         )
     )
-    for n, k in _grid(max_n_iso):
+    for n, k in _grid(_cap(14, max_n)):
         g = gcd(n, k)
         m = find_isomorphism(build_q(n, k), build_circular(n // g, k // g))
         cases.append(
@@ -397,11 +409,11 @@ def check_rotation_structure(
     return CriterionResult(7, "rotation-structure", tuple(cases))
 
 
-def check_well_spread(max_n: int = 16) -> CriterionResult:
+def check_well_spread(max_n: int | None = None) -> CriterionResult:
     """Exhaustive agreement of the two balance tests, classification of
     well-spread sets as canonical rotations, and reduction terminal sizes."""
     cases = []
-    for n in range(1, max_n + 1):
+    for n in range(1, _cap(16, max_n) + 1):
         mismatch = 0
         found: dict[int, set] = {}
         for mask in range(1 << n):
@@ -455,16 +467,16 @@ def check_well_spread(max_n: int = 16) -> CriterionResult:
     return CriterionResult(8, "well-spread-machinery", tuple(cases))
 
 
-def check_circular_deletion(
-    pairs: tuple[tuple[int, int], ...] = ((5, 2), (7, 2), (7, 3), (8, 3), (9, 4), (11, 3)),
-) -> CriterionResult:
+def check_circular_deletion(max_n: int | None = None) -> CriterionResult:
     """Search-based chi_c of the circular complete graph after each edge
     deletion: a/b exactly at circular distance k, n/k otherwise.
 
     Every edge-deleted graph is solved here, independently of the
     orbit-reduced sweep in `criticality`."""
     cases = []
-    for n, k in pairs:
+    for n, k in _CIRCULAR_PAIRS:
+        if _cap(n, max_n) < n:
+            continue
         want_drop = critical_params(n, k).as_fraction()
         want_keep = Fraction(n, k)
         g = build_circular(n, k)
@@ -491,11 +503,11 @@ def check_circular_deletion(
     return CriterionResult(9, "circular-deletion", tuple(cases))
 
 
-def check_interlacing(max_n: int = 10) -> CriterionResult:
+def check_interlacing(max_n: int | None = None) -> CriterionResult:
     """The rotation graph's edges interlace, and the interlacing graph's
     chromatic number is ceil(n/k)."""
     cases = []
-    for n, k in _grid(max_n):
+    for n, k in _grid(_cap(10, max_n)):
         inter = build_interlacing(n, k)
         index = {lab: i for i, lab in enumerate(inter.labels)}
         q = build_q(n, k)
@@ -517,26 +529,19 @@ def check_interlacing(max_n: int = 10) -> CriterionResult:
     return CriterionResult(10, "interlacing", tuple(cases))
 
 
-def run_all(max_n: int | None = None, mis_cap: int = DEFAULT_MIS_CAP) -> list[CriterionResult]:
-    """The full verification grid, optionally clamped to smaller n."""
-
-    def cap(default: int) -> int:
-        return default if max_n is None else min(default, max_n)
-
-    pairs = tuple(
-        p for p in ((5, 2), (7, 2), (7, 3), (8, 3), (9, 4), (11, 3)) if p[0] <= cap(11)
-    )
+def run_all(max_n: int | None = None) -> list[CriterionResult]:
+    """The full verification grid, optionally clamped to n <= max_n."""
     return [
-        check_chromatic_law(cap(10), cap(8)),
-        check_independence(cap(9), cap(11), mis_cap),
-        check_fractional_law(cap(10), cap(20)),
-        check_vertex_criticality(cap(14)),
-        check_edge_classification(cap(14)),
-        check_certificates(cap(14), cap(8)),
-        check_rotation_structure(cap(30), cap(14), cap(12), cap(14)),
-        check_well_spread(cap(16)),
-        check_circular_deletion(pairs),
-        check_interlacing(cap(10)),
+        check_chromatic_law(max_n),
+        check_independence(max_n),
+        check_fractional_law(max_n),
+        check_vertex_criticality(max_n),
+        check_edge_classification(max_n),
+        check_certificates(max_n),
+        check_rotation_structure(max_n),
+        check_well_spread(max_n),
+        check_circular_deletion(max_n),
+        check_interlacing(max_n),
     ]
 
 

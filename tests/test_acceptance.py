@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import re
 
-from wellspread import build_q
+import pytest
+
+from wellspread import InvalidParams, build_q, verify
 from wellspread.verify import (
     check_certificates,
     check_chromatic_law,
@@ -35,15 +37,15 @@ def _gate(result):
 
 
 def test_criterion_01_chromatic_law():
-    _gate(check_chromatic_law(max_n=10, deletion_max_n=8))
+    _gate(check_chromatic_law())
 
 
 def test_criterion_02_independence_numbers():
-    _gate(check_independence(max_n_kneser=9, max_n_schrijver=11))
+    _gate(check_independence())
 
 
 def test_criterion_03_fractional_law():
-    _gate(check_fractional_law(max_n_set=10, max_n_q=20))
+    _gate(check_fractional_law())
 
 
 def test_criterion_04_vertex_criticality():
@@ -55,7 +57,7 @@ def test_criterion_05_edge_classification():
 
 
 def test_criterion_06_explicit_certificates():
-    _gate(check_certificates(max_n=14, scaling_max_n=8))
+    _gate(check_certificates())
 
 
 def test_criterion_07_rotation_structure():
@@ -88,3 +90,27 @@ def test_run_all_clamps_every_case_to_max_n():
           for r in run_all(max_n=7) for c in r.cases}
     assert ns and all(ns.values())
     assert [label for label, found in ns.items() if max(found) > 7] == []
+
+
+def test_run_all_looks_each_check_up_when_called(monkeypatch):
+    # a wrapper set on the module by name, as perfbench/criteria_times.py sets
+    # its timers, sees every criterion that run_all computes
+    calls = []
+    for name in [n for n in vars(verify) if n.startswith("check_")]:
+        def wrapper(max_n, name=name, check=getattr(verify, name)):
+            calls.append(name)
+            return check(max_n)
+        monkeypatch.setattr(verify, name, wrapper)
+    results = verify.run_all(max_n=5)
+    assert len(calls) == len(set(calls)) == 10
+    assert [r.number for r in results] == list(range(1, 11))
+    # 5 is the least max_n at which every criterion checks a case
+    assert all(r.cases for r in results)
+
+
+@pytest.mark.parametrize("check", [run_all, check_circular_deletion])
+@pytest.mark.parametrize("max_n", [4, -5])
+def test_a_max_n_below_5_is_refused(check, max_n):
+    # at 4 criterion 9 checks no case, and below it most criteria check none
+    with pytest.raises(InvalidParams, match="the least is 5"):
+        check(max_n)

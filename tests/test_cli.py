@@ -274,6 +274,29 @@ def test_verify_paper_small_run(capsys):
     assert "OK" in err
 
 
+def test_verify_paper_refuses_a_max_n_that_checks_nothing(capsys):
+    code, out, err = run(capsys, "verify-paper", "--max-n", "4")
+    assert (code, out) == (2, "")
+    assert "the least is 5" in err
+
+
+def test_verify_paper_takes_no_mis_cap(capsys):
+    # the maximal-set cap is a module constant, `independence._MIS_CAP`
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-paper", "--mis-cap", "5"])
+    assert exc.value.code == 2
+
+
+def test_verify_paper_output_at_max_n_7(capsys):
+    # sha256 of the report and of the per-case lines on stderr
+    code, out, err = run(capsys, "verify-paper", "--max-n", "7")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9d50c1eb972e2fd25e60b37a2ba01f9409f665f34d2b56909b7ee38a2c9068bc")
+    assert hashlib.sha256(err.encode()).hexdigest() == (
+        "ef8a72ddbc7582f80d1ab6ead87b578b10ea740c7882b633437eb4d24736c94c")
+
+
 def run_fresh(*argv):
     """Exit code, stdout and stderr of the command in a new interpreter."""
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -26,7 +26,8 @@ from wellspread import (
     is_t_colorable,
 )
 from wellspread import coloring, independence
-from wellspread.coloring import _class_steps, _is_bipartite, greedy_coloring, rlf_coloring
+from wellspread.coloring import (_class_steps, _is_bipartite, _odd_closers, greedy_coloring,
+                                 rlf_coloring)
 from wellspread.graphs import (
     MapKind,
     VertexMap,
@@ -111,8 +112,8 @@ def test_is_bipartite():
     assert _is_bipartite(g.adj, ((1 << 11) - 1) & ~(1 << 8))
     assert _is_bipartite(cycle(7).adj, (1 << 7) - 2)
     # only the components that meet `new` are searched
-    assert _is_bipartite(g.adj, (1 << 11) - 1, 1 << 2)
-    assert not _is_bipartite(g.adj, (1 << 11) - 1, (1 << 2) | (1 << 8))
+    assert _odd_closers(g.adj, (1 << 11) - 1, 1 << 2) is not None
+    assert _odd_closers(g.adj, (1 << 11) - 1, (1 << 2) | (1 << 8)) is None
     # the bipartite left-out set {0, ..., 4} (a path 0 1 2 beside an edge
     # 3 4) gains 5 and 6.  5 ~ {0, 4} joins 0 and 4, which the two parts'
     # own colorings, each from its lowest vertex, put on opposite sides; with
@@ -123,7 +124,7 @@ def test_is_bipartite():
                              ([(5, 0), (5, 3), (6, 2), (6, 3)], True)]:
         h = mk(7, [(0, 1), (1, 2), (3, 4)] + joins)
         assert _is_bipartite(h.adj, (1 << 5) - 1)
-        assert _is_bipartite(h.adj, (1 << 7) - 1, (1 << 5) | (1 << 6)) == bipartite
+        assert (_odd_closers(h.adj, (1 << 7) - 1, (1 << 5) | (1 << 6)) is not None) == bipartite
         assert _is_bipartite(h.adj, (1 << 7) - 1) == bipartite
 
 

@@ -170,6 +170,14 @@ def test_a_wrong_probe_answer_is_caught(monkeypatch, s):
         circular_chromatic_number(build_q(7, 2))
 
 
+def test_a_wrong_search_answer_is_caught(monkeypatch):
+    # cycle(7) has no label rotation, so its first chi_c candidate 7/3 goes to
+    # the map search; a map sending every vertex to 0 must not admit it
+    monkeypatch.setattr(homomorphism, "_run_search", lambda *args: [0] * 7)
+    with pytest.raises(AssertionError, match="invalid homomorphism"):
+        circular_chromatic_number(cycle(7))
+
+
 @pytest.mark.parametrize("g,value,searches", [
     (build_q(23, 11), Fraction(23, 11), 0),
     (build_q(29, 9), Fraction(29, 9), 0),
@@ -182,13 +190,13 @@ def test_hom_searches_per_chi_c(monkeypatch, g, value, searches):
     # the probe decides the rotation-invariant graphs; an edge deletion has no
     # certified rotation and keeps its one search per candidate tried
     calls = []
-    search = homomorphism._hom_search
+    search = homomorphism.find_homomorphism
 
     def counted(*args):
         calls.append(args)
         return search(*args)
 
-    monkeypatch.setattr(homomorphism, "_hom_search", counted)
+    monkeypatch.setattr(homomorphism, "find_homomorphism", counted)
     assert circular_chromatic_number(g) == value
     assert len(calls) == searches
 
@@ -197,13 +205,13 @@ def test_chi_c_searches_only_targets_with_at_most_v_vertices(monkeypatch):
     # chi_c is attained with p <= |V|, so no candidate with a larger
     # numerator is searched: the Petersen graph (chi_f 5/2, chi 3) needs 3
     calls = []
-    search = homomorphism._hom_search
+    search = homomorphism.find_homomorphism
 
     def recording(g, h):
         calls.append(h.vertex_count)
         return search(g, h)
 
-    monkeypatch.setattr(homomorphism, "_hom_search", recording)
+    monkeypatch.setattr(homomorphism, "find_homomorphism", recording)
     g = build_kneser(5, 2)
     assert circular_chromatic_number(g) == 3
     assert len(calls) == 3

@@ -254,9 +254,10 @@ def test_greedy_is_exact_on_paths_and_cycles():
         assert got.bit_count() == alpha, trial
 
 
-def test_enumeration_cap_trips():
-    with pytest.raises(ResourceCap):
-        enumerate_maximal_independent_sets(build_kneser(8, 3), mis_cap=10)
+def test_enumeration_cap_trips(monkeypatch):
+    monkeypatch.setattr(independence, "_MIS_CAP", 10)
+    with pytest.raises(ResourceCap, match="more than 10 maximal"):
+        enumerate_maximal_independent_sets(build_kneser(8, 3))
 
 
 def test_max_weight_oracle_small():

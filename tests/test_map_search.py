@@ -27,15 +27,14 @@ from wellspread import (
 from wellspread import graphs
 from wellspread.coloring import _class_steps
 from wellspread.graphs import _run_search
-from wellspread.homomorphism import _hom_search
 
 # (search, nodes it needs, whether it finds a map).  A change of vertex order,
 # candidate order or symmetry breaking moves these counts; the DSATUR turns in
 # `is_t_colorable` and the chi_c cost depend on them.
 PINS = [
-    ("hom Q(17,8) -> K_{17/8}", lambda: _hom_search(build_q(17, 8), build_circular(17, 8)),
+    ("hom Q(17,8) -> K_{17/8}", lambda: find_homomorphism(build_q(17, 8), build_circular(17, 8)),
      8208, True),
-    ("hom Q(13,5) -> K_{5/2}", lambda: _hom_search(build_q(13, 5), build_circular(5, 2)),
+    ("hom Q(13,5) -> K_{5/2}", lambda: find_homomorphism(build_q(13, 5), build_circular(5, 2)),
      116, False),
     ("4-colour SG(9,3)", lambda: find_proper_coloring(build_schrijver(9, 3), 4), 8980, False),
     ("3-colour I(10,3)", lambda: find_proper_coloring(build_interlacing(10, 3), 3), 9, False),
