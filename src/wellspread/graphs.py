@@ -25,23 +25,27 @@ the build costs one index lookup per edge end instead of a test per pair.
 
 `validate_map` settles a valid map by a quick pass of whole-row operations:
 per source vertex, the images of its later neighbours are ORed into one mask
-(by `itertools.compress` over the row's bits, or bit by bit for a short row)
-that must lie inside the target row of its own image.  An embedding or
-isomorphism needs one count more: an injective homomorphism sends distinct
-edges to distinct edges of the image, so it keeps non-edges exactly when the
-source has as many edges (less the exclusions) as the target has on the
-image.  Only a map the quick pass rejects is walked pair by pair, and that
-walk writes every message.
+that must lie inside the target row of its own image.  A map whose images
+step by +1 along a few runs of source ids (the retractions and embeddings of
+the certificates have two to four) gives each row's mask as the row's piece
+of each run shifted onto its images; any other map's are ORed by
+`itertools.compress` over the row's bits, or bit by bit for a short row.  An
+embedding or isomorphism needs one count more: an injective homomorphism
+sends distinct edges to distinct edges of the image, so it keeps non-edges
+exactly when the source has as many edges (less the exclusions) as the
+target has on the image.  Only a map the quick pass rejects is walked pair
+by pair, and that walk writes every message.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
-from itertools import combinations, compress, product
+from itertools import combinations, compress, product, repeat
 from math import comb, gcd
-from operator import or_
+from operator import add, ne, or_
 from typing import Any, Callable, Generator, Iterator, TypeVar
 
 from .cyclic import CanonicalRotations, CyclicSubset, is_r_separated
@@ -477,10 +481,14 @@ def validate_map(m: VertexMap) -> list[str]:
     A quick pass settles a valid map with whole-row operations: for each
     source vertex u it ORs the images of u's later neighbours (less the
     exclusions) into one mask, which must lie inside the target row of f(u)
-    less f(u) itself.  An embedding or isomorphism is then settled by one
-    count: an injective homomorphism is induced exactly when the source's
-    edges, less the exclusions, are as many as the target's edges on the
-    image, because distinct source edges map to distinct image edges.
+    less f(u) itself.  When the images step by +1 along few runs of source
+    ids, a run's part of that mask is the row's piece of the run shifted by
+    the run's offset, so a row costs one mask and shift per run it meets
+    rather than one OR per neighbour.  An embedding or isomorphism is then
+    settled by one count: an injective homomorphism is induced exactly when
+    the source's edges, less the exclusions, are as many as the target's
+    edges on the image, because distinct source edges map to distinct image
+    edges.
     Anything the quick pass rejects is walked again pair by pair, so every
     violation is reported by that walk.
     """
@@ -490,7 +498,15 @@ def validate_map(m: VertexMap) -> list[str]:
 
 
 def _map_passes(m: VertexMap) -> bool:
-    """True when m is valid: the checks of `_map_violations`, a row at a time."""
+    """True when m is valid: the checks of `_map_violations`, a row at a time.
+
+    A run is a maximal interval of source ids whose images step by +1.  A
+    map with fewer than one run per 8 source vertices reads each row's
+    images run by run: the row's lowest remaining bit names its run (by
+    bisection over the run starts), and the row's piece of that run, shifted
+    by the run's offset, is ORed in.  Any other map ORs one image bit per
+    later neighbour.
+    """
     src, tgt = m.source, m.target
     sv, tv = src.vertex_count, tgt.vertex_count
     ev = m.excluded_vertex
@@ -513,6 +529,14 @@ def _map_passes(m: VertexMap) -> bool:
     if m.excluded_edge is not None:
         lo, hi = sorted(m.excluded_edge)
         drop[lo] |= 1 << hi
+    # on the run starting at s, f(v) = v + img[s] - s.  The excluded vertex
+    # is in no row's later neighbours, so the run its placeholder joins is
+    # read correctly
+    starts = [0, *compress(range(1, sv), map(ne, img[1:], map(add, img, repeat(1))))]
+    by_runs = 8 * len(starts) < sv
+    if by_runs:
+        masks = [(1 << e) - (1 << s) for s, e in zip(starts, starts[1:] + [sv])]
+        shifts = [img[s] - s for s in starts]
     edges = 0
     for u, row in enumerate(src.adj):
         if u == ev:
@@ -520,9 +544,18 @@ def _map_passes(m: VertexMap) -> bool:
         later = row >> (u + 1) << (u + 1) & ~drop[u]
         count = later.bit_count()
         edges += count
-        # the images of u's later neighbours; `compress` costs about as much
-        # as walking six bits, plus one per 16 bits of the row's length
-        if 16 * count < later.bit_length() + 96:
+        # the images of u's later neighbours: on few runs, each run's piece
+        # of the row shifted onto its images; else `compress`, which costs
+        # about as much as walking six bits plus one per 16 bits of the row
+        if by_runs:
+            hit = 0
+            while later:
+                i = bisect_right(starts, (later & -later).bit_length() - 1) - 1
+                piece = later & masks[i]
+                later ^= piece
+                d = shifts[i]
+                hit |= piece << d if d >= 0 else piece >> -d
+        elif 16 * count < later.bit_length() + 96:
             hit = 0
             while later:
                 b = later & -later
@@ -626,8 +659,10 @@ def _residue_permutation(g: LabeledGraph,
     otherwise; any other labelling has no such permutation.  On the
     `CanonicalRotations` of Q(n,k) an affine map x -> s*x + c sends label u,
     the canonical set plus u, to (s*canon + c) + s*u, so the permutation is
-    u -> t + s*u with t located by `CanonicalRotations.rotation_of`; any
-    other map, and any other labels, are walked label by label.
+    u -> t + s*u with t located by `CanonicalRotations.rotation_of`.  Any
+    other map, and any other labels, are walked label by label, each image
+    located by `rotation_of` or by an index of the labels, and the walk stops
+    at the first image that is no label.
     """
     labels = g.labels
     if g.family is not None and g.family.tag == "circular":
@@ -648,12 +683,15 @@ def _residue_permutation(g: LabeledGraph,
             t = labels.rotation_of(moved)
             V = len(labels)
             return None if t is None else [(t + s * u) % V for u in range(V)]
-    index = {lab: i for i, lab in enumerate(labels)}
+        find = labels.rotation_of
+    else:
+        find = {lab.elements: i for i, lab in enumerate(labels)}.get
     out = []
-    for lab in labels:
+    for u in range(len(labels)):  # read by index, so a refusal makes few labels
+        lab = labels[u]
         if lab.modulus != n:
             return None
-        img = index.get(CyclicSubset(n, map(image.__getitem__, lab.elements)))
+        img = find(tuple(sorted(set(map(image.__getitem__, lab.elements)))))
         if img is None:
             return None
         out.append(img)

@@ -6,6 +6,8 @@ or edge lists disagree with the reconstruction.  Certificates self-validate
 on load through the same checkers used at construction time.  Rationals
 travel as "p/q" strings, never floats.  Every loader raises InvalidParams on a
 malformed document: a missing key, or a value of the wrong type or shape.
+Ids, residues, n and k must be JSON ints; a float, string or bool is refused,
+not truncated or coerced.
 
 `dumps` writes exactly the bytes of `json.dumps(doc, indent=2,
 sort_keys=True)` plus a newline, without going through json's pure-Python
@@ -131,6 +133,15 @@ def _loader(load):
     return checked
 
 
+def _int(x) -> int:
+    """x, a document's id, residue, n or k, which must be a JSON int: a
+    float, a string or a bool raises TypeError, which the loaders report
+    as a malformed document, rather than being truncated or coerced."""
+    if type(x) is not int:
+        raise TypeError(f"not an integer: {x!r}")
+    return x
+
+
 def _family_json(fp: FamilyParams) -> dict:
     return {"tag": fp.tag, "n": fp.n, "k": fp.k}
 
@@ -152,7 +163,7 @@ def _vertex_count(fp: FamilyParams) -> int:
 
 def _family_from_json(d: dict) -> FamilyParams:
     try:
-        return FamilyParams(str(d["tag"]), int(d["n"]), int(d["k"]))
+        return FamilyParams(str(d["tag"]), _int(d["n"]), _int(d["k"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParams(f"bad family record {d!r}") from exc
 
@@ -204,9 +215,9 @@ def graph_from_document(doc: dict) -> LabeledGraph:
     fp = _family_from_json(doc.get("family", {}))
     g = build_family(fp)
     if "deletedVertex" in doc:
-        g = delete_vertex(g, int(doc["deletedVertex"]))
+        g = delete_vertex(g, _int(doc["deletedVertex"]))
     if "deletedEdge" in doc:
-        u, v = (int(x) for x in doc["deletedEdge"])
+        u, v = map(_int, doc["deletedEdge"])
         g = delete_edge(g, u, v)
     if not _same_rows(doc.get("vertices"), [_label_json(l) for l in g.labels]):
         raise InvalidParams("vertex list disagrees with the rebuilt family")
@@ -261,10 +272,10 @@ def coloring_from_document(doc: dict) -> FractionalColoring:
     ev = doc.get("excludedVertex")
     ee = doc.get("excludedEdge")
     fc = FractionalColoring(
-        tuple(tuple(int(x) for x in s) for s in doc.get("sets", ())),
+        tuple(tuple(map(_int, s)) for s in doc.get("sets", ())),
         tuple(fraction_from_str(w) for w in doc.get("weights", ())),
-        excluded_vertex=None if ev is None else int(ev),
-        excluded_edge=None if ee is None else (int(ee[0]), int(ee[1])),
+        excluded_vertex=None if ev is None else _int(ev),
+        excluded_edge=None if ee is None else (_int(ee[0]), _int(ee[1])),
     )
     if fraction_from_str(doc.get("value", "0/1")) != fc.value:
         raise InvalidParams("declared value disagrees with the weights")
@@ -311,11 +322,11 @@ def map_from_document(doc: dict) -> VertexMap:
     m = VertexMap(
         src,
         tgt,
-        {int(u): int(x) for u, x in doc.get("mapping", ())},
+        {_int(u): _int(x) for u, x in doc.get("mapping", ())},
         kind,
-        excluded_vertex=None if ev is None else int(ev),
-        excluded_edge=None if ee is None else (int(ee[0]), int(ee[1])),
-        section=None if sec is None else {int(t): int(s) for t, s in sec},
+        excluded_vertex=None if ev is None else _int(ev),
+        excluded_edge=None if ee is None else (_int(ee[0]), _int(ee[1])),
+        section=None if sec is None else {_int(t): _int(s) for t, s in sec},
     )
     bad = validate_map(m)
     if bad:
@@ -351,7 +362,7 @@ def trace_from_document(doc: dict) -> ReductionTrace:
     """Re-run the reduction on the recorded set; the document must agree."""
     if doc.get("kind") != "REDUCTION_TRACE":
         raise InvalidParams("not a reduction-trace document")
-    s = CyclicSubset(int(doc["modulus"]), (int(x) for x in doc["elements"]))
+    s = CyclicSubset(_int(doc["modulus"]), map(_int, doc["elements"]))
     trace = euclid_reduce(s)
     if trace_to_document(s, trace) != _normalized(doc):
         raise InvalidParams("trace disagrees with recomputation")
@@ -392,9 +403,9 @@ def report_from_document(doc: dict) -> CriticalityReport:
         raise InvalidParams("not a criticality report document")
     fam = doc.get("family")
     baseline = fraction_from_str(doc["baseline"])
-    per_vertex = tuple((int(v), fraction_from_str(x)) for v, x in doc.get("perVertex", ()))
+    per_vertex = tuple((_int(v), fraction_from_str(x)) for v, x in doc.get("perVertex", ()))
     per_edge = tuple(
-        ((int(e[0]), int(e[1])), fraction_from_str(x), flag)
+        ((_int(e[0]), _int(e[1])), fraction_from_str(x), flag)
         for e, x, flag in doc.get("perEdge", ())
     )
     if any(x > baseline for _, x in per_vertex) or any(x > baseline for _, x, _ in per_edge):
@@ -432,7 +443,7 @@ def boundary_from_document(doc: dict) -> BoundaryReport:
     if doc.get("kind") != "REPORT" or doc.get("reportType") != "boundary":
         raise InvalidParams("not a boundary report document")
     b = BoundaryReport(
-        tuple(BoundaryEntry(int(n), int(k), bool(eq), bool(pr))
+        tuple(BoundaryEntry(_int(n), _int(k), bool(eq), bool(pr))
               for n, k, eq, pr in doc.get("entries", ()))
     )
     if bool(doc.get("allMatch")) != b.all_match:

@@ -31,10 +31,12 @@ from wellspread import (
     is_interlacing_edge,
     validate_map,
 )
+from wellspread.certificates import edge_deleted_retraction
 from wellspread.cyclic import canonical_well_spread, rotations
 from wellspread.graphs import (
     FamilyParams,
     _disjointness_graph,
+    _map_passes,
     _map_violations,
     _residue_permutation,
     dihedral_automorphisms,
@@ -471,6 +473,101 @@ def test_quick_pass_takes_both_row_paths():
         u = max(range(40), key=g.degree)
         moved = replace(iso, mapping={**iso.mapping, u: perm[(u + 1) % 40]})
         assert validate_map(moved) == _map_violations(moved) != []
+
+
+def _runs(m: VertexMap) -> int:
+    """The number of maximal id intervals of m's source whose images step by +1."""
+    img = [m.mapping.get(u) for u in range(m.source.vertex_count)]
+    return 1 + sum(1 for a, b in zip(img, img[1:]) if a is None or b != a + 1)
+
+
+def _windowed_map(kind: MapKind, rng: random.Random) -> VertexMap:
+    """A valid map whose images are a few windows of consecutive target ids,
+    each wrapping at the target size, so that the quick pass reads it by
+    runs.  A homomorphism has one or two windows, which may overlap and wrap
+    twice; an embedding or isomorphism takes one to three pieces of one
+    rotation of the target ids, shuffled.  An excluded vertex lies inside a
+    run (its two neighbours' images differ by 2), and an injective map gives
+    its image to one more vertex at the end.  Edges, an excluded edge and a
+    section are drawn as in `_random_valid_map`."""
+    if kind is MapKind.HOMOMORPHISM:
+        size, tv = rng.randint(90, 110), rng.randint(55, 90)
+        cuts = sorted(rng.sample(range(1, size), rng.randint(0, 1)))
+        images = []
+        for s, e in zip([0, *cuts], [*cuts, size]):
+            t0 = rng.randrange(tv)
+            images += [(t0 + i) % tv for i in range(e - s)]
+    else:
+        tv = rng.randint(80, 100)
+        t0 = rng.randrange(tv)
+        cuts = sorted(rng.sample(range(1, tv), rng.randint(0, 2)))
+        pieces = [range(t0 + s, t0 + e) for s, e in zip([0, *cuts], [*cuts, tv])]
+        rng.shuffle(pieces)
+        images = [t % tv for piece in pieces for t in piece]
+        if kind is MapKind.EMBEDDING:
+            images = images[:rng.randint(80, tv)]
+    tgt = random_graph(rng, tv, rng.uniform(0.02, 0.3))
+    inner = [i for i in range(1, len(images) - 1)
+             if images[i - 1] + 1 == images[i] == images[i + 1] - 1]
+    ev = rng.choice(inner) if inner and rng.random() < 0.4 else None
+    if ev is not None and kind is not MapKind.HOMOMORPHISM:
+        images.append(images[ev])
+    f = {u: t for u, t in enumerate(images) if u != ev}
+    domain = sorted(f)
+    if ev is not None and rng.random() < 0.5:
+        f[ev] = rng.choice([images[ev], -1, tv])  # ignored: excluded
+    p = rng.random()
+    edges = [(u, v) for u, v in combinations(domain, 2)
+             if tgt.has_edge(f[u], f[v]) and (kind is not MapKind.HOMOMORPHISM or rng.random() < p)]
+    if ev is not None:
+        edges += [(ev, u) for u in domain if rng.random() < p]
+    ee = None
+    if ev is None and rng.random() < 0.5:
+        free = [(u, v) for u, v in combinations(domain, 2) if not tgt.has_edge(f[u], f[v])]
+        ee = rng.choice(free)
+        edges.append(ee)
+        if rng.random() < 0.5:
+            ee = ee[::-1]
+    section = None
+    if {f[u] for u in domain} == set(range(tv)) and rng.random() < 0.7:
+        section = {f[u]: u for u in domain}
+    return VertexMap(mk(len(images), edges), tgt, f, kind,
+                     excluded_vertex=ev, excluded_edge=ee, section=section)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(list(MapKind)), st.integers(0, 2**32))
+def test_quick_pass_by_runs_agrees_with_the_edge_walk(kind, seed):
+    # maps made of a few shifted windows take the run path; every defect,
+    # including one image moved inside a run or set to the target size, gets
+    # the walk's list, message for message.  The maps draw thousands of
+    # edges, so hypothesis draws a seed rather than each choice
+    rng = random.Random(seed)
+    m = _windowed_map(kind, rng)
+    assert 8 * _runs(m) < m.source.vertex_count, m
+    assert _map_passes(m) and validate_map(m) == _map_violations(m) == [], m
+    ev = m.excluded_vertex
+    u = rng.choice([w for w in range(1, m.source.vertex_count)
+                    if ev not in (w - 1, w) and m.mapping[w] == m.mapping[w - 1] + 1])
+    tv = m.target.vertex_count
+    variants = [replace(m, mapping={**m.mapping, u: t}) for t in (m.mapping[u] - 1, m.mapping[u] + 1, tv)]
+    for variant in variants + _tamperings(m, rng):
+        bad = _map_violations(variant)
+        assert _map_passes(variant) == (not bad) and validate_map(variant) == bad, variant
+
+
+def test_quick_pass_by_runs_on_a_large_retraction():
+    # the Q(599,150) - {71,72} retraction folds 599 positions onto Q(a,b) in
+    # three runs; one image moved in the middle of a run is rejected with the
+    # walk's messages, the section's last
+    m = edge_deleted_retraction(599, 150, (71, 72))
+    assert _runs(m) == 3 and _map_passes(m) and validate_map(m) == []
+    u = 300
+    assert m.mapping[u - 1] + 1 == m.mapping[u] == m.mapping[u + 1] - 1
+    moved = replace(m, mapping={**m.mapping, u: m.mapping[u] + 1})
+    bad = validate_map(moved)
+    assert bad == _map_violations(moved) != []
+    assert bad[-1] == f"section vertex {u} not fixed onto {m.mapping[u]}"
 
 
 def test_label_rotation_follows_the_labels():

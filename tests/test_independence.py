@@ -90,6 +90,14 @@ def test_ratio_bound_refuses_without_its_witness():
     assert ratio_upper_bound(empty) is None
 
 
+def test_transposition_is_refused_at_the_first_q_label():
+    # (0 1) sends the canonical set of Q(3001,1499) to no rotation, and the
+    # refusal is made before the other labels are
+    q = build_q(3001, 1499)
+    assert _transposition(q) is None and ratio_upper_bound(q) is None
+    assert len(q.labels) - q.labels._missing <= 2
+
+
 def test_ratio_bound_refuses_a_graph_that_is_not_vertex_transitive():
     # 2- and 3-subsets of Z_7, joined when disjoint: both generators are
     # automorphisms and the intervals {i, i+1} map K_{7/2} in, but the orbit

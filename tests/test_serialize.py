@@ -271,6 +271,73 @@ def test_malformed_documents_raise_invalid_params(load, make):
         load(make())
 
 
+def _changed(to_document, *path, change):
+    """The document to_document() makes, read back through JSON, with the
+    value at path replaced by change(value)."""
+    doc = json.loads(dumps(to_document()))
+    *inner, last = path
+    holder = doc
+    for key in inner:
+        holder = holder[key]
+    holder[last] = change(holder[last])
+    return doc
+
+
+def _q72_deleted_graph():
+    q = build_q(7, 2)
+    return graph_to_document(delete_vertex(q, 3), family=q.family, deleted_vertex=3)
+
+
+def _iso72():
+    return map_to_document(circular_isomorphism(7, 2))
+
+
+def _retraction72():
+    return map_to_document(vertex_deleted_retraction(7, 2, 3))
+
+
+@pytest.mark.parametrize("load,to_document,path,change", [
+    (map_from_document, _iso72, ("mapping", 4, 1), lambda x: x + 0.9),  # the image 1
+    (map_from_document, _iso72, ("mapping", 4, 1), str),
+    (map_from_document, _iso72, ("mapping", 4, 1), bool),
+    (map_from_document, _iso72, ("source", "n"), float),
+    (map_from_document, _retraction72, ("excludedVertex",), float),
+    (map_from_document, _retraction72, ("section", 1, 1), float),
+    (coloring_from_document,
+     lambda: coloring_to_document(vertex_deleted_coloring(7, 2, 3), FamilyParams("q", 7, 2)),
+     ("sets", 0, 0), lambda x: x + 0.5),
+    (coloring_from_document,
+     lambda: coloring_to_document(vertex_deleted_coloring(7, 2, 0), FamilyParams("q", 7, 2)),
+     ("excludedVertex",), lambda x: x + 0.7),  # the vertex 0
+    (coloring_from_document,
+     lambda: coloring_to_document(edge_deleted_coloring(7, 2, (0, 1)), FamilyParams("q", 7, 2)),
+     ("excludedEdge", 1), float),
+    (graph_from_document, _q72_deleted_graph, ("deletedVertex",), float),
+    (graph_from_document, _q72_deleted_graph, ("family", "k"), float),
+    (trace_from_document, _reduction_document, ("modulus",), float),
+    (trace_from_document, _reduction_document, ("elements", 0), bool),  # the residue 0
+    (report_from_document,
+     lambda: report_to_document(vertex_criticality(build_q(5, 2), Invariant.CHI_F)),
+     ("perVertex", 0, 0), float),
+    (report_from_document, lambda: report_to_document(edge_criticality(build_q(7, 2))),
+     ("perEdge", 0, 0, 1), float),
+    (boundary_from_document, lambda: boundary_to_document(q_equals_schrijver_sweep(5)),
+     ("entries", 0, 0), float),
+], ids=["map-image-1.9", "map-image-string", "map-image-true", "map-source-n-float",
+        "map-excluded-vertex-float", "map-section-float", "coloring-member-3.5",
+        "coloring-excluded-vertex-0.7", "coloring-excluded-edge-float",
+        "graph-deleted-vertex-float", "graph-family-k-float", "trace-modulus-float",
+        "trace-residue-false", "report-vertex-float", "report-edge-float",
+        "boundary-n-float"])
+def test_loaders_take_only_int_ids(load, to_document, path, change):
+    # each writer's own document loads; the same document with one id, residue,
+    # n or k changed to a float, a string or a bool is refused, where int()
+    # would have truncated or coerced it
+    load(json.loads(dumps(to_document())))
+    with pytest.raises(InvalidParams, match="not an integer|bad family record"):
+        load(_changed(to_document, *path, change=change))
+
+
 def test_dumps_is_deterministic():
     doc = graph_to_document(build_q(5, 2))
     text = dumps(doc)
