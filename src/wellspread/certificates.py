@@ -4,10 +4,13 @@ isomorphisms.
 
 Positions are vertex ids of the rotation graph, i.e. rotation offsets of the
 canonical well-spread set (position 0 carries the canonical set itself).
-Every public constructor validates its output through the generic checkers
-before returning; a violation is an internal error, never a returned value.
-The private cores behind them return unchecked results, and a deletion sweep
-checks what it reads of them itself (`criticality`).
+Every public constructor validates its output before returning, a colouring
+by `verify_fractional_coloring` and a map by `graphs.checked_map`; a
+violation is an internal error, never a returned value.  The private cores
+behind them return unchecked results, and a deletion sweep checks what it
+reads of them itself (`criticality`).  Both retractions come from one core,
+`_fold`: Q(n,k) less a vertex or a consecutive-rotation edge folds onto the
+copy of Q(a,b) anchored next to the deletion.
 
 The light-window machinery: with (a, b) the least solution of a*k = b*n - 1,
 the n windows of a consecutive positions each contain b members of any
@@ -40,7 +43,7 @@ from .graphs import (
     VertexMap,
     build_circular,
     build_q,
-    validate_map,
+    checked_map,
 )
 
 
@@ -224,11 +227,8 @@ def _anchored_copy(f: _Frame, anchor: int) -> list[tuple[int, int]]:
     return [((anchor - i) % n, a - 1 - i) for i in range(a)]
 
 
-def _checked_map(m: VertexMap) -> VertexMap:
-    bad = validate_map(m)
-    if bad:
-        raise AssertionError(f"constructed map invalid: {bad[:3]}")
-    return m
+# the prefix of the AssertionError a constructed map that fails validation raises
+_INVALID = "constructed map invalid"
 
 
 def find_subgraph_qab(n: int, k: int) -> VertexMap:
@@ -237,7 +237,7 @@ def find_subgraph_qab(n: int, k: int) -> VertexMap:
     _require_coprime(n, k, strict=True)
     f = _frame(n, k)
     mapping = {t: xi for xi, t in _anchored_copy(f, 0)}
-    return _checked_map(VertexMap(f.qab, f.q, mapping, MapKind.EMBEDDING))
+    return checked_map(VertexMap(f.qab, f.q, mapping, MapKind.EMBEDDING), _INVALID)
 
 
 def vertex_deleted_retraction(n: int, k: int, deleted: int) -> VertexMap:
@@ -246,20 +246,7 @@ def vertex_deleted_retraction(n: int, k: int, deleted: int) -> VertexMap:
     _require_coprime(n, k, strict=True)
     if not (0 <= deleted < n):
         raise InvalidParams(f"vertex {deleted} out of range 0..{n - 1}")
-    return _checked_map(_vertex_deleted_retraction(_frame(n, k), deleted))
-
-
-def _vertex_deleted_retraction(f: _Frame, deleted: int) -> VertexMap:
-    n, a = f.n, f.cp.a
-    pairs = _anchored_copy(f, (deleted - 1) % n)
-    targets = [t for _, t in pairs]
-    mapping = {}
-    for i in range(n - 1):
-        pos = (deleted - 1 - i) % n
-        mapping[pos] = targets[i % a]
-    section = {t: xi for xi, t in pairs}
-    return VertexMap(f.q, f.qab, mapping, MapKind.HOMOMORPHISM,
-                     excluded_vertex=deleted, section=section)
+    return checked_map(_fold(_frame(n, k), (deleted - 1) % n, excluded_vertex=deleted), _INVALID)
 
 
 def edge_deleted_retraction(n: int, k: int, edge: tuple[int, int]) -> VertexMap:
@@ -268,20 +255,26 @@ def edge_deleted_retraction(n: int, k: int, edge: tuple[int, int]) -> VertexMap:
     _require_coprime(n, k, strict=True)
     _check_edge_endpoints(n, edge)
     f = _frame(n, k)
-    return _checked_map(_edge_deleted_retraction(f, _cycle_edge_base(f.q, edge)))
+    p = _cycle_edge_base(f.q, edge)
+    return checked_map(_fold(f, p, excluded_edge=(p, (p + 1) % n)), _INVALID)
 
 
-def _edge_deleted_retraction(f: _Frame, p: int) -> VertexMap:
-    """The retraction of Q(n,k) less the edge {p, p+1}."""
+def _fold(f: _Frame, anchor: int, excluded_vertex: int | None = None,
+          excluded_edge: tuple[int, int] | None = None) -> VertexMap:
+    """The retraction of Q(n,k) less one exclusion onto the copy of Q(a,b)
+    anchored at anchor, with that copy as its section.
+
+    Positions anchor, anchor - 1, ... map by index mod a onto the copy: the
+    n - 1 positions left by an excluded vertex (anchor + 1), or all n when
+    the excluded edge is {anchor, anchor + 1}.
+    """
     n, a = f.n, f.cp.a
-    pairs = _anchored_copy(f, p)
+    pairs = _anchored_copy(f, anchor)
     targets = [t for _, t in pairs]
-    mapping = {}
-    for i in range(n):
-        mapping[(p - i) % n] = targets[i % a]
-    section = {t: xi for xi, t in pairs}
-    return VertexMap(f.q, f.qab, mapping, MapKind.HOMOMORPHISM,
-                     excluded_edge=(p, (p + 1) % n), section=section)
+    covered = n - 1 if excluded_vertex is not None else n
+    mapping = {(anchor - i) % n: targets[i % a] for i in range(covered)}
+    return VertexMap(f.q, f.qab, mapping, MapKind.HOMOMORPHISM, excluded_vertex,
+                     excluded_edge, section={t: xi for xi, t in pairs})
 
 
 def scaling_isomorphism(n: int, k: int, ell: int) -> VertexMap:
@@ -301,7 +294,7 @@ def scaling_isomorphism(n: int, k: int, ell: int) -> VertexMap:
         if t is None:
             raise AssertionError(f"blow-up of vertex {u} is not a target rotation")
         mapping[u] = t
-    return _checked_map(VertexMap(src, tgt, mapping, MapKind.ISOMORPHISM))
+    return checked_map(VertexMap(src, tgt, mapping, MapKind.ISOMORPHISM), _INVALID)
 
 
 def circular_isomorphism(n: int, k: int) -> VertexMap:
@@ -316,79 +309,4 @@ def _circular_isomorphism(src: LabeledGraph, tgt: LabeledGraph) -> VertexMap:
     both already built."""
     n, k = src.family.n, src.family.k
     mapping = {u: (u * k) % n for u in range(n)}
-    return _checked_map(VertexMap(src, tgt, mapping, MapKind.ISOMORPHISM))
-
-
-@dataclass(frozen=True)
-class NeighborEntry:
-    """One non-neighbor: its vertex id, rotation offset, and overlap count."""
-
-    vertex: int
-    offset: int
-    overlap: int
-
-
-@dataclass(frozen=True)
-class RightNeighborTable:
-    """Non-neighbors of one vertex, grouped by their clockwise overlap count j.
-
-    entries[j] lists the vertices whose aligning rotation passes j of their
-    own residues, read on the arc (i, i+offset] from any shared residue i.
-    """
-
-    vertex: int
-    entries: tuple[tuple[int, tuple[NeighborEntry, ...]], ...]
-
-    def by_overlap(self, j: int) -> tuple[NeighborEntry, ...]:
-        for jj, es in self.entries:
-            if jj == j:
-                return es
-        return ()
-
-
-def right_j_neighbors(q: LabeledGraph, x: int) -> RightNeighborTable:
-    """Classify every non-neighbor of vertex x by its overlap count.
-
-    For each non-neighbor y there is a unique rotation carrying x's set to
-    y's; the count of y's residues on the half-open arc from a shared residue
-    to its image does not depend on which shared residue is read.
-    """
-    labels = q.labels
-    if q.family is not None and q.family.tag != "q":
-        raise InvalidParams(f"right-neighbor tables need the rotation family, got {q.family.tag}")
-    if not labels or not all(isinstance(l, CyclicSubset) for l in labels):
-        raise InvalidParams("right-neighbor tables need rotation-labeled graphs")
-    n = labels[0].modulus
-    k = len(labels[0])
-    if gcd(n, k) != 1:
-        raise NotCoprime(f"need gcd(n,k)=1, got gcd({n},{k})={gcd(n, k)}")
-    if not (0 <= x < q.vertex_count):
-        raise InvalidParams(f"vertex {x} out of range 0..{q.vertex_count - 1}")
-    xs = set(labels[x].elements)
-    grouped: dict[int, list[NeighborEntry]] = {}
-    found = 0
-    for y in range(q.vertex_count):
-        if y == x:
-            continue
-        ys = set(labels[y].elements)
-        common = xs & ys
-        if not common:
-            continue
-        offsets = [t for t in range(1, n) if labels[x].rotate(t) == labels[y]]
-        if len(offsets) != 1:
-            raise AssertionError(f"rotation {x} -> {y} not unique: {offsets}")
-        t = offsets[0]
-        counts = {
-            sum(1 for d in range(1, t + 1) if (i + d) % n in ys) for i in common
-        }
-        if len(counts) != 1:
-            raise AssertionError(f"overlap count at offset {t} depends on the residue: {counts}")
-        j = counts.pop()
-        grouped.setdefault(j, []).append(NeighborEntry(y, t, j))
-        found += 1
-    if found != 2 * (k - 1):
-        raise AssertionError(f"{found} non-neighbors, expected {2 * (k - 1)}")
-    entries = tuple(
-        (j, tuple(sorted(grouped[j], key=lambda e: e.offset))) for j in sorted(grouped)
-    )
-    return RightNeighborTable(x, entries)
+    return checked_map(VertexMap(src, tgt, mapping, MapKind.ISOMORPHISM), _INVALID)

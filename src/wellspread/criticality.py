@@ -66,10 +66,9 @@ from .certificates import (
     _anchored_copy,
     _circular_isomorphism,
     _edge_deleted_coloring,
-    _edge_deleted_retraction,
+    _fold,
     _Frame,
     _vertex_deleted_coloring,
-    _vertex_deleted_retraction,
 )
 from .coloring import chromatic_number, is_t_colorable, rlf_coloring
 from .cyclic import critical_params
@@ -183,7 +182,7 @@ def _retraction_witness(g: LabeledGraph, invariant: Invariant,
     if isinstance(deletion, int):
         p = where[deletion]
         anchor, excluded = (p - 1) % n, (p, None)
-        fc, retraction = _vertex_deleted_coloring(f, p), _vertex_deleted_retraction
+        fc = _vertex_deleted_coloring(f, p)
     else:
         u, v = map(where.__getitem__, deletion)
         if (v - u) % n not in (1, n - 1):
@@ -196,7 +195,7 @@ def _retraction_witness(g: LabeledGraph, invariant: Invariant,
             return baseline if pinned else None
         p = u if (v - u) % n == 1 else v
         anchor, excluded = p, (None, (p, (p + 1) % n))
-        fc, retraction = _edge_deleted_coloring(f, p), _edge_deleted_retraction
+        fc = _edge_deleted_coloring(f, p)
     if (fc.excluded_vertex, fc.excluded_edge) != excluded:
         return None
     support = (x for x, _ in _anchored_copy(f, anchor))
@@ -204,7 +203,7 @@ def _retraction_witness(g: LabeledGraph, invariant: Invariant,
     if value is None or invariant is Invariant.CHI_F:
         return value
     to_circular = f.to_circular
-    mapping = {u: to_circular.mapping[t] for u, t in retraction(f, p).mapping.items()}
+    mapping = {u: to_circular.mapping[t] for u, t in _fold(f, anchor, *excluded).mapping.items()}
     hom = VertexMap(f.q, to_circular.target, mapping, MapKind.HOMOMORPHISM, *excluded)
     return None if validate_map(hom) else value
 

@@ -34,7 +34,9 @@ embedding or isomorphism needs one count more: an injective homomorphism
 sends distinct edges to distinct edges of the image, so it keeps non-edges
 exactly when the source has as many edges (less the exclusions) as the
 target has on the image.  Only a map the quick pass rejects is walked pair
-by pair, and that walk writes every message.
+by pair, and that walk writes every message.  A map that must be valid
+goes through `checked_map`, which raises AssertionError on a violation; a
+witness that may fail reads `validate_map`'s list itself.
 """
 from __future__ import annotations
 
@@ -495,6 +497,16 @@ def validate_map(m: VertexMap) -> list[str]:
     if _map_passes(m):
         return []
     return _map_violations(m)
+
+
+def checked_map(m: VertexMap, what: str) -> VertexMap:
+    """m, once `validate_map` accepts it; else AssertionError with the first
+    three violations after the prefix `what`.  A map the package builds
+    that fails is an internal error, never a returned value."""
+    bad = validate_map(m)
+    if bad:
+        raise AssertionError(f"{what}: {bad[:3]}")
+    return m
 
 
 def _map_passes(m: VertexMap) -> bool:

@@ -28,7 +28,7 @@ from .coloring import chromatic_number
 from .fractional import fractional_chromatic_number
 from .graphs import (
     FamilyParams, LabeledGraph, MapKind, VertexMap, _map_steps, _run_search,
-    build_circular, is_automorphism, label_rotation, validate_map,
+    build_circular, checked_map, is_automorphism, label_rotation,
 )
 from .independence import iter_bits
 
@@ -39,11 +39,8 @@ def find_homomorphism(g: LabeledGraph, h: LabeledGraph) -> VertexMap | None:
     image = _run_search(_map_steps(g.adj, h.adj, domains), "homomorphism")
     if image is None:
         return None
-    out = VertexMap(g, h, dict(enumerate(image)), MapKind.HOMOMORPHISM)
-    bad = validate_map(out)
-    if bad:
-        raise AssertionError(f"search produced an invalid homomorphism: {bad[:3]}")
-    return out
+    return checked_map(VertexMap(g, h, dict(enumerate(image)), MapKind.HOMOMORPHISM),
+                       "search produced an invalid homomorphism")
 
 
 def _wl_colors(g: LabeledGraph, h: LabeledGraph) -> tuple[list[int], list[int]] | None:
@@ -88,11 +85,8 @@ def find_isomorphism(g: LabeledGraph, h: LabeledGraph) -> VertexMap | None:
     image = _run_search(_map_steps(g.adj, h.adj, domains, injective=True), "isomorphism")
     if image is None:
         return None
-    out = VertexMap(g, h, dict(enumerate(image)), MapKind.ISOMORPHISM)
-    bad = validate_map(out)
-    if bad:
-        raise AssertionError(f"search produced an invalid isomorphism: {bad[:3]}")
-    return out
+    return checked_map(VertexMap(g, h, dict(enumerate(image)), MapKind.ISOMORPHISM),
+                       "search produced an invalid isomorphism")
 
 
 def _ascending_candidates(lo: Fraction, hi: Fraction, max_q: int) -> Iterator[Fraction]:
@@ -177,11 +171,9 @@ def circular_chromatic_number(g: LabeledGraph) -> Fraction:
                   else build_circular(p, q, vertex_cap=p))
         s = None if steps is None else _rotation_probe(g, steps, p, q)
         if s is not None:
-            m = VertexMap(g, target, {v: s * x % p for v, x in enumerate(steps)},
-                          MapKind.HOMOMORPHISM)
-            bad = validate_map(m)
-            if bad:
-                raise AssertionError(f"rotation probe produced an invalid homomorphism: {bad[:3]}")
+            checked_map(VertexMap(g, target, {v: s * x % p for v, x in enumerate(steps)},
+                                  MapKind.HOMOMORPHISM),
+                        "rotation probe produced an invalid homomorphism")
             return cand
         if find_homomorphism(g, target) is not None:
             return cand

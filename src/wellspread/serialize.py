@@ -114,10 +114,12 @@ def _label_json(label) -> Any:
 
 def _same_rows(got, want: list) -> bool:
     """got, a document's list of labels or rows, equals want, whose rows are
-    tuples; list and tuple rows compare alike, since they print alike."""
+    tuples; list and tuple rows compare alike, since they print alike.  Each
+    id is read by `_int`, so a float or a bool equal to it is refused."""
     if type(got) not in (list, tuple, _IdRows):
         return False
-    return [tuple(x) if type(x) is list or type(x) is tuple else x for x in got] == want
+    return [tuple(map(_int, x)) if type(x) is list or type(x) is tuple else _int(x)
+            for x in got] == want
 
 
 def _loader(load):

@@ -12,7 +12,7 @@ import re
 
 import pytest
 
-from wellspread import InvalidParams, build_q, verify
+from wellspread import InvalidParams, build_q, build_schrijver, delete_edge, verify
 from wellspread.verify import (
     check_certificates,
     check_chromatic_law,
@@ -38,6 +38,39 @@ def _gate(result):
 
 def test_criterion_01_chromatic_law():
     _gate(check_chromatic_law())
+
+
+def _improper(find_proper_coloring):
+    # vertex 0 takes the colour of its first neighbour
+    def colouring(g, t):
+        colours = find_proper_coloring(g, t)
+        colours[0] = colours[(g.adj[0] & -g.adj[0]).bit_length() - 1]
+        return colours
+    return colouring
+
+
+def _less_an_sg_edge(build_kneser):
+    # KG(n,k) less the edge between the labels of SG(n,k)'s first edge
+    def kneser(n, k):
+        kg, sg = build_kneser(n, k), build_schrijver(n, k)
+        at = {lab: i for i, lab in enumerate(kg.labels)}
+        u, v = sg.edges()[0]
+        return delete_edge(kg, at[sg.labels[u]], at[sg.labels[v]])
+    return kneser
+
+
+@pytest.mark.parametrize("name,tamper,detail", [
+    ("find_proper_coloring", _improper, "-colorable=False, subgraph=True, sg pinned=True"),
+    ("build_kneser", _less_an_sg_edge, "-colorable=True, subgraph=False, sg pinned=True"),
+], ids=["improper-colouring", "kneser-less-an-sg-edge"])
+def test_criterion_01_checks_what_it_cites(monkeypatch, name, tamper, detail):
+    # KG's t-colouring counts only as a map into K_t, and SG only as an
+    # embedding in KG by labels: either tampered, every KG case fails
+    monkeypatch.setattr(verify, name, tamper(getattr(verify, name)))
+    cases = check_chromatic_law(max_n=6).cases
+    kneser = [c for c in cases if c.label.startswith("KG")]
+    assert kneser and all(not c.ok and c.detail.endswith(detail) for c in kneser)
+    assert all(c.ok for c in cases if not c.label.startswith("KG"))
 
 
 def test_criterion_02_independence_numbers():

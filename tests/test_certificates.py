@@ -1,4 +1,4 @@
-"""Closed-form certificates: colorings, retractions, embeddings, neighbor tables."""
+"""Closed-form certificates: colorings, retractions, embeddings, isomorphisms."""
 
 from __future__ import annotations
 
@@ -24,7 +24,6 @@ from wellspread import (
     edge_deleted_retraction,
     find_subgraph_qab,
     fractional_chromatic_number,
-    right_j_neighbors,
     scaling_isomorphism,
     star_positions,
     validate_map,
@@ -120,16 +119,17 @@ def test_public_constructors_check_their_cores(monkeypatch):
         return tampered
 
     def bent(core):
-        def tampered(f, x):
-            m = core(f, x)
+        def tampered(f, anchor, **exclusion):
+            m = core(f, anchor, **exclusion)
             m.mapping = {u: (t + 1) % m.target.vertex_count for u, t in m.mapping.items()}
             return m
         return tampered
 
+    # both retractions come from the one core `_fold`
     calls = [("_vertex_deleted_coloring", short, lambda: vertex_deleted_coloring(13, 5, 4)),
              ("_edge_deleted_coloring", short, lambda: edge_deleted_coloring(13, 5, (4, 5))),
-             ("_vertex_deleted_retraction", bent, lambda: vertex_deleted_retraction(13, 5, 4)),
-             ("_edge_deleted_retraction", bent, lambda: edge_deleted_retraction(13, 5, (4, 5)))]
+             ("_fold", bent, lambda: vertex_deleted_retraction(13, 5, 4)),
+             ("_fold", bent, lambda: edge_deleted_retraction(13, 5, (4, 5)))]
     for name, tamper, construct in calls:
         with monkeypatch.context() as m:
             m.setattr(certificates, name, tamper(getattr(certificates, name)))
@@ -188,43 +188,6 @@ def test_circular_isomorphism_worked_example():
     assert validate_map(m) == []
     for n, k in [(7, 2), (7, 3), (11, 4), (13, 5)]:
         assert validate_map(circular_isomorphism(n, k)) == []
-
-
-def test_right_neighbors_5_2():
-    q = build_q(5, 2)
-    table = right_j_neighbors(q, 0)
-    assert {(e.vertex, e.offset, e.overlap) for j in (1,) for e in table.by_overlap(1)} == {
-        (2, 2, 1), (3, 3, 1)}
-    assert sum(len(es) for _, es in table.entries) == 2 * (2 - 1)
-
-
-def test_right_neighbors_13_5():
-    q = build_q(13, 5)
-    table = right_j_neighbors(q, 0)
-    assert sum(len(es) for _, es in table.entries) == 8
-    assert [j for j, _ in table.entries] == [1, 2, 3, 4]
-    for j, es in table.entries:
-        assert len(es) == 2
-        u, v = es[0].vertex, es[1].vertex
-        assert q.has_edge(u, v)
-        for e in es:
-            assert 1 <= e.overlap == j
-
-
-def test_right_neighbors_pairs_adjacent_generally():
-    for n, k in [(7, 2), (7, 3), (9, 4), (11, 3), (11, 5), (13, 5)]:
-        q = build_q(n, k)
-        for x in range(n):
-            table = right_j_neighbors(q, x)
-            assert sum(len(es) for _, es in table.entries) == 2 * (k - 1)
-            for j, es in table.entries:
-                if len(es) == 2:
-                    assert q.has_edge(es[0].vertex, es[1].vertex)
-
-
-def test_right_neighbors_rejects_non_q_input():
-    with pytest.raises(NotCoprime):
-        right_j_neighbors(build_q(6, 2), 0)
 
 
 # The label builders read residues from one shared table; the pins below

@@ -629,8 +629,8 @@ def test_chords_of_a_complete_graph_fail_the_dual_check(monkeypatch, solver_call
 
 
 def test_tampered_homomorphism_falls_back_to_the_solver(monkeypatch, solver_calls):
-    def bent(f, v):
-        m = certificates._vertex_deleted_retraction(f, v)
+    def bent(f, anchor, *exclusion):
+        m = certificates._fold(f, anchor, *exclusion)
         mapping = dict(m.mapping)
         u = next(iter(mapping))
         mapping[u] = (mapping[u] + 1) % m.target.vertex_count
@@ -639,7 +639,7 @@ def test_tampered_homomorphism_falls_back_to_the_solver(monkeypatch, solver_call
     q = build_q(11, 3)
     want = sweep_without_witnesses(monkeypatch, lambda: vertex_criticality(q, Invariant.CHI_C))
     solver_calls.clear()
-    monkeypatch.setattr(criticality, "_vertex_deleted_retraction", bent)
+    monkeypatch.setattr(criticality, "_fold", bent)
     assert vertex_criticality(q, Invariant.CHI_C) == want
     assert len(solver_calls) == 1 + 1
 
@@ -661,8 +661,8 @@ def test_tampered_circular_witnesses_fall_back_to_the_solver(monkeypatch, solver
         fc = certificates._edge_deleted_coloring(f, p)
         return dataclasses.replace(fc, sets=fc.sets[:-1], weights=fc.weights[:-1])
 
-    def bent(f, p):
-        m = certificates._edge_deleted_retraction(f, p)
+    def bent(f, anchor, *exclusion):
+        m = certificates._fold(f, anchor, *exclusion)
         mapping = dict(m.mapping)
         u = next(iter(mapping))
         mapping[u] = (mapping[u] + 1) % m.target.vertex_count
@@ -671,7 +671,7 @@ def test_tampered_circular_witnesses_fall_back_to_the_solver(monkeypatch, solver
     g = build_circular(11, 3)
     want = sweep_without_witnesses(monkeypatch, lambda: circular_edge_corollary(g))
     for name, tampered in (("_edge_deleted_coloring", short),
-                           ("_edge_deleted_retraction", bent)):
+                           ("_fold", bent)):
         with monkeypatch.context() as m:
             m.setattr(criticality, name, tampered)
             solver_calls.clear()

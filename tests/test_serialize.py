@@ -19,6 +19,7 @@ from wellspread import (
     InvalidParams,
     boundary_from_document,
     boundary_to_document,
+    build_circular,
     build_family,
     build_q,
     canonical_well_spread,
@@ -314,6 +315,14 @@ def _retraction72():
      ("excludedEdge", 1), float),
     (graph_from_document, _q72_deleted_graph, ("deletedVertex",), float),
     (graph_from_document, _q72_deleted_graph, ("family", "k"), float),
+    # the rows are compared with the rebuilt graph's, where 0.0 == 0 and True == 1:
+    # the label [0, 3] read as [0.0, 3.0], and the edge [0, 1] as [0.0, true]
+    (graph_from_document, lambda: graph_to_document(build_q(7, 2)), ("vertices", 0),
+     lambda row: [float(x) for x in row]),
+    (graph_from_document, lambda: graph_to_document(build_q(7, 2)), ("edges", 0),
+     lambda edge: [float(edge[0]), bool(edge[1])]),
+    (graph_from_document, lambda: graph_to_document(build_circular(7, 2)), ("vertices", 0),
+     float),
     (trace_from_document, _reduction_document, ("modulus",), float),
     (trace_from_document, _reduction_document, ("elements", 0), bool),  # the residue 0
     (report_from_document,
@@ -326,7 +335,8 @@ def _retraction72():
 ], ids=["map-image-1.9", "map-image-string", "map-image-true", "map-source-n-float",
         "map-excluded-vertex-float", "map-section-float", "coloring-member-3.5",
         "coloring-excluded-vertex-0.7", "coloring-excluded-edge-float",
-        "graph-deleted-vertex-float", "graph-family-k-float", "trace-modulus-float",
+        "graph-deleted-vertex-float", "graph-family-k-float", "graph-label-floats",
+        "graph-edge-float-true", "graph-circular-label-float", "trace-modulus-float",
         "trace-residue-false", "report-vertex-float", "report-edge-float",
         "boundary-n-float"])
 def test_loaders_take_only_int_ids(load, to_document, path, change):
