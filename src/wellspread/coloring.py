@@ -106,17 +106,22 @@ def greedy_coloring(g: LabeledGraph) -> list[int]:
         # only grows and each growth pushes a fresh entry, so stale ones are skipped
         heap = [(0, -deg[v], v) for v in range(V)]
         heapify(heap)
+        uncolored = (1 << V) - 1
         while heap:
             neg_sat, _, best = heappop(heap)
-            if colors[best] >= 0 or -neg_sat != used_next_to[best].bit_count():
+            used = used_next_to[best]
+            if colors[best] >= 0 or -neg_sat != used.bit_count():
                 continue
-            c = 0
-            while (used_next_to[best] >> c) & 1:
-                c += 1
+            c = (~used & (used + 1)).bit_length() - 1  # the lowest colour not in used
             colors[best] = c
+            uncolored ^= 1 << best
             bit = 1 << c
-            for u in iter_bits(adj[best]):
-                if colors[u] < 0 and not used_next_to[u] & bit:
+            nbrs = adj[best] & uncolored  # the uncoloured neighbours
+            while nbrs:
+                b = nbrs & -nbrs
+                nbrs ^= b
+                u = b.bit_length() - 1
+                if not used_next_to[u] & bit:
                     used_next_to[u] |= bit
                     heappush(heap, (-used_next_to[u].bit_count(), -deg[u], u))
         return tuple(colors)

@@ -76,19 +76,27 @@ def rotated_residues(es: tuple[int, ...], n: int, t: int) -> tuple[int, ...]:
 def rotations(es: tuple[int, ...], n: int, shifts: Iterable[int]) -> Iterator[tuple[int, ...]]:
     """`rotated_residues(es, n, t)` for each t in shifts, in order.
 
-    Every rotation is read from one table of the residues of Z_n, so all of
-    them share n int objects instead of each allocating its own.
+    Each rotation is the previous one (es before the first) moved on by the
+    step d between their shifts, its residues read from a table of
+    x + d mod n.  The table is rebuilt only when the step changes, so memory
+    stays O(n) for any shifts, and the rotations share n int objects instead
+    of each allocating its own.
     """
-    table = tuple(range(n)) * 2  # table[t + x] is x + t mod n
-    if len(es) > 1:
-        pick = itemgetter(*es)
-    else:  # itemgetter of one index returns the item, not a 1-tuple
-        pick = lambda row: tuple(map(row.__getitem__, es))
+    row, at = es, 0
+    step, table = None, ()
     for t in shifts:
         t %= n
-        cut = bisect_left(es, n - t)
-        shifted = pick(table[t:t + n])  # es + t mod n, wrapping before index cut
-        yield shifted[cut:] + shifted[:cut]
+        d = (t - at) % n
+        if d != step:
+            step, table = d, tuple(range(d, n)) + tuple(range(d))
+        # row + d mod n, wrapping before index cut
+        if len(row) > 1:
+            shifted = itemgetter(*row)(table)
+        else:  # itemgetter of one index returns the item, not a 1-tuple
+            shifted = tuple(map(table.__getitem__, row))
+        cut = bisect_left(row, n - d)
+        row, at = shifted[cut:] + shifted[:cut], t
+        yield row
 
 
 def is_r_separated(s: CyclicSubset, r: int) -> bool:

@@ -71,14 +71,14 @@ def _coloring_passes(g: LabeledGraph, fc: FractionalColoring,
                      excl_e: tuple[int, int] | None) -> bool:
     """True when fc is valid, by a few whole-set operations per set.
 
-    Each set's members are read from two tables by one `itemgetter`: single
-    bits, which sum to the set's mask, and the rows of g less the excluded
-    edge, which OR to the set's neighbourhood.  Index V reads a 0 from both,
-    so that a one-member set reads a tuple too.  The least member is checked
-    non-negative first; a member above V raises IndexError, and a member
-    equal to V or a repeat leaves the mask with fewer bits than the set has
-    members (a repeat carries).  One bit test finds the excluded vertex, and
-    the neighbourhood must miss the mask.
+    Row u of g, less the excluded edge, carries u's own bit V places up, and
+    index V reads a 0, so that a one-member set reads a tuple too.  One
+    `itemgetter` reads a set's rows and one OR of them gives both the set's
+    neighbourhood (the low V bits) and its mask (the bits from V up).  The
+    least member is checked non-negative first; a member above V raises
+    IndexError, and a member equal to V or a repeat leaves the mask with
+    fewer bits than the set has members (the OR drops both).  One bit test
+    finds the excluded vertex, and the neighbourhood must miss the mask.
 
     Coverage is counted per distinct weight in bit-sliced counters: slice i
     holds bit i of every vertex's count, and a set's mask is added by
@@ -90,13 +90,13 @@ def _coloring_passes(g: LabeledGraph, fc: FractionalColoring,
         return False
     V = g.vertex_count
     excl_v = fc.excluded_vertex
-    bits = [1 << v for v in range(V)] + [0]
-    rows = [*g.adj, 0]
+    rows = list(g.adj)
     if excl_e is not None:
         a, b = excl_e
-        rows[a] &= ~bits[b]
-        rows[b] &= ~bits[a]
-    excl_bit = 0 if excl_v is None else bits[excl_v]
+        rows[a] &= ~(1 << b)
+        rows[b] &= ~(1 << a)
+    rows = [row | 1 << top for top, row in enumerate(rows, V)] + [0]  # top = u + V
+    excl_bit = 0 if excl_v is None else 1 << excl_v
     # the slices per distinct weight, keyed by its lowest terms (a cheaper
     # hash than a Fraction's)
     slices: dict[tuple[int, int], list[int]] = {}
@@ -106,12 +106,13 @@ def _coloring_passes(g: LabeledGraph, fc: FractionalColoring,
             continue
         if min(s) < 0:
             return False
-        pick = itemgetter(*s, V)
         try:
-            mask = sum(pick(bits))
+            both = reduce(or_, itemgetter(*s, V)(rows))
         except IndexError:  # a member above V
             return False
-        if mask.bit_count() != len(s) or mask & excl_bit or reduce(or_, pick(rows)) & mask:
+        mask = both >> V
+        # both & mask is the neighbourhood's share of the mask
+        if mask.bit_count() != len(s) or mask & excl_bit or both & mask:
             return False
         carry = mask
         for i, c in enumerate(counter):

@@ -531,6 +531,8 @@ def _map_passes(m: VertexMap) -> bool:
         img[ev] = tv  # a placeholder: no row below selects the excluded vertex
     if None in images or images and not (min(images) >= 0 and max(images) < tv):
         return False
+    if len(m.mapping) != len(images):  # each domain vertex is a key; any more lie outside it
+        return False
     bit = [1 << t for t in range(tv)] + [0]
     fbits = list(map(bit.__getitem__, img))
     # a target row less its own vertex, so an edge onto one image fails
@@ -610,6 +612,8 @@ def _map_violations(m: VertexMap) -> list[str]:
             out.append(f"vertex {u} unmapped")
         elif not (0 <= m.mapping[u] < tgt.vertex_count):
             out.append(f"image of {u} out of range: {m.mapping[u]}")
+    for u in sorted(set(m.mapping).difference(domain)):
+        out.append(f"vertex {u} mapped but not in the domain")
     if out:
         return out
     # src_later[u]: u's source neighbours v > u, less the exclusions

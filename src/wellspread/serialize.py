@@ -38,7 +38,7 @@ from operator import attrgetter, itemgetter
 from typing import Any, Optional
 
 from .criticality import BoundaryEntry, BoundaryReport, CriticalityReport, Invariant, SweepSummary
-from .cyclic import CyclicSubset, ReductionTrace, euclid_reduce
+from .cyclic import CanonicalRotations, CyclicSubset, ReductionTrace, euclid_reduce, rotations
 from .errors import InvalidParams
 from .fractional import FractionalColoring, verify_fractional_coloring
 from .graphs import (
@@ -229,23 +229,35 @@ def graph_from_document(doc: dict) -> LabeledGraph:
 
 
 def graph_to_dot(g: LabeledGraph, family: Optional[FamilyParams] = None) -> str:
-    """Undirected DOT text with set-literal labels; byte-stable."""
+    """Undirected DOT text with set-literal labels; byte-stable.
+
+    The labels of Q(n,k), a `CanonicalRotations`, are written from its
+    `rotations` rows, so no label object is made for the text.
+    """
     fp = family if family is not None else g.family
     name = f"{fp.tag}_{fp.n}_{fp.k}" if fp is not None else "g"
+    labels = g.labels
     # the residue texts of the largest modulus, made once for every label
-    n = max((l.modulus for l in g.labels if isinstance(l, CyclicSubset)), default=0)
-    residues = _id_texts(n)
+    if isinstance(labels, CanonicalRotations):
+        n = labels.canon.modulus
+        residues = _id_texts(n)
+        texts = (_set_text(es, residues)
+                 for es in rotations(labels.canon.elements, n, range(len(labels))))
+    else:
+        residues = _id_texts(max((l.modulus for l in labels if isinstance(l, CyclicSubset)),
+                                 default=0))
+        texts = (_set_text(l.elements, residues) if isinstance(l, CyclicSubset) else str(l)
+                 for l in labels)
     lines = [f"graph {name} {{"]
-    for v, label in enumerate(g.labels):
-        if isinstance(label, CyclicSubset):
-            text = "{" + ",".join(_row_texts(label.elements, residues)) + "}"
-        else:
-            text = str(label)
-        lines.append(f'  {v} [label="{text}"];')
-    for u, v in g.edges():
-        lines.append(f"  {u} -- {v};")
+    lines += [f'  {v} [label="{text}"];' for v, text in enumerate(texts)]
+    lines += [f"  {u} -- {v};" for u, v in g.edges()]
     lines.append("}\n")
     return "\n".join(lines)
+
+
+def _set_text(row, residues: dict[int, str]) -> str:
+    """A residue row as a DOT set literal."""
+    return "{" + ",".join(_row_texts(row, residues)) + "}"
 
 
 def coloring_to_document(

@@ -4,7 +4,7 @@ that runs them in turn, cross-checks."""
 from __future__ import annotations
 
 import random
-from heapq import heapify
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 
 import pytest
@@ -497,3 +497,49 @@ def test_rlf_witness_success_on_schrijver_deletions():
         t = n - 2 * k + 1
         assert sum(max(rlf_coloring(d)) < t for d in deleted) == by_rlf, (n, k)
         assert sum(max(greedy_coloring(d)) < t for d in deleted) == by_dsatur, (n, k)
+
+
+def _dsatur_before(g):
+    """DSATUR as `greedy_coloring` ran it before its neighbour walk and colour
+    pick were inlined: an oracle for the colouring it must still return."""
+    V = g.vertex_count
+    adj = g.adj
+    colors = [-1] * V
+    used_next_to = [0] * V
+    deg = [m.bit_count() for m in adj]
+    heap = [(0, -deg[v], v) for v in range(V)]
+    heapify(heap)
+    while heap:
+        neg_sat, _, best = heappop(heap)
+        if colors[best] >= 0 or -neg_sat != used_next_to[best].bit_count():
+            continue
+        c = 0
+        while (used_next_to[best] >> c) & 1:
+            c += 1
+        colors[best] = c
+        bit = 1 << c
+        for u in iter_bits(adj[best]):
+            if colors[u] < 0 and not used_next_to[u] & bit:
+                used_next_to[u] |= bit
+                heappush(heap, (-used_next_to[u].bit_count(), -deg[u], u))
+    return list(colors)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 40), st.integers(0, 2**32))
+def test_greedy_coloring_equals_the_previous_dsatur_on_random_graphs(n, seed):
+    g = random_graph(random.Random(seed), n)
+    assert greedy_coloring(g) == _dsatur_before(g)
+
+
+def test_greedy_coloring_equals_the_previous_dsatur_on_the_workload_graphs():
+    # the graphs the benchmark's requests build, one deletion of each small
+    # one, and the Kneser and Schrijver graphs of the colouring searches
+    graphs = [build_q(23, 7), build_q(27, 8), build_q(19, 7), build_q(29, 9), build_q(23, 11),
+              build_schrijver(10, 3), build_schrijver(10, 2), build_schrijver(9, 3),
+              build_circular(17, 5), build_interlacing(10, 3), build_kneser(9, 3)]
+    graphs += [delete_vertex(g, 1) for g in graphs] + [delete_edge(g, *g.edges()[0]) for g in graphs]
+    graphs += [build_q(601, 300), build_q(401, 200), build_q(599, 150), build_q(101, 50),
+               build_circular(1001, 500)]
+    for g in graphs:
+        assert greedy_coloring(g) == _dsatur_before(g), g.family

@@ -6,6 +6,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wellspread import (
     CyclicSubset,
@@ -19,6 +20,7 @@ from wellspread import (
     is_well_spread,
     is_well_spread_dual,
 )
+from wellspread.cyclic import CanonicalRotations, rotated_residues, rotations
 
 
 def test_subset_normalizes_and_bounds():
@@ -139,3 +141,54 @@ def test_reduce_rejects_bad_inputs():
         euclid_reduce(CyclicSubset(5, [0, 1, 2]))  # |s| > n/2
     with pytest.raises(InvalidParams):
         euclid_reduce(CyclicSubset(5, []))
+
+
+@st.composite
+def _shift_runs(draw):
+    """(es, n, shifts): a sorted residue tuple and shifts made of runs that
+    go up or down by a repeated step, single shifts at irregular gaps, and
+    shifts that are negative or at least n."""
+    n = draw(st.integers(1, 60))
+    es = tuple(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))))
+    shifts = []
+    for _ in range(draw(st.integers(0, 6))):
+        start = draw(st.integers(-3 * n, 3 * n))
+        step = draw(st.sampled_from([1, -1, 0, draw(st.integers(-2 * n, 2 * n))]))
+        shifts += [start + i * step for i in range(draw(st.integers(1, 8)))]
+    return es, n, shifts
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_shift_runs())
+def test_rotations_equal_rotated_residues_shift_by_shift(case):
+    es, n, shifts = case
+    assert list(rotations(es, n, shifts)) == [rotated_residues(es, n, t) for t in shifts]
+
+
+def test_rotations_on_canonical_sets_and_one_residue():
+    # every (n, k) up to 24, gcd(n, k) > 1 included, over the descending
+    # shifts of the certificates and the ascending ids of the labels
+    for n in range(1, 25):
+        for k in range(1, n + 1):
+            es = canonical_well_spread(n, k).elements
+            for shifts in (range(n), range(n + 3, -n - 3, -1), [5, 5, 1, n, 2 * n + 1, -7]):
+                assert list(rotations(es, n, shifts)) == [rotated_residues(es, n, t)
+                                                          for t in shifts], (n, k)
+    assert list(rotations((4,), 7, [0, 3, 3, -5, 10])) == [(4,), (0,), (0,), (6,), (0,)]
+
+
+def test_canonical_rotations_filled_on_sparse_slices_equal_single_reads():
+    # _filled makes the missing ids of a slice by one rotations pass; with
+    # some ids read before, the missing ones come at irregular gaps
+    for n, k in [(13, 5), (12, 4), (29, 9), (30, 12), (101, 50), (7, 1)]:
+        one_by_one = CanonicalRotations(n, k)
+        count = len(one_by_one)
+        want = [one_by_one[u] for u in range(count)]
+        assert want == [one_by_one.canon.rotate(u) for u in range(count)]
+        for before, sl in [((), slice(None, None, 3)), ((1, 2, 7), slice(None, None, 2)),
+                           ((0, 5), slice(None, None, -1)), ((3,), slice(1, None, 4))]:
+            labels = CanonicalRotations(n, k)
+            for u in before:
+                labels[u % count]
+            assert labels[sl] == tuple(want[sl]), (n, k, sl)
+            assert list(labels) == want, (n, k)

@@ -31,7 +31,7 @@ from wellspread import (
     is_interlacing_edge,
     validate_map,
 )
-from wellspread.certificates import edge_deleted_retraction
+from wellspread.certificates import edge_deleted_retraction, vertex_deleted_retraction
 from wellspread.cyclic import canonical_well_spread, rotations
 from wellspread.graphs import (
     FamilyParams,
@@ -370,6 +370,19 @@ def test_validate_map_reports_impossible_exclusions():
         assert validate_map(VertexMap(c5, k3, hom, MapKind.HOMOMORPHISM, **exclusions)) == want
 
 
+def test_map_keys_outside_the_domain_are_violations():
+    # a retraction of Q(13,5) less vertex 3 with the excluded vertex, a vertex
+    # past the source or a negative id mapped too; each such key is named
+    m = vertex_deleted_retraction(13, 5, 3)
+    assert validate_map(m) == []
+    for stray in (3, 40, -1):
+        bad = replace(m, mapping={**m.mapping, stray: 0})
+        assert not _map_passes(bad)
+        assert validate_map(bad) == [f"vertex {stray} mapped but not in the domain"]
+    bad = replace(m, mapping={40: 0, 3: 1, **m.mapping, -1: 2})
+    assert validate_map(bad) == [f"vertex {u} mapped but not in the domain" for u in (-1, 3, 40)]
+
+
 def _random_valid_map(kind: MapKind, rng: random.Random) -> VertexMap:
     """A map of the given kind that holds by construction: the source edges
     among the domain are (for a homomorphism, some of) the pairs whose images
@@ -387,8 +400,6 @@ def _random_valid_map(kind: MapKind, rng: random.Random) -> VertexMap:
         tgt = random_graph(rng, size)
         images = rng.sample(range(size), len(domain))
     f = dict(zip(domain, images))
-    if ev is not None and rng.random() < 0.5:
-        f[ev] = rng.randrange(-1, tgt.vertex_count + 1)  # ignored: excluded
     p = rng.random()
     edges = [(u, v) for u, v in combinations(domain, 2)
              if tgt.has_edge(f[u], f[v]) and (kind is not MapKind.HOMOMORPHISM or rng.random() < p)]
@@ -421,6 +432,9 @@ def _tamperings(m: VertexMap, rng: random.Random) -> list[VertexMap]:
         if len(domain) > 1:
             w = rng.choice([x for x in domain if x != u])
             out.append(replace(m, mapping={**m.mapping, u: m.mapping[w]}))  # not injective
+    # a key outside the domain: the excluded vertex, or no source vertex at all
+    stray = rng.choice([v for v in (m.excluded_vertex, -1, sv) if v is not None])
+    out.append(replace(m, mapping={**m.mapping, stray: rng.randrange(-1, tv + 1)}))
     pairs = [(m.mapping[u], m.mapping[w]) for u, w in combinations(domain, 2)
              if m.mapping[u] != m.mapping[w] and not m.target.has_edge(m.mapping[u], m.mapping[w])]
     if pairs:  # one more target edge on the image
@@ -514,8 +528,6 @@ def _windowed_map(kind: MapKind, rng: random.Random) -> VertexMap:
         images.append(images[ev])
     f = {u: t for u, t in enumerate(images) if u != ev}
     domain = sorted(f)
-    if ev is not None and rng.random() < 0.5:
-        f[ev] = rng.choice([images[ev], -1, tv])  # ignored: excluded
     p = rng.random()
     edges = [(u, v) for u, v in combinations(domain, 2)
              if tgt.has_edge(f[u], f[v]) and (kind is not MapKind.HOMOMORPHISM or rng.random() < p)]

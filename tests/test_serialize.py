@@ -17,6 +17,7 @@ from wellspread import cli, serialize
 from wellspread import (
     FamilyParams,
     InvalidParams,
+    LabeledGraph,
     boundary_from_document,
     boundary_to_document,
     build_circular,
@@ -152,6 +153,17 @@ def test_dot_output_is_byte_stable_and_complete():
     assert a.endswith("}\n")
 
 
+@pytest.mark.parametrize("n, k", [(13, 5), (29, 9), (12, 4), (30, 12), (7, 1), (401, 200)])
+def test_q_dot_equals_the_dot_of_its_labels_as_a_tuple(n, k):
+    # Q(n,k)'s labels are written from rotation rows without label objects;
+    # the same graph with a plain tuple of labels takes the generic path
+    q = build_q(n, k)
+    dot = graph_to_dot(q)
+    assert q.labels._missing == len(q.labels)  # no label was made
+    plain = LabeledGraph(tuple(q.labels), q.adj, q.family)
+    assert dot == graph_to_dot(plain)
+
+
 def test_coloring_documents_round_trip_and_recheck():
     fc = edge_deleted_coloring(7, 2, (0, 1))
     fp = FamilyParams("q", 7, 2)
@@ -176,6 +188,17 @@ def test_map_documents_round_trip_with_section():
     doc = map_to_document(m)
     doc["mapping"][0][1] = (doc["mapping"][0][1] + 1) % 7
     with pytest.raises(InvalidParams):
+        map_from_document(doc)
+
+
+@pytest.mark.parametrize("stray", [3, 40, -1])
+def test_map_documents_with_keys_outside_the_domain_are_refused(stray):
+    # the excluded vertex, a vertex past the 13-vertex source, or a negative
+    # id, each mapped onto 0 in a retraction that is otherwise valid
+    doc = json.loads(dumps(map_to_document(vertex_deleted_retraction(13, 5, 3))))
+    map_from_document(doc)
+    doc["mapping"].append([stray, 0])
+    with pytest.raises(InvalidParams, match=f"vertex {stray} mapped but not in the domain"):
         map_from_document(doc)
 
 
