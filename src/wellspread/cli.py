@@ -46,6 +46,7 @@ from .homomorphism import circular_chromatic_number
 from .independence import independence_number
 from .serialize import (
     SCHEMA_VERSION,
+    _BUILDERS,
     _family_json,
     boundary_to_document,
     build_family,
@@ -78,10 +79,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact constructions and verified invariants for cyclic set graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    families = list(_BUILDERS)
 
     p = sub.add_parser("build", help="construct a graph and print it")
-    p.add_argument("--family", required=True,
-                   choices=["kneser", "sg", "q", "circular", "interlacing"])
+    p.add_argument("--family", required=True, choices=families)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--format", choices=["json", "dot"], default="json")
@@ -90,8 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vertex-cap", type=int, metavar="N")
 
     p = sub.add_parser("invariants", help="exact invariants as a JSON report")
-    p.add_argument("--family", required=True,
-                   choices=["kneser", "sg", "q", "circular", "interlacing"])
+    p.add_argument("--family", required=True, choices=families)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--alpha", action="store_true")
@@ -101,8 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vertex-cap", type=int, metavar="N")
 
     p = sub.add_parser("criticality", help="deletion sweeps and the equality boundary")
-    p.add_argument("--family",
-                   choices=["kneser", "sg", "q", "circular", "interlacing"])
+    p.add_argument("--family", choices=families)
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--invariant", choices=sorted(_INVARIANTS), default="chi-f",

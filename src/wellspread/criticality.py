@@ -30,11 +30,11 @@ D = Q(n,k) less a vertex or a consecutive-rotation edge are first tried
 through the paper's witness pair (`certificates`), stated on Q(n,k) with the
 deletion as its exclusion and checked there once: a fractional colouring,
 and weight 1/b on the a positions S of the embedded copy of Q(a,b).
-`fractional.witnessed_value` verifies the colouring, checks that S holds
-neither the excluded vertex nor both ends of the excluded edge, so that
-D[S] = Q(n,k)[S], and proves alpha(D[S]) <= b; weak duality then pins
-chi_f(D) = a/b.  For chi_c the retraction onto the copy, composed with
-Q(a,b) ~ K_{a/b}, must also pass `validate_map` under the same exclusion.
+`fractional.witnessed_value` verifies the colouring, checks that S avoids
+the excluded vertex, and proves alpha(D[S]) <= b on D's own rows; weak
+duality then pins chi_f(D) = a/b.  For chi_c the retraction onto the copy,
+composed with Q(a,b) ~ K_{a/b}, must also pass `validate_map` under the
+same exclusion.
 Any other edge keeps chi_f(D) = chi_c(D) = n/k once branch-and-bound proves
 alpha(D) <= k, as the exact baseline n/k bounds D from above: deleting an
 edge raises neither invariant.
@@ -79,6 +79,7 @@ from .graphs import (
     LabeledGraph,
     MapKind,
     VertexMap,
+    _rows_less,
     _solve_per_orbit,
     build_circular,
     build_q,
@@ -115,8 +116,22 @@ class CriticalityReport:
     baseline: Fraction
     per_vertex: tuple[tuple[int, Fraction], ...]
     per_edge: tuple[tuple[tuple[int, int], Fraction, Optional[bool]], ...]
-    summary: SweepSummary
     metadata: dict = field(default_factory=dict)
+
+    @property
+    def summary(self) -> SweepSummary:
+        """NOT_CRITICAL when no deletion lowered the value; else
+        VERTEX_CRITICAL when every vertex deletion did, EDGE_CLASSIFICATION
+        when exactly the flagged edge deletions did, and MIXED otherwise."""
+        drops = ([x < self.baseline for _, x in self.per_vertex]
+                 or [x < self.baseline for _, x, _ in self.per_edge])
+        if not any(drops):
+            return SweepSummary.NOT_CRITICAL
+        if self.per_vertex:
+            return SweepSummary.VERTEX_CRITICAL if all(drops) else SweepSummary.MIXED
+        if drops == [flag for _, _, flag in self.per_edge]:
+            return SweepSummary.EDGE_CLASSIFICATION
+        return SweepSummary.MIXED
 
 
 def evaluate_invariant(g: LabeledGraph, invariant: Invariant) -> Fraction:
@@ -187,10 +202,7 @@ def _retraction_witness(g: LabeledGraph, invariant: Invariant,
         u, v = map(where.__getitem__, deletion)
         if (v - u) % n not in (1, n - 1):
             k = f.q.family.k
-            adj = list(g.adj)
-            x, y = deletion
-            adj[x] &= ~(1 << y)
-            adj[y] &= ~(1 << x)
+            adj = _rows_less(g, None, deletion)
             pinned = baseline == Fraction(n, k) and alpha_at_most(adj, (1 << n) - 1, k)
             return baseline if pinned else None
         p = u if (v - u) % n == 1 else v
@@ -234,8 +246,6 @@ def _settle(g: LabeledGraph, invariant: Invariant, deletion, baseline: Fraction,
 def vertex_criticality(g: LabeledGraph, invariant: Invariant) -> CriticalityReport:
     """The invariant after each single vertex deletion, settled once per
     certified vertex orbit; for chi, by one colorability question per orbit.
-
-    VERTEX_CRITICAL means every deletion strictly lowered the value.
     """
     baseline = evaluate_invariant(g, invariant)
     if invariant is Invariant.CHI:
@@ -258,14 +268,7 @@ def vertex_criticality(g: LabeledGraph, invariant: Invariant) -> CriticalityRepo
         if val > baseline:
             raise AssertionError(f"deleting {v} raised {invariant.value} to {val}")
         rows.append((v, val))
-    drops = sum(1 for _, val in rows if val < baseline)
-    if drops == len(rows) and rows:
-        summary = SweepSummary.VERTEX_CRITICAL
-    elif drops == 0:
-        summary = SweepSummary.NOT_CRITICAL
-    else:
-        summary = SweepSummary.MIXED
-    return CriticalityReport(g.family, invariant, baseline, tuple(rows), (), summary)
+    return CriticalityReport(g.family, invariant, baseline, tuple(rows), ())
 
 
 def _edge_sweep(g: LabeledGraph, invariant: Invariant, baseline: Fraction,
@@ -283,13 +286,7 @@ def _edge_sweep(g: LabeledGraph, invariant: Invariant, baseline: Fraction,
         if val > baseline:
             raise AssertionError(f"deleting edge {e} raised {invariant.value} to {val}")
         rows.append((e, val, flag(e)))
-    if all(val >= baseline for _, val, _ in rows):
-        summary = SweepSummary.NOT_CRITICAL
-    elif all((val < baseline) == flagged for _, val, flagged in rows):
-        summary = SweepSummary.EDGE_CLASSIFICATION
-    else:
-        summary = SweepSummary.MIXED
-    return CriticalityReport(g.family, invariant, baseline, (), tuple(rows), summary, metadata)
+    return CriticalityReport(g.family, invariant, baseline, (), tuple(rows), metadata)
 
 
 def edge_criticality(q: LabeledGraph) -> CriticalityReport:
@@ -341,7 +338,11 @@ class BoundaryEntry:
     n: int
     k: int
     equal: bool
-    predicted: bool
+
+    @property
+    def predicted(self) -> bool:
+        """The paper's rule: Q(n,k) = SG(n,k) exactly when k = 1, n = 2k or n = 2k + 1."""
+        return self.k == 1 or self.n == 2 * self.k or self.n == 2 * self.k + 1
 
 
 @dataclass(frozen=True)
@@ -358,15 +359,8 @@ def q_equals_schrijver_sweep(max_n: int) -> BoundaryReport:
     for every 1 <= k, 2k <= n <= max_n.
 
     Both graphs put an edge exactly between disjoint labels, so equal label
-    sets mean equal graphs.  Equality is predicted to hold exactly for k=1,
-    n=2k, and n=2k+1.
+    sets mean equal graphs.  Each entry derives its prediction from (n, k).
     """
-    entries = []
-    for n in range(2, max_n + 1):
-        for k in range(1, n // 2 + 1):
-            q = build_q(n, k)
-            sg = build_schrijver(n, k)
-            equal = frozenset(q.labels) == frozenset(sg.labels)
-            predicted = k == 1 or n == 2 * k or n == 2 * k + 1
-            entries.append(BoundaryEntry(n, k, equal, predicted))
-    return BoundaryReport(tuple(entries))
+    return BoundaryReport(tuple(
+        BoundaryEntry(n, k, set(build_q(n, k).labels) == set(build_schrijver(n, k).labels))
+        for n in range(2, max_n + 1) for k in range(1, n // 2 + 1)))

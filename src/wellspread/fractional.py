@@ -19,7 +19,7 @@ from operator import itemgetter, or_
 
 from .cyclic import CyclicSubset
 from .errors import ResourceCap
-from .graphs import LabeledGraph, _exclusion_violations, label_rotation
+from .graphs import LabeledGraph, _exclusion_violations, _rows_less, label_rotation
 from .independence import (
     alpha_at_most,
     iter_bits,
@@ -58,20 +58,15 @@ def verify_fractional_coloring(g: LabeledGraph, fc: FractionalColoring) -> list[
     """
     if len(fc.sets) != len(fc.weights):
         return ["sets/weights length mismatch"]
-    excl_e = None
-    if fc.excluded_edge is not None:
-        a, b = fc.excluded_edge
-        excl_e = (min(a, b), max(a, b))
-    if _coloring_passes(g, fc, excl_e):
+    if _coloring_passes(g, fc):
         return []
-    return _coloring_violations(g, fc, excl_e)
+    return _coloring_violations(g, fc)
 
 
-def _coloring_passes(g: LabeledGraph, fc: FractionalColoring,
-                     excl_e: tuple[int, int] | None) -> bool:
+def _coloring_passes(g: LabeledGraph, fc: FractionalColoring) -> bool:
     """True when fc is valid, by a few whole-set operations per set.
 
-    Row u of g, less the excluded edge, carries u's own bit V places up, and
+    Row u of g, less the exclusion, carries u's own bit V places up, and
     index V reads a 0, so that a one-member set reads a tuple too.  One
     `itemgetter` reads a set's rows and one OR of them gives both the set's
     neighbourhood (the low V bits) and its mask (the bits from V up).  The
@@ -90,11 +85,7 @@ def _coloring_passes(g: LabeledGraph, fc: FractionalColoring,
         return False
     V = g.vertex_count
     excl_v = fc.excluded_vertex
-    rows = list(g.adj)
-    if excl_e is not None:
-        a, b = excl_e
-        rows[a] &= ~(1 << b)
-        rows[b] &= ~(1 << a)
+    rows = _rows_less(g, excl_v, fc.excluded_edge)
     rows = [row | 1 << top for top, row in enumerate(rows, V)] + [0]  # top = u + V
     excl_bit = 0 if excl_v is None else 1 << excl_v
     # the slices per distinct weight, keyed by its lowest terms (a cheaper
@@ -134,14 +125,14 @@ def _coloring_passes(g: LabeledGraph, fc: FractionalColoring,
     return all(c >= scale for v, c in enumerate(cover) if v != excl_v)
 
 
-def _coloring_violations(g: LabeledGraph, fc: FractionalColoring,
-                         excl_e: tuple[int, int] | None) -> list[str]:
+def _coloring_violations(g: LabeledGraph, fc: FractionalColoring) -> list[str]:
     """Every violation of fc, set by set and member by member."""
     out = _exclusion_violations(g, fc.excluded_vertex, fc.excluded_edge)
     if out:
         return out
     V = g.vertex_count
     excl_v = fc.excluded_vertex
+    rows = _rows_less(g, excl_v, fc.excluded_edge)
     # coverage in integers over the common denominator of the weights
     scale = lcm(*(w.denominator for w in fc.weights))
     cover = [0] * V
@@ -161,9 +152,8 @@ def _coloring_violations(g: LabeledGraph, fc: FractionalColoring,
         later = mask
         for u in iter_bits(mask):
             later ^= 1 << u
-            for v in iter_bits(g.adj[u] & later):
-                if (u, v) != excl_e:
-                    out.append(f"set {idx} not independent: edge {{{u},{v}}}")
+            for v in iter_bits(rows[u] & later):
+                out.append(f"set {idx} not independent: edge {{{u},{v}}}")
     for v in range(V):
         if v != excl_v and cover[v] < scale:
             out.append(f"vertex {v} covered only {Fraction(cover[v], scale)}")
@@ -176,11 +166,10 @@ def witnessed_value(g: LabeledGraph, fc: FractionalColoring, support,
     the uniform weight 1/b on support pin it, else None.
 
     fc must pass `verify_fractional_coloring(g, fc)` with value |support|/b.
-    The support must lie in D, holding neither the excluded vertex nor both
-    ends of the excluded edge, so that D[support] = g[support]; then
-    branch-and-bound must prove alpha(g[support]) <= b, which makes the
-    weights a fractional clique of D.  Weak duality then gives
-    |support|/b <= chi_f(D) <= fc.value.
+    The support must lie in D, so it may not hold the excluded vertex, and
+    branch-and-bound must prove alpha(D[support]) <= b on D's own rows,
+    which makes the weights a fractional clique of D.  Weak duality then
+    gives |support|/b <= chi_f(D) <= fc.value.
     """
     mask = 0
     for v in support:
@@ -190,11 +179,10 @@ def witnessed_value(g: LabeledGraph, fc: FractionalColoring, support,
     value = Fraction(mask.bit_count(), b)
     if fc.value != value or verify_fractional_coloring(g, fc):
         return None
-    # verified, fc excludes at most one vertex or one edge of g
-    ends = (fc.excluded_vertex,) if fc.excluded_vertex is not None else fc.excluded_edge
-    if ends and all(mask >> v & 1 for v in ends):
+    ev = fc.excluded_vertex
+    if ev is not None and mask >> ev & 1:
         return None
-    if not alpha_at_most(g.adj, mask, b):
+    if not alpha_at_most(_rows_less(g, ev, fc.excluded_edge), mask, b):
         return None
     return value
 

@@ -261,10 +261,7 @@ def delete_edge(g: LabeledGraph, u: int, v: int) -> LabeledGraph:
         raise InvalidParams(f"edge {{{u},{v}}} out of range 0..{V - 1}")
     if not g.has_edge(u, v):
         raise NotAnEdge(f"{{{u},{v}}} is not an edge")
-    adj = list(g.adj)
-    adj[u] &= ~(1 << v)
-    adj[v] &= ~(1 << u)
-    return LabeledGraph(g.labels, tuple(adj), None)
+    return LabeledGraph(g.labels, _rows_less(g, None, (u, v)), None)
 
 
 class MapKind(Enum):
@@ -472,6 +469,26 @@ def _exclusion_violations(g: LabeledGraph, excluded_vertex: int | None,
     return out
 
 
+def _rows_less(g: LabeledGraph, excluded_vertex: int | None,
+               excluded_edge: tuple[int, int] | None) -> tuple[int, ...]:
+    """g's rows less an exclusion that `_exclusion_violations` accepts: the
+    excluded vertex's row empty and its bit cleared from every row, or the
+    excluded edge's bit cleared from both its ends' rows; `g.adj` itself,
+    uncopied, when nothing is excluded."""
+    if excluded_vertex is not None:
+        keep = ~(1 << excluded_vertex)
+        rows = [row & keep for row in g.adj]
+        rows[excluded_vertex] = 0
+        return tuple(rows)
+    if excluded_edge is not None:
+        a, b = excluded_edge
+        rows = list(g.adj)
+        rows[a] &= ~(1 << b)
+        rows[b] &= ~(1 << a)
+        return tuple(rows)
+    return g.adj
+
+
 # bin(row)[:1:-1] lists a row's bits from bit 0 up as the characters 0 and 1;
 # translated, its bytes are 0 and 1, which `compress` reads as selectors
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
@@ -537,12 +554,6 @@ def _map_passes(m: VertexMap) -> bool:
     fbits = list(map(bit.__getitem__, img))
     # a target row less its own vertex, so an edge onto one image fails
     allowed = [row & ~b for row, b in zip(tgt.adj, bit)]
-    drop = [0] * sv  # per row, the later source neighbours the exclusions remove
-    if ev is not None:
-        drop = [1 << ev] * sv
-    if m.excluded_edge is not None:
-        lo, hi = sorted(m.excluded_edge)
-        drop[lo] |= 1 << hi
     # on the run starting at s, f(v) = v + img[s] - s.  The excluded vertex
     # is in no row's later neighbours, so the run its placeholder joins is
     # read correctly
@@ -552,10 +563,10 @@ def _map_passes(m: VertexMap) -> bool:
         masks = [(1 << e) - (1 << s) for s, e in zip(starts, starts[1:] + [sv])]
         shifts = [img[s] - s for s in starts]
     edges = 0
-    for u, row in enumerate(src.adj):
+    for u, row in enumerate(_rows_less(src, ev, m.excluded_edge)):
         if u == ev:
             continue
-        later = row >> (u + 1) << (u + 1) & ~drop[u]
+        later = row >> (u + 1) << (u + 1)
         count = later.bit_count()
         edges += count
         # the images of u's later neighbours: on few runs, each run's piece
@@ -602,10 +613,6 @@ def _map_violations(m: VertexMap) -> list[str]:
     out = _exclusion_violations(src, excluded_v, m.excluded_edge)
     if out:
         return out
-    excl_edge = None
-    if m.excluded_edge is not None:
-        a, b = m.excluded_edge
-        excl_edge = (min(a, b), max(a, b))
     domain = [u for u in range(sv) if u != excluded_v]
     for u in domain:
         if u not in m.mapping:
@@ -617,14 +624,8 @@ def _map_violations(m: VertexMap) -> list[str]:
     if out:
         return out
     # src_later[u]: u's source neighbours v > u, less the exclusions
-    src_later = {}
-    for u in domain:
-        later = src.adj[u] >> (u + 1) << (u + 1)
-        if excluded_v is not None:
-            later &= ~(1 << excluded_v)
-        if excl_edge is not None and excl_edge[0] == u:
-            later &= ~(1 << excl_edge[1])
-        src_later[u] = later
+    rows = _rows_less(src, excluded_v, m.excluded_edge)
+    src_later = {u: rows[u] >> (u + 1) << (u + 1) for u in domain}
     mapping, tgt_adj = m.mapping, tgt.adj
     for u in domain:
         fu = mapping[u]

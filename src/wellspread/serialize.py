@@ -6,8 +6,10 @@ or edge lists disagree with the reconstruction.  Certificates self-validate
 on load through the same checkers used at construction time.  Rationals
 travel as "p/q" strings, never floats.  Every loader raises InvalidParams on a
 malformed document: a missing key, or a value of the wrong type or shape.
-Ids, residues, n and k must be JSON ints; a float, string or bool is refused,
-not truncated or coerced.
+Ids, residues, n and k must be JSON ints, and a boundary entry's flags JSON
+bools; anything else is refused, not truncated or coerced.  A sweep report's
+summary and a boundary entry's prediction are derived from the rows and from
+(n, k), so a document that claims other values is refused.
 
 `dumps` writes exactly the bytes of `json.dumps(doc, indent=2,
 sort_keys=True)` plus a newline, without going through json's pure-Python
@@ -411,8 +413,8 @@ def report_to_document(r: CriticalityReport) -> dict:
 
 @_loader
 def report_from_document(doc: dict) -> CriticalityReport:
-    """Structural re-validation: monotonicity against the baseline and
-    agreement between the summary and the recorded rows."""
+    """Structural re-validation: one kind of rows, monotonicity against the
+    baseline, and the summary the rows give."""
     if doc.get("kind") != "REPORT" or doc.get("reportType") != "criticality":
         raise InvalidParams("not a criticality report document")
     fam = doc.get("family")
@@ -422,6 +424,8 @@ def report_from_document(doc: dict) -> CriticalityReport:
         ((_int(e[0]), _int(e[1])), fraction_from_str(x), flag)
         for e, x, flag in doc.get("perEdge", ())
     )
+    if per_vertex and per_edge:
+        raise InvalidParams("a report holds both vertex and edge rows")
     if any(x > baseline for _, x in per_vertex) or any(x > baseline for _, x, _ in per_edge):
         raise InvalidParams("a recorded deletion value exceeds the baseline")
     r = CriticalityReport(
@@ -430,15 +434,10 @@ def report_from_document(doc: dict) -> CriticalityReport:
         baseline,
         per_vertex,
         per_edge,
-        SweepSummary[doc["summary"]],
         dict(doc.get("metadata", {})),
     )
-    rows = per_vertex if per_vertex else tuple((e, x) for e, x, _ in per_edge)
-    drops = sum(1 for _, x in rows if x < baseline)
-    if r.summary is SweepSummary.NOT_CRITICAL and drops != 0:
-        raise InvalidParams("summary says nothing dropped but rows disagree")
-    if r.summary is SweepSummary.VERTEX_CRITICAL and drops != len(rows):
-        raise InvalidParams("summary says every deletion dropped but rows disagree")
+    if SweepSummary[doc["summary"]] is not r.summary:
+        raise InvalidParams(f"summary {doc['summary']} disagrees with the rows: {r.summary.name}")
     return r
 
 
@@ -456,10 +455,14 @@ def boundary_to_document(b: BoundaryReport) -> dict:
 def boundary_from_document(doc: dict) -> BoundaryReport:
     if doc.get("kind") != "REPORT" or doc.get("reportType") != "boundary":
         raise InvalidParams("not a boundary report document")
-    b = BoundaryReport(
-        tuple(BoundaryEntry(_int(n), _int(k), bool(eq), bool(pr))
-              for n, k, eq, pr in doc.get("entries", ()))
-    )
+    entries = []
+    for n, k, eq, pr in doc.get("entries", ()):
+        if type(eq) is not bool or type(pr) is not bool:
+            raise TypeError(f"equal {eq!r} and predicted {pr!r} must be JSON bools")
+        entries.append(BoundaryEntry(_int(n), _int(k), eq))
+        if pr != entries[-1].predicted:
+            raise InvalidParams(f"Q({n},{k}) = SG({n},{k}) predicted {pr} against the rule")
+    b = BoundaryReport(tuple(entries))
     if bool(doc.get("allMatch")) != b.all_match:
         raise InvalidParams("allMatch flag disagrees with the entries")
     return b

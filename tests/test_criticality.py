@@ -559,7 +559,9 @@ def test_witnessed_value_checks_the_exclusion():
 
     assert sorted(window(3)) == sorted(support)
     assert 4 in window(4) and witnessed_value(q, fc, window(4), b) is None
-    # an edge-deleted pair: a support may hold one end of the excluded edge, not both
+    # an edge-deleted pair: alpha is bounded on the deleted graph's own rows,
+    # where the window holding both ends of the excluded edge is C_5 less an
+    # edge, with alpha 3 > 2
     fc = edge_deleted_coloring(13, 5, (4, 5))
     assert 4 in window(4) and 5 not in window(4)
     assert witnessed_value(q, fc, window(4), b) == Fraction(5, 2)
@@ -590,6 +592,18 @@ def test_witnessed_value_rejects_tampered_pairs():
     assert not verify_fractional_coloring(c5, three)
     assert witnessed_value(c5, three, [0, 1, 2], 1) is None
     assert witnessed_value(c5, three, [0, 1, 5], 1) is None
+
+
+def test_witnessed_value_may_hold_both_ends_of_the_excluded_edge():
+    # the support {0, 2, 3, 5} holds both ends of the excluded edge {0, 5}:
+    # in g it spans the triangle 0, 2, 5, in D = g - {0, 5} the path
+    # 0 - 2 - 5 - 3, and alpha is 2 in both, so the weights 1/2 on it are a
+    # fractional clique of D of value 2, which D's own LP colouring meets
+    g = mk(6, [(0, 2), (0, 5), (1, 4), (2, 5), (3, 5)])
+    value, fc = fractional_chromatic_number(delete_edge(g, 0, 5))
+    fc = dataclasses.replace(fc, excluded_edge=(0, 5))
+    assert value == 2 and not verify_fractional_coloring(g, fc)
+    assert witnessed_value(g, fc, (0, 2, 3, 5), 2) == 2
 
 
 def sweep_without_witnesses(monkeypatch, sweep):

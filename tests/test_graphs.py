@@ -39,6 +39,7 @@ from wellspread.graphs import (
     _map_passes,
     _map_violations,
     _residue_permutation,
+    _rows_less,
     dihedral_automorphisms,
     label_rotation,
 )
@@ -313,6 +314,26 @@ def test_delete_edge_removes_exactly_one_pair():
         delete_edge(q, 0, 3)
     with pytest.raises(NotAnEdge):
         delete_edge(q, 0, 0)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.integers(1, 12), st.randoms(use_true_random=False))
+def test_rows_less_clears_exactly_the_exclusion(V, rng):
+    # bit w of row u survives exactly when {u, w} is an edge of g that the
+    # exclusion does not remove, built pair by pair; with nothing excluded
+    # the rows are g's own tuple
+    g = random_graph(rng, V)
+    assert _rows_less(g, None, None) is g.adj
+
+    def literal(gone):
+        return tuple(sum(1 << w for w in range(V) if g.has_edge(u, w) and not gone(u, w))
+                     for u in range(V))
+
+    for x in range(V):
+        assert _rows_less(g, x, None) == literal(lambda u, w: x in (u, w))
+    for a, b in g.edges():
+        for e in [(a, b), (b, a)]:
+            assert _rows_less(g, None, e) == literal(lambda u, w: {u, w} == {a, b})
 
 
 def test_validate_map_flags_violations():

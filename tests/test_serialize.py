@@ -49,7 +49,7 @@ from wellspread import (
     vertex_deleted_coloring,
     vertex_deleted_retraction,
 )
-from wellspread.criticality import Invariant
+from wellspread.criticality import Invariant, SweepSummary
 
 
 def test_fraction_strings():
@@ -249,6 +249,54 @@ def test_boundary_documents_round_trip():
     back = boundary_from_document(json.loads(dumps(doc)))
     assert back.entries == rep.entries
     assert back.all_match == rep.all_match
+
+
+def _q7_reports():
+    """Q(7,2)'s chi_f vertex report (VERTEX_CRITICAL) and edge report
+    (EDGE_CLASSIFICATION), read back through JSON."""
+    return [json.loads(dumps(report_to_document(rep)))
+            for rep in (vertex_criticality(build_q(7, 2), Invariant.CHI_F),
+                        edge_criticality(build_q(7, 2)))]
+
+
+def test_report_loader_takes_only_the_summary_the_rows_give():
+    for doc in _q7_reports():
+        assert report_from_document(doc).summary.name == doc["summary"]
+        for wrong in SweepSummary:
+            if wrong.name != doc["summary"]:
+                with pytest.raises(InvalidParams, match="disagrees with the rows"):
+                    report_from_document({**doc, "summary": wrong.name})
+    # one flag flipped: the drops no longer follow the flags, so the rows say MIXED
+    edges = _q7_reports()[1]
+    edges["perEdge"][0][2] = not edges["perEdge"][0][2]
+    with pytest.raises(InvalidParams, match="disagrees with the rows"):
+        report_from_document(edges)
+    assert report_from_document({**edges, "summary": "MIXED"}).summary is SweepSummary.MIXED
+
+
+def test_report_loader_refuses_both_row_kinds():
+    vertices, edges = _q7_reports()
+    with pytest.raises(InvalidParams, match="both vertex and edge rows"):
+        report_from_document({**vertices, "perEdge": edges["perEdge"]})
+
+
+def test_boundary_loader_checks_the_predicted_column():
+    doc = json.loads(dumps(boundary_to_document(q_equals_schrijver_sweep(7))))
+    assert [pr for *_, pr in doc["entries"]] == [
+        k == 1 or n == 2 * k or n == 2 * k + 1 for n, k, *_ in doc["entries"]]
+    for i in range(len(doc["entries"])):
+        bad = json.loads(json.dumps(doc))
+        bad["entries"][i][3] = not bad["entries"][i][3]
+        bad["allMatch"] = False
+        with pytest.raises(InvalidParams, match="against the rule"):
+            boundary_from_document(bad)
+    # the flags must be JSON bools, where bool() would have coerced them
+    for column in (2, 3):
+        for flag in ("no", 1, 0, None, 1.0):
+            bad = json.loads(json.dumps(doc))
+            bad["entries"][0][column] = flag
+            with pytest.raises(InvalidParams, match="malformed document"):
+                boundary_from_document(bad)
 
 
 def _malformed(to_document, **changes):
