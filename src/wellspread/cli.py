@@ -2,7 +2,12 @@
 
 Documents go to standard output; diagnostics and progress go to standard
 error.  Exit codes: 0 success, 1 verification or certificate failure,
-2 invalid input, 3 resource cap exceeded.
+2 invalid input, 3 resource cap exceeded.  Each document is streamed by
+`serialize.dump` or `serialize.dump_dot` in chunks of about 1 MB, with its
+large rows made as they are written, and only after every check that can
+end in exit 1, 2 or 3 has passed, so a failing request prints nothing on
+standard output.  `verify-paper` is the one command that prints its report
+with exit 1: the report is what says which criterion failed.
 
 The argument parser is built on the first call of `main` and reused by every
 later call in the process; nothing else is kept between calls.  The
@@ -51,10 +56,10 @@ from .serialize import (
     boundary_to_document,
     build_family,
     coloring_to_document,
-    dumps,
+    dump,
+    dump_dot,
     fraction_to_str,
     graph_to_document,
-    graph_to_dot,
     map_to_document,
     report_to_document,
     trace_to_document,
@@ -139,12 +144,12 @@ def _cmd_build(args) -> int:
     if args.delete_edge is not None:
         g = delete_edge(g, *args.delete_edge)
     if args.format == "dot":
-        sys.stdout.write(graph_to_dot(g, family=fp))
+        dump_dot(g, sys.stdout.write, family=fp)
     else:
-        sys.stdout.write(dumps(graph_to_document(
+        dump(graph_to_document(
             g, family=fp,
             deleted_vertex=args.delete_vertex, deleted_edge=args.delete_edge,
-        )))
+        ), sys.stdout.write)
     return 0
 
 
@@ -171,7 +176,7 @@ def _cmd_invariants(args) -> int:
         doc["chiF"] = fraction_to_str(fractional_chromatic_number(g)[0])
     if which["chiC"]:
         doc["chiC"] = fraction_to_str(circular_chromatic_number(g))
-    sys.stdout.write(dumps(doc))
+    dump(doc, sys.stdout.write)
     return 0
 
 
@@ -179,7 +184,7 @@ def _cmd_criticality(args) -> int:
     if args.boundary:
         if args.max_n is None:
             raise InvalidParams("--boundary needs --max-n")
-        sys.stdout.write(dumps(boundary_to_document(q_equals_schrijver_sweep(args.max_n))))
+        dump(boundary_to_document(q_equals_schrijver_sweep(args.max_n)), sys.stdout.write)
         return 0
     if args.family is None or args.n is None or args.k is None:
         raise InvalidParams("sweeps need --family, --n, and --k")
@@ -193,7 +198,7 @@ def _cmd_criticality(args) -> int:
         rep = edge_criticality(g)
     else:
         rep = circular_edge_corollary(g)
-    sys.stdout.write(dumps(report_to_document(rep)))
+    dump(report_to_document(rep), sys.stdout.write)
     return 0
 
 
@@ -209,20 +214,20 @@ def _cmd_certify(args) -> int:
     if args.kind == "coloring":
         dv, de = _pick_deletion(args)
         fc = vertex_deleted_coloring(n, k, dv) if dv is not None else edge_deleted_coloring(n, k, de)
-        sys.stdout.write(dumps(coloring_to_document(fc, fp)))
+        dump(coloring_to_document(fc, fp), sys.stdout.write)
     elif args.kind == "retraction":
         dv, de = _pick_deletion(args)
         m = vertex_deleted_retraction(n, k, dv) if dv is not None else edge_deleted_retraction(n, k, de)
-        sys.stdout.write(dumps(map_to_document(m)))
+        dump(map_to_document(m), sys.stdout.write)
     elif args.kind == "subgraph-qab":
-        sys.stdout.write(dumps(map_to_document(find_subgraph_qab(n, k))))
+        dump(map_to_document(find_subgraph_qab(n, k)), sys.stdout.write)
     elif args.kind == "iso-circular":
-        sys.stdout.write(dumps(map_to_document(circular_isomorphism(n, k))))
+        dump(map_to_document(circular_isomorphism(n, k)), sys.stdout.write)
     elif args.kind == "iso-scaling":
-        sys.stdout.write(dumps(map_to_document(scaling_isomorphism(n, k, args.l))))
+        dump(map_to_document(scaling_isomorphism(n, k, args.l)), sys.stdout.write)
     else:
         s = canonical_well_spread(n, k)
-        sys.stdout.write(dumps(trace_to_document(s, euclid_reduce(s))))
+        dump(trace_to_document(s, euclid_reduce(s)), sys.stdout.write)
     return 0
 
 
@@ -234,7 +239,7 @@ def _cmd_verify(args) -> int:
     for r in results:
         for line in r.lines():
             print(line, file=sys.stderr)
-    sys.stdout.write(dumps(summary_document(results)))
+    dump(summary_document(results), sys.stdout.write)
     return 0 if all(r.passed for r in results) else 1
 
 

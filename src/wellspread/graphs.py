@@ -45,7 +45,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
-from itertools import combinations, compress, product, repeat
+from itertools import chain, combinations, compress, product, repeat
 from math import comb, gcd
 from operator import add, ne, or_
 from typing import Any, Callable, Generator, Iterator, TypeVar
@@ -90,10 +90,12 @@ class LabeledGraph:
         return iter_bits(self.adj[v])
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
+        return list(self.iter_edges())
+
+    def iter_edges(self) -> Iterator[tuple[int, int]]:
+        """The edges (u, v), u < v, in order, each made as it is read."""
         for u, a in enumerate(self.adj):
-            out.extend((u, v) for v in iter_bits(a >> (u + 1) << (u + 1)))
-        return out
+            yield from zip(repeat(u), iter_bits(a >> (u + 1) << (u + 1)))
 
     def edge_count(self) -> int:
         return sum(a.bit_count() for a in self.adj) // 2
@@ -476,10 +478,9 @@ def _rows_less(g: LabeledGraph, excluded_vertex: int | None,
     excluded edge's bit cleared from both its ends' rows; `g.adj` itself,
     uncopied, when nothing is excluded."""
     if excluded_vertex is not None:
-        keep = ~(1 << excluded_vertex)
-        rows = [row & keep for row in g.adj]
-        rows[excluded_vertex] = 0
-        return tuple(rows)
+        v, adj = excluded_vertex, g.adj
+        keep = ~(1 << v)
+        return tuple(chain(map(keep.__and__, adj[:v]), (0,), map(keep.__and__, adj[v + 1:])))
     if excluded_edge is not None:
         a, b = excluded_edge
         rows = list(g.adj)

@@ -6,38 +6,56 @@ or edge lists disagree with the reconstruction.  Certificates self-validate
 on load through the same checkers used at construction time.  Rationals
 travel as "p/q" strings, never floats.  Every loader raises InvalidParams on a
 malformed document: a missing key, or a value of the wrong type or shape.
-Ids, residues, n and k must be JSON ints, and a boundary entry's flags JSON
-bools; anything else is refused, not truncated or coerced.  A sweep report's
+Ids, residues, n and k must be JSON ints, a boundary entry's flags and
+`allMatch` JSON bools, and a sweep report's edge flags JSON bools or null;
+anything else is refused, not truncated or coerced.  A sweep report's
 summary and a boundary entry's prediction are derived from the rows and from
 (n, k), so a document that claims other values is refused.
 
-`dumps` writes exactly the bytes of `json.dumps(doc, indent=2,
-sort_keys=True)` plus a newline, without going through json's pure-Python
-indenting encoder.  A small recursive writer appends the document's pieces
-to one list, which is joined once, so no subtree is copied into its parent's
-text.  It handles dicts with string keys, lists, tuples, strings (through
-json's own `encode_basestring_ascii`), ints, bools and None; a flat list of
-ints is one piece.  The package's own rows of ids (subset labels, edges,
-colour classes, map pairs) travel as `_IdRows`, a list that carries the
-bound its ids lie below, and are written one piece per row, each row's ints
-read by one `itemgetter` from `_id_texts(bound)`, with no pass over the ints
-beforehand.  That table is keyed by the ids in range(bound), so any other
-int raises KeyError instead of being misprinted.  Every other list is
+`dump(doc, write)` writes exactly the bytes of `json.dumps(doc, indent=2,
+sort_keys=True)` plus a newline through write, without going through json's
+pure-Python indenting encoder, and `dumps(doc)` is that writer joined into
+one string.  A small recursive writer appends the document's pieces to one
+list, so no subtree is copied into its parent's text.  It handles dicts with
+string keys, lists, tuples, strings (through json's own
+`encode_basestring_ascii`), ints, bools and None; a flat list of ints is one
+piece.  The package's own rows of ids (subset labels, edges, colour classes,
+map pairs) travel as `_IdRows`, a list that carries the bound its ids lie
+below, or as `_LazyIdRows`, which make their rows afresh each time they are
+read: a graph's edge rows come from its adjacency rows and Q(n,k)'s label
+rows from `cyclic.rotations` as they are written, so no label object is made
+and no row is kept.  Id rows are written one piece per row, each row's ints
+read by one `itemgetter` from one table of texts, with no pass over the ints
+beforehand.  For `_IdRows` that table is `_id_texts(bound)`, keyed by the
+ids in range(bound), so any other int raises KeyError instead of being
+misprinted; `_LazyIdRows` hold no negative id, so theirs is a tuple, where
+an id at or past bound raises IndexError.  Every other list is
 written by the recursive writer.  Anything else (floats, other subclasses,
 non-string keys) is handed to `json.dumps` and re-indented.
+
+Output goes out in chunks: once the id rows appended since the last write
+hold `_CHUNK` characters (about 1 MB), the id-row writer hands the list,
+joined, to write and empties it, checking once per row.  `dump_dot` writes
+its label and edge lines the same way, and `graph_to_dot` joins them.  A
+document under `_CHUNK` characters goes out in one write.  Since the bytes
+reach write before the document is finished, callers make every check that
+can fail (bad input, a resource cap, a failed validation) before the first
+write: the command line builds and validates each object first, and the
+document of a failing request is never begun.
 Documents refer to the label and colour-class tuples they are built from
 instead of copying them, so loaders compare rows as tuples, whether a
-document holds lists or tuples.
+document holds lists, tuples or rows made as they are read.
 """
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import wraps
+from functools import partial, wraps
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from math import comb, gcd
 from operator import attrgetter, itemgetter
-from typing import Any, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .criticality import BoundaryEntry, BoundaryReport, CriticalityReport, Invariant, SweepSummary
 from .cyclic import CanonicalRotations, CyclicSubset, ReductionTrace, euclid_reduce, rotations
@@ -59,6 +77,10 @@ from .graphs import (
 )
 
 SCHEMA_VERSION = "1"
+
+# characters the writers hold before handing them to `write`, so a document
+# under this size goes out in one write
+_CHUNK = 1 << 20
 
 _BUILDERS = {
     "kneser": build_kneser,
@@ -83,7 +105,7 @@ def fraction_from_str(s: str) -> Fraction:
 
 class _IdRows(list):
     """Rows of plain ints in range(bound), such as vertex ids or the residues
-    of subset labels, that `dumps` writes from one table of id texts.  Only
+    of subset labels, that `dump` writes from one table of id texts.  Only
     plain ints belong in them: True or 2.0 would read the texts of 1 and 2."""
 
     __slots__ = ("bound",)
@@ -92,6 +114,33 @@ class _IdRows(list):
         super().__init__(rows)
         self.bound = bound
 
+    def texts(self) -> dict[int, str]:
+        """The table the rows' ids are read from: `_id_texts(bound)`."""
+        return _id_texts(self.bound)
+
+
+class _LazyIdRows:
+    """Id rows like `_IdRows`, but made afresh by make() each time they are
+    read, so that they are made as they are written and never held: a
+    graph's edge rows, which are bit positions of its adjacency rows, and
+    Q(n,k)'s label rows, which `rotations` reads from a table of residues.
+    No id of theirs is negative, so their texts are read from a tuple, which
+    costs less than a dict lookup and still raises IndexError on an id at or
+    past bound."""
+
+    __slots__ = ("make", "bound")
+
+    def __init__(self, make: Callable[[], Iterable], bound: int):
+        self.make, self.bound = make, bound
+
+    def __iter__(self):
+        return iter(self.make())
+
+    def texts(self) -> tuple[str, ...]:
+        """The table the rows' ids are read from: the text of each id in
+        range(bound), by position."""
+        return tuple(map(str, range(self.bound)))
+
 
 def _id_texts(bound: int) -> dict[int, str]:
     """The text of each id in range(bound), keyed by the id: any other int
@@ -99,7 +148,7 @@ def _id_texts(bound: int) -> dict[int, str]:
     return dict(enumerate(map(str, range(bound))))
 
 
-def _row_texts(row, table: dict[int, str]):
+def _row_texts(row, table: dict[int, str] | tuple[str, ...]):
     """The texts of a row's ids, read from table by one `itemgetter`."""
     if len(row) > 1:
         return itemgetter(*row)(table)
@@ -107,18 +156,23 @@ def _row_texts(row, table: dict[int, str]):
     return (table[row[0]],) if row else ()
 
 
-def _label_json(label) -> Any:
-    """A label as a document holds it: a subset's own residue tuple, or an int."""
-    if isinstance(label, CyclicSubset):
-        return label.elements
-    return int(label)
+def _label_rows(labels) -> _IdRows | _LazyIdRows | list[int]:
+    """A graph's labels as a document holds them: the residue rows of subset
+    labels, which for Q(n,k)'s `CanonicalRotations` are `_LazyIdRows` made
+    from `rotations` so that no label object is made, or a list of ints."""
+    if isinstance(labels, CanonicalRotations):
+        es, n = labels.canon.elements, labels.canon.modulus
+        return _LazyIdRows(partial(rotations, es, n, range(len(labels))), n)
+    if labels and isinstance(labels[0], CyclicSubset):
+        return _IdRows(map(attrgetter("elements"), labels), labels[0].modulus)
+    return list(map(int, labels))
 
 
 def _same_rows(got, want: list) -> bool:
     """got, a document's list of labels or rows, equals want, whose rows are
     tuples; list and tuple rows compare alike, since they print alike.  Each
     id is read by `_int`, so a float or a bool equal to it is refused."""
-    if type(got) not in (list, tuple, _IdRows):
+    if type(got) not in (list, tuple, _IdRows, _LazyIdRows):
         return False
     return [tuple(map(_int, x)) if type(x) is list or type(x) is tuple else _int(x)
             for x in got] == want
@@ -143,6 +197,15 @@ def _int(x) -> int:
     as a malformed document, rather than being truncated or coerced."""
     if type(x) is not int:
         raise TypeError(f"not an integer: {x!r}")
+    return x
+
+
+def _bool(x) -> bool:
+    """x, a document's flag, which must be a JSON bool: anything else raises
+    TypeError, which the loaders report as a malformed document, rather than
+    being read through bool()."""
+    if type(x) is not bool:
+        raise TypeError(f"not a JSON bool: {x!r}")
     return x
 
 
@@ -188,20 +251,16 @@ def graph_to_document(
     deleted_edge: Optional[tuple[int, int]] = None,
 ) -> dict:
     """Graph document: family parameters, the deletion applied if any, and
-    the explicit vertex labels and sorted edge list."""
+    the explicit vertex labels and sorted edge list.  The edge rows, and
+    Q(n,k)'s label rows, are made from the graph each time they are read."""
     fp = family if family is not None else g.family
     if fp is None:
         raise InvalidParams("graph documents need family parameters")
-    labels = g.labels
-    if labels and isinstance(labels[0], CyclicSubset):
-        vertices = _IdRows(map(attrgetter("elements"), labels), labels[0].modulus)
-    else:
-        vertices = list(map(_label_json, labels))
     doc: dict[str, Any] = {
         "schemaVersion": SCHEMA_VERSION,
         "family": _family_json(fp),
-        "vertices": vertices,
-        "edges": _IdRows(g.edges(), g.vertex_count),
+        "vertices": _label_rows(g.labels),
+        "edges": _LazyIdRows(g.iter_edges, g.vertex_count),
     }
     if deleted_vertex is not None:
         doc["deletedVertex"] = deleted_vertex
@@ -223,7 +282,7 @@ def graph_from_document(doc: dict) -> LabeledGraph:
     if "deletedEdge" in doc:
         u, v = map(_int, doc["deletedEdge"])
         g = delete_edge(g, u, v)
-    if not _same_rows(doc.get("vertices"), [_label_json(l) for l in g.labels]):
+    if not _same_rows(doc.get("vertices"), list(_label_rows(g.labels))):
         raise InvalidParams("vertex list disagrees with the rebuilt family")
     if not _same_rows(doc.get("edges"), g.edges()):
         raise InvalidParams("edge list disagrees with the rebuilt family")
@@ -231,35 +290,32 @@ def graph_from_document(doc: dict) -> LabeledGraph:
 
 
 def graph_to_dot(g: LabeledGraph, family: Optional[FamilyParams] = None) -> str:
-    """Undirected DOT text with set-literal labels; byte-stable.
+    """Undirected DOT text with set-literal labels; byte-stable."""
+    chunks: list[str] = []
+    dump_dot(g, chunks.append, family)
+    return "".join(chunks)
 
-    The labels of Q(n,k), a `CanonicalRotations`, are written from its
-    `rotations` rows, so no label object is made for the text.
-    """
+
+def dump_dot(g: LabeledGraph, write: Callable[[str], Any],
+             family: Optional[FamilyParams] = None) -> None:
+    """Write `graph_to_dot(g, family)` through write, its lines handed over
+    about `_CHUNK` characters at a time.  Labels and edges are made as they
+    are written, Q(n,k)'s labels from its `rotations` rows without label
+    objects."""
     fp = family if family is not None else g.family
     name = f"{fp.tag}_{fp.n}_{fp.k}" if fp is not None else "g"
-    labels = g.labels
-    # the residue texts of the largest modulus, made once for every label
-    if isinstance(labels, CanonicalRotations):
-        n = labels.canon.modulus
-        residues = _id_texts(n)
-        texts = (_set_text(es, residues)
-                 for es in rotations(labels.canon.elements, n, range(len(labels))))
-    else:
-        residues = _id_texts(max((l.modulus for l in labels if isinstance(l, CyclicSubset)),
-                                 default=0))
-        texts = (_set_text(l.elements, residues) if isinstance(l, CyclicSubset) else str(l)
-                 for l in labels)
-    lines = [f"graph {name} {{"]
-    lines += [f'  {v} [label="{text}"];' for v, text in enumerate(texts)]
-    lines += [f"  {u} -- {v};" for u, v in g.edges()]
-    lines.append("}\n")
-    return "\n".join(lines)
-
-
-def _set_text(row, residues: dict[int, str]) -> str:
-    """A residue row as a DOT set literal."""
-    return "{" + ",".join(_row_texts(row, residues)) + "}"
+    rows = _label_rows(g.labels)
+    if type(rows) is list:  # int labels
+        labels = (f'  {v} [label="{x}"];\n' for v, x in enumerate(rows))
+    else:  # residue rows, written as set literals
+        residues = rows.texts()  # made once for every label
+        labels = (f'  {v} [label="{{{",".join(_row_texts(es, residues))}}}"];\n'
+                  for v, es in enumerate(rows))
+    out = [f"graph {name} {{\n"]
+    _write_pieces(labels, out, write)
+    _write_pieces((f"  {u} -- {v};\n" for u, v in g.iter_edges()), out, write)
+    out.append("}\n")
+    write("".join(out))
 
 
 def coloring_to_document(
@@ -421,7 +477,7 @@ def report_from_document(doc: dict) -> CriticalityReport:
     baseline = fraction_from_str(doc["baseline"])
     per_vertex = tuple((_int(v), fraction_from_str(x)) for v, x in doc.get("perVertex", ()))
     per_edge = tuple(
-        ((_int(e[0]), _int(e[1])), fraction_from_str(x), flag)
+        ((_int(e[0]), _int(e[1])), fraction_from_str(x), None if flag is None else _bool(flag))
         for e, x, flag in doc.get("perEdge", ())
     )
     if per_vertex and per_edge:
@@ -457,29 +513,56 @@ def boundary_from_document(doc: dict) -> BoundaryReport:
         raise InvalidParams("not a boundary report document")
     entries = []
     for n, k, eq, pr in doc.get("entries", ()):
-        if type(eq) is not bool or type(pr) is not bool:
-            raise TypeError(f"equal {eq!r} and predicted {pr!r} must be JSON bools")
-        entries.append(BoundaryEntry(_int(n), _int(k), eq))
-        if pr != entries[-1].predicted:
+        entries.append(BoundaryEntry(_int(n), _int(k), _bool(eq)))
+        if _bool(pr) != entries[-1].predicted:
             raise InvalidParams(f"Q({n},{k}) = SG({n},{k}) predicted {pr} against the rule")
     b = BoundaryReport(tuple(entries))
-    if bool(doc.get("allMatch")) != b.all_match:
+    if _bool(doc.get("allMatch")) != b.all_match:
         raise InvalidParams("allMatch flag disagrees with the entries")
     return b
 
 
 def dumps(doc: dict) -> str:
     """`json.dumps(doc, indent=2, sort_keys=True)` plus a newline, byte for byte."""
+    chunks: list[str] = []
+    dump(doc, chunks.append)
+    return "".join(chunks)
+
+
+def dump(doc: dict, write: Callable[[str], Any]) -> None:
+    """Write `dumps(doc)` through write: in one call for a document under
+    `_CHUNK` characters, else about `_CHUNK` characters a call."""
     out: list[str] = []
-    _write(doc, "\n", out)
+    _write(doc, "\n", out, write)
     out.append("\n")
-    return "".join(out)
+    write("".join(out))
 
 
-def _write(o, nl: str, out: list[str]) -> None:
+def _write_pieces(pieces: Iterator[str], out: list[str], write: Callable[[str], Any]) -> None:
+    """Append pieces to out, and hand out joined to write, emptied, each
+    time it holds `_CHUNK` characters or more.  Pieces are taken in batches
+    of as many as would fill the chunk at the mean size of the last batch,
+    so this loop turns about once a write, not once a piece."""
+    held, batch = 0, 1
+    while True:
+        start = len(out)
+        out.extend(islice(pieces, batch))
+        count = len(out) - start
+        if not count:
+            return
+        size = sum(map(len, islice(out, start, None)))
+        held += size
+        if held >= _CHUNK:
+            write("".join(out))
+            out.clear()
+            held = 0
+        batch = (_CHUNK - held) * count // max(size, 1) + 1
+
+
+def _write(o, nl: str, out: list[str], write: Callable[[str], Any]) -> None:
     """Append to out the pieces of o as json's indent=2, sort_keys=True
     encoder writes it; nl is a newline followed by the indent of the line o
-    starts on."""
+    starts on.  The id-row writer hands out to write as it fills."""
     t = type(o)
     if t is str:
         out.append(encode_basestring_ascii(o))
@@ -503,14 +586,11 @@ def _write(o, nl: str, out: list[str]) -> None:
         lead = "[" + inner
         for x in o:
             out.append(lead)
-            _write(x, inner, out)
+            _write(x, inner, out, write)
             lead = sep
         out.append(nl + "]")
-    elif t is _IdRows:
-        if not o:
-            out.append("[]")
-            return
-        _write_id_rows(o, nl, out)
+    elif t is _IdRows or t is _LazyIdRows:
+        _write_id_rows(o, nl, out, write)
     elif t is dict and all(type(key) is str for key in o):
         if not o:
             out.append("{}")
@@ -519,7 +599,7 @@ def _write(o, nl: str, out: list[str]) -> None:
         lead = "{" + inner
         for key in sorted(o):
             out.append(f"{lead}{encode_basestring_ascii(key)}: ")
-            _write(o[key], inner, out)
+            _write(o[key], inner, out, write)
             lead = "," + inner
         out.append(nl + "}")
     else:
@@ -527,19 +607,24 @@ def _write(o, nl: str, out: list[str]) -> None:
         out.append(json.dumps(o, indent=2, sort_keys=True).replace("\n", nl))
 
 
-def _write_id_rows(rows: _IdRows, nl: str, out: list[str]) -> None:
-    """Append the pieces of a non-empty `_IdRows` that starts on nl, each
-    row's ints read from one `_id_texts` table, so that an id outside
-    range(rows.bound) raises KeyError."""
-    table = _id_texts(rows.bound)
+def _write_id_rows(rows: _IdRows | _LazyIdRows, nl: str, out: list[str],
+                   write: Callable[[str], Any]) -> None:
+    """Append the pieces of id rows that start on nl, one piece a row,
+    through `_write_pieces`.  Each row's ints are read from the rows' one
+    table of texts, made only once a first row is there, so that an id
+    outside range(rows.bound) raises KeyError or IndexError."""
+    it = iter(rows)
+    first = next(it, None)
+    if first is None:
+        out.append("[]")
+        return
+    table = rows.texts()
     inner = nl + "    "
     sep = "," + inner
     close = nl + "  ]"
-    lead, next_lead = "[" + nl + "  ", "," + nl + "  "
-    for row in rows:
-        if row:
-            out.append(f"{lead}[{inner}{sep.join(_row_texts(row, table))}{close}")
-        else:
-            out.append(lead + "[]")
-        lead = next_lead
+    lead = "," + nl + "  "
+    pieces = (f"{lead}[{inner}{sep.join(_row_texts(row, table))}{close}" if row else lead + "[]"
+              for row in chain((first,), it))
+    out.append("[" + next(pieces)[1:])  # the first row opens the list, not a comma
+    _write_pieces(pieces, out, write)
     out.append(nl + "]")

@@ -92,6 +92,17 @@ def test_q_modulus_cap_exit_3(capsys):
     assert code == 0 and len(json.loads(out)["vertices"]) == 2
 
 
+@pytest.mark.parametrize("argv, code", [
+    ("certify coloring --n 13 --k 5 --delete-vertex 99", 2),
+    ("build --family q --n 9999 --k 4999 --vertex-cap 100", 3),
+])
+def test_failing_requests_write_nothing_to_stdout(capsys, argv, code):
+    # documents are written only once every check has passed
+    got, out, err = run(capsys, *argv.split())
+    assert (got, out) == (code, "")
+    assert err
+
+
 def test_node_budget_exit_3(capsys, monkeypatch):
     # DSATUR refutes 3 colours on I(10,3) in 9 nodes, one past the budget
     monkeypatch.setattr("wellspread.graphs.NODE_BUDGET", 8)

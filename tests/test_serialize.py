@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import tracemalloc
 from enum import IntEnum
@@ -87,23 +88,33 @@ def test_graph_documents_record_deletions():
 
 
 def test_in_memory_documents_refer_to_label_and_set_tuples():
+    kg = build_family(FamilyParams("kneser", 7, 3))
+    doc = graph_to_document(kg)
+    assert all(row is label.elements for row, label in zip(doc["vertices"], kg.labels))
+    assert graph_from_document(doc).labels == kg.labels
+    # Q(n,k)'s label rows are made as they are read, so they compare by value;
+    # tampering works on a list copy of the rows
     q = build_q(13, 5)
     doc = graph_to_document(q)
-    assert all(row is label.elements for row, label in zip(doc["vertices"], q.labels))
+    assert list(doc["vertices"]) == [label.elements for label in q.labels]
     assert graph_from_document(doc).labels == q.labels
+    doc["vertices"] = list(doc["vertices"])
     doc["vertices"][2] = list(doc["vertices"][2])  # lists and tuples compare alike
     graph_from_document(doc)
     doc["vertices"] = tuple(doc["vertices"])
     graph_from_document(doc)
     doc = graph_to_document(q)
+    doc["vertices"] = list(doc["vertices"])
     doc["vertices"][4] = q.labels[5].elements
     with pytest.raises(InvalidParams):
         graph_from_document(doc)
     doc = graph_to_document(q)
+    doc["vertices"] = list(doc["vertices"])
     doc["vertices"][4] = q.labels[4].elements[:-1] + (12,)
     with pytest.raises(InvalidParams):
         graph_from_document(doc)
     doc = graph_to_document(q)
+    doc["edges"] = list(doc["edges"])
     doc["edges"][1] = list(doc["edges"][1])
     graph_from_document(doc)
     doc["edges"][0] = (doc["edges"][0][0], doc["edges"][0][1] + 1)
@@ -132,10 +143,11 @@ def test_dumps_peak_memory_is_near_the_output_size():
 
 def test_graph_document_tampering_is_caught():
     doc = graph_to_document(build_q(7, 2))
-    doc["edges"] = doc["edges"][:-1]
+    doc["edges"] = list(doc["edges"])[:-1]
     with pytest.raises(InvalidParams):
         graph_from_document(doc)
     doc = graph_to_document(build_q(7, 2))
+    doc["vertices"] = list(doc["vertices"])
     doc["vertices"][0] = [0, 2]
     with pytest.raises(InvalidParams):
         graph_from_document(doc)
@@ -274,6 +286,18 @@ def test_report_loader_takes_only_the_summary_the_rows_give():
     assert report_from_document({**edges, "summary": "MIXED"}).summary is SweepSummary.MIXED
 
 
+def test_report_loader_takes_only_bool_or_null_edge_flags():
+    edges = _q7_reports()[1]
+    for flag in ("yes", 1, 0, 1.0):
+        bad = json.loads(json.dumps(edges))
+        bad["perEdge"][0][2] = flag
+        bad["summary"] = "MIXED"  # so that only the flag's type can refuse it
+        with pytest.raises(InvalidParams, match="malformed document"):
+            report_from_document(bad)
+    edges["perEdge"][0][2] = None  # no flag: the edge row is not classified
+    assert report_from_document({**edges, "summary": "MIXED"}).per_edge[0][2] is None
+
+
 def test_report_loader_refuses_both_row_kinds():
     vertices, edges = _q7_reports()
     with pytest.raises(InvalidParams, match="both vertex and edge rows"):
@@ -297,6 +321,9 @@ def test_boundary_loader_checks_the_predicted_column():
             bad["entries"][0][column] = flag
             with pytest.raises(InvalidParams, match="malformed document"):
                 boundary_from_document(bad)
+    for flag in ("no", 1, 0, None, 1.0):
+        with pytest.raises(InvalidParams, match="malformed document"):
+            boundary_from_document({**doc, "allMatch": flag})
 
 
 def _malformed(to_document, **changes):
@@ -480,6 +507,16 @@ def test_id_rows_refuse_ids_outside_their_bound():
         [[4], [], [0, 3]], indent=2) + "\n"
 
 
+def test_lazy_id_rows_refuse_ids_at_their_bound():
+    # rows made as they are written read their texts from a tuple, which
+    # refuses an id at or past the bound; no maker of theirs yields a negative id
+    for rows in ([[0, 5]], [[5]], [[0, 1], [7, 2]]):
+        with pytest.raises(IndexError):
+            dumps({"edges": serialize._LazyIdRows(lambda rows=rows: rows, 5)})
+    assert dumps(serialize._LazyIdRows(lambda: iter([[4], [], (0, 3)]), 5)) == json.dumps(
+        [[4], [], [0, 3]], indent=2) + "\n"
+
+
 def test_family_vertex_counts_match_the_builders():
     for tag in ("kneser", "sg", "q", "circular", "interlacing"):
         for n in range(2, 13):
@@ -513,23 +550,86 @@ CLI_DOCUMENTS = [
 ]
 
 
+def _recording(docs):
+    """`serialize.dump`, keeping each document it writes in docs."""
+    def recording(doc, write):
+        docs.append(doc)
+        serialize.dump(doc, write)
+
+    return recording
+
+
 @pytest.mark.parametrize("cmd", CLI_DOCUMENTS)
 def test_dumps_matches_json_on_every_cli_document(cmd, monkeypatch, capsys):
     docs = []
-
-    def recording(doc):
-        docs.append(doc)
-        return serialize.dumps(doc)
-
-    monkeypatch.setattr(cli, "dumps", recording)
+    monkeypatch.setattr(cli, "dump", _recording(docs))
     assert cli.main(cmd.split()) == 0
     (doc,) = docs
-    assert capsys.readouterr().out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    # json reads rows made as they are written through default=list
+    assert capsys.readouterr().out == json.dumps(doc, indent=2, sort_keys=True,
+                                                 default=list) + "\n"
+
+
+class _Writes(list):
+    """A standard output that keeps each text written to it."""
+
+    def write(self, text):
+        self.append(text)
+
+
+@pytest.mark.parametrize("cmd", CLI_DOCUMENTS)
+def test_cli_documents_stream_the_bytes_of_dumps_row_by_row(cmd, monkeypatch):
+    # with the chunk a few characters, each id row after a list's first one
+    # hands the pieces held so far to write, so rows split across writes
+    monkeypatch.setattr(serialize, "_CHUNK", 8)
+    docs = []
+    monkeypatch.setattr(cli, "dump", _recording(docs))
+    with contextlib.redirect_stdout(_Writes()) as writes:
+        assert cli.main(cmd.split()) == 0
+    (doc,) = docs
+    assert "".join(writes) == dumps(doc)
+    rows = [sum(1 for _ in id_rows) for id_rows in _id_rows_in(doc)]
+    assert len(writes) == 1 + sum(max(r - 1, 0) for r in rows)
+
+
+@pytest.mark.parametrize("cmd", [
+    "build --family q --n 13 --k 5 --format dot",
+    "build --family kneser --n 6 --k 2 --delete-vertex 3 --format dot",
+    "build --family circular --n 9 --k 2 --delete-edge 2,0 --format dot",
+])
+def test_cli_dot_streams_the_bytes_of_one_write_line_by_line(cmd, monkeypatch):
+    with contextlib.redirect_stdout(_Writes()) as whole:
+        assert cli.main(cmd.split()) == 0
+    assert len(whole) == 1  # a small graph goes out in one write
+    monkeypatch.setattr(serialize, "_CHUNK", 8)
+    with contextlib.redirect_stdout(_Writes()) as writes:
+        assert cli.main(cmd.split()) == 0
+    (text,) = whole
+    assert "".join(writes) == text
+    # each label and edge line is handed over as it is written, the closing
+    # brace with the rest
+    assert len(writes) == text.count("\n") - 1
+
+
+def test_q_document_streams_without_label_objects(monkeypatch):
+    # Q(601,300)'s label rows come from `rotations` as they are written, so
+    # no label is made, and the writer holds about one chunk at a time
+    g = build_q(601, 300)
+    monkeypatch.setattr(serialize, "_CHUNK", 1 << 16)
+    sizes = []
+    tracemalloc.start()
+    try:
+        serialize.dump(graph_to_document(g), lambda text: sizes.append(len(text)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.labels._missing == len(g.labels)
+    assert len(sizes) > 20 and peak < sum(sizes) / 4, (len(sizes), peak, sum(sizes))
 
 
 def _id_rows_in(o):
-    """Every `_IdRows` in a document tree."""
-    if type(o) is serialize._IdRows:
+    """Every `_IdRows` or `_LazyIdRows` in a document tree."""
+    if type(o) is serialize._IdRows or type(o) is serialize._LazyIdRows:
         yield o
     elif type(o) is dict:
         for x in o.values():
@@ -547,15 +647,11 @@ def test_cli_id_rows_hold_plain_ints_below_their_bound(cmd, monkeypatch, capsys)
     tables = []
     id_texts = serialize._id_texts
 
-    def recording(doc):
-        docs.append(doc)
-        return serialize.dumps(doc)
-
     def counted(bound):
         tables.append(bound)
         return id_texts(bound)
 
-    monkeypatch.setattr(cli, "dumps", recording)
+    monkeypatch.setattr(cli, "dump", _recording(docs))
     monkeypatch.setattr(serialize, "_id_texts", counted)
     assert cli.main(cmd.split()) == 0
     (doc,) = docs
@@ -565,7 +661,9 @@ def test_cli_id_rows_hold_plain_ints_below_their_bound(cmd, monkeypatch, capsys)
         for row in rows:
             assert type(row) is list or type(row) is tuple
             assert all(type(x) is int and 0 <= x < rows.bound for x in row)
-    assert sorted(tables) == sorted(rows.bound for rows in id_rows if rows)
+    # `_LazyIdRows` read their texts from a tuple, not from `_id_texts`
+    assert sorted(tables) == sorted(rows.bound for rows in id_rows
+                                    if type(rows) is serialize._IdRows and rows)
 
 
 _TEXT = st.text() | st.text(st.characters(max_codepoint=0x2F)) | st.sampled_from(
