@@ -31,7 +31,6 @@ from math import gcd
 from .cyclic import (
     CriticalParams,
     CyclicSubset,
-    canonical_well_spread,
     critical_params,
     rotations,
 )
@@ -54,12 +53,6 @@ def _require_coprime(n: int, k: int, strict: bool) -> None:
         raise InvalidParams(f"need 1 <= {bound}, got n={n} k={k}")
     if gcd(n, k) != 1:
         raise NotCoprime(f"need gcd(n,k)=1, got gcd({n},{k})={gcd(n, k)}")
-
-
-def star_positions(n: int, k: int) -> tuple[int, ...]:
-    """Rotation offsets whose set contains residue 0: a maximum independent set."""
-    _require_coprime(n, k, strict=False)
-    return _star(canonical_well_spread(n, k))
 
 
 def _star(canon: CyclicSubset) -> tuple[int, ...]:

@@ -24,8 +24,8 @@ helper, `_odd_closers`, two-colors those components and finds the vertices
 they force; alone it decides t = 2 before any search.  Class branching
 memoizes refuted residuals up to the graph's certified dihedral symmetry
 (`graphs.dihedral_automorphisms`), renumbering the vertices so that the
-rotation acts by bit shifts and the reflection by one table lookup per 4 bits
-of the mask; a graph without one keys the memo by the residual itself.
+rotation acts by bit shifts and the reflection by one table lookup per hex
+digit of the mask; a graph without one keys the memo by the residual itself.
 
 The two searches win on different graphs (the node table in
 `is_t_colorable`): DSATUR refutes 5 colors on I(11,2) in 5 nodes, where class
@@ -47,6 +47,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from itertools import chain, repeat
 from math import lcm
+from operator import getitem
 from typing import Callable, Generator
 
 from . import graphs
@@ -323,11 +324,12 @@ def _dihedral_frame(g: LabeledGraph) -> tuple[LabeledGraph, Callable[[int], int]
     block, with longer cycles in higher blocks.  The generator then rotates
     each block by m bits, so each of its powers costs one shift per block; the
     second generator, the reflection, is applied by tables built here, one
-    lookup per 4 bits of the mask.  The key is the least image of the mask
-    and of its reflection under those powers.  Every image is under a
-    composition of certified automorphisms, so two masks with one key induce
-    isomorphic subgraphs.  Blocks compare from the top, so the lower blocks
-    are rotated only by the powers that tie on the top block.
+    lookup per hex digit of the mask, all in one `map`.  The key is the least
+    image of the mask and of its reflection under those powers.  Every image
+    is under a composition of certified automorphisms, so two masks with one
+    key induce isomorphic subgraphs.  Blocks compare from the top, so the
+    lower blocks are rotated only by the powers that tie on the top block,
+    and with one block the least top image is the key.
     """
     gens = dihedral_automorphisms(g)
     if not gens:
@@ -361,8 +363,9 @@ def _dihedral_frame(g: LabeledGraph) -> tuple[LabeledGraph, Callable[[int], int]
     old = sorted(range(V), key=pos.__getitem__)
     h = LabeledGraph(tuple(g.labels[v] for v in old),
                      tuple(sum(1 << pos[u] for u in iter_bits(g.adj[v])) for v in old))
-    # the reflection, one lookup per 4 bits: entry b of the i-th table is the
-    # image of the vertices 4i + j for the bits j of b
+    # the reflection, one lookup per hex digit of the mask: entry b of the
+    # i-th table is the image of the vertices 4i + j for the bits j of b, and
+    # the tables run from the top digit down, as the digits are written
     tables = []
     if rest:
         reflected = [1 << pos[rest[0][v]] for v in old]
@@ -371,14 +374,14 @@ def _dihedral_frame(g: LabeledGraph) -> tuple[LabeledGraph, Callable[[int], int]
             for image in reflected[i:i + 4]:
                 table += [x | image for x in table]
             tables.append(table)
+        tables.reverse()
+    digits = len(tables)
+    digit_values = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
     top, top_double, top_shifts = blocks.pop()
 
     def reflect(mask: int) -> int:
-        image = 0
-        for table in tables:
-            image |= table[mask & 15]
-            mask >>= 4
-        return image
+        # the images of distinct vertices are disjoint, so their sum is their union
+        return sum(map(getitem, tables, (b"%0*x" % (digits, mask)).translate(digit_values)))
 
     def least_image(mask: int) -> int:
         best = mask
@@ -386,12 +389,16 @@ def _dihedral_frame(g: LabeledGraph) -> tuple[LabeledGraph, Callable[[int], int]
             doubled = (x & top) * top_double
             images = [(doubled >> s) & top for s in top_shifts]
             low = min(images)
-            lower = [((x & bm) * dbl, bm, shifts) for bm, dbl, shifts in blocks]
-            for r, image in enumerate(images):
-                if image == low:
-                    for dl, bm, shifts in lower:
-                        image |= (dl >> shifts[r]) & bm
-                    best = min(best, image)
+            if not blocks:  # no lower block to break ties on the top one
+                best = min(best, low)
+                continue
+            r = -1
+            for _ in range(images.count(low)):
+                r = images.index(low, r + 1)
+                image = low
+                for bm, dbl, shifts in blocks:
+                    image |= ((x & bm) * dbl >> shifts[r]) & bm
+                best = min(best, image)
         return best
 
     return h, least_image

@@ -194,24 +194,6 @@ def build_circular(n: int, k: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Labe
     return LabeledGraph(tuple(range(n)), adj, FamilyParams("circular", n, k))
 
 
-def is_interlacing_edge(x: CyclicSubset, y: CyclicSubset) -> bool:
-    """True when x and y are disjoint, equal-sized, and alternate around Z_n."""
-    if x.modulus != y.modulus:
-        raise InvalidParams(f"moduli differ: {x.modulus} vs {y.modulus}")
-    if len(x) != len(y) or len(x) == 0:
-        return False
-    xs, ys = set(x.elements), set(y.elements)
-    if xs & ys:
-        return False
-    owners = []
-    for r in range(x.modulus):
-        if r in xs:
-            owners.append(0)
-        elif r in ys:
-            owners.append(1)
-    return all(owners[i] != owners[(i + 1) % len(owners)] for i in range(len(owners)))
-
-
 def build_interlacing(n: int, k: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> LabeledGraph:
     """Same vertices as the 2-separated family; edges join interlacing pairs.
 
@@ -347,6 +329,10 @@ def _map_steps(adj, target_adj, domains: list[int], pre=(),
     Every source vertex keeps a bitmask domain of the target vertices it may
     still map to (`domains`, updated in place).  Assigning u to a forward-checks
     the unassigned neighbours of u: each keeps only the target neighbours of a.
+    Into a complete target that means dropping a alone, so the search also
+    keeps, per image, a holder mask of the source vertices whose domains
+    still hold it: only the unassigned neighbours among a's holders are
+    visited, and a fails at once when one of them holds a alone.
     With `injective`, one mask holds the images already taken, and they are
     masked out of a vertex's candidates when it is selected; they stay in the
     other domains and in their sizes, so no assignment touches the
@@ -376,13 +362,19 @@ def _map_steps(adj, target_adj, domains: list[int], pre=(),
     # parked at T + 1, above any live domain's, so the smallest size is always
     # an unassigned vertex's
     sizes = [d.bit_count() for d in domains]
+    if complete:
+        # holders[a]: the vertices whose domains hold image a
+        holders = ([everyone] * T if all(d == (1 << T) - 1 for d in domains) else
+                   [sum(1 << v for v, d in enumerate(domains) if d >> a & 1) for a in range(T)])
     image = [-1] * V
     assigned = 0
     max_used = -1
     used = 0  # the images of the assigned vertices, kept only when injective
     forced = list(reversed(pre))
     # a frame is [vertex, its domain size, untried candidates, trail of the
-    # current candidate, max_used on entry, used on entry]; forced frames have
+    # current candidate, max_used on entry, used on entry]; the trail lists the
+    # (vertex, domain, size) that the candidate changed, or into a complete
+    # target is the mask of the vertices it struck from.  Forced frames have
     # one candidate and are no node.  While a frame is on the stack its vertex
     # counts as assigned and its size is parked.
     stack: list[list] = []
@@ -419,28 +411,53 @@ def _map_steps(adj, target_adj, domains: list[int], pre=(),
             while cands:
                 a = (cands & -cands).bit_length() - 1
                 cands &= cands - 1
-                keep = target_adj[a]
-                trail = []
-                m = free_nb
-                while m:
-                    w = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    d = domains[w]
-                    if d & ~keep:
-                        trail.append((w, d, sizes[w]))
-                        domains[w] = d = d & keep
-                        sizes[w] = d.bit_count()
+                # each branch leaves m nonzero when a empties a domain
+                if complete:
+                    bit = 1 << a
+                    trail = m = free_nb & holders[a]
+                    while m:
+                        b = m & -m
+                        w = b.bit_length() - 1
+                        d = domains[w] ^ bit
                         if not d:
-                            break  # a domain emptied
+                            break  # a domain would empty
+                        domains[w] = d
+                        sizes[w] -= 1
+                        m ^= b
+                    if m:
+                        m ^= trail  # the vertices struck before the failure
+                        while m:
+                            b = m & -m
+                            w = b.bit_length() - 1
+                            domains[w] |= bit
+                            sizes[w] += 1
+                            m ^= b
+                        continue
+                    holders[a] ^= trail
                 else:
-                    image[u] = a
-                    frame[2], frame[3] = cands, trail
-                    max_used = a if a > saved else saved
-                    if injective:
-                        used = used_on_entry | 1 << a
-                    break
-                for w, d, k in reversed(trail):
-                    domains[w], sizes[w] = d, k
+                    keep = target_adj[a]
+                    trail = []
+                    m = free_nb
+                    while m:
+                        w = (m & -m).bit_length() - 1
+                        d = domains[w]
+                        if d & ~keep:
+                            trail.append((w, d, sizes[w]))
+                            domains[w] = d = d & keep
+                            sizes[w] = d.bit_count()
+                            if not d:
+                                break  # a domain emptied
+                        m &= m - 1
+                    if m:
+                        for w, d, k in reversed(trail):
+                            domains[w], sizes[w] = d, k
+                        continue
+                image[u] = a
+                frame[2], frame[3] = cands, trail
+                max_used = a if a > saved else saved
+                if injective:
+                    used = used_on_entry | 1 << a
+                break
             else:
                 stack.pop()
                 assigned &= ~(1 << u)
@@ -448,8 +465,20 @@ def _map_steps(adj, target_adj, domains: list[int], pre=(),
                 if not stack:
                     return None
                 frame = stack[-1]
-                for w, d, k in reversed(frame[3]):
-                    domains[w], sizes[w] = d, k
+                trail = frame[3]
+                if complete:
+                    a = image[frame[0]]
+                    holders[a] |= trail
+                    bit = 1 << a
+                    while trail:
+                        b = trail & -trail
+                        w = b.bit_length() - 1
+                        domains[w] |= bit
+                        sizes[w] += 1
+                        trail ^= b
+                else:
+                    for w, d, k in reversed(trail):
+                        domains[w], sizes[w] = d, k
                 continue
             break
 

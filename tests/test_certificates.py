@@ -25,7 +25,6 @@ from wellspread import (
     find_subgraph_qab,
     fractional_chromatic_number,
     scaling_isomorphism,
-    star_positions,
     validate_map,
     verify_fractional_coloring,
     vertex_deleted_coloring,
@@ -41,6 +40,11 @@ from wellspread.certificates import (
 )
 from wellspread.cyclic import canonical_well_spread, rotated_residues
 from wellspread.fractional import FractionalColoring
+
+
+def star_positions(n: int, k: int) -> tuple[int, ...]:
+    """Rotation offsets whose set contains residue 0: a maximum independent set."""
+    return certificates._star(canonical_well_spread(n, k))
 
 
 def test_star_positions_examples():

@@ -301,7 +301,11 @@ def test_least_image_is_the_least_image_under_the_certified_symmetry():
     reflection = dihedral_automorphisms(q)[-1]
     u = next(u for u, v in enumerate(reflection) if q.has_edge(u, v))
     cases = [
-        (build_schrijver(10, 3), 20),  # rotation and reflection
+        (build_schrijver(10, 3), 20),  # rotation and reflection, one block
+        (build_schrijver(10, 2), 20),  # rotation cycles of lengths 5 and 10
+        (build_schrijver(9, 3), 18),  # 3 and 9
+        (build_schrijver(12, 4), 24),  # 3, 6 and 12
+        (build_circular(13, 4), 26),
         (build_kneser(8, 3), 16),
         (delete_edge(q, u, reflection[u]), 2),  # the reflection alone
         (delete_edge(q, 0, 1), 1),  # no certified symmetry
@@ -321,6 +325,10 @@ def test_least_image_is_the_least_image_under_the_certified_symmetry():
         V = h.vertex_count
         masks = [0, (1 << V) - 1] + [rng.getrandbits(V) & rng.getrandbits(V) for _ in range(100)]
         masks += [rng.getrandbits(V) for _ in range(100)]
+        # masks with their top bits all clear or all set tie on the top block
+        # under every power of the rotation, so the lower blocks decide
+        masks += [mask >> rng.randrange(V) for mask in masks[2:]]
+        masks += [mask | (1 << V) - (1 << rng.randrange(V)) for mask in masks[2:102]]
         for mask in masks:
             assert least_image(mask) == min(
                 sum(1 << perm[v] for v in iter_bits(mask)) for perm in group), (order, mask)

@@ -28,7 +28,6 @@ from wellspread import (
     delete_edge,
     delete_vertex,
     is_cycle_edge,
-    is_interlacing_edge,
     validate_map,
 )
 from wellspread.certificates import edge_deleted_retraction, vertex_deleted_retraction
@@ -225,6 +224,23 @@ def test_circular_complete_shape():
     # integer case degenerates to a complete graph
     k5 = build_circular(5, 1)
     assert k5.edge_count() == 10
+
+
+def is_interlacing_edge(x: CyclicSubset, y: CyclicSubset) -> bool:
+    """True when x and y are disjoint, equal-sized, and alternate around Z_n:
+    the pairwise oracle for the gap build of `build_interlacing`."""
+    if len(x) != len(y) or len(x) == 0:
+        return False
+    xs, ys = set(x.elements), set(y.elements)
+    if xs & ys:
+        return False
+    owners = []
+    for r in range(x.modulus):
+        if r in xs:
+            owners.append(0)
+        elif r in ys:
+            owners.append(1)
+    return all(owners[i] != owners[(i + 1) % len(owners)] for i in range(len(owners)))
 
 
 def test_interlacing_contains_q_and_matches_predicate():
