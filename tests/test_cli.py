@@ -403,6 +403,22 @@ GOLDEN = [
      "a57ea13093ce1104d14d2c489ceb55f85e649df291892398c6dfc861d1e06e7c"),
     ("build --family q --n 12 --k 4 --delete-vertex 2", 0,
      "95bda9548681089cdfc107ddac9a5179c02a3a082d59de94156d1994849d72ba"),
+    # Deleted graphs of every family, pinned from writers handed a compacted
+    # copy of the deleted graph; the edge is given high-low
+    ("build --family q --n 12 --k 4 --delete-edge 2,1", 0,
+     "6a67af7c831df385a78930132eccff63769bd804715119a5965f641bcce5a948"),
+    ("build --family q --n 12 --k 4 --delete-edge 2,1 --format dot", 0,
+     "6000d3bfe73c283e2f0252cb8417b899f868f6eb5948fb403c13cd0cbddff822"),
+    ("build --family q --n 12 --k 4 --format dot --delete-vertex 2", 0,
+     "edf3063b4ab944ebed0daab1e55d3bf91ffb2061330a2edbdbeb942f7ce5b27a"),
+    ("build --family kneser --n 7 --k 2 --delete-vertex 5", 0,
+     "40a63e59b0c72058847a5a4daa80de4d97bf6ee7fdb06580e829323bad503227"),
+    ("build --family sg --n 9 --k 3 --delete-vertex 4", 0,
+     "d35be2217e2fdf9d33c5fdb0b24dc3c6a8385d0c14bf7b62f7067dcbe4c6d544"),
+    ("build --family circular --n 11 --k 3 --delete-vertex 6", 0,
+     "6d9df59aa0f16c2518fdd5f14dc9da1c9bddcad08d12b57e9a102ed969fefc3e"),
+    ("build --family interlacing --n 9 --k 2 --delete-vertex 3", 0,
+     "2ec0e3003742ae34813c0d3d6093ff2ad57fbfeaa7daab91f81716cab24b4c68"),
     ("certify coloring --n 13 --k 5 --delete-edge 0,5", 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     # Deletion sweeps, pinned from sweeps that solved every orbit with the
