@@ -4,10 +4,10 @@ Documents go to standard output; diagnostics and progress go to standard
 error.  Exit codes: 0 success, 1 verification or certificate failure,
 2 invalid input, 3 resource cap exceeded.  Each document is streamed by
 `serialize.dump` or `serialize.dump_dot` in chunks of about 1 MB, with its
-large rows made as they are written, and only after every check that can
-end in exit 1, 2 or 3 has passed, so a failing request prints nothing on
-standard output.  `verify-paper` is the one command that prints its report
-with exit 1: the report is what says which criterion failed.
+large rows made as they are written (a graph's from the family graph and
+the one deletion asked for), once every check that can end in exit 1, 2 or
+3 has passed, so a failing request prints nothing on standard output.
+Only `verify-paper` prints a report with exit 1: it names what failed.
 
 The argument parser is built on the first call of `main` and reused by every
 later call in the process; nothing else is kept between calls.  The
@@ -46,7 +46,7 @@ from .errors import (
     ResourceCap,
 )
 from .fractional import fractional_chromatic_number
-from .graphs import FamilyParams, delete_edge, delete_vertex
+from .graphs import FamilyParams
 from .homomorphism import circular_chromatic_number
 from .independence import independence_number
 from .serialize import (
@@ -135,21 +135,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_build(args) -> int:
-    fp = FamilyParams(args.family, args.n, args.k)
     if args.delete_vertex is not None and args.delete_edge is not None:
         raise InvalidParams("choose one of --delete-vertex / --delete-edge")
-    g = build_family(fp, args.vertex_cap)
-    if args.delete_vertex is not None:
-        g = delete_vertex(g, args.delete_vertex)
-    if args.delete_edge is not None:
-        g = delete_edge(g, *args.delete_edge)
+    g = build_family(FamilyParams(args.family, args.n, args.k), args.vertex_cap)
+    deleted = args.delete_edge if args.delete_vertex is None else args.delete_vertex
     if args.format == "dot":
-        dump_dot(g, sys.stdout.write, family=fp)
+        dump_dot(g, sys.stdout.write, deleted)
     else:
-        dump(graph_to_document(
-            g, family=fp,
-            deleted_vertex=args.delete_vertex, deleted_edge=args.delete_edge,
-        ), sys.stdout.write)
+        dump(graph_to_document(g, deleted), sys.stdout.write)
     return 0
 
 

@@ -202,7 +202,7 @@ def _retraction_witness(g: LabeledGraph, invariant: Invariant,
         u, v = map(where.__getitem__, deletion)
         if (v - u) % n not in (1, n - 1):
             k = f.q.family.k
-            adj = _rows_less(g, None, deletion)
+            adj = tuple(_rows_less(g, None, deletion))
             pinned = baseline == Fraction(n, k) and alpha_at_most(adj, (1 << n) - 1, k)
             return baseline if pinned else None
         p = u if (v - u) % n == 1 else v

@@ -132,7 +132,7 @@ def _coloring_violations(g: LabeledGraph, fc: FractionalColoring) -> list[str]:
         return out
     V = g.vertex_count
     excl_v = fc.excluded_vertex
-    rows = _rows_less(g, excl_v, fc.excluded_edge)
+    rows = tuple(_rows_less(g, excl_v, fc.excluded_edge))
     # coverage in integers over the common denominator of the weights
     scale = lcm(*(w.denominator for w in fc.weights))
     cover = [0] * V
@@ -182,7 +182,7 @@ def witnessed_value(g: LabeledGraph, fc: FractionalColoring, support,
     ev = fc.excluded_vertex
     if ev is not None and mask >> ev & 1:
         return None
-    if not alpha_at_most(_rows_less(g, ev, fc.excluded_edge), mask, b):
+    if not alpha_at_most(tuple(_rows_less(g, ev, fc.excluded_edge)), mask, b):
         return None
     return value
 

@@ -48,7 +48,7 @@ from functools import reduce
 from itertools import chain, combinations, compress, product, repeat
 from math import comb, gcd
 from operator import add, ne, or_
-from typing import Any, Callable, Generator, Iterator, TypeVar
+from typing import Any, Callable, Generator, Iterable, Iterator, TypeVar
 
 from .cyclic import CanonicalRotations, CyclicSubset, is_r_separated
 from .errors import InvalidParams, NotAnEdge, ResourceCap
@@ -61,6 +61,13 @@ def iter_bits(m: int) -> Iterator[int]:
         b = m & -m
         yield b.bit_length() - 1
         m ^= b
+
+
+def _row_edges(rows: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """The edges (u, v), u < v, of adjacency rows, in order, each made as it
+    is read."""
+    for u, a in enumerate(rows):
+        yield from zip(repeat(u), iter_bits(a >> (u + 1) << (u + 1)))
 
 
 @dataclass(frozen=True)
@@ -90,12 +97,7 @@ class LabeledGraph:
         return iter_bits(self.adj[v])
 
     def edges(self) -> list[tuple[int, int]]:
-        return list(self.iter_edges())
-
-    def iter_edges(self) -> Iterator[tuple[int, int]]:
-        """The edges (u, v), u < v, in order, each made as it is read."""
-        for u, a in enumerate(self.adj):
-            yield from zip(repeat(u), iter_bits(a >> (u + 1) << (u + 1)))
+        return list(_row_edges(self.adj))
 
     def edge_count(self) -> int:
         return sum(a.bit_count() for a in self.adj) // 2
@@ -230,22 +232,32 @@ def is_cycle_edge(q: LabeledGraph, u: int, v: int) -> bool:
 
 def delete_vertex(g: LabeledGraph, v: int) -> LabeledGraph:
     """Induced subgraph on the remaining vertices, ids compacted."""
-    V = g.vertex_count
-    if not (0 <= v < V):
-        raise InvalidParams(f"vertex {v} out of range 0..{V - 1}")
-    low = (1 << v) - 1
-    adj = tuple((a & low) | ((a >> 1) & ~low) for u, a in enumerate(g.adj) if u != v)
+    adj = tuple(_deleted_rows(g, v))
     return LabeledGraph(g.labels[:v] + g.labels[v + 1:], adj, None)
 
 
 def delete_edge(g: LabeledGraph, u: int, v: int) -> LabeledGraph:
     """Same vertex set with one edge removed."""
+    return LabeledGraph(g.labels, tuple(_deleted_rows(g, (u, v))), None)
+
+
+def _deleted_rows(g: LabeledGraph, deleted: int | tuple[int, int] | None) -> Iterable[int]:
+    """The rows of g less deleted (None, a vertex id or an edge pair), made
+    as they are read, ids past a deleted vertex moved down one.  The call
+    raises InvalidParams for an id out of range, NotAnEdge for a non-edge."""
     V = g.vertex_count
-    if not (0 <= u < V and 0 <= v < V):
-        raise InvalidParams(f"edge {{{u},{v}}} out of range 0..{V - 1}")
-    if not g.has_edge(u, v):
-        raise NotAnEdge(f"{{{u},{v}}} is not an edge")
-    return LabeledGraph(g.labels, _rows_less(g, None, (u, v)), None)
+    if isinstance(deleted, int):
+        if not 0 <= deleted < V:
+            raise InvalidParams(f"vertex {deleted} out of range 0..{V - 1}")
+        low = (1 << deleted) - 1
+        return ((a & low) | ((a >> 1) & ~low) for u, a in enumerate(g.adj) if u != deleted)
+    if deleted is not None:
+        u, v = deleted
+        if not (0 <= u < V and 0 <= v < V):
+            raise InvalidParams(f"edge {{{u},{v}}} out of range 0..{V - 1}")
+        if not g.has_edge(u, v):
+            raise NotAnEdge(f"{{{u},{v}}} is not an edge")
+    return _rows_less(g, None, deleted)
 
 
 class MapKind(Enum):
@@ -501,21 +513,19 @@ def _exclusion_violations(g: LabeledGraph, excluded_vertex: int | None,
 
 
 def _rows_less(g: LabeledGraph, excluded_vertex: int | None,
-               excluded_edge: tuple[int, int] | None) -> tuple[int, ...]:
-    """g's rows less an exclusion that `_exclusion_violations` accepts: the
-    excluded vertex's row empty and its bit cleared from every row, or the
-    excluded edge's bit cleared from both its ends' rows; `g.adj` itself,
-    uncopied, when nothing is excluded."""
+               excluded_edge: tuple[int, int] | None) -> Iterable[int]:
+    """g's rows less an exclusion that `_exclusion_violations` accepts, each
+    made as it is read: the excluded vertex's row empty and its bit cleared
+    from every row, or the excluded edge's bit cleared from both its ends'
+    rows; `g.adj` itself, uncopied, when nothing is excluded."""
     if excluded_vertex is not None:
         v, adj = excluded_vertex, g.adj
         keep = ~(1 << v)
-        return tuple(chain(map(keep.__and__, adj[:v]), (0,), map(keep.__and__, adj[v + 1:])))
+        return chain(map(keep.__and__, adj[:v]), (0,), map(keep.__and__, adj[v + 1:]))
     if excluded_edge is not None:
         a, b = excluded_edge
-        rows = list(g.adj)
-        rows[a] &= ~(1 << b)
-        rows[b] &= ~(1 << a)
-        return tuple(rows)
+        ends = {a: ~(1 << b), b: ~(1 << a)}
+        return (row & ends[u] if u in ends else row for u, row in enumerate(g.adj))
     return g.adj
 
 
@@ -654,7 +664,7 @@ def _map_violations(m: VertexMap) -> list[str]:
     if out:
         return out
     # src_later[u]: u's source neighbours v > u, less the exclusions
-    rows = _rows_less(src, excluded_v, m.excluded_edge)
+    rows = tuple(_rows_less(src, excluded_v, m.excluded_edge))
     src_later = {u: rows[u] >> (u + 1) << (u + 1) for u in domain}
     mapping, tgt_adj = m.mapping, tgt.adj
     for u in domain:

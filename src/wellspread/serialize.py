@@ -1,8 +1,8 @@
 """JSON and DOT document formats.
 
-Graphs round-trip losslessly: a graph document names its family, the loader
-rebuilds the graph from those parameters and refuses documents whose vertex
-or edge lists disagree with the reconstruction.  Certificates self-validate
+Graphs round-trip losslessly: a graph document names its family and at most
+one deletion; the loader refuses it if its vertex or edge lists differ from
+the writer's for the rebuilt graph.  Certificates self-validate
 on load through the same checkers used at construction time.  Rationals
 travel as "p/q" strings, never floats.  Every loader raises InvalidParams on a
 malformed document: a missing key, or a value of the wrong type or shape.
@@ -22,7 +22,7 @@ string keys, lists, tuples, strings (through json's own
 piece.  The package's own rows of ids (subset labels, edges, colour classes,
 map pairs) travel as `_IdRows`, a list that carries the bound its ids lie
 below, or as `_LazyIdRows`, which make their rows afresh each time they are
-read: a graph's edge rows come from its adjacency rows and Q(n,k)'s label
+read: edge rows come from adjacency rows less a deletion, and Q(n,k)'s label
 rows from `cyclic.rotations` as they are written, so no label object is made
 and no row is kept.  Id rows are written one piece per row, each row's ints
 read by one `itemgetter` from one table of texts, with no pass over the ints
@@ -54,7 +54,7 @@ from functools import partial, wraps
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from math import comb, gcd
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .criticality import BoundaryEntry, BoundaryReport, CriticalityReport, Invariant, SweepSummary
@@ -66,6 +66,8 @@ from .graphs import (
     LabeledGraph,
     MapKind,
     VertexMap,
+    _deleted_rows,
+    _row_edges,
     build_circular,
     build_interlacing,
     build_kneser,
@@ -156,18 +158,6 @@ def _row_texts(row, table: dict[int, str] | tuple[str, ...]):
     return (table[row[0]],) if row else ()
 
 
-def _label_rows(labels) -> _IdRows | _LazyIdRows | list[int]:
-    """A graph's labels as a document holds them: the residue rows of subset
-    labels, which for Q(n,k)'s `CanonicalRotations` are `_LazyIdRows` made
-    from `rotations` so that no label object is made, or a list of ints."""
-    if isinstance(labels, CanonicalRotations):
-        es, n = labels.canon.elements, labels.canon.modulus
-        return _LazyIdRows(partial(rotations, es, n, range(len(labels))), n)
-    if labels and isinstance(labels[0], CyclicSubset):
-        return _IdRows(map(attrgetter("elements"), labels), labels[0].modulus)
-    return list(map(int, labels))
-
-
 def _same_rows(got, want: list) -> bool:
     """got, a document's list of labels or rows, equals want, whose rows are
     tuples; list and tuple rows compare alike, since they print alike.  Each
@@ -244,76 +234,83 @@ def build_family(fp: FamilyParams, vertex_cap: Optional[int] = None) -> LabeledG
     return builder(fp.n, fp.k, vertex_cap=vertex_cap)
 
 
-def graph_to_document(
-    g: LabeledGraph,
-    family: Optional[FamilyParams] = None,
-    deleted_vertex: Optional[int] = None,
-    deleted_edge: Optional[tuple[int, int]] = None,
-) -> dict:
-    """Graph document: family parameters, the deletion applied if any, and
-    the explicit vertex labels and sorted edge list.  The edge rows, and
-    Q(n,k)'s label rows, are made from the graph each time they are read."""
-    fp = family if family is not None else g.family
-    if fp is None:
-        raise InvalidParams("graph documents need family parameters")
+def graph_to_document(g: LabeledGraph, deleted: int | tuple[int, int] | None = None) -> dict:
+    """Graph document of g, a family-built graph, less deleted (None, a
+    vertex id or an edge pair, checked first): g's family, the deletion, and
+    the labels and sorted edges of the graph `delete_vertex` or `delete_edge`
+    makes.  Its edge rows, and Q(n,k)'s label rows, are made from g as read."""
+    if g.family is None:
+        raise InvalidParams("graph documents need a family-built graph")
+    _deleted_rows(g, deleted)  # raises on a bad deletion, before anything is written
+    labels, V = g.labels, g.vertex_count
+    kept = [*range(deleted), *range(deleted + 1, V)] if isinstance(deleted, int) else range(V)
+    if isinstance(labels, CanonicalRotations):  # no label object is made
+        es, n = labels.canon.elements, labels.canon.modulus
+        vertices = _LazyIdRows(partial(rotations, es, n, kept), n)
+    elif labels and isinstance(labels[0], CyclicSubset):
+        vertices = _IdRows((labels[u].elements for u in kept), labels[0].modulus)
+    else:
+        vertices = [int(labels[u]) for u in kept]
     doc: dict[str, Any] = {
         "schemaVersion": SCHEMA_VERSION,
-        "family": _family_json(fp),
-        "vertices": _label_rows(g.labels),
-        "edges": _LazyIdRows(g.iter_edges, g.vertex_count),
+        "family": _family_json(g.family),
+        "vertices": vertices,
+        "edges": _LazyIdRows(lambda: _row_edges(_deleted_rows(g, deleted)), len(kept)),
     }
-    if deleted_vertex is not None:
-        doc["deletedVertex"] = deleted_vertex
-    if deleted_edge is not None:
-        doc["deletedEdge"] = [min(deleted_edge), max(deleted_edge)]
+    if isinstance(deleted, int):
+        doc["deletedVertex"] = deleted
+    elif deleted is not None:
+        doc["deletedEdge"] = [min(deleted), max(deleted)]
     return doc
 
 
 @_loader
 def graph_from_document(doc: dict) -> LabeledGraph:
-    """Rebuild from the named family, reapply any recorded deletion, and
-    check the result against the document's own vertex and edge lists."""
+    """Rebuild from the named family, check the vertex and edge lists against
+    those `graph_to_document` writes for the recorded deletion, and return
+    the graph it leaves; a document records at most one deletion."""
     if not isinstance(doc, dict) or doc.get("schemaVersion") != SCHEMA_VERSION:
         raise InvalidParams("unsupported or missing schemaVersion")
-    fp = _family_from_json(doc.get("family", {}))
-    g = build_family(fp)
-    if "deletedVertex" in doc:
-        g = delete_vertex(g, _int(doc["deletedVertex"]))
+    g = build_family(_family_from_json(doc.get("family", {})))
+    if "deletedVertex" in doc and "deletedEdge" in doc:
+        raise InvalidParams("a graph document records a deleted vertex and a deleted edge")
+    deleted = _int(doc["deletedVertex"]) if "deletedVertex" in doc else None
     if "deletedEdge" in doc:
-        u, v = map(_int, doc["deletedEdge"])
-        g = delete_edge(g, u, v)
-    if not _same_rows(doc.get("vertices"), list(_label_rows(g.labels))):
+        deleted = tuple(map(_int, doc["deletedEdge"]))
+    want = graph_to_document(g, deleted)
+    if not _same_rows(doc.get("vertices"), list(want["vertices"])):
         raise InvalidParams("vertex list disagrees with the rebuilt family")
-    if not _same_rows(doc.get("edges"), g.edges()):
+    if not _same_rows(doc.get("edges"), list(want["edges"])):
         raise InvalidParams("edge list disagrees with the rebuilt family")
-    return g
+    if deleted is None:
+        return g
+    return delete_vertex(g, deleted) if isinstance(deleted, int) else delete_edge(g, *deleted)
 
 
-def graph_to_dot(g: LabeledGraph, family: Optional[FamilyParams] = None) -> str:
-    """Undirected DOT text with set-literal labels; byte-stable."""
+def graph_to_dot(g: LabeledGraph, deleted: int | tuple[int, int] | None = None) -> str:
+    """Undirected DOT text with set-literal labels of g less deleted, the
+    graph `graph_to_document` describes; byte-stable."""
     chunks: list[str] = []
-    dump_dot(g, chunks.append, family)
+    dump_dot(g, chunks.append, deleted)
     return "".join(chunks)
 
 
 def dump_dot(g: LabeledGraph, write: Callable[[str], Any],
-             family: Optional[FamilyParams] = None) -> None:
-    """Write `graph_to_dot(g, family)` through write, its lines handed over
-    about `_CHUNK` characters at a time.  Labels and edges are made as they
-    are written, Q(n,k)'s labels from its `rotations` rows without label
-    objects."""
-    fp = family if family is not None else g.family
-    name = f"{fp.tag}_{fp.n}_{fp.k}" if fp is not None else "g"
-    rows = _label_rows(g.labels)
+             deleted: int | tuple[int, int] | None = None) -> None:
+    """Write `graph_to_dot(g, deleted)` through write, its lines handed over
+    about `_CHUNK` characters at a time: the labels and edges of
+    `graph_to_document(g, deleted)`, made as they are written."""
+    doc = graph_to_document(g, deleted)
+    rows, fp = doc["vertices"], g.family
     if type(rows) is list:  # int labels
         labels = (f'  {v} [label="{x}"];\n' for v, x in enumerate(rows))
     else:  # residue rows, written as set literals
         residues = rows.texts()  # made once for every label
         labels = (f'  {v} [label="{{{",".join(_row_texts(es, residues))}}}"];\n'
                   for v, es in enumerate(rows))
-    out = [f"graph {name} {{\n"]
+    out = [f"graph {fp.tag}_{fp.n}_{fp.k} {{\n"]
     _write_pieces(labels, out, write)
-    _write_pieces((f"  {u} -- {v};\n" for u, v in g.iter_edges()), out, write)
+    _write_pieces((f"  {u} -- {v};\n" for u, v in doc["edges"]), out, write)
     out.append("}\n")
     write("".join(out))
 

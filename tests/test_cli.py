@@ -95,6 +95,9 @@ def test_q_modulus_cap_exit_3(capsys):
 @pytest.mark.parametrize("argv, code", [
     ("certify coloring --n 13 --k 5 --delete-vertex 99", 2),
     ("build --family q --n 9999 --k 4999 --vertex-cap 100", 3),
+    ("build --family q --n 4999 --k 2499 --delete-vertex 99999", 2),
+    ("build --family q --n 7 --k 2 --format dot --delete-edge 0,3", 2),
+    ("build --family q --n 7 --k 2 --delete-vertex 0 --delete-edge 0,1", 2),
 ])
 def test_failing_requests_write_nothing_to_stdout(capsys, argv, code):
     # documents are written only once every check has passed
@@ -516,7 +519,8 @@ def test_every_request_of_a_small_grid_exits_with_a_documented_code(capsys):
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-        capsys.readouterr()
+        out = capsys.readouterr().out
         assert code in (0, 1, 2, 3), argv
+        assert code == 0 or out == "", argv  # a failing request writes nothing on stdout
         codes.add(code)
     assert codes == {0, 2, 3}

@@ -19,6 +19,7 @@ from wellspread import (
     FamilyParams,
     InvalidParams,
     LabeledGraph,
+    NotAnEdge,
     boundary_from_document,
     boundary_to_document,
     build_circular,
@@ -76,14 +77,69 @@ def test_graph_documents_round_trip_every_family():
 
 def test_graph_documents_record_deletions():
     q = build_q(7, 2)
-    doc = graph_to_document(delete_vertex(q, 3), family=q.family, deleted_vertex=3)
+    doc = graph_to_document(q, 3)
     assert doc["deletedVertex"] == 3
     assert graph_from_document(doc).vertex_count == 6
-    doc = graph_to_document(delete_edge(q, 0, 1), family=q.family, deleted_edge=(1, 0))
+    doc = graph_to_document(q, (1, 0))
     assert doc["deletedEdge"] == [0, 1]
     assert graph_from_document(doc).edge_count() == q.edge_count() - 1
     doc["deletedEdge"] = [99, 0]
     with pytest.raises(InvalidParams):
+        graph_from_document(doc)
+
+
+def _dot_lines(h: LabeledGraph, name: str) -> list[str]:
+    """The DOT lines of h, written label by label and edge by edge."""
+    def text(lab):
+        return str(lab) if isinstance(lab, int) else "{" + ",".join(map(str, lab.elements)) + "}"
+
+    labels = [f'  {v} [label="{text(lab)}"];' for v, lab in enumerate(h.labels)]
+    return [f"graph {name} {{", *labels, *(f"  {u} -- {v};" for u, v in h.edges()), "}"]
+
+
+@pytest.mark.parametrize("tag", ["kneser", "sg", "q", "circular", "interlacing"])
+def test_deleted_graph_documents_match_the_compacted_copy(tag):
+    # written from the family graph and one deletion, the JSON document loads
+    # back as the copy delete_vertex or delete_edge makes, and the DOT text
+    # holds that copy's labels and edges; an edge reads the same either way round
+    g = build_family(FamilyParams(tag, 7, 2))
+    for deleted in [*range(g.vertex_count), *g.edges(), *((v, u) for u, v in g.edges())]:
+        if isinstance(deleted, int):
+            h, record = delete_vertex(g, deleted), {"deletedVertex": deleted}
+        else:
+            h, record = delete_edge(g, *deleted), {"deletedEdge": sorted(deleted)}
+        doc = json.loads(dumps(graph_to_document(g, deleted)))
+        assert {key: doc[key] for key in record} == record
+        assert "deletedVertex" not in doc or "deletedEdge" not in doc
+        back = graph_from_document(doc)
+        assert (back.labels, back.adj, back.family) == (h.labels, h.adj, None), deleted
+        assert graph_to_dot(g, deleted).splitlines() == _dot_lines(h, f"{tag}_7_2"), deleted
+
+
+def test_graph_writers_check_the_graph_and_the_deletion_first():
+    q = build_q(7, 2)
+    non_edge = next((u, v) for u in range(7) for v in range(u + 1, 7) if not q.has_edge(u, v))
+    for deleted, error in [(7, InvalidParams), (-1, InvalidParams), ((0, 9), InvalidParams),
+                           (non_edge, NotAnEdge), ((3, 3), NotAnEdge)]:
+        with pytest.raises(error):
+            graph_to_document(q, deleted)
+        chunks = []
+        with pytest.raises(error):
+            serialize.dump_dot(q, chunks.append, deleted)
+        assert chunks == []
+    # a compacted copy has no family, so only its parent and the deletion are written
+    for h in (delete_vertex(q, 3), delete_edge(q, 0, 1)):
+        with pytest.raises(InvalidParams, match="family-built"):
+            graph_to_document(h)
+        with pytest.raises(InvalidParams, match="family-built"):
+            graph_to_dot(h)
+
+
+def test_graph_documents_with_two_deletions_are_refused():
+    doc = json.loads(dumps(graph_to_document(build_q(7, 2), 3)))
+    graph_from_document(doc)
+    doc["deletedEdge"] = [0, 1]
+    with pytest.raises(InvalidParams, match="a deleted vertex and a deleted edge"):
         graph_from_document(doc)
 
 
@@ -383,8 +439,7 @@ def _changed(to_document, *path, change):
 
 
 def _q72_deleted_graph():
-    q = build_q(7, 2)
-    return graph_to_document(delete_vertex(q, 3), family=q.family, deleted_vertex=3)
+    return graph_to_document(build_q(7, 2), 3)
 
 
 def _iso72():
