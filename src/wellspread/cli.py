@@ -204,12 +204,14 @@ def _pick_deletion(args) -> tuple[Optional[int], Optional[tuple[int, int]]]:
 def _cmd_certify(args) -> int:
     n, k = args.n, args.k
     fp = FamilyParams("q", n, k)
-    if args.kind == "coloring":
+    if args.kind in ("coloring", "retraction"):
         dv, de = _pick_deletion(args)
+    elif args.delete_vertex is not None or args.delete_edge is not None:
+        raise InvalidParams(f"certify {args.kind} takes no --delete-vertex / --delete-edge")
+    if args.kind == "coloring":
         fc = vertex_deleted_coloring(n, k, dv) if dv is not None else edge_deleted_coloring(n, k, de)
         dump(coloring_to_document(fc, fp), sys.stdout.write)
     elif args.kind == "retraction":
-        dv, de = _pick_deletion(args)
         m = vertex_deleted_retraction(n, k, dv) if dv is not None else edge_deleted_retraction(n, k, de)
         dump(map_to_document(m), sys.stdout.write)
     elif args.kind == "subgraph-qab":

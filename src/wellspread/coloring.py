@@ -44,7 +44,6 @@ into K_{chi-1}; when it fails, `is_t_colorable` decides.
 """
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
 from itertools import chain, repeat
 from math import lcm
 from operator import getitem
@@ -93,41 +92,69 @@ def greedy_clique(g: LabeledGraph) -> list[int]:
 
 
 def greedy_coloring(g: LabeledGraph) -> list[int]:
-    """DSATUR greedy proper coloring (upper bound witness).
+    """DSATUR greedy proper coloring (upper bound witness), by `_dsatur`.
 
     Computed once per graph; each call returns a fresh list.
     """
-    def dsatur(g: LabeledGraph) -> tuple[int, ...]:
-        V = g.vertex_count
-        adj = g.adj
-        colors = [-1] * V
-        used_next_to = [0] * V  # bitmask of neighbor colors
-        deg = [m.bit_count() for m in adj]
-        # next vertex: max (saturation, degree), lowest index on ties; saturation
-        # only grows and each growth pushes a fresh entry, so stale ones are skipped
-        heap = [(0, -deg[v], v) for v in range(V)]
-        heapify(heap)
-        uncolored = (1 << V) - 1
-        while heap:
-            neg_sat, _, best = heappop(heap)
-            used = used_next_to[best]
-            if colors[best] >= 0 or -neg_sat != used.bit_count():
-                continue
-            c = (~used & (used + 1)).bit_length() - 1  # the lowest colour not in used
-            colors[best] = c
-            uncolored ^= 1 << best
-            bit = 1 << c
-            nbrs = adj[best] & uncolored  # the uncoloured neighbours
-            while nbrs:
-                b = nbrs & -nbrs
-                nbrs ^= b
-                u = b.bit_length() - 1
-                if not used_next_to[u] & bit:
-                    used_next_to[u] |= bit
-                    heappush(heap, (-used_next_to[u].bit_count(), -deg[u], u))
-        return tuple(colors)
+    return list(_kept(g, "_greedy_coloring", _dsatur))
 
-    return list(_kept(g, "_greedy_coloring", dsatur))
+
+def _dsatur(g: LabeledGraph) -> tuple[int, ...]:
+    """DSATUR: color next the uncolored vertex of highest saturation (distinct
+    neighbor colors), then highest degree, then lowest id, with the lowest
+    color none of its neighbors has.
+
+    Kept in masks: `level[s]` holds the uncolored vertices of saturation s,
+    `classes` one mask per degree, highest first, and `sees[c]` the vertices
+    next to color c (only its uncolored ones are read).  The pick is the
+    lowest id of the top level in the first class meeting it; coloring v
+    with c moves its uncolored neighbors not yet in `sees[c]` up one level.
+    Each step costs O(colors + levels + degree classes) big-int operations.
+    """
+    V = g.vertex_count
+    adj = g.adj
+    colors = [-1] * V
+    by_degree: dict[int, int] = {}
+    for v, row in enumerate(adj):
+        d = row.bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    classes = [by_degree[d] for d in sorted(by_degree, reverse=True)]
+    uncolored = (1 << V) - 1
+    level = [uncolored] + [0] * V  # saturation stays below V
+    sees: list[int] = []
+    top = 0  # the highest non-empty level
+    for _ in range(V):
+        pool = level[top]
+        for cls in classes:
+            tied = pool & cls
+            if tied:
+                break
+        bit = tied & -tied
+        v = bit.bit_length() - 1
+        c = 0
+        while c < len(sees) and sees[c] & bit:
+            c += 1
+        if c == len(sees):
+            sees.append(0)
+        colors[v] = c
+        uncolored ^= bit
+        level[top] ^= bit
+        grow = adj[v] & uncolored & ~sees[c]
+        sees[c] |= grow
+        # from the top down, so that no vertex moves twice
+        s = top
+        while grow:
+            moved = level[s] & grow
+            if moved:
+                level[s] ^= moved
+                level[s + 1] |= moved
+                grow ^= moved
+            s -= 1
+        if level[top + 1]:
+            top += 1
+        while top and not level[top]:
+            top -= 1
+    return tuple(colors)
 
 
 def rlf_coloring(g: LabeledGraph) -> list[int]:

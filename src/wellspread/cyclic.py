@@ -11,7 +11,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from operator import itemgetter
+from operator import itemgetter, sub
 from typing import Iterable, Iterator
 
 from .errors import InvalidParams, NotCoprime, NotWellSpread
@@ -116,33 +116,26 @@ def is_r_separated(s: CyclicSubset, r: int) -> bool:
 def is_well_spread(s: CyclicSubset) -> bool:
     """Equal-length arcs (lengths 1..n-1) contain counts of s differing by at most 1.
 
-    The n arcs of one length L hold L*k members in all, so their counts
-    differ by at most 1 exactly when each is base or base+1, with
-    base = floor(L*k/n).  All n arcs of a length are tracked at once: `high`
-    marks the starts whose arc holds base+1, and lengthening every arc by one
-    residue adds the member mask rotated by L-1.  That is O(n) big-int
-    operations.
+    Tested on the gap word instead of arc by arc.  By `is_well_spread_dual`
+    this holds exactly when, for every c, the minimal arcs holding c
+    members differ in length by at most 1.  At c = 2 that says every gap
+    between cyclically consecutive members is q or q + 1, q = n // k (the
+    gaps sum to n).  The minimal arc holding c + 1 members is then
+    1 + c*q plus the number of long gaps among c consecutive gaps, so the
+    lengths for every c agree within 1 exactly when the positions of the
+    long gaps, a subset of Z_k, are themselves well spread.  Repeating on
+    (k, those positions) is Euclid's algorithm on (n, k): O(k) list work in
+    all, and no n-bit masks.
     """
-    n = s.modulus
-    k = len(s)
-    if k == 0 or k == n:
-        return True
-    full = (1 << n) - 1
-    member = 0
-    for x in s.elements:
-        member |= 1 << x
-    base, high = 0, 0  # every arc of the previous length holds base or base+1
-    for length in range(1, n):
-        j = length - 1
-        entering = ((member >> j) | (member << (n - j))) & full  # start s gains s+j
-        if length * k // n == base:
-            if high & entering:
-                return False  # some arc reaches base+2
-            high |= entering
-        else:
-            if full & ~(high | entering):
-                return False  # some arc stays at base
-            base, high = base + 1, high & entering
+    n, es = s.modulus, s.elements
+    while es:
+        k = len(es)
+        q = n // k
+        gaps = list(map(sub, es[1:], es))
+        gaps.append(es[0] + n - es[-1])
+        if not {q, q + 1}.issuperset(gaps):
+            return False
+        n, es = k, [i for i, gap in enumerate(gaps) if gap != q]
     return True
 
 

@@ -98,6 +98,11 @@ def test_q_modulus_cap_exit_3(capsys):
     ("build --family q --n 4999 --k 2499 --delete-vertex 99999", 2),
     ("build --family q --n 7 --k 2 --format dot --delete-edge 0,3", 2),
     ("build --family q --n 7 --k 2 --delete-vertex 0 --delete-edge 0,1", 2),
+    # the kinds that certify no deleted graph refuse a deletion
+    ("certify subgraph-qab --n 7 --k 2 --delete-vertex 3", 2),
+    ("certify iso-circular --n 7 --k 2 --delete-vertex 3 --delete-edge 0,1", 2),
+    ("certify iso-scaling --n 7 --k 2 --l 3 --delete-edge 0,1", 2),
+    ("certify reduce --n 7 --k 2 --delete-vertex 99", 2),
 ])
 def test_failing_requests_write_nothing_to_stdout(capsys, argv, code):
     # documents are written only once every check has passed

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import complete, cycle, mk, random_graph
 
 from wellspread import (
+    InvalidParams,
     ResourceCap,
     build_circular,
     build_interlacing,
@@ -337,11 +338,12 @@ def test_least_image_is_the_least_image_under_the_certified_symmetry():
 def test_greedy_bounds_are_worked_out_once_per_graph(monkeypatch):
     runs = []
 
-    def counting_heapify(heap):
-        runs.append(len(heap))
-        heapify(heap)
+    def counting_dsatur(g):
+        runs.append(g.vertex_count)
+        return dsatur(g)
 
-    monkeypatch.setattr(coloring, "heapify", counting_heapify)
+    dsatur = coloring._dsatur
+    monkeypatch.setattr(coloring, "_dsatur", counting_dsatur)
     g = build_schrijver(10, 3)
     assert chromatic_number(g) == 6
     # one DSATUR pass, although is_t_colorable(g, 5) asks for the bound again
@@ -507,27 +509,30 @@ def test_rlf_witness_success_on_schrijver_deletions():
         assert sum(max(greedy_coloring(d)) < t for d in deleted) == by_dsatur, (n, k)
 
 
-def _dsatur_before(g):
-    """DSATUR as `greedy_coloring` ran it before its neighbour walk and colour
-    pick were inlined: an oracle for the colouring it must still return."""
+def _heap_dsatur(g):
+    """DSATUR by a heap of (-saturation, -degree, id) entries, one pushed each
+    time a vertex's saturation grows and stale ones skipped, as
+    `greedy_coloring` ran it before it kept colour masks: the reference for
+    the colouring it must still return."""
     V = g.vertex_count
     adj = g.adj
     colors = [-1] * V
-    used_next_to = [0] * V
+    used_next_to = [0] * V  # bitmask of neighbor colors
     deg = [m.bit_count() for m in adj]
     heap = [(0, -deg[v], v) for v in range(V)]
     heapify(heap)
+    uncolored = (1 << V) - 1
     while heap:
         neg_sat, _, best = heappop(heap)
-        if colors[best] >= 0 or -neg_sat != used_next_to[best].bit_count():
+        used = used_next_to[best]
+        if colors[best] >= 0 or -neg_sat != used.bit_count():
             continue
-        c = 0
-        while (used_next_to[best] >> c) & 1:
-            c += 1
+        c = (~used & (used + 1)).bit_length() - 1  # the lowest colour not in used
         colors[best] = c
+        uncolored ^= 1 << best
         bit = 1 << c
-        for u in iter_bits(adj[best]):
-            if colors[u] < 0 and not used_next_to[u] & bit:
+        for u in iter_bits(adj[best] & uncolored):
+            if not used_next_to[u] & bit:
                 used_next_to[u] |= bit
                 heappush(heap, (-used_next_to[u].bit_count(), -deg[u], u))
     return list(colors)
@@ -537,7 +542,19 @@ def _dsatur_before(g):
 @given(st.integers(0, 40), st.integers(0, 2**32))
 def test_greedy_coloring_equals_the_previous_dsatur_on_random_graphs(n, seed):
     g = random_graph(random.Random(seed), n)
-    assert greedy_coloring(g) == _dsatur_before(g)
+    assert greedy_coloring(g) == _heap_dsatur(g)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.sampled_from([0.0, 0.05, 0.2, 0.5, 0.9, 1.0]), max_size=40),
+       st.integers(0, 2**32))
+def test_greedy_coloring_equals_the_heap_dsatur_on_irregular_graphs(reach, seed):
+    # vertex u joins v with chance reach[u] * reach[v]: reach 0 leaves u
+    # isolated, and mixed reaches spread the degrees over many classes
+    rng = random.Random(seed)
+    g = mk(len(reach), [(u, v) for u, v in combinations(range(len(reach)), 2)
+                        if rng.random() < reach[u] * reach[v]])
+    assert greedy_coloring(g) == _heap_dsatur(g)
 
 
 def test_greedy_coloring_equals_the_previous_dsatur_on_the_workload_graphs():
@@ -550,4 +567,24 @@ def test_greedy_coloring_equals_the_previous_dsatur_on_the_workload_graphs():
     graphs += [build_q(601, 300), build_q(401, 200), build_q(599, 150), build_q(101, 50),
                build_circular(1001, 500)]
     for g in graphs:
-        assert greedy_coloring(g) == _dsatur_before(g), g.family
+        assert greedy_coloring(g) == _heap_dsatur(g), g.family
+
+
+def test_greedy_coloring_equals_the_heap_dsatur_on_every_small_family_graph():
+    # every graph of the five families with n <= 13 (Kneser graphs up to 300
+    # vertices), the cycles and complete graphs of conftest, and one vertex
+    # and one edge deletion of each
+    graphs = [cycle(n) for n in range(3, 14)] + [complete(n) for n in range(1, 14)]
+    for build in (build_q, build_circular, build_schrijver, build_interlacing, build_kneser):
+        for n in range(1, 14):
+            for k in range(1, n + 1):
+                try:
+                    g = build(n, k, 300)
+                except (InvalidParams, ResourceCap):
+                    continue
+                graphs.append(g)
+    graphs += [delete_vertex(g, 0) for g in graphs if g.vertex_count]
+    graphs += [delete_edge(g, *g.edges()[0]) for g in graphs if g.edge_count()]
+    assert len(graphs) > 300
+    for g in graphs:
+        assert greedy_coloring(g) == _heap_dsatur(g), g.family

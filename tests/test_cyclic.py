@@ -69,6 +69,27 @@ def test_well_spread_agrees_with_dual_exhaustively():
             assert is_well_spread(s) == _window_counts_balanced(n, mask), s
 
 
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_well_spread_agrees_with_the_definition_on_larger_sets(data):
+    # a rotated canonical set, that set with one member moved (the hard
+    # negatives: every gap but two stays q or q + 1), or a random set
+    n = data.draw(st.integers(13, 64))
+    k = data.draw(st.integers(1, n - 1))
+    es = set(canonical_well_spread(n, k).rotate(data.draw(st.integers(0, n - 1))).elements)
+    how = data.draw(st.sampled_from(["canonical", "moved", "random"]))
+    if how == "moved":
+        free = sorted(set(range(n)) - es)
+        es.remove(data.draw(st.sampled_from(sorted(es))))
+        es.add(data.draw(st.sampled_from(free)))
+    elif how == "random":
+        es = data.draw(st.sets(st.integers(0, n - 1)))
+    s = CyclicSubset(n, es)
+    mask = sum(1 << x for x in es)
+    assert is_well_spread(s) == _window_counts_balanced(n, mask), s
+    assert is_well_spread(s) == is_well_spread_dual(s), s
+
+
 def test_well_spread_examples():
     assert is_well_spread(CyclicSubset(13, [0, 2, 5, 7, 10]))
     assert not is_well_spread(CyclicSubset(13, [0, 1, 2, 3, 4]))
