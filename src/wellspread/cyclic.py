@@ -100,17 +100,15 @@ def rotations(es: tuple[int, ...], n: int, shifts: Iterable[int]) -> Iterator[tu
 
 
 def is_r_separated(s: CyclicSubset, r: int) -> bool:
-    """Every pair x != y satisfies r <= |x - y| <= n - r (plain integer difference)."""
+    """Every pair x != y satisfies r <= |x - y| <= n - r (plain integer difference).
+
+    On the sorted residues the least such difference is between neighbours
+    and the greatest is last - first, so O(k) instead of every pair.
+    """
     if r < 1:
         raise InvalidParams(f"separation must be >= 1, got {r}")
-    n = s.modulus
     es = s.elements
-    for i in range(len(es)):
-        for j in range(i + 1, len(es)):
-            d = es[j] - es[i]  # sorted, so d > 0
-            if not (r <= d <= n - r):
-                return False
-    return True
+    return len(es) < 2 or (es[-1] - es[0] <= s.modulus - r and min(map(sub, es[1:], es)) >= r)
 
 
 def is_well_spread(s: CyclicSubset) -> bool:
@@ -290,14 +288,14 @@ class CriticalParams:
 
 
 def critical_params(n: int, k: int) -> CriticalParams:
+    """b is the inverse of n mod k in 1..k (1 when k = 1), the least b with
+    k | b*n - 1, and a = (b*n - 1)/k."""
     if not (1 <= k < n):
         raise InvalidParams(f"need 1 <= k < n, got n={n} k={k}")
     if gcd(n, k) != 1:
         raise NotCoprime(f"critical params need gcd(n,k)=1, got gcd({n},{k})={gcd(n, k)}")
-    for b in range(1, k + 1):
-        if (b * n - 1) % k == 0:
-            return CriticalParams((b * n - 1) // k, b)
-    raise AssertionError(f"no solution scanning b=1..{k} for n={n}")  # unreachable
+    b = pow(n, -1, k) or 1  # pow(n, -1, 1) is 0
+    return CriticalParams((b * n - 1) // k, b)
 
 
 @dataclass(frozen=True)
@@ -322,6 +320,13 @@ def euclid_reduce(s: CyclicSubset) -> ReductionTrace:
     relabels the survivors, and continues with the complement on the shorter
     cycle.  Terminates when the remainder hits 0; the terminal set has
     gcd(n, |s|) elements.
+
+    The gaps of a well-spread set on Z_m are q or q + 1 (q, r = divmod(m,
+    |s|)), so the removal leaves one residue in each of the r long gaps.
+    Counted clockwise from the first element, the residue in the j-th long
+    gap (j = 1, 2, ...), gap p, is survivor p + j; when the wrap gap is long
+    and the first element is not 0, its residue is below the first element
+    and every label moves up by 1.  O(|s|) per step.
     """
     n = s.modulus
     k = len(s)
@@ -330,36 +335,23 @@ def euclid_reduce(s: CyclicSubset) -> ReductionTrace:
     if not is_well_spread(s):
         raise NotWellSpread(f"{s} is not well-spread")
     steps: list[ReductionStep] = []
-    m = n
-    cur = list(s.elements)
-    while True:
-        kk = len(cur)
+    m, cur = n, s.elements
+    while m % (kk := len(cur)):
         q, r = divmod(m, kk)
-        # neighbouring gaps of a well-spread set are q or q+1; removal windows
-        # x+1..x+q-1 therefore stay inside gaps and miss every element
-        removed = set()
-        for x in cur:
-            for d in range(1, q):
-                removed.add((x + d) % m)
-        if removed & set(cur):
-            raise AssertionError(f"removal hit an element; {cur} not well-spread on Z_{m}")
-        survivors = sorted(x for x in range(m) if x not in removed)
-        m2 = len(survivors)
-        if m2 != kk + r:
-            raise AssertionError(f"expected shrunken cycle {kk + r}, got {m2}")
-        rank = {x: i for i, x in enumerate(survivors)}
-        cur_relabeled = sorted(rank[x] for x in cur)
-        if r == 0:
-            terminal = CyclicSubset(m2, cur_relabeled)
-            steps.append(ReductionStep(m, kk, q, r, terminal))
-            break
-        kept = set(cur_relabeled)
-        nxt = CyclicSubset(m2, (i for i in range(m2) if i not in kept))
+        gaps = list(map(sub, cur[1:], cur))
+        gaps.append(cur[0] + m - cur[-1])
+        longs = [i for i, gap in enumerate(gaps) if gap != q]
+        kept = tuple(p + j for j, p in enumerate(longs, 1))
+        if gaps[-1] != q and cur[0]:
+            kept = rotated_residues(kept, kk + r, 1)
+        nxt = CyclicSubset.from_sorted(kk + r, kept)
         if not is_well_spread(nxt):
             raise AssertionError(f"surviving set {nxt} lost well-spreadness")
         steps.append(ReductionStep(m, kk, q, r, nxt))
-        m = m2
-        cur = list(nxt.elements)
+        m, cur = kk + r, kept
+    # every gap is q: only the elements survive, relabelled 0..kk-1
+    terminal = CyclicSubset.from_sorted(kk, tuple(range(kk)))
+    steps.append(ReductionStep(m, kk, m // kk, 0, terminal))
     if len(terminal) != gcd(n, k):
         raise AssertionError(f"terminal size {len(terminal)} != gcd({n},{k})")
     return ReductionTrace(tuple(steps), terminal)

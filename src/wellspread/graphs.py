@@ -50,7 +50,7 @@ from math import comb, gcd
 from operator import add, ne, or_
 from typing import Any, Callable, Generator, Iterable, Iterator, TypeVar
 
-from .cyclic import CanonicalRotations, CyclicSubset, is_r_separated
+from .cyclic import CanonicalRotations, CyclicSubset
 from .errors import InvalidParams, NotAnEdge, ResourceCap
 
 DEFAULT_VERTEX_CAP = 10_000
@@ -136,14 +136,19 @@ def build_kneser(n: int, k: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Labele
 
 
 def _separated_labels(n: int, k: int, vertex_cap: int) -> tuple[CyclicSubset, ...]:
-    """The 2-separated k-subsets of Z_n in lex order."""
+    """The 2-separated k-subsets of Z_n in lex order, capped on their count
+    n*C(n-k-1, k-1)/k before any is made.  x_0 < ... < x_{k-1} is one
+    exactly when y_i = x_i - i is a k-subset of range(n - k + 1) with
+    y_{k-1} - y_0 <= n - k - 1 (a wrap gap of at least 2); x -> y keeps lex
+    order."""
     if not (1 <= k and 2 * k <= n):
         raise InvalidParams(f"need 1 <= k <= n/2, got n={n} k={k}")
-    _check_cap(comb(n, k), vertex_cap, f"schrijver({n},{k}) candidate pool")
+    _check_cap(n * comb(n - k - 1, k - 1) // k, vertex_cap,
+               f"the 2-separated {k}-subsets of Z_{n}")
     return tuple(
-        CyclicSubset(n, c)
-        for c in combinations(range(n), k)
-        if is_r_separated(CyclicSubset(n, c), 2)
+        CyclicSubset.from_sorted(n, tuple(map(add, c, range(k))))
+        for c in combinations(range(n - k + 1), k)
+        if c[-1] - c[0] <= n - k - 1
     )
 
 

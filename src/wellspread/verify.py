@@ -410,12 +410,13 @@ def check_well_spread(max_n: int | None = None) -> CriterionResult:
     """Exhaustive agreement of the two balance tests, classification of
     well-spread sets as canonical rotations, and reduction terminal sizes."""
     cases = []
+    subsets = [()]  # the residue tuple of each mask below 1 << n, in mask order
     for n in range(1, _cap(16, max_n) + 1):
+        subsets += [elems + (n - 1,) for elems in subsets]  # masks with bit n-1
         mismatch = 0
         found: dict[int, set] = {}
-        for mask in range(1 << n):
-            elems = tuple(i for i in range(n) if mask >> i & 1)
-            s = CyclicSubset(n, elems)
+        for elems in subsets:
+            s = CyclicSubset.from_sorted(n, elems)
             w = is_well_spread(s)
             if w != is_well_spread_dual(s):
                 mismatch += 1

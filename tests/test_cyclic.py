@@ -20,7 +20,14 @@ from wellspread import (
     is_well_spread,
     is_well_spread_dual,
 )
-from wellspread.cyclic import CanonicalRotations, rotated_residues, rotations
+from wellspread.cyclic import (
+    CanonicalRotations,
+    CriticalParams,
+    ReductionStep,
+    ReductionTrace,
+    rotated_residues,
+    rotations,
+)
 
 
 def test_subset_normalizes_and_bounds():
@@ -50,6 +57,26 @@ def test_separation_small_cases():
     assert not is_r_separated(CyclicSubset(7, [0, 6]), 2)
     assert is_r_separated(CyclicSubset(7, [0]), 2)
     assert is_r_separated(CyclicSubset(7, []), 3)
+
+
+def _r_separated_by_pairs(s: CyclicSubset, r: int) -> bool:
+    """The reference: every pair of the sorted residues, one by one."""
+    es = s.elements
+    return all(r <= es[j] - es[i] <= s.modulus - r
+               for i in range(len(es)) for j in range(i + 1, len(es)))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_separation_equals_the_pair_loop(data):
+    n = data.draw(st.integers(1, 40))
+    s = CyclicSubset(n, data.draw(st.sets(st.integers(0, n - 1))))
+    for r in range(n + 1):
+        if r < 1:
+            with pytest.raises(InvalidParams):
+                is_r_separated(s, r)
+        else:
+            assert is_r_separated(s, r) == _r_separated_by_pairs(s, r), (s, r)
 
 
 def _window_counts_balanced(n: int, mask: int) -> bool:
@@ -145,6 +172,15 @@ def test_critical_params_minimality_and_errors():
         critical_params(5, 5)
 
 
+def test_critical_params_equal_the_scan_over_b():
+    # the reference: the least b in 1..k with k | b*n - 1
+    for n in range(2, 400):
+        for k in range(1, n):
+            if gcd(n, k) == 1:
+                b = next(b for b in range(1, k + 1) if (b * n - 1) % k == 0)
+                assert critical_params(n, k) == CriticalParams((b * n - 1) // k, b), (n, k)
+
+
 def test_reduce_reaches_gcd_sized_terminal():
     for n in range(2, 17):
         for k in range(1, n // 2 + 1):
@@ -155,9 +191,49 @@ def test_reduce_reaches_gcd_sized_terminal():
                 assert step.cycle_length == step.set_size * step.quotient + step.remainder
 
 
+def _euclid_reduce_by_sets(s: CyclicSubset) -> ReductionTrace:
+    """The reference reduction on explicit residue sets: remove q - 1
+    residues after every element, rank the survivors, take the complement."""
+    steps = []
+    m, cur = s.modulus, list(s.elements)
+    while True:
+        kk = len(cur)
+        q, r = divmod(m, kk)
+        removed = {(x + d) % m for x in cur for d in range(1, q)}
+        assert not removed & set(cur)
+        survivors = sorted(x for x in range(m) if x not in removed)
+        m2 = len(survivors)
+        assert m2 == kk + r
+        rank = {x: i for i, x in enumerate(survivors)}
+        cur_relabeled = sorted(rank[x] for x in cur)
+        if r == 0:
+            terminal = CyclicSubset(m2, cur_relabeled)
+            steps.append(ReductionStep(m, kk, q, r, terminal))
+            return ReductionTrace(tuple(steps), terminal)
+        kept = set(cur_relabeled)
+        nxt = CyclicSubset(m2, (i for i in range(m2) if i not in kept))
+        steps.append(ReductionStep(m, kk, q, r, nxt))
+        m, cur = m2, list(nxt.elements)
+
+
+def test_reduce_equals_the_set_reduction():
+    for n in range(2, 61):
+        for k in range(1, n // 2 + 1):
+            canon = canonical_well_spread(n, k)
+            for t in range(n):
+                s = canon.rotate(t)
+                assert euclid_reduce(s) == _euclid_reduce_by_sets(s), (n, k, t)
+    for k in (49_999, 25_001):
+        s = canonical_well_spread(100_000, k).rotate(k // 3)
+        assert euclid_reduce(s) == _euclid_reduce_by_sets(s), k
+
+
 def test_reduce_rejects_bad_inputs():
     with pytest.raises(NotWellSpread):
         euclid_reduce(CyclicSubset(10, [0, 1, 5, 6]))
+    # every gap is 2 or 3, but the two long gaps are neighbours
+    with pytest.raises(NotWellSpread):
+        euclid_reduce(CyclicSubset(10, [0, 2, 4, 7]))
     with pytest.raises(InvalidParams):
         euclid_reduce(CyclicSubset(5, [0, 1, 2]))  # |s| > n/2
     with pytest.raises(InvalidParams):

@@ -28,17 +28,21 @@ from wellspread import (
     delete_edge,
     delete_vertex,
     is_cycle_edge,
+    is_r_separated,
     validate_map,
 )
+from wellspread import graphs
 from wellspread.certificates import edge_deleted_retraction, vertex_deleted_retraction
 from wellspread.cyclic import canonical_well_spread, rotations
 from wellspread.graphs import (
+    DEFAULT_VERTEX_CAP,
     FamilyParams,
     _disjointness_graph,
     _map_passes,
     _map_violations,
     _residue_permutation,
     _rows_less,
+    _separated_labels,
     dihedral_automorphisms,
     label_rotation,
 )
@@ -118,6 +122,31 @@ def test_schrijver_is_induced_on_separated_sets():
         for k in range(1, n // 2 + 1):
             expect = n * comb(n - k - 1, k - 1) // k
             assert build_schrijver(n, k).vertex_count == expect
+
+
+def _separated_labels_by_filter(n: int, k: int) -> list[tuple[int, ...]]:
+    """The reference: every k-subset of Z_n in lex order, kept when 2-separated."""
+    return [c for c in combinations(range(n), k) if is_r_separated(CyclicSubset(n, c), 2)]
+
+
+def test_separated_labels_equal_the_filtered_subsets():
+    for n in range(2, 19):
+        for k in range(1, n // 2 + 1):
+            labels = [lab.elements for lab in _separated_labels(n, k, DEFAULT_VERTEX_CAP)]
+            assert labels == _separated_labels_by_filter(n, k), (n, k)
+            assert len(labels) == n * comb(n - k - 1, k - 1) // k, (n, k)
+
+
+def test_separated_families_are_capped_on_their_vertex_count(monkeypatch):
+    for build in (build_schrijver, build_interlacing):
+        assert build(20, 5, vertex_cap=4004).vertex_count == 4004
+        with pytest.raises(ResourceCap, match="2-separated 5-subsets of Z_20 would have 4004"):
+            build(20, 5, vertex_cap=4003)
+    # SG(30,10) has 277,134 vertices: refused before any subset is listed
+    monkeypatch.setattr(graphs, "combinations", None)
+    for build in (build_schrijver, build_interlacing):
+        with pytest.raises(ResourceCap, match="277134 vertices"):
+            build(30, 10)
 
 
 def test_q_vertices_are_rotations_in_natural_order():
