@@ -429,6 +429,12 @@ GOLDEN = [
      "2ec0e3003742ae34813c0d3d6093ff2ad57fbfeaa7daab91f81716cab24b4c68"),
     ("certify coloring --n 13 --k 5 --delete-edge 0,5", 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    # the wrap-around cycle edge {12, 0}, given either way round, is written
+    # as the certificate holds it: [12, 0], p first and p + 1 mod n second
+    ("certify coloring --n 13 --k 5 --delete-edge 12,0", 0,
+     "c81ee746fa573607678e8ee5cc45dc68a887046d820b95e24dcab4993fac19a2"),
+    ("certify retraction --n 13 --k 5 --delete-edge 0,12", 0,
+     "e1d435d0280db661dd25a81fbaf7ccc37eaa72a873f0baff2a06393c010e8247"),
     # Deletion sweeps, pinned from sweeps that solved every orbit with the
     # LP or the map search.  The first five are the benchmark's chif-sweeps
     # requests; the last two reduce to Q(4,1) and Q(7,1), complete graphs
