@@ -152,7 +152,7 @@ def _vertex_deleted_coloring(f: _Frame, deleted: int) -> FractionalColoring:
     sets = tuple(
         _without(r, deleted) for r in rotations(f.star, n, (delta - j for j in range(cp.a)))
     )
-    return FractionalColoring(sets, (Fraction(1, cp.b),) * cp.a, excluded_vertex=deleted)
+    return FractionalColoring(sets, (Fraction(1, cp.b),) * cp.a, deleted)
 
 
 def _check_edge_endpoints(n: int, edge: tuple[int, int]) -> None:
@@ -203,7 +203,7 @@ def _edge_deleted_coloring(f: _Frame, p: int) -> FractionalColoring:
     extra = (s0 + delta) % n
     cut = bisect_left(first, extra)
     sets = (first[:cut] + (extra,) + first[cut:], *rots)
-    return FractionalColoring(sets, (Fraction(1, cp.b),) * cp.a, excluded_edge=(p, (p + 1) % n))
+    return FractionalColoring(sets, (Fraction(1, cp.b),) * cp.a, (p, (p + 1) % n))
 
 
 def _anchored_copy(f: _Frame, anchor: int) -> list[tuple[int, int]]:
@@ -239,7 +239,7 @@ def vertex_deleted_retraction(n: int, k: int, deleted: int) -> VertexMap:
     _require_coprime(n, k, strict=True)
     if not (0 <= deleted < n):
         raise InvalidParams(f"vertex {deleted} out of range 0..{n - 1}")
-    return checked_map(_fold(_frame(n, k), (deleted - 1) % n, excluded_vertex=deleted), _INVALID)
+    return checked_map(_fold(_frame(n, k), deleted), _INVALID)
 
 
 def edge_deleted_retraction(n: int, k: int, edge: tuple[int, int]) -> VertexMap:
@@ -249,25 +249,24 @@ def edge_deleted_retraction(n: int, k: int, edge: tuple[int, int]) -> VertexMap:
     _check_edge_endpoints(n, edge)
     f = _frame(n, k)
     p = _cycle_edge_base(f.q, edge)
-    return checked_map(_fold(f, p, excluded_edge=(p, (p + 1) % n)), _INVALID)
+    return checked_map(_fold(f, (p, (p + 1) % n)), _INVALID)
 
 
-def _fold(f: _Frame, anchor: int, excluded_vertex: int | None = None,
-          excluded_edge: tuple[int, int] | None = None) -> VertexMap:
+def _fold(f: _Frame, excluded: int | tuple[int, int]) -> VertexMap:
     """The retraction of Q(n,k) less one exclusion onto the copy of Q(a,b)
-    anchored at anchor, with that copy as its section.
-
-    Positions anchor, anchor - 1, ... map by index mod a onto the copy: the
-    n - 1 positions left by an excluded vertex (anchor + 1), or all n when
-    the excluded edge is {anchor, anchor + 1}.
+    anchored next to it, with that copy as its section: a vertex v anchors
+    it at v - 1, a consecutive-rotation edge (p, p + 1) at p.  Positions
+    anchor, anchor - 1, ... map by index mod a onto the copy: the n - 1
+    positions left by the vertex, or all n for the edge.
     """
     n, a = f.n, f.cp.a
+    vertex = isinstance(excluded, int)
+    anchor = (excluded - 1) % n if vertex else excluded[0]
     pairs = _anchored_copy(f, anchor)
     targets = [t for _, t in pairs]
-    covered = n - 1 if excluded_vertex is not None else n
-    mapping = {(anchor - i) % n: targets[i % a] for i in range(covered)}
-    return VertexMap(f.q, f.qab, mapping, MapKind.HOMOMORPHISM, excluded_vertex,
-                     excluded_edge, section={t: xi for xi, t in pairs})
+    mapping = {(anchor - i) % n: targets[i % a] for i in range(n - 1 if vertex else n)}
+    return VertexMap(f.q, f.qab, mapping, MapKind.HOMOMORPHISM, excluded,
+                     section={t: xi for xi, t in pairs})
 
 
 def scaling_isomorphism(n: int, k: int, ell: int) -> VertexMap:

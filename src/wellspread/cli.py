@@ -134,11 +134,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_build(args) -> int:
+def _deletion(args) -> int | tuple[int, int] | None:
+    """The deletion --delete-vertex or --delete-edge asks for, if any; not both."""
     if args.delete_vertex is not None and args.delete_edge is not None:
         raise InvalidParams("choose one of --delete-vertex / --delete-edge")
+    return args.delete_edge if args.delete_vertex is None else args.delete_vertex
+
+
+def _cmd_build(args) -> int:
+    deleted = _deletion(args)
     g = build_family(FamilyParams(args.family, args.n, args.k), args.vertex_cap)
-    deleted = args.delete_edge if args.delete_vertex is None else args.delete_vertex
     if args.format == "dot":
         dump_dot(g, sys.stdout.write, deleted)
     else:
@@ -195,24 +200,18 @@ def _cmd_criticality(args) -> int:
     return 0
 
 
-def _pick_deletion(args) -> tuple[Optional[int], Optional[tuple[int, int]]]:
-    if (args.delete_vertex is None) == (args.delete_edge is None):
-        raise InvalidParams("choose exactly one of --delete-vertex / --delete-edge")
-    return args.delete_vertex, args.delete_edge
-
-
 def _cmd_certify(args) -> int:
     n, k = args.n, args.k
     fp = FamilyParams("q", n, k)
-    if args.kind in ("coloring", "retraction"):
-        dv, de = _pick_deletion(args)
-    elif args.delete_vertex is not None or args.delete_edge is not None:
-        raise InvalidParams(f"certify {args.kind} takes no --delete-vertex / --delete-edge")
+    deleted = _deletion(args)
+    if (deleted is None) == (args.kind in ("coloring", "retraction")):
+        raise InvalidParams("certify coloring and retraction take one deletion, the rest none")
+    vertex = isinstance(deleted, int)
     if args.kind == "coloring":
-        fc = vertex_deleted_coloring(n, k, dv) if dv is not None else edge_deleted_coloring(n, k, de)
+        fc = (vertex_deleted_coloring if vertex else edge_deleted_coloring)(n, k, deleted)
         dump(coloring_to_document(fc, fp), sys.stdout.write)
     elif args.kind == "retraction":
-        m = vertex_deleted_retraction(n, k, dv) if dv is not None else edge_deleted_retraction(n, k, de)
+        m = (vertex_deleted_retraction if vertex else edge_deleted_retraction)(n, k, deleted)
         dump(map_to_document(m), sys.stdout.write)
     elif args.kind == "subgraph-qab":
         dump(map_to_document(find_subgraph_qab(n, k)), sys.stdout.write)

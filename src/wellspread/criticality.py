@@ -195,28 +195,28 @@ def _retraction_witness(g: LabeledGraph, invariant: Invariant,
     where, f = frame
     n = f.n
     if isinstance(deletion, int):
-        p = where[deletion]
-        anchor, excluded = (p - 1) % n, (p, None)
-        fc = _vertex_deleted_coloring(f, p)
+        excluded = where[deletion]
+        anchor = (excluded - 1) % n
+        fc = _vertex_deleted_coloring(f, excluded)
     else:
         u, v = map(where.__getitem__, deletion)
         if (v - u) % n not in (1, n - 1):
             k = f.q.family.k
-            adj = tuple(_rows_less(g, None, deletion))
+            adj = tuple(_rows_less(g, deletion))
             pinned = baseline == Fraction(n, k) and alpha_at_most(adj, (1 << n) - 1, k)
             return baseline if pinned else None
-        p = u if (v - u) % n == 1 else v
-        anchor, excluded = p, (None, (p, (p + 1) % n))
-        fc = _edge_deleted_coloring(f, p)
-    if (fc.excluded_vertex, fc.excluded_edge) != excluded:
+        anchor = u if (v - u) % n == 1 else v
+        excluded = (anchor, (anchor + 1) % n)
+        fc = _edge_deleted_coloring(f, anchor)
+    if fc.excluded != excluded:
         return None
     support = (x for x, _ in _anchored_copy(f, anchor))
     value = witnessed_value(f.q, fc, support, f.cp.b)
     if value is None or invariant is Invariant.CHI_F:
         return value
     to_circular = f.to_circular
-    mapping = {u: to_circular.mapping[t] for u, t in _fold(f, anchor, *excluded).mapping.items()}
-    hom = VertexMap(f.q, to_circular.target, mapping, MapKind.HOMOMORPHISM, *excluded)
+    mapping = {u: to_circular.mapping[t] for u, t in _fold(f, excluded).mapping.items()}
+    hom = VertexMap(f.q, to_circular.target, mapping, MapKind.HOMOMORPHISM, excluded)
     return None if validate_map(hom) else value
 
 

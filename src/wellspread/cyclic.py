@@ -169,8 +169,9 @@ def canonical_well_spread(n: int, k: int) -> CyclicSubset:
     """The mechanical-word witness {floor(i*n/k) : 0 <= i < k}; checked on exit."""
     if not (0 <= k <= n) or n < 1:
         raise InvalidParams(f"need 0 <= k <= n with n >= 1, got n={n} k={k}")
-    s = CyclicSubset(n, (i * n // k for i in range(k)))
-    if len(s) != k or not is_well_spread(s):
+    # floor(i*n/k) rises by at least 1 per step as k <= n: sorted and distinct
+    s = CyclicSubset.from_sorted(n, tuple(i * n // k for i in range(k)))
+    if not is_well_spread(s):
         raise NotWellSpread(f"canonical construction failed for n={n} k={k}: {s}")
     return s
 

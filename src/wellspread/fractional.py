@@ -33,12 +33,12 @@ _ROUND_CAP = 5_000
 
 @dataclass(frozen=True)
 class FractionalColoring:
-    """Weighted independent sets covering every non-excluded vertex at least once."""
+    """Weighted independent sets covering, at least once, every vertex of a
+    graph less one exclusion: `excluded` is None, a vertex id or an edge pair."""
 
     sets: tuple[tuple[int, ...], ...]
     weights: tuple[Fraction, ...]
-    excluded_vertex: int | None = None
-    excluded_edge: tuple[int, int] | None = None
+    excluded: int | tuple[int, int] | None = None
 
     @cached_property
     def value(self) -> Fraction:
@@ -49,12 +49,12 @@ class FractionalColoring:
 
 
 def verify_fractional_coloring(g: LabeledGraph, fc: FractionalColoring) -> list[str]:
-    """Exact feasibility check against g minus fc's exclusions.
+    """Exact feasibility check against g minus fc's exclusion.
 
     A quick pass settles a valid coloring with a few whole-set operations per
     set; anything it rejects is walked again member by member, so a
-    violation is always reported by that walk.  The exclusions must name one
-    vertex of g or one edge of g, not both.
+    violation is always reported by that walk.  The exclusion must name a
+    vertex of g or an edge of g.
     """
     if len(fc.sets) != len(fc.weights):
         return ["sets/weights length mismatch"]
@@ -81,13 +81,13 @@ def _coloring_passes(g: LabeledGraph, fc: FractionalColoring) -> bool:
     slices, and coverage in integers over the common denominator must reach
     1 on every vertex but the excluded one.
     """
-    if _exclusion_violations(g, fc.excluded_vertex, fc.excluded_edge):
+    excl = fc.excluded
+    if _exclusion_violations(g, excl):
         return False
     V = g.vertex_count
-    excl_v = fc.excluded_vertex
-    rows = _rows_less(g, excl_v, fc.excluded_edge)
+    rows = _rows_less(g, excl)
     rows = [row | 1 << top for top, row in enumerate(rows, V)] + [0]  # top = u + V
-    excl_bit = 0 if excl_v is None else 1 << excl_v
+    excl_bit = 1 << excl if isinstance(excl, int) else 0
     # the slices per distinct weight, keyed by its lowest terms (a cheaper
     # hash than a Fraction's)
     slices: dict[tuple[int, int], list[int]] = {}
@@ -122,17 +122,17 @@ def _coloring_passes(g: LabeledGraph, fc: FractionalColoring) -> bool:
         for i, c in enumerate(counter):
             for v in iter_bits(c):
                 cover[v] += units << i
-    return all(c >= scale for v, c in enumerate(cover) if v != excl_v)
+    return all(c >= scale for v, c in enumerate(cover) if v != excl)
 
 
 def _coloring_violations(g: LabeledGraph, fc: FractionalColoring) -> list[str]:
     """Every violation of fc, set by set and member by member."""
-    out = _exclusion_violations(g, fc.excluded_vertex, fc.excluded_edge)
+    excl = fc.excluded
+    out = _exclusion_violations(g, excl)
     if out:
         return out
     V = g.vertex_count
-    excl_v = fc.excluded_vertex
-    rows = tuple(_rows_less(g, excl_v, fc.excluded_edge))
+    rows = tuple(_rows_less(g, excl))
     # coverage in integers over the common denominator of the weights
     scale = lcm(*(w.denominator for w in fc.weights))
     cover = [0] * V
@@ -142,7 +142,7 @@ def _coloring_violations(g: LabeledGraph, fc: FractionalColoring) -> list[str]:
         units = w.numerator * (scale // w.denominator)
         mask = 0
         for v in s:
-            if not (0 <= v < V) or v == excl_v:
+            if not (0 <= v < V) or v == excl:
                 out.append(f"set {idx} uses invalid vertex {v}")
             elif (mask >> v) & 1:
                 out.append(f"set {idx} repeats vertex {v}")
@@ -155,7 +155,7 @@ def _coloring_violations(g: LabeledGraph, fc: FractionalColoring) -> list[str]:
             for v in iter_bits(rows[u] & later):
                 out.append(f"set {idx} not independent: edge {{{u},{v}}}")
     for v in range(V):
-        if v != excl_v and cover[v] < scale:
+        if v != excl and cover[v] < scale:
             out.append(f"vertex {v} covered only {Fraction(cover[v], scale)}")
     return out
 
@@ -179,10 +179,9 @@ def witnessed_value(g: LabeledGraph, fc: FractionalColoring, support,
     value = Fraction(mask.bit_count(), b)
     if fc.value != value or verify_fractional_coloring(g, fc):
         return None
-    ev = fc.excluded_vertex
-    if ev is not None and mask >> ev & 1:
+    if isinstance(fc.excluded, int) and mask >> fc.excluded & 1:
         return None
-    if not alpha_at_most(tuple(_rows_less(g, ev, fc.excluded_edge)), mask, b):
+    if not alpha_at_most(tuple(_rows_less(g, fc.excluded)), mask, b):
         return None
     return value
 

@@ -32,7 +32,7 @@ of each run shifted onto its images; any other map's are ORed by
 `itertools.compress` over the row's bits, or bit by bit for a short row.  An
 embedding or isomorphism needs one count more: an injective homomorphism
 sends distinct edges to distinct edges of the image, so it keeps non-edges
-exactly when the source has as many edges (less the exclusions) as the
+exactly when the source has as many edges (less the exclusion) as the
 target has on the image.  Only a map the quick pass rejects is walked pair
 by pair, and that walk writes every message.  A map that must be valid
 goes through `checked_map`, which raises AssertionError on a violation; a
@@ -262,7 +262,7 @@ def _deleted_rows(g: LabeledGraph, deleted: int | tuple[int, int] | None) -> Ite
             raise InvalidParams(f"edge {{{u},{v}}} out of range 0..{V - 1}")
         if not g.has_edge(u, v):
             raise NotAnEdge(f"{{{u},{v}}} is not an edge")
-    return _rows_less(g, None, deleted)
+    return _rows_less(g, deleted)
 
 
 class MapKind(Enum):
@@ -275,9 +275,10 @@ class MapKind(Enum):
 class VertexMap:
     """A vertex mapping between two graphs with a claimed structural kind.
 
-    The source may carry one exclusion (a deleted vertex or edge), in which
-    case the mapping is over the source minus that exclusion; `validate_map`
-    rejects an excluded vertex or edge that the source lacks, or both at once.  A map that
+    The source may carry one exclusion, `excluded`: None, a deleted vertex
+    id or a deleted edge pair, as a graph document carries one deletion.
+    The mapping is then over the source minus that exclusion; `validate_map`
+    rejects an excluded vertex or edge that the source lacks.  A map that
     fixes an embedded copy pointwise may carry a section: target id ->
     source id with mapping[section[t]] == t; present sections are checked.
     """
@@ -286,8 +287,7 @@ class VertexMap:
     target: LabeledGraph
     mapping: dict[int, int]
     kind: MapKind
-    excluded_vertex: int | None = None
-    excluded_edge: tuple[int, int] | None = None
+    excluded: int | tuple[int, int] | None = None
     section: dict[int, int] | None = None
 
 
@@ -500,35 +500,30 @@ def _map_steps(adj, target_adj, domains: list[int], pre=(),
             break
 
 
-def _exclusion_violations(g: LabeledGraph, excluded_vertex: int | None,
-                          excluded_edge: tuple[int, int] | None) -> list[str]:
-    """What is wrong with a certificate's exclusions on g: it may exclude one
-    vertex of g or one edge of g, not both."""
-    out = []
+def _exclusion_violations(g: LabeledGraph, excluded: int | tuple[int, int] | None) -> list[str]:
+    """What is wrong with a certificate's exclusion on g: a vertex id or an
+    edge pair that g lacks."""
     V = g.vertex_count
-    if excluded_vertex is not None and excluded_edge is not None:
-        out.append("both a vertex and an edge excluded")
-    if excluded_vertex is not None and not 0 <= excluded_vertex < V:
-        out.append(f"excluded vertex {excluded_vertex} out of range 0..{V - 1}")
-    if excluded_edge is not None:
-        a, b = excluded_edge
+    if isinstance(excluded, int):
+        return [] if 0 <= excluded < V else [f"excluded vertex {excluded} out of range 0..{V - 1}"]
+    if excluded is not None:
+        a, b = excluded
         if not (0 <= a < V and 0 <= b < V and g.has_edge(a, b)):
-            out.append(f"excluded edge {{{a},{b}}} is not an edge")
-    return out
+            return [f"excluded edge {{{a},{b}}} is not an edge"]
+    return []
 
 
-def _rows_less(g: LabeledGraph, excluded_vertex: int | None,
-               excluded_edge: tuple[int, int] | None) -> Iterable[int]:
+def _rows_less(g: LabeledGraph, excluded: int | tuple[int, int] | None) -> Iterable[int]:
     """g's rows less an exclusion that `_exclusion_violations` accepts, each
     made as it is read: the excluded vertex's row empty and its bit cleared
     from every row, or the excluded edge's bit cleared from both its ends'
     rows; `g.adj` itself, uncopied, when nothing is excluded."""
-    if excluded_vertex is not None:
-        v, adj = excluded_vertex, g.adj
+    if isinstance(excluded, int):
+        v, adj = excluded, g.adj
         keep = ~(1 << v)
         return chain(map(keep.__and__, adj[:v]), (0,), map(keep.__and__, adj[v + 1:]))
-    if excluded_edge is not None:
-        a, b = excluded_edge
+    if excluded is not None:
+        a, b = excluded
         ends = {a: ~(1 << b), b: ~(1 << a)}
         return (row & ends[u] if u in ends else row for u, row in enumerate(g.adj))
     return g.adj
@@ -544,13 +539,13 @@ def validate_map(m: VertexMap) -> list[str]:
 
     A quick pass settles a valid map with whole-row operations: for each
     source vertex u it ORs the images of u's later neighbours (less the
-    exclusions) into one mask, which must lie inside the target row of f(u)
+    exclusion) into one mask, which must lie inside the target row of f(u)
     less f(u) itself.  When the images step by +1 along few runs of source
     ids, a run's part of that mask is the row's piece of the run shifted by
     the run's offset, so a row costs one mask and shift per run it meets
     rather than one OR per neighbour.  An embedding or isomorphism is then
     settled by one count: an injective homomorphism is induced exactly when
-    the source's edges, less the exclusions, are as many as the target's
+    the source's edges, less the exclusion, are as many as the target's
     edges on the image, because distinct source edges map to distinct image
     edges.
     Anything the quick pass rejects is walked again pair by pair, so every
@@ -583,9 +578,9 @@ def _map_passes(m: VertexMap) -> bool:
     """
     src, tgt = m.source, m.target
     sv, tv = src.vertex_count, tgt.vertex_count
-    ev = m.excluded_vertex
-    if _exclusion_violations(src, ev, m.excluded_edge):
+    if _exclusion_violations(src, m.excluded):
         return False
+    ev = m.excluded if isinstance(m.excluded, int) else None
     img = list(map(m.mapping.get, range(sv)))
     images = img  # the images of the domain, the source less the excluded vertex
     if ev is not None:
@@ -608,7 +603,7 @@ def _map_passes(m: VertexMap) -> bool:
         masks = [(1 << e) - (1 << s) for s, e in zip(starts, starts[1:] + [sv])]
         shifts = [img[s] - s for s in starts]
     edges = 0
-    for u, row in enumerate(_rows_less(src, ev, m.excluded_edge)):
+    for u, row in enumerate(_rows_less(src, m.excluded)):
         if u == ev:
             continue
         later = row >> (u + 1) << (u + 1)
@@ -654,11 +649,10 @@ def _map_violations(m: VertexMap) -> list[str]:
     """Every violation of m, source edge by source edge."""
     src, tgt = m.source, m.target
     sv = src.vertex_count
-    excluded_v = m.excluded_vertex
-    out = _exclusion_violations(src, excluded_v, m.excluded_edge)
+    out = _exclusion_violations(src, m.excluded)
     if out:
         return out
-    domain = [u for u in range(sv) if u != excluded_v]
+    domain = [u for u in range(sv) if u != m.excluded]
     for u in domain:
         if u not in m.mapping:
             out.append(f"vertex {u} unmapped")
@@ -668,8 +662,8 @@ def _map_violations(m: VertexMap) -> list[str]:
         out.append(f"vertex {u} mapped but not in the domain")
     if out:
         return out
-    # src_later[u]: u's source neighbours v > u, less the exclusions
-    rows = tuple(_rows_less(src, excluded_v, m.excluded_edge))
+    # src_later[u]: u's source neighbours v > u, less the exclusion
+    rows = tuple(_rows_less(src, m.excluded))
     src_later = {u: rows[u] >> (u + 1) << (u + 1) for u in domain}
     mapping, tgt_adj = m.mapping, tgt.adj
     for u in domain:

@@ -2,8 +2,10 @@
 
 Graphs round-trip losslessly: a graph document names its family and at most
 one deletion; the loader refuses it if its vertex or edge lists differ from
-the writer's for the rebuilt graph.  Certificates self-validate
-on load through the same checkers used at construction time.  Rationals
+the writer's for the rebuilt graph.  Certificates self-validate on load
+through the same checkers used at construction time.  A certificate document
+records at most one exclusion, `excludedVertex` or `excludedEdge` (a null key
+reads as absent), and the loader refuses one that records both.  Rationals
 travel as "p/q" strings, never floats.  Every loader raises InvalidParams on a
 malformed document: a missing key, or a value of the wrong type or shape.
 Ids, residues, n and k must be JSON ints, a boundary entry's flags and
@@ -315,6 +317,24 @@ def dump_dot(g: LabeledGraph, write: Callable[[str], Any],
     write("".join(out))
 
 
+def _put_excluded(doc: dict, excluded: int | tuple[int, int] | None) -> None:
+    """Record a certificate's exclusion in doc, an edge in the order held."""
+    if isinstance(excluded, int):
+        doc["excludedVertex"] = excluded
+    elif excluded is not None:
+        doc["excludedEdge"] = list(excluded)
+
+
+def _excluded_from(doc: dict) -> int | tuple[int, int] | None:
+    """The exclusion a certificate document records, a null key as absent."""
+    ev, ee = doc.get("excludedVertex"), doc.get("excludedEdge")
+    if ee is None:
+        return None if ev is None else _int(ev)
+    if ev is not None:
+        raise InvalidParams("a certificate document records an excluded vertex and edge")
+    return _int(ee[0]), _int(ee[1])
+
+
 def coloring_to_document(
     fc: FractionalColoring, family: FamilyParams
 ) -> dict:
@@ -326,10 +346,7 @@ def coloring_to_document(
         "weights": [fraction_to_str(w) for w in fc.weights],
         "value": fraction_to_str(fc.value),
     }
-    if fc.excluded_vertex is not None:
-        doc["excludedVertex"] = fc.excluded_vertex
-    if fc.excluded_edge is not None:
-        doc["excludedEdge"] = list(fc.excluded_edge)
+    _put_excluded(doc, fc.excluded)
     return doc
 
 
@@ -338,13 +355,10 @@ def coloring_from_document(doc: dict) -> FractionalColoring:
     if doc.get("kind") != "FRACTIONAL_COLORING":
         raise InvalidParams("not a fractional-coloring document")
     fp = _family_from_json(doc.get("family", {}))
-    ev = doc.get("excludedVertex")
-    ee = doc.get("excludedEdge")
     fc = FractionalColoring(
         tuple(tuple(map(_int, s)) for s in doc.get("sets", ())),
         tuple(fraction_from_str(w) for w in doc.get("weights", ())),
-        excluded_vertex=None if ev is None else _int(ev),
-        excluded_edge=None if ee is None else (_int(ee[0]), _int(ee[1])),
+        _excluded_from(doc),
     )
     if fraction_from_str(doc.get("value", "0/1")) != fc.value:
         raise InvalidParams("declared value disagrees with the weights")
@@ -366,10 +380,7 @@ def map_to_document(m: VertexMap) -> dict:
         "target": _family_json(m.target.family),
         "mapping": _IdRows([[u, m.mapping[u]] for u in sorted(m.mapping)], bound),
     }
-    if m.excluded_vertex is not None:
-        doc["excludedVertex"] = m.excluded_vertex
-    if m.excluded_edge is not None:
-        doc["excludedEdge"] = list(m.excluded_edge)
+    _put_excluded(doc, m.excluded)
     if m.section is not None:
         doc["section"] = _IdRows([[t, s] for t, s in sorted(m.section.items())], bound)
     return doc
@@ -385,16 +396,13 @@ def map_from_document(doc: dict) -> VertexMap:
         raise InvalidParams(f"unknown map kind {doc.get('mapKind')!r}") from exc
     src = build_family(_family_from_json(doc.get("source", {})))
     tgt = build_family(_family_from_json(doc.get("target", {})))
-    ev = doc.get("excludedVertex")
-    ee = doc.get("excludedEdge")
     sec = doc.get("section")
     m = VertexMap(
         src,
         tgt,
         {_int(u): _int(x) for u, x in doc.get("mapping", ())},
         kind,
-        excluded_vertex=None if ev is None else _int(ev),
-        excluded_edge=None if ee is None else (_int(ee[0]), _int(ee[1])),
+        _excluded_from(doc),
         section=None if sec is None else {_int(t): _int(s) for t, s in sec},
     )
     bad = validate_map(m)

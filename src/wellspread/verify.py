@@ -352,10 +352,8 @@ def _coloring_matches_lp(q, fc) -> None:
     bad = verify_fractional_coloring(q, fc)
     if bad:
         raise AssertionError(bad[0])
-    if fc.excluded_vertex is not None:
-        h = delete_vertex(q, fc.excluded_vertex)
-    else:
-        h = delete_edge(q, *fc.excluded_edge)
+    ex = fc.excluded
+    h = delete_vertex(q, ex) if isinstance(ex, int) else delete_edge(q, *ex)
     lp = fractional_chromatic_number(h)[0]
     if lp != fc.value:
         raise AssertionError(f"certificate value {fc.value} but LP gives {lp}")

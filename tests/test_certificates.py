@@ -60,7 +60,7 @@ def test_vertex_deleted_coloring_worked_example():
     assert fc.sets == ((0, 4), (3, 6), (2, 5))
     assert fc.weights == (Fraction(1),) * 3
     assert fc.value == 3
-    assert fc.excluded_vertex == 1
+    assert fc.excluded == 1
 
 
 def test_vertex_deleted_coloring_valid_on_grid():
@@ -87,7 +87,7 @@ def test_edge_deleted_coloring_worked_example():
     fc = edge_deleted_coloring(7, 2, (0, 1))
     assert fc.sets == ((0, 1, 4), (3, 6), (2, 5))
     assert fc.value == 3
-    assert fc.excluded_edge == (0, 1)
+    assert fc.excluded == (0, 1)
 
 
 def test_edge_deleted_coloring_valid_on_cycle_edges():
@@ -118,13 +118,12 @@ def test_public_constructors_check_their_cores(monkeypatch):
     def short(core):
         def tampered(f, x):
             fc = core(f, x)
-            return FractionalColoring(fc.sets[1:], fc.weights[1:], fc.excluded_vertex,
-                                      fc.excluded_edge)
+            return FractionalColoring(fc.sets[1:], fc.weights[1:], fc.excluded)
         return tampered
 
     def bent(core):
-        def tampered(f, anchor, **exclusion):
-            m = core(f, anchor, **exclusion)
+        def tampered(f, excluded):
+            m = core(f, excluded)
             m.mapping = {u: (t + 1) % m.target.vertex_count for u, t in m.mapping.items()}
             return m
         return tampered
@@ -162,12 +161,12 @@ def test_retractions_validate_and_carry_sections():
         for v in range(n):
             m = vertex_deleted_retraction(n, k, v)
             assert m.kind is MapKind.HOMOMORPHISM
-            assert m.excluded_vertex == v
+            assert m.excluded == v
             assert m.section is not None
             assert validate_map(m) == []
         for p in range(n):
-            m = edge_deleted_retraction(n, k, (p, (p + 1) % n))
-            assert m.excluded_edge is not None
+            m = edge_deleted_retraction(n, k, ((p + 1) % n, p))
+            assert m.excluded == (p, (p + 1) % n)
             assert validate_map(m) == []
     with pytest.raises(NotCycleEdge):
         edge_deleted_retraction(7, 2, (0, 2))

@@ -567,7 +567,7 @@ def test_witnessed_value_checks_the_exclusion():
     assert witnessed_value(q, fc, window(4), b) == Fraction(5, 2)
     assert {4, 5} <= set(window(5)) and witnessed_value(q, fc, window(5), b) is None
     # without its exclusion the colouring does not cover the edge's ends
-    assert witnessed_value(q, dataclasses.replace(fc, excluded_edge=None), window(4), b) is None
+    assert witnessed_value(q, dataclasses.replace(fc, excluded=None), window(4), b) is None
 
 
 def test_witnessed_value_rejects_tampered_pairs():
@@ -601,7 +601,7 @@ def test_witnessed_value_may_hold_both_ends_of_the_excluded_edge():
     # fractional clique of D of value 2, which D's own LP colouring meets
     g = mk(6, [(0, 2), (0, 5), (1, 4), (2, 5), (3, 5)])
     value, fc = fractional_chromatic_number(delete_edge(g, 0, 5))
-    fc = dataclasses.replace(fc, excluded_edge=(0, 5))
+    fc = dataclasses.replace(fc, excluded=(0, 5))
     assert value == 2 and not verify_fractional_coloring(g, fc)
     assert witnessed_value(g, fc, (0, 2, 3, 5), 2) == 2
 

@@ -15,6 +15,7 @@ from conftest import complete, covering_lp_over_pool, cycle, mk
 
 from wellspread import (
     FractionalColoring,
+    InvalidParams,
     build_circular,
     build_kneser,
     build_q,
@@ -29,6 +30,7 @@ from wellspread import (
 )
 from wellspread.fractional import _coloring_passes, _coloring_violations
 from wellspread.graphs import iter_bits
+from wellspread.serialize import coloring_from_document, coloring_to_document
 
 
 def chi_f(g):
@@ -117,7 +119,7 @@ def test_verifier_messages_and_order():
     ]
     # only the excluded edge is tolerated, in either orientation
     fc = FractionalColoring(sets=((0, 1, 2), (3,), (4,)), weights=(Fraction(1),) * 3,
-                            excluded_edge=(1, 0))
+                            excluded=(1, 0))
     assert verify_fractional_coloring(g, fc) == ["set 0 not independent: edge {1,2}"]
     # mixed denominators: the shortfall is the exact sum of the weights
     fc = FractionalColoring(sets=((0, 2), (0, 3), (1, 3), (2, 4)),
@@ -130,7 +132,7 @@ def test_verifier_messages_and_order():
     fc = FractionalColoring(
         sets=((0, 2, 2), (1, 9), (3,), (1, 3, 4, 0)),
         weights=(Fraction(1), Fraction(2), -half, third),
-        excluded_vertex=4,
+        excluded=4,
     )
     assert verify_fractional_coloring(g, fc) == [
         "set 0 repeats vertex 2",
@@ -156,11 +158,11 @@ def _tamper(rng, n, fc):
         weights[i] = rng.choice([-weights[i], weights[i] / 2, Fraction(0), weights[i] * 3])
     elif kind == 3:
         return replace(fc, sets=tuple(map(tuple, sets)), weights=tuple(weights),
-                       excluded_vertex=rng.choice([None, rng.randrange(-1, n + 1)]))
+                       excluded=rng.choice([None, rng.randrange(-1, n + 1)]))
     elif kind == 4:
         u = rng.randrange(-1, n + 1)
-        return replace(fc, excluded_edge=rng.choice([None, (u, (u + 1) % n), (u + 1, u),
-                                                     (u, rng.randrange(n + 2))]))
+        return replace(fc, excluded=rng.choice([None, (u, (u + 1) % n), (u + 1, u),
+                                                (u, rng.randrange(n + 2))]))
     elif kind == 5:  # two sets merged
         j = rng.randrange(len(sets))
         sets[i] = sets[i] + sets[j]
@@ -217,8 +219,7 @@ def _certified(draw):
     g = mk(V, draw(st.lists(st.sampled_from(pairs), unique=True)))
     ev = draw(st.none() | st.integers(0, V - 1))
     kept = [u for u in range(V) if u != ev]
-    return g, FractionalColoring(tuple((u,) for u in kept), (Fraction(1),) * len(kept),
-                                 excluded_vertex=ev)
+    return g, FractionalColoring(tuple((u,) for u in kept), (Fraction(1),) * len(kept), ev)
 
 
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)
@@ -230,8 +231,7 @@ def test_quick_pass_agrees_with_the_walk_on_each_kind_of_defect(certified, data)
     # drawn position
     g, fc = certified
     V = g.vertex_count
-    excl_e = None if fc.excluded_edge is None else tuple(sorted(fc.excluded_edge))
-    excluded = [fc.excluded_vertex] if fc.excluded_vertex is not None else list(excl_e or ())
+    excluded = [fc.excluded] if isinstance(fc.excluded, int) else sorted(fc.excluded or ())
     sets = [list(s) for s in fc.sets]
     for _ in range(data.draw(st.integers(1, 3), label="defects")):
         s = sets[data.draw(st.integers(0, len(sets) - 1), label="set")]
@@ -270,28 +270,28 @@ def _random_coloring(draw):
     edges = draw(st.lists(st.sampled_from(list(combinations(range(V), 2))),
                           unique=True)) if V > 1 else []
     g = mk(V, edges)
-    ev = ee = None
+    excluded = None
     kind = draw(st.sampled_from(["none", "vertex", "edge"] * 3 + ["bad"]))
     if kind == "vertex":
-        ev = draw(st.integers(0, V - 1))
+        excluded = draw(st.integers(0, V - 1))
     elif kind == "edge" and edges:
         ee = draw(st.sampled_from(edges))
-        ee = ee[::-1] if draw(st.booleans()) else ee
+        excluded = ee[::-1] if draw(st.booleans()) else ee
     elif kind == "bad":  # an exclusion that no certificate may make
-        ev = draw(st.sampled_from([-1, V]))
+        excluded = draw(st.sampled_from([-1, V]))
     copies = draw(st.integers(0, 3))  # of a cover by singletons, each of weight 1/copies
-    pairs = [((u,), Fraction(1, copies)) for _ in range(copies) for u in range(V) if u != ev]
+    pairs = [((u,), Fraction(1, copies))
+             for _ in range(copies) for u in range(V) if u != excluded]
     if not draw(st.integers(0, 2)):  # any member and any weight
         member, weight = st.integers(-V - 2, V + 2), _WEIGHTS
     else:  # members in range, weights not negative
         member, weight = st.integers(0, V - 1), _WEIGHTS.filter(lambda w: w >= 0)
     pairs += draw(st.lists(st.tuples(st.lists(member, max_size=4).map(tuple), weight),
                            max_size=4))
-    if ee is not None and draw(st.booleans()):
-        pairs.append((ee, draw(_WEIGHTS)))
+    if isinstance(excluded, tuple) and draw(st.booleans()):
+        pairs.append((excluded, draw(_WEIGHTS)))
     pairs = draw(st.permutations(pairs))
-    return g, FractionalColoring(tuple(s for s, _ in pairs), tuple(w for _, w in pairs),
-                                 excluded_vertex=ev, excluded_edge=ee)
+    return g, FractionalColoring(tuple(s for s, _ in pairs), tuple(w for _, w in pairs), excluded)
 
 
 @settings(max_examples=500, derandomize=True, database=None, deadline=None)
@@ -306,24 +306,23 @@ def test_quick_pass_holds_exactly_when_the_walk_finds_nothing(case):
 def test_verifier_reports_impossible_exclusions():
     q = build_q(7, 2)
     fc = vertex_deleted_coloring(7, 2, 3)
-    assert verify_fractional_coloring(q, replace(fc, excluded_edge=(0, 9))) == [
-        "both a vertex and an edge excluded",
-        "excluded edge {0,9} is not an edge",
-    ]
-    assert verify_fractional_coloring(q, replace(fc, excluded_vertex=5000)) == [
+    assert verify_fractional_coloring(q, replace(fc, excluded=5000)) == [
         "excluded vertex 5000 out of range 0..6"]
     fc = edge_deleted_coloring(7, 2, (0, 1))
-    assert verify_fractional_coloring(q, replace(fc, excluded_edge=(3, 3))) == [
-        "excluded edge {3,3} is not an edge"]
-    assert verify_fractional_coloring(q, replace(fc, excluded_edge=(0, 3))) == [
-        "excluded edge {0,3} is not an edge"]
+    for edge in [(0, 9), (3, 3), (0, 3)]:
+        assert verify_fractional_coloring(q, replace(fc, excluded=edge)) == [
+            f"excluded edge {{{edge[0]},{edge[1]}}} is not an edge"]
+    # a coloring holds one exclusion; a document that records two is refused
+    doc = {**coloring_to_document(fc, q.family), "excludedVertex": 3}
+    with pytest.raises(InvalidParams, match="excluded vertex and edge"):
+        coloring_from_document(doc)
 
 
 def test_verifier_honors_exclusions():
     g = cycle(5)
     # minus vertex 0 the 4-path needs only weight 2
     fc = FractionalColoring(sets=((1, 3), (2, 4)), weights=(Fraction(1), Fraction(1)),
-                            excluded_vertex=0)
+                            excluded=0)
     assert verify_fractional_coloring(g, fc) == []
     # same sets are short once vertex 0 must be covered again
     assert verify_fractional_coloring(
@@ -332,7 +331,7 @@ def test_verifier_honors_exclusions():
     fc = FractionalColoring(
         sets=((0, 1, 3), (2, 4), (1, 3), (0, 2)),
         weights=(Fraction(1), Fraction(1), Fraction(0), Fraction(1)),
-        excluded_edge=(0, 1),
+        excluded=(0, 1),
     )
     assert verify_fractional_coloring(g, fc) == []
 

@@ -46,6 +46,7 @@ from wellspread.graphs import (
     dihedral_automorphisms,
     label_rotation,
 )
+from wellspread.serialize import map_from_document, map_to_document
 
 
 def test_kneser_petersen_shape():
@@ -368,17 +369,17 @@ def test_rows_less_clears_exactly_the_exclusion(V, rng):
     # exclusion does not remove, built pair by pair; with nothing excluded
     # the rows are g's own tuple
     g = random_graph(rng, V)
-    assert _rows_less(g, None, None) is g.adj
+    assert _rows_less(g, None) is g.adj
 
     def literal(gone):
         return tuple(sum(1 << w for w in range(V) if g.has_edge(u, w) and not gone(u, w))
                      for u in range(V))
 
     for x in range(V):
-        assert tuple(_rows_less(g, x, None)) == literal(lambda u, w: x in (u, w))
+        assert tuple(_rows_less(g, x)) == literal(lambda u, w: x in (u, w))
     for a, b in g.edges():
         for e in [(a, b), (b, a)]:
-            assert tuple(_rows_less(g, None, e)) == literal(lambda u, w: {u, w} == {a, b})
+            assert tuple(_rows_less(g, e)) == literal(lambda u, w: {u, w} == {a, b})
 
 
 def test_validate_map_flags_violations():
@@ -399,9 +400,9 @@ def test_validate_map_flags_violations():
     # exact messages, in (u, v) order; exclusions are skipped
     assert validate_map(bad) == ["edge {0,1} maps to non-edge {0,0}"]
     assert validate_map(VertexMap(c5, k3, bad.mapping, MapKind.HOMOMORPHISM,
-                                  excluded_edge=(1, 0))) == []
+                                  excluded=(1, 0))) == []
     assert validate_map(VertexMap(c5, k3, {0: 0, 2: 1, 3: 0, 4: 1}, MapKind.HOMOMORPHISM,
-                                  excluded_vertex=1)) == []
+                                  excluded=1)) == []
     into_k5 = VertexMap(c5, build_circular(5, 1), {v: v for v in range(5)}, MapKind.EMBEDDING)
     assert validate_map(into_k5) == [
         "non-edge {0,2} maps to edge",
@@ -411,7 +412,7 @@ def test_validate_map_flags_violations():
         "non-edge {2,4} maps to edge",
     ]
     minus_edge = VertexMap(c5, c5, {v: v for v in range(5)}, MapKind.ISOMORPHISM,
-                           excluded_edge=(0, 1))
+                           excluded=(0, 1))
     assert validate_map(minus_edge) == ["non-edge {0,1} maps to edge"]
     # folding an edgeless graph keeps every edge count equal; only the
     # injectivity test rejects it
@@ -425,15 +426,18 @@ def test_validate_map_reports_impossible_exclusions():
     k3 = build_circular(3, 1)
     hom = {0: 0, 1: 1, 2: 0, 3: 1, 4: 2}
     cases = [
-        (dict(excluded_vertex=5), ["excluded vertex 5 out of range 0..4"]),
-        (dict(excluded_vertex=-1), ["excluded vertex -1 out of range 0..4"]),
-        (dict(excluded_edge=(0, 2)), ["excluded edge {0,2} is not an edge"]),
-        (dict(excluded_edge=(3, 3)), ["excluded edge {3,3} is not an edge"]),
-        (dict(excluded_edge=(0, 9)), ["excluded edge {0,9} is not an edge"]),
-        (dict(excluded_vertex=1, excluded_edge=(0, 1)), ["both a vertex and an edge excluded"]),
+        (5, ["excluded vertex 5 out of range 0..4"]),
+        (-1, ["excluded vertex -1 out of range 0..4"]),
+        ((0, 2), ["excluded edge {0,2} is not an edge"]),
+        ((3, 3), ["excluded edge {3,3} is not an edge"]),
+        ((0, 9), ["excluded edge {0,9} is not an edge"]),
     ]
-    for exclusions, want in cases:
-        assert validate_map(VertexMap(c5, k3, hom, MapKind.HOMOMORPHISM, **exclusions)) == want
+    for excluded, want in cases:
+        assert validate_map(VertexMap(c5, k3, hom, MapKind.HOMOMORPHISM, excluded)) == want
+    # a map holds one exclusion; a document that records two is refused
+    doc = {**map_to_document(vertex_deleted_retraction(13, 5, 3)), "excludedEdge": [4, 5]}
+    with pytest.raises(InvalidParams, match="excluded vertex and edge"):
+        map_from_document(doc)
 
 
 def test_map_keys_outside_the_domain_are_violations():
@@ -482,14 +486,14 @@ def _random_valid_map(kind: MapKind, rng: random.Random) -> VertexMap:
     section = None
     if set(images) == set(range(tgt.vertex_count)) and rng.random() < 0.7:
         section = {t: u for u, t in f.items() if u != ev}
-    return VertexMap(mk(n, edges), tgt, f, kind, excluded_vertex=ev, excluded_edge=ee,
-                     section=section)
+    return VertexMap(mk(n, edges), tgt, f, kind, ev if ee is None else ee, section=section)
 
 
 def _tamperings(m: VertexMap, rng: random.Random) -> list[VertexMap]:
     """m with one defect each, any of which may happen to be harmless."""
     sv, tv = m.source.vertex_count, m.target.vertex_count
-    domain = [u for u in range(sv) if u != m.excluded_vertex]
+    ev = m.excluded if isinstance(m.excluded, int) else None
+    domain = [u for u in range(sv) if u != ev]
     out = []
     if domain:
         u = rng.choice(domain)
@@ -499,7 +503,7 @@ def _tamperings(m: VertexMap, rng: random.Random) -> list[VertexMap]:
             w = rng.choice([x for x in domain if x != u])
             out.append(replace(m, mapping={**m.mapping, u: m.mapping[w]}))  # not injective
     # a key outside the domain: the excluded vertex, or no source vertex at all
-    stray = rng.choice([v for v in (m.excluded_vertex, -1, sv) if v is not None])
+    stray = rng.choice([v for v in (ev, -1, sv) if v is not None])
     out.append(replace(m, mapping={**m.mapping, stray: rng.randrange(-1, tv + 1)}))
     pairs = [(m.mapping[u], m.mapping[w]) for u, w in combinations(domain, 2)
              if m.mapping[u] != m.mapping[w] and not m.target.has_edge(m.mapping[u], m.mapping[w])]
@@ -518,9 +522,9 @@ def _tamperings(m: VertexMap, rng: random.Random) -> list[VertexMap]:
             broken[t] = rng.randrange(sv)
         out.append(replace(m, section=broken))
     u = rng.randrange(-1, sv + 1)
-    out.append(replace(m, excluded_vertex=rng.choice([None, u]), excluded_edge=None))
-    out.append(replace(m, excluded_edge=rng.choice([(u, u), (u, rng.randrange(-1, sv + 2))])))
-    out.append(replace(m, excluded_vertex=rng.randrange(sv), excluded_edge=m.excluded_edge))
+    out.append(replace(m, excluded=rng.choice([None, u])))
+    out.append(replace(m, excluded=rng.choice([(u, u), (u, rng.randrange(-1, sv + 2))])))
+    out.append(replace(m, excluded=rng.randrange(sv)))
     return out
 
 
@@ -609,8 +613,8 @@ def _windowed_map(kind: MapKind, rng: random.Random) -> VertexMap:
     section = None
     if {f[u] for u in domain} == set(range(tv)) and rng.random() < 0.7:
         section = {f[u]: u for u in domain}
-    return VertexMap(mk(len(images), edges), tgt, f, kind,
-                     excluded_vertex=ev, excluded_edge=ee, section=section)
+    return VertexMap(mk(len(images), edges), tgt, f, kind, ev if ee is None else ee,
+                     section=section)
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
@@ -624,7 +628,7 @@ def test_quick_pass_by_runs_agrees_with_the_edge_walk(kind, seed):
     m = _windowed_map(kind, rng)
     assert 8 * _runs(m) < m.source.vertex_count, m
     assert _map_passes(m) and validate_map(m) == _map_violations(m) == [], m
-    ev = m.excluded_vertex
+    ev = m.excluded if isinstance(m.excluded, int) else None
     u = rng.choice([w for w in range(1, m.source.vertex_count)
                     if ev not in (w - 1, w) and m.mapping[w] == m.mapping[w - 1] + 1])
     tv = m.target.vertex_count

@@ -34,6 +34,7 @@ from wellspread import (
     dumps,
     edge_criticality,
     edge_deleted_coloring,
+    edge_deleted_retraction,
     euclid_reduce,
     fraction_from_str,
     fraction_to_str,
@@ -284,6 +285,39 @@ def test_documents_with_impossible_exclusions_are_refused():
         doc = {**coloring_to_document(vertex_deleted_coloring(7, 2, 3), fp), **extra}
         with pytest.raises(InvalidParams):
             coloring_from_document(json.loads(dumps(doc)))
+
+
+def test_certificate_documents_record_one_exclusion():
+    fp = FamilyParams("q", 13, 5)
+
+    def reread(load, doc):
+        return load(json.loads(dumps(doc)))
+
+    # each vertex and cycle-edge certificate of Q(13,5) reads back with the
+    # exclusion its constructor set, the edge in the order it was held
+    for p in range(13):
+        e = (p, (p + 1) % 13)
+        for fc, want in [(vertex_deleted_coloring(13, 5, p), p),
+                         (edge_deleted_coloring(13, 5, e[::-1]), e)]:
+            assert fc.excluded == want
+            assert reread(coloring_from_document, coloring_to_document(fc, fp)) == fc
+        for m, want in [(vertex_deleted_retraction(13, 5, p), p),
+                        (edge_deleted_retraction(13, 5, e[::-1]), e)]:
+            back = reread(map_from_document, map_to_document(m))
+            assert m.excluded == back.excluded == want
+            assert (back.mapping, back.section) == (m.mapping, m.section)
+    # a null key reads as absent, so a null vertex next to an edge is that edge
+    fc = edge_deleted_coloring(13, 5, (12, 0))
+    m = edge_deleted_retraction(13, 5, (0, 12))
+    null = {"excludedVertex": None}
+    assert reread(coloring_from_document, {**coloring_to_document(fc, fp), **null}) == fc
+    assert reread(map_from_document, {**map_to_document(m), **null}).excluded == (12, 0)
+    # both keys set: refused by either loader
+    both = {"excludedVertex": 3, "excludedEdge": [3, 4]}
+    for load, doc in [(coloring_from_document, coloring_to_document(fc, fp)),
+                      (map_from_document, map_to_document(m))]:
+        with pytest.raises(InvalidParams, match="excluded vertex and edge"):
+            reread(load, {**doc, **both})
 
 
 def test_trace_documents_round_trip():
