@@ -332,7 +332,8 @@ def _excluded_from(doc: dict) -> int | tuple[int, int] | None:
         return None if ev is None else _int(ev)
     if ev is not None:
         raise InvalidParams("a certificate document records an excluded vertex and edge")
-    return _int(ee[0]), _int(ee[1])
+    a, b = ee
+    return _int(a), _int(b)
 
 
 def coloring_to_document(

@@ -446,6 +446,13 @@ def _reduction_document():
                                                      FamilyParams("q", 7, 2)), weights=[1, 1, 1])),
     (map_from_document,
      lambda: _malformed(lambda: map_to_document(circular_isomorphism(7, 2)), mapping=[[0]])),
+    (coloring_from_document,
+     lambda: _malformed(lambda: coloring_to_document(edge_deleted_coloring(7, 2, (3, 4)),
+                                                     FamilyParams("q", 7, 2)),
+                        excludedEdge=[3, 4, 99])),
+    (map_from_document,
+     lambda: _malformed(lambda: map_to_document(edge_deleted_retraction(7, 2, (3, 4))),
+                        excludedEdge=[3])),
     (boundary_from_document,
      lambda: _malformed(lambda: boundary_to_document(q_equals_schrijver_sweep(5)),
                         entries=[[5, 2]])),
@@ -453,7 +460,8 @@ def _reduction_document():
      lambda: _malformed(lambda: graph_to_document(build_q(7, 2)), deletedVertex="a")),
     (map_from_document, lambda: ["not", "a", "document"]),
 ], ids=["report-without-baseline", "trace-without-modulus", "coloring-set-of-a-letter",
-        "coloring-int-weight", "map-one-item-pair", "boundary-two-item-entry",
+        "coloring-int-weight", "map-one-item-pair", "coloring-three-item-edge",
+        "map-one-item-edge", "boundary-two-item-entry",
         "graph-letter-vertex", "map-not-a-dict"])
 def test_malformed_documents_raise_invalid_params(load, make):
     with pytest.raises(InvalidParams, match="malformed document"):
